@@ -103,7 +103,6 @@ class IntegratorConfig:
     snapshot_taus: tuple[float, ...] = ()
     overlap_pair: tuple[complex, complex] | None = None
     record_min_eig: bool = False
-    renormalize_trace: bool = False
     transient_table_points: int = 512
     max_steps: int = 20_000_000
     frame: str = "lab"
@@ -577,8 +576,6 @@ def evolve(
         k1 += 2.0 * k2
         k1 *= dtau / 6.0
         rho += k1
-        if config.renormalize_trace:
-            rho /= np.trace(rho).real
 
     if float(np.max(rec.top)) > 1e-6:
         warnings.warn(

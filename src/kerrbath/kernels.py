@@ -6,10 +6,8 @@ operator Omega_hat = 1 + mu*(1 + 2*n_hat). At level n, with Omega_n its
 eigenvalue, the coefficients are time integrals of the bath kernels against
 trigonometric factors:
 
-    A1_n(tau) = Int_0^tau ds eta(s) cos(Omega_n s)     (dissipation, even)
-    A2_n(tau) = Int_0^tau ds eta(s) sin(Omega_n s)     (dissipation, odd)
-    B1_n(tau) = Int_0^tau ds nu(s)  cos(Omega_n s)     (noise, even)
-    B2_n(tau) = Int_0^tau ds nu(s)  sin(Omega_n s)     (noise, odd)
+    A_n(tau) = A1_n + i A2_n = Int_0^tau ds eta(s) e^{i Omega_n s}   (dissipation)
+    B_n(tau) = B1_n + i B2_n = Int_0^tau ds nu(s)  e^{i Omega_n s}   (noise)
 
 with the Ohmic kernels
 
@@ -17,42 +15,60 @@ with the Ohmic kernels
     nu(s)  = Int_0^inf (dw/pi) J(w) coth(beta w / 2) cos(w s),
     J(w)   = gamma * w * Lambda^2 / (Lambda^2 + w^2).
 
-The double integrals are evaluated with the integration order swapped: the
-inner time integral is done analytically, leaving a single smooth frequency
-integral per level,
+For this Lorentz-Drude cutoff both kernels are exact sums of exponentials
+(Tanimura & Kubo, J. Phys. Soc. Jpn. 58, 101 (1989)): closing the frequency
+contour picks up the cutoff pole at i Lambda and, for nu, the Matsubara
+poles at i nu_k, nu_k = 2 pi k / beta,
 
-    A1_n(tau) = Int dw w_A(w) * (1/2) [hc(w+O) + hc(w-O)]
-    A2_n(tau) = Int dw w_A(w) * (1/2) [sc(w-O) - sc(w+O)]
-    B1_n(tau) = Int dw w_B(w) * (1/2) [sc(w-O) + sc(w+O)]
-    B2_n(tau) = Int dw w_B(w) * (1/2) [hc(w+O) - hc(w-O)]
+    eta(s) = (gamma Lambda^2/2) e^{-Lambda s},
+    nu(s)  = (gamma Lambda^2/2) cot(beta Lambda/2) e^{-Lambda s}
+             - (2 gamma Lambda^2/beta) sum_{k>=1} nu_k e^{-nu_k s} / (Lambda^2 - nu_k^2).
 
-where O = Omega_n, sc(d) = sin(d tau)/d, hc(d) = (1 - cos(d tau))/d,
-w_A = J/pi and w_B = J coth(beta w/2)/pi. Both kernels are entire in d, so
-the finite-tau integrands have no singularities; only the tau -> inf limits
-develop delta / principal-value structure. Those limits give the asymptotic
-coefficients:
+Every coefficient is then a closed form. With z_L = Lambda - i Omega_n and
+z_k = nu_k - i Omega_n,
 
-    A1_n(inf) = gamma Lambda^3 / (2 (Lambda^2 + Omega_n^2))
-    A2_n(inf) = J(Omega_n) / 2
-    B1_n(inf) = (J(Omega_n) / 2) coth(beta Omega_n / 2)
-    B2_n(inf) = PV Int_0^inf dw w_B(w) Omega_n / (Omega_n^2 - w^2)
+    A(tau) = A(inf) - (gamma Lambda^2/2) e^{-z_L tau} / z_L,
+    B(tau) = B(inf) - (gamma Lambda^2/2) cot(beta Lambda/2) e^{-z_L tau} / z_L
+             + (2 gamma Lambda^2/beta) sum_k nu_k e^{-z_k tau} / ((Lambda^2 - nu_k^2) z_k),
+
+and the long-time values are
+
+    A1(inf) = gamma Lambda^3 / (2 (Lambda^2 + Omega_n^2))
+    A2(inf) = J(Omega_n) / 2
+    B1(inf) = (J(Omega_n) / 2) coth(beta Omega_n / 2)
+    B2(inf) = gamma Lambda^2 Omega_n / (pi (Lambda^2 + Omega_n^2))
+              * [Re psi(1 + i y) - psi(x) - 1/(2x)],   x = beta Lambda/2pi,
+                                                       y = beta Omega_n/2pi.
 
 A1(inf) is fixed by the renormalized frequency
 omega_eff^2 = Omega^2 - gamma Lambda^3/(Lambda^2 + Omega^2), and B1 = A2 coth
-is the fluctuation-dissipation relation. B2(inf) has no elementary closed
-form and is computed by principal-value quadrature with symmetric-interval
-subtraction around the pole at w = Omega_n.
+is the fluctuation-dissipation relation. B2(inf) is the Matsubara sum done
+exactly in digamma functions; the reflection psi(1-x) = psi(x) + pi cot(pi x)
+cancels the cot(beta Lambda/2) term, so it is regular at beta Lambda = 2 pi k.
+At finite tau the cot term and the k-th Matsubara term are each singular
+there while their sum is finite; the pair nearest the resonance is always
+evaluated merged (see _decaying_parts). The Matsubara sum converges like
+e^{-nu_k tau}; it is truncated once the remainder is below round-off, at
+most _MATSUBARA_CAP terms, and err reports the bound on the remainder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy.special import digamma
 
 from .model import SystemParams
+
+# the k-sum stops at nu_k tau >= _DECAY_EXPONENT (e^-40 ~ 4e-18), is
+# evaluated in chunks of _MATSUBARA_CHUNK terms and never runs past
+# _MATSUBARA_CAP terms; beyond that (tau ~ 40 beta/(2 pi cap) and smaller)
+# the truncation shows in err
+_DECAY_EXPONENT = 40.0
+_MATSUBARA_CHUNK = 4096
+_MATSUBARA_CAP = 1 << 18
 
 
 class OverdampedError(ValueError):
@@ -60,7 +76,7 @@ class OverdampedError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Raised when a coefficient quadrature fails to reach its error target."""
+    """Raised when a coefficient's error bound is not small against its scale."""
 
 
 def spectral_density(params: SystemParams, omega):
@@ -100,10 +116,9 @@ class BathCoefficients:
     """Level-diagonal master-equation coefficients.
 
     mode is "asymptotic" (tau -> inf values) or "transient" (finite tau,
-    stored in tau). err is a conservative per-level absolute error bound on
-    the quadrature-evaluated entries (exact closed-form entries contribute
-    zero); asymptotic A1, A2, B1 are closed forms, so err there covers B2
-    only.
+    stored in tau). err is a per-level absolute bound on |dB1| + |dB2| from
+    truncating the Matsubara sum; every other part is exact, so err is zero
+    in the asymptotic mode.
     """
 
     omegas: np.ndarray
@@ -116,151 +131,10 @@ class BathCoefficients:
     err: np.ndarray | None = None
 
 
-# ---------------------------------------------------------------------------
-# asymptotic values
-
-
 def asymptotic_b1_at(params: SystemParams, omega: float) -> float:
     """B1(inf) at a single frequency: (J(omega)/2) coth(beta omega/2)."""
     j = spectral_density(params, omega)
     return 0.5 * j / math.tanh(0.5 * params.beta_bar * omega)
-
-
-def _a1_inf(params: SystemParams, omegas: np.ndarray) -> np.ndarray:
-    lam = params.lambda_bar
-    return 0.5 * params.gamma * lam**3 / (lam * lam + omegas * omegas)
-
-
-@lru_cache(maxsize=8)
-def _gauss_nodes(deg: int):
-    x, w = np.polynomial.legendre.leggauss(deg)
-    return x, w
-
-
-def _panel_nodes(edges: np.ndarray, deg: int):
-    """Gauss-Legendre nodes and weights for a sequence of panels."""
-    x, w = _gauss_nodes(deg)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * x[None, :]
-    weights = 0.5 * (b - a) * w[None, :]
-    return nodes.ravel(), weights.ravel()
-
-
-def _weight_b(params: SystemParams, w: np.ndarray) -> np.ndarray:
-    """w_B(w) = J(w) coth(beta w/2) / pi, finite at w = 0."""
-    lam2 = params.lambda_bar**2
-    x = 0.5 * params.beta_bar * w
-    small = x < 1e-8
-    coth = np.empty_like(w)
-    coth[~small] = 1.0 / np.tanh(x[~small])
-    coth[small] = 1.0 / np.where(small, x, 1.0)[small]  # leading 1/x term
-    return params.gamma * w * lam2 / (lam2 + w * w) * coth / math.pi
-
-
-def _weight_a(params: SystemParams, w: np.ndarray) -> np.ndarray:
-    lam2 = params.lambda_bar**2
-    return params.gamma * w * lam2 / (lam2 + w * w) / math.pi
-
-
-def _pv_outer_domain(params: SystemParams, omega_max: float) -> float:
-    """Frequency beyond which the tail is handled in closed form."""
-    w = 50.0 * params.lambda_bar
-    if params.beta_bar > 0:
-        w = max(w, 12.0 / params.beta_bar)
-    return max(w, 2.0 * omega_max + 10.0)
-
-
-def _b2_tail_closed(params: SystemParams, omega: np.ndarray, big_w: float):
-    """Tail of the B2 PV integral beyond big_w with coth -> 1, plus error bound."""
-    lam2 = params.lambda_bar**2
-    o2 = omega * omega
-    val = (
-        -params.gamma
-        * lam2
-        * omega
-        / (2.0 * math.pi * (lam2 + o2))
-        * np.log((lam2 + big_w**2) / (big_w**2 - o2))
-    )
-    # coth(beta w/2) - 1 <= 2 e^{-beta w} / (1 - e^{-beta w}) on the tail
-    rel = 2.0 * math.exp(-params.beta_bar * big_w)
-    err = np.abs(val) * rel / max(1.0 - rel, 0.5)
-    return val, err
-
-
-def principal_value_coefficient(
-    params: SystemParams,
-    omegas: np.ndarray,
-    weight: str = "noise",
-    deg: int = 24,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Principal-value frequency integral behind the tau -> inf coefficients.
-
-    weight = "noise":        PV Int_0^inf w_B(w) * O/(O^2 - w^2) dw  (B2 limit)
-    weight = "dissipation":  PV Int_0^inf w_A(w) * w/(w^2 - O^2) dw  (A1 limit,
-                             kept as an independent check of the closed form)
-
-    Returns (values, error bounds). The pole at w = O is removed by
-    symmetric-interval subtraction: on [O-d, O+d] the integrand is written as
-    f(w)/(O-w) (noise) or f(w)/(w-O) (dissipation) with the smooth factor f
-    absorbing the rest, and the PV part becomes a regular integral of
-    [f(O-u) - f(O+u)] / (+-u) over u in [0, d].
-    """
-    if weight not in ("noise", "dissipation"):
-        raise ValueError(f"unknown weight {weight!r}")
-    noise = weight == "noise"
-    wfun = _weight_b if noise else _weight_a
-    omegas = np.asarray(omegas, dtype=float)
-    big_w = _pv_outer_domain(params, float(omegas.max()))
-    vals = np.empty_like(omegas)
-    errs = np.empty_like(omegas)
-    lam = params.lambda_bar
-    # resolve the pole neighborhood, the cutoff, and the thermal scale
-    h_smooth = min(0.5 * lam, 3.0 / params.beta_bar)
-
-    for i, o in enumerate(omegas):
-        delta = 0.5 * min(o, lam, big_w - o)
-
-        def f(w):
-            w = np.asarray(w, dtype=float)
-            base = wfun(params, w)
-            return base * o / (o + w) if noise else base * w / (w + o)
-
-        def sym_integrand(u):
-            diff = f(o - u) - f(o + u)
-            return diff / u if noise else -diff / u
-
-        def regular(w):
-            w = np.asarray(w, dtype=float)
-            base = wfun(params, w)
-            if noise:
-                return base * o / (o * o - w * w)
-            return base * w / (w * w - o * o)
-
-        total = 0.0
-        check = 0.0
-        for lo, hi in ((0.0, o - delta), (o + delta, big_w)):
-            n_pan = max(12, int(math.ceil((hi - lo) / min(delta, h_smooth))))
-            n_pan = min(n_pan, 2500)
-            edges = np.linspace(lo, hi, n_pan + 1)
-            x, wt = _panel_nodes(edges, deg)
-            total += float(np.dot(regular(x), wt))
-            x2, wt2 = _panel_nodes(edges, deg // 2)
-            check += float(np.dot(regular(x2), wt2))
-        sedges = delta * np.linspace(0.0, 1.0, 17) ** 2  # cluster toward u = 0
-        x, wt = _panel_nodes(sedges, deg)
-        sym = float(np.dot(sym_integrand(x), wt))
-        x2, wt2 = _panel_nodes(sedges, deg // 2)
-        sym_check = float(np.dot(sym_integrand(x2), wt2))
-        tail, tail_err = (
-            _b2_tail_closed(params, np.array([o]), big_w)
-            if noise
-            else _a_tail_closed(params, np.array([o]), big_w)
-        )
-        vals[i] = total + sym + float(tail[0])
-        errs[i] = abs(total - check) + abs(sym - sym_check) + float(tail_err[0])
-    _check_quadrature(vals, errs, params.gamma, omegas, "principal-value")
-    return vals, errs
 
 
 def _check_quadrature(vals, errs, gamma: float, omegas, label: str) -> None:
@@ -271,203 +145,155 @@ def _check_quadrature(vals, errs, gamma: float, omegas, label: str) -> None:
     if np.any(bad):
         k = int(np.argmax(errs / scale))
         raise QuadratureError(
-            f"{label} quadrature did not converge at omega={omegas[k]:g}: "
+            f"{label} did not converge at omega={omegas[k]:g}: "
             f"error bound {errs[k]:.3e} against value {vals[k]:.3e}"
         )
 
 
-def _a_tail_closed(params: SystemParams, omega: np.ndarray, big_w: float):
-    """Tail of Int w_A(w) w/(w^2 - O^2) dw beyond big_w (exact, no coth)."""
+def _asymptotic_parts(params: SystemParams, omegas: np.ndarray):
+    """A1, A2, B1, B2 at tau -> inf per unit gamma."""
     lam = params.lambda_bar
+    beta = params.beta_bar
+    den = lam * lam + omegas * omegas
+    a1 = 0.5 * lam**3 / den
+    a2 = 0.5 * lam * lam * omegas / den
+    b1 = a2 / np.tanh(0.5 * beta * omegas)
+    x = beta * lam / (2.0 * math.pi)
+    y = beta * omegas / (2.0 * math.pi)
+    b2 = lam * lam * omegas / (math.pi * den) * (
+        digamma(1.0 + 1j * y).real - digamma(x) - 0.5 / x
+    )
+    return a1, a2, b1, b2
+
+
+def _cot_minus_pole(u: float) -> float:
+    """cot(u) - 1/u, regular through u = 0."""
+    if abs(u) < 0.1:
+        u2 = u * u
+        return -u * (1 / 3 + u2 * (1 / 45 + u2 * (2 / 945 + u2 * (1 / 4725 + u2 * 2 / 93555))))
+    return 1.0 / math.tan(u) - 1.0 / u
+
+
+def _decaying_parts(params: SystemParams, omegas: np.ndarray, tau: float):
+    """A(tau) - A(inf) and B(tau) - B(inf) per unit gamma at finite tau > 0.
+
+    Returns (dA, dB, bound): dA and dB are complex per level, bound bounds
+    |dB| lost to truncating the Matsubara sum. With x = beta Lambda/2pi and
+    k0 = round(x) >= 1, the cutoff term and the k0-th Matsubara term are
+    evaluated as one: with g(a) = e^{-(a - i O) tau}/(a - i O),
+    delta = x - k0 and cot(pi x) = cot(pi delta), their sum is
+
+        Lambda^2 [-(g(Lambda) - g(nu_k0)) / (2 pi delta)
+                  - (cot(pi delta) - 1/(pi delta)) g(Lambda)/2
+                  - g(nu_k0) / (2 pi (2 k0 + delta))],
+
+    exact for every delta and finite at delta = 0.
+    """
+    lam = params.lambda_bar
+    beta = params.beta_bar
+    c = 2.0 * math.pi / beta
+    x = lam / c
     lam2 = lam * lam
-    o2 = omega * omega
-    coef = params.gamma * lam2 / math.pi
-    frac_lam = lam2 / (lam2 + o2)
-    frac_o = o2 / (lam2 + o2)
-    t_lam = (0.5 * math.pi - np.arctan(big_w / lam)) / lam
-    t_o = np.log((big_w + omega) / (big_w - omega)) / (2.0 * omega)
-    val = coef * (frac_lam * t_lam + frac_o * t_o)
-    return val, np.zeros_like(val)
+    phase = np.exp(1j * omegas * tau)
+    z_lam = lam - 1j * omegas
+    g_lam = math.exp(-lam * tau) * phase / z_lam
+    d_a = -0.5 * lam2 * g_lam
+
+    # Matsubara terms k != k0: nu_k g(nu_k) / (Lambda^2 - nu_k^2) with
+    # g(nu_k) = e^{-nu_k tau} e^{i O tau} (nu_k + i O) / (nu_k^2 + O^2)
+    k0 = round(x)
+    ctau = c * tau
+    if ctau * _MATSUBARA_CAP <= _DECAY_EXPONENT:
+        n_terms = _MATSUBARA_CAP
+    else:
+        n_terms = math.ceil(_DECAY_EXPONENT / ctau)
+    n_terms = max(n_terms, math.ceil(1.5 * x) + 1)
+    o2 = omegas * omegas
+    re_sum = np.zeros_like(omegas)
+    im_sum = np.zeros_like(omegas)
+    for start in range(1, n_terms + 1, _MATSUBARA_CHUNK):
+        k = np.arange(start, min(start + _MATSUBARA_CHUNK, n_terms + 1), dtype=float)
+        nu = c * k
+        den = c * c * (x - k) * (x + k)
+        den[k == k0] = np.inf
+        w = nu * np.exp(-nu * tau) / den
+        inv = 1.0 / (nu[:, None] ** 2 + o2[None, :])
+        re_sum += np.sum((w * nu)[:, None] * inv, axis=0)
+        im_sum += np.sum(w[:, None] * inv, axis=0)
+    d_b = (2.0 * lam2 / beta) * phase * (re_sum + 1j * omegas * im_sum)
+
+    if k0 >= 1:
+        delta = x - k0
+        nu0 = c * k0
+        z0 = nu0 - 1j * omegas
+        g0 = math.exp(-nu0 * tau) * phase / z0
+        # slope = (g(Lambda) - g(nu_k0)) / delta without cancellation:
+        # -c g_a (1 + z_a tau expm1(u)/u) / z_b with u = -c |delta| tau <= 0,
+        # where a is the slower-decaying of the two poles and b the other
+        g_a, z_a, z_b = (g0, z0, z_lam) if delta >= 0.0 else (g_lam, z_lam, z0)
+        u = -c * abs(delta) * tau
+        expm1_ratio = math.expm1(u) / u if u != 0.0 else 1.0
+        slope = -c * g_a * (1.0 + z_a * tau * expm1_ratio) / z_b
+        d_b += lam2 * (
+            -slope / (2.0 * math.pi)
+            - 0.5 * _cot_minus_pole(math.pi * delta) * g_lam
+            - g0 / (2.0 * math.pi * (2 * k0 + delta))
+        )
+    else:
+        d_b -= 0.5 * lam2 / math.tan(math.pi * x) * g_lam
+
+    # remainder: k > n_terms >= 1.5 x gives Lambda^2 - nu_k^2 <= -nu_k^2/2 and
+    # |g(nu_k)| <= e^{-nu_k tau}/nu_k, so each term is below
+    # (4 Lambda^2/(beta c^2)) q^k/k^2 with q = e^{-c tau}; sum_{k>K} q^k/k^2
+    # is below both 1/K and q^{K+1}/((K+1)^2 (1 - q))
+    tail = 1.0 / n_terms
+    if ctau > 0.0:
+        tail = min(tail, math.exp(-ctau * (n_terms + 1))
+                   / ((n_terms + 1) ** 2 * -math.expm1(-ctau)))
+    return d_a, d_b, 4.0 * lam2 / (beta * c * c) * tail
+
+
+def _coefficients(params: SystemParams, n_max: int, tau: float) -> BathCoefficients:
+    """The four coefficients at elapsed time tau in [0, inf], asymptotic at
+    inf; gamma enters as the last factor, so they are exactly linear in it."""
+    omegas = omega_levels(params, n_max)
+    finite = math.isfinite(tau)
+    meta = dict(mode="transient", tau=tau) if finite else dict(mode="asymptotic")
+    if params.gamma == 0.0 or tau == 0.0:
+        z = np.zeros(n_max)
+        return BathCoefficients(omegas, z, z.copy(), z.copy(), z.copy(), err=z.copy(), **meta)
+    a1, a2, b1, b2 = _asymptotic_parts(params, omegas)
+    err = np.zeros(n_max)
+    if finite:
+        d_a, d_b, bound = _decaying_parts(params, omegas, tau)
+        a1 = a1 + d_a.real
+        a2 = a2 + d_a.imag
+        b1 = b1 + d_b.real
+        b2 = b2 + d_b.imag
+        err += 2.0 * bound
+    g = params.gamma
+    a1, a2, b1, b2, err = a1 * g, a2 * g, b1 * g, b2 * g, err * g
+    scale = np.maximum.reduce([np.abs(a1), np.abs(a2), np.abs(b1), np.abs(b2)])
+    _check_quadrature(scale, err, g, omegas, "Matsubara sum")
+    return BathCoefficients(omegas, a1, a2, b1, b2, err=err, **meta)
 
 
 def asymptotic_coefficients(params: SystemParams, n_max: int) -> BathCoefficients:
-    """Long-time coefficients for levels 0..n_max-1.
-
-    A1, A2, B1 are closed forms; B2 is a principal-value quadrature with a
-    reported error bound.
-    """
-    if params.gamma == 0.0:
-        z = np.zeros(n_max)
-        return BathCoefficients(
-            omega_levels(params, n_max), z, z.copy(), z.copy(), z.copy(),
-            mode="asymptotic", err=z.copy(),
-        )
-    omegas = omega_levels(params, n_max)
-    j_half = 0.5 * spectral_density(params, omegas)
-    a1 = _a1_inf(params, omegas)
-    a2 = j_half
-    b1 = j_half / np.tanh(0.5 * params.beta_bar * omegas)
-    b2, err = principal_value_coefficient(params, omegas, weight="noise")
-    return BathCoefficients(omegas, a1, a2, b1, b2, mode="asymptotic", err=err)
-
-
-# ---------------------------------------------------------------------------
-# transient values
-
-
-def _sc(d: np.ndarray, tau: float) -> np.ndarray:
-    """sin(d tau)/d, stable through d = 0."""
-    return tau * np.sinc(d * (tau / math.pi))
-
-
-def _hc(d: np.ndarray, tau: float) -> np.ndarray:
-    """(1 - cos(d tau))/d = 2 sin^2(d tau/2)/d, stable through d = 0."""
-    x = d * tau
-    small = np.abs(x) < 1e-6
-    out = np.empty_like(x)
-    xs = x[small]
-    out[small] = tau * (0.5 * xs - xs**3 / 24.0)
-    xl = x[~small]
-    out[~small] = tau * (2.0 * np.sin(0.5 * xl) ** 2 / xl)
-    return out
-
-
-def _transient_tails(params, omegas, big_w, tau, weight: str):
-    """Tail of the transient integrals beyond big_w.
-
-    The non-oscillatory 1/d parts get closed forms; the oscillatory parts get
-    their first integration-by-parts term, with the next order bounded and
-    returned as the error. For the noise weight the coth -> 1 replacement on
-    the tail is folded into the error as well. Returns per-level
-    (tail_even, tail_odd, err): even is the hc-combination (A1 or B2 pattern),
-    odd is the sc-combination (A2 or B1 pattern).
-    """
-    lam2 = params.lambda_bar**2
-    g_w = params.gamma * big_w * lam2 / (lam2 + big_w * big_w) / math.pi
-    if weight == "noise":
-        coth_w = 1.0 / math.tanh(0.5 * params.beta_bar * big_w)
-        g_w *= coth_w
-        rel_coth = 2.0 * math.exp(-params.beta_bar * big_w)
-    else:
-        rel_coth = 0.0
-
-    d_p = big_w + omegas
-    d_m = big_w - omegas
-    # closed-form non-oscillatory pieces
-    if weight == "noise":
-        # B2 kernel: (1/2)[hc(w+O) - hc(w-O)] -> non-osc part O/(O^2-w^2)
-        nonosc, nerr = _b2_tail_closed(params, omegas, big_w)
-        even = nonosc
-        err = nerr
-    else:
-        # A1 kernel: (1/2)[hc(w+O) + hc(w-O)] -> non-osc part w/(w^2-O^2)
-        nonosc, nerr = _a_tail_closed(params, omegas, big_w)
-        even = nonosc
-        err = nerr
-    # oscillatory first IBP terms: Int_W^inf g(w) trig(d tau)/d dw
-    #   cos part: -g(W) sin(d_W tau)/(tau d_W) continues the even kernels
-    #   sin part: +g(W) cos(d_W tau)/(tau d_W) continues the odd kernels
-    cos_p = np.sin(d_p * tau) / (tau * d_p)
-    cos_m = np.sin(d_m * tau) / (tau * d_m)
-    sin_p = np.cos(d_p * tau) / (tau * d_p)
-    sin_m = np.cos(d_m * tau) / (tau * d_m)
-    if weight == "noise":
-        even = even - 0.5 * g_w * (cos_p - cos_m) * (-1.0)
-        odd = 0.5 * g_w * (sin_m + sin_p)
-    else:
-        even = even - 0.5 * g_w * (cos_p + cos_m) * (-1.0)
-        odd = 0.5 * g_w * (sin_m - sin_p)
-    ibp2 = 2.0 * g_w / (tau * d_m) ** 2 + 2.0 * g_w / (tau * d_p) ** 2
-    err = err + ibp2 + rel_coth * (np.abs(even) + np.abs(odd) + g_w / big_w)
-    return even, odd, err
+    """Long-time coefficients for levels 0..n_max-1, all four exact (err = 0)."""
+    return _coefficients(params, n_max, math.inf)
 
 
 def transient_coefficients(
-    params: SystemParams, n_max: int, tau: float, deg: int = 12
+    params: SystemParams, n_max: int, tau: float
 ) -> BathCoefficients:
     """Finite-time coefficients for levels 0..n_max-1 at elapsed time tau.
 
-    Composite Gauss-Legendre panels on [0, W] sized to resolve both the
-    cutoff structure and the oscillation wavelength 2 pi/tau, plus
-    closed-form tail estimates beyond W. Error bounds combine a
-    half-resolution quadrature comparison with the tail bounds.
+    Exact up to the truncated Matsubara sum, whose bound is err; raises
+    QuadratureError when that bound is not small against the coefficients.
     """
     if tau < 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
-    omegas = omega_levels(params, n_max)
-    if params.gamma == 0.0 or tau == 0.0:
-        z = np.zeros(n_max)
-        return BathCoefficients(
-            omegas, z, z.copy(), z.copy(), z.copy(),
-            mode="transient", tau=tau, err=z.copy(),
-        )
-
-    o_max = float(omegas.max())
-    big_w = _pv_outer_domain(params, o_max)
-    big_w = max(big_w, 60.0 / tau)
-    # uniform panels across the structured region (resonances at +-Omega_n,
-    # cutoff knee, thermal knee), then a geometric tail whose panel width is
-    # capped at two oscillation wavelengths so Gauss-12 keeps ~6 nodes per
-    # wavelength; a uniform grid out to big_w ~ 60/tau is unaffordable at
-    # small tau
-    w_lin = min(big_w, max(2.0 * o_max + 10.0, 4.0 * params.lambda_bar, 12.0 / params.beta_bar))
-    h = min(params.lambda_bar / 3.0, math.pi / tau, w_lin / 24.0)
-    edges = np.linspace(0.0, w_lin, int(math.ceil(w_lin / h)) + 1)
-    if big_w > w_lin:
-        tail = [float(w_lin)]
-        while tail[-1] < big_w:
-            tail.append(min(big_w, tail[-1] + min(0.5 * tail[-1], 2.0 * math.pi / tau)))
-        edges = np.concatenate([edges, np.asarray(tail[1:])])
-
-    a1 = np.zeros(n_max)
-    a2 = np.zeros(n_max)
-    b1 = np.zeros(n_max)
-    b2 = np.zeros(n_max)
-    err = np.zeros(n_max)
-
-    # error estimate: same panels at half the Gauss degree (halving the edges
-    # instead would merge geometric tail panels past a wavelength per panel)
-    for lo_res in (False, True):
-        use_deg = deg if not lo_res else max(4, deg // 2)
-        x, wt = _panel_nodes(edges, use_deg)
-        wa = _weight_a(params, x) * wt
-        wb = _weight_b(params, x) * wt
-        block = max(1, int(2_000_000 // max(x.size, 1)))
-        for start in range(0, n_max, block):
-            o = omegas[start : start + block][None, :]
-            d_m = x[:, None] - o
-            d_p = x[:, None] + o
-            sc_m = _sc(d_m, tau)
-            sc_p = _sc(d_p, tau)
-            hc_m = _hc(d_m, tau)
-            hc_p = _hc(d_p, tau)
-            sl = slice(start, start + o.shape[1])
-            va1 = 0.5 * (wa @ (hc_p + hc_m))
-            va2 = 0.5 * (wa @ (sc_m - sc_p))
-            vb1 = 0.5 * (wb @ (sc_m + sc_p))
-            vb2 = 0.5 * (wb @ (hc_p - hc_m))
-            if not lo_res:
-                a1[sl], a2[sl], b1[sl], b2[sl] = va1, va2, vb1, vb2
-            else:
-                err[sl] = (
-                    np.abs(a1[sl] - va1)
-                    + np.abs(a2[sl] - va2)
-                    + np.abs(b1[sl] - vb1)
-                    + np.abs(b2[sl] - vb2)
-                )
-
-    even_a, odd_a, err_a = _transient_tails(params, omegas, big_w, tau, "dissipation")
-    even_b, odd_b, err_b = _transient_tails(params, omegas, big_w, tau, "noise")
-    a1 += even_a
-    a2 += odd_a
-    b1 += odd_b
-    b2 += even_b
-    err = err + err_a + err_b
-    scale = np.maximum.reduce([np.abs(a1), np.abs(a2), np.abs(b1), np.abs(b2)])
-    _check_quadrature(scale, err, params.gamma, omegas, "transient-coefficient")
-    return BathCoefficients(
-        omegas, a1, a2, b1, b2, mode="transient", tau=tau, err=err
-    )
+    return _coefficients(params, n_max, float(tau))
 
 
 def coefficient_tables(

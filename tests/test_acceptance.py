@@ -234,6 +234,21 @@ def test_06_spectral_width_invariance(lines):
         # weighted by |<a>| over tau < tau_r/2, the reference
         # 1 + 2 mu <n>_bump - A1 is 11.00, 10.98, 10.85, 9.48; a fixed 11
         # presumes the intensity holds over the bump.
+        # The gamma = 1e-4 center (10.82 against 10.98, the tightest margin)
+        # is low because the record spans 2 tau_r and so also holds the
+        # revival bump at tau_r, whose carrier the bath has already pulled
+        # down. On a gamma = 0 record Im X vanishes, Re X and |X| coincide
+        # and both comb routes give 11.028 (each bump alone 11.029). On the
+        # gamma = 1e-4 record, split at tau_r/2 and 3 tau_r/2: the first
+        # bump alone gives Re X center 10.980 (= its reference); the revival
+        # bump alone gives 10.43 (its |<a>|-weighted <n> is 48.3 against
+        # 49.95) and carries 0.38 of the first bump's |<a>| mass. Both are
+        # phase-aligned on the comb, so the whole record's Re X is their
+        # mix, (10.98 + 0.38 * 10.43)/1.38 = 10.83, against the fitted
+        # 10.82. |X| gave 10.92 by two opposite biases: the one-sided first
+        # bump alone has |X| center 11.16 (width 2.34: Im X runs from
+        # +0.75 Re X at omega = 9.1 to -1.19 Re X at 13.0 on the line
+        # bins), and the revival bump pulls that down.
         bump = traj.taus < 0.25 * duration
         weight = np.abs(traj.a_expect[bump])
         n_bump = float(np.sum(weight * traj.n_expect[bump]) / np.sum(weight))

@@ -306,13 +306,6 @@ def test_default_step_rules():
     assert default_dtau_rotating(p, n_max) == pytest.approx(0.05 / (1.0 + p.mu_bar * (2 * n_max - 3)))
 
 
-def test_renormalize_trace_option():
-    p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-2)
-    tr = evolve(p, 1.0, mode="lindblad-rwa",
-                config=IntegratorConfig(dtau=0.01, renormalize_trace=True, stride=20))
-    np.testing.assert_allclose(tr.trace.real, 1.0, atol=1e-14)
-
-
 def test_trajectory_x_property():
     p = SystemParams(mu_bar=0.1, intensity=5.0)
     tr = evolve(p, 1.0, mode="closed")

@@ -1,15 +1,19 @@
 """Bath kernels and master-equation coefficients against independent oracles.
 
-The package evaluates the coefficient integrals with the integration order
-swapped (inner time integral analytic, outer frequency integral by panel
-quadrature). The oracles here go the other way: the dissipation kernel
-eta(s) = (gamma Lambda^2/2) e^{-Lambda s} is verified against scipy's
-Fourier quadrature, then the defining nested time integrals are evaluated
-directly with scipy.integrate.quad, and the principal-value limits with the
-Cauchy-weight quadrature. Nothing here shares code with the implementation.
+The package evaluates every coefficient in closed form from the Matsubara
+expansion of the Drude-Ohmic kernels. The oracles here take other routes:
+the dissipation kernel eta(s) = (gamma Lambda^2/2) e^{-Lambda s} is verified
+against scipy's Fourier quadrature, the defining nested time integrals are
+evaluated directly with scipy.integrate.quad, the principal-value limits
+with the Cauchy-weight quadrature, and the frequency-panel quadrature of
+quadrature_oracle.py (the package's former implementation, with its own
+error bounds) is compared at the benchmark workloads' (Lambda, beta)
+corners. Nothing here shares code with the implementation except the
+error guard that the panel oracle reports through.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +29,11 @@ from kerrbath import (
     coefficient_tables,
     effective_frequency,
     omega_levels,
-    principal_value_coefficient,
     spectral_density,
     transient_coefficients,
 )
+from kerrbath.evolve import coefficient_settle_time
+from quadrature_oracle import principal_value_coefficient, transient_quadrature
 
 # modest parameters keep the nested-quadrature oracles cheap and accurate
 ORACLE_P = SystemParams(mu_bar=0.25, intensity=2.0, beta_bar=0.7, gamma=3e-3, lambda_bar=6.0)
@@ -308,3 +313,98 @@ def test_coefficient_tables_shape_and_rows():
     row = transient_coefficients(p, 5, 0.7)
     np.testing.assert_array_equal(a1[1], row.a1)
     np.testing.assert_array_equal(b2[1], row.b2)
+
+
+# (Lambda, beta, mu, n_max) of the benchmark workloads: transient-setup,
+# quantum-corner, the sweep's hot-bath edge, and a cold bath
+WORKLOAD_CORNERS = [
+    (10.0, 1.0, 1e-2, 38),
+    (100.0, 1.0, 0.1, 109),
+    (30.0, 0.01, 0.1, 60),
+    (10.0, 3.0, 1e-2, 38),
+]
+
+
+@pytest.mark.parametrize("lam,beta,mu,n_max", WORKLOAD_CORNERS)
+def test_closed_form_against_panel_quadrature_oracle(lam, beta, mu, n_max):
+    """Closed form against the panel quadrature within the oracle's bound.
+
+    The tau grid spans the transient table: its first nonzero node, the
+    cutoff and Matsubara decay window, and the settle time. The asymptotic
+    B2 is checked against the principal-value quadrature; its bound can sit
+    at round-off, hence the 1e-13 gamma floor (differences seen: <= 6e-14
+    gamma/2pi at beta = 1, 3.5e-10 gamma/2pi at beta = 0.01, inside the
+    bound there).
+    """
+    p = SystemParams(mu_bar=mu, intensity=10.0, beta_bar=beta, gamma=1e-2, lambda_bar=lam)
+    asy = asymptotic_coefficients(p, n_max)
+    assert np.all(asy.err == 0.0)
+    pv, pv_err = principal_value_coefficient(p, asy.omegas)
+    np.testing.assert_array_less(np.abs(asy.b2 - pv), pv_err + 1e-13 * p.gamma)
+    settle = coefficient_settle_time(p)
+    for tau in (settle / 511, 0.05, 0.7, 3.0, settle):
+        got = transient_coefficients(p, n_max, tau)
+        ref = transient_quadrature(p, n_max, tau)
+        for name in ("a1", "a2", "b1", "b2"):
+            np.testing.assert_array_less(
+                np.abs(getattr(got, name) - getattr(ref, name)),
+                ref.err + got.err,
+                err_msg=f"{name} at tau={tau:g}",
+            )
+
+
+def test_resonance_beta_lambda_two_pi():
+    """beta Lambda = 2 pi: cot(beta Lambda/2) and the first Matsubara term
+    are each singular, their sum is not. Every coefficient stays finite and
+    moves by O(delta) across beta Lambda/2pi = 1 + delta, and at delta = 0
+    it matches the quadrature oracles."""
+    lam, n_max, tau = 30.0, 6, 0.5
+
+    def params(delta):
+        beta = 2.0 * math.pi * (1.0 + delta) / lam
+        return SystemParams(mu_bar=0.1, intensity=10.0, beta_bar=beta, gamma=1e-2, lambda_bar=lam)
+
+    def both(p):
+        return asymptotic_coefficients(p, n_max), transient_coefficients(p, n_max, tau)
+
+    at_zero = both(params(0.0))
+    for delta in (1e-3, 1e-6, 1e-9, 0.0, -1e-9):
+        for got, ref in zip(both(params(delta)), at_zero):
+            scale = np.maximum.reduce([np.abs(getattr(ref, n)) for n in ("a1", "a2", "b1", "b2")])
+            for name in ("a1", "a2", "b1", "b2"):
+                val = getattr(got, name)
+                assert np.all(np.isfinite(val))
+                np.testing.assert_array_less(
+                    np.abs(val - getattr(ref, name)), 5.0 * abs(delta) * scale + 1e-14,
+                    err_msg=f"{got.mode} {name} at delta={delta:g}",
+                )
+    p = params(0.0)
+    asy, tr = at_zero
+    pv, pv_err = principal_value_coefficient(p, asy.omegas)
+    np.testing.assert_array_less(np.abs(asy.b2 - pv), pv_err + 1e-13 * p.gamma)
+    ref = transient_quadrature(p, n_max, tau)
+    for name in ("a1", "a2", "b1", "b2"):
+        np.testing.assert_array_less(
+            np.abs(getattr(tr, name) - getattr(ref, name)), ref.err + tr.err
+        )
+
+
+def test_tiny_tau_bounded_and_reports_truncation():
+    """tau = 1e-6 needs ~40 beta/(2 pi tau) ~ 6e6 Matsubara terms. The sum
+    is capped and chunked, so memory stays small, and the cut shows in err;
+    at tau = 1e-7 and Lambda = 100 the bound outgrows the guard."""
+    for lam in (10.0, 100.0):
+        p = SystemParams(mu_bar=1e-2, intensity=10.0, beta_bar=1.0, gamma=1e-2, lambda_bar=lam)
+        tracemalloc.start()
+        try:
+            c = transient_coefficients(p, 38, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB at Lambda={lam:g}"
+        for arr in (c.a1, c.a2, c.b1, c.b2):
+            assert np.all(np.isfinite(arr))
+        assert np.all(c.err > 1e-6 * p.gamma)
+        assert np.all(c.err < 0.01 * p.gamma / (2.0 * math.pi))
+    with pytest.raises(QuadratureError, match="error bound"):
+        transient_coefficients(p, 38, 1e-7)
