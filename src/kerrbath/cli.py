@@ -31,12 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, closedform, fock
-from .evolve import (
-    IntegrationError,
-    IntegratorConfig,
-    default_dtau_rotating,
-    evolve,
-)
+from .evolve import IntegrationError, IntegratorConfig, default_dtau, evolve
 from .kernels import OverdampedError, QuadratureError
 from .model import (
     SystemParams,
@@ -366,19 +361,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     tau_r = math.pi / params.mu_bar
     duration = 2.0 * periods * tau_r
     dt = duration / samples
-    if mode == "closed":
-        traj = evolve(
-            params, duration, mode="closed",
-            config=IntegratorConfig(closed_samples=samples + 1),
-        )
-    else:
-        sub = max(1, int(math.ceil(dt / _bm_dtau_cap(params, mode, opts))))
-        traj = evolve(
-            params, duration, mode=mode,
-            config=IntegratorConfig(
-                dtau=dt / sub, stride=sub, frame=opts.get("frame", "lab"),
-            ),
-        )
+    frame = opts.get("frame", "lab")
+    cap = default_dtau(params, fock.fock_cutoff(params.intensity), frame)
+    sub = max(1, int(math.ceil(dt / cap)))
+    traj = evolve(
+        params, duration, mode=mode,
+        config=IntegratorConfig(dtau=dt / sub, stride=sub, frame=frame),
+    )
     x = traj.x[:-1]  # drop the periodic endpoint
     taus = traj.taus[:-1]
     omegas, amps = analysis.discrete_spectrum(taus, x, window=window_arg)
@@ -410,15 +399,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         f"width*tau_e = {fmt(fit.width * scales.tau_e)}"
     )
     return 0
-
-
-def _bm_dtau_cap(params: SystemParams, mode: str, opts: dict) -> float:
-    from .evolve import default_dtau
-
-    n_max = fock.fock_cutoff(params.intensity)
-    if opts.get("frame") == "rotating":
-        return default_dtau_rotating(params, n_max)
-    return default_dtau(params, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +478,13 @@ def run_sweep_draw(spec: dict) -> dict:
         span = k * half_period
         window = 1.15 * span
         dtau = min(
-            default_dtau_rotating(params, n_max),
+            default_dtau(params, n_max, "rotating"),
             half_period / 40.0,
             span / 400.0,
         )
     else:
         window = 1.6 / rate_pred
-        dtau = min(default_dtau_rotating(params, n_max), window / 600.0)
+        dtau = min(default_dtau(params, n_max, "rotating"), window / 600.0)
     traj = evolve(
         params,
         window,

@@ -2,9 +2,11 @@
 
 Four evolution modes:
 
-  "closed"                  isolated dynamics; the Hamiltonian is diagonal in
-                            the number basis, so the propagation is an exact
-                            elementwise phase rotation, no time stepping.
+  "closed"                  isolated dynamics. The Hamiltonian is diagonal in
+                            the number basis, so the co-moving state
+                            e^{iHt} rho e^{-iHt} stays rho0: the run evaluates
+                            no right-hand side, and every sample is the exact
+                            lab-frame state.
   "born-markov-asymptotic"  second-order (Born-Markov) master equation with
                             the bath coefficients frozen at their long-time
                             values. Started from a product state (the
@@ -36,20 +38,26 @@ bath term collapses to the single commutator [X, M]; M^dag = -M keeps rho
 Hermitian and tr[X, M] = 0 keeps the trace exactly conserved by the flow.
 All operators are tridiagonal, so one right-hand side costs O(n_max^2).
 
-Time stepping is classical fixed-step RK4. In the lab frame the step is
-capped by the largest level-energy difference in the truncated space (corner
-coherences rotate at that rate and must stay inside the stability region) and
-by the envelope timescale tau_e.
+Every mode runs through one sample loop and one recorder; the stepping
+modes share one banded kernel, which works in one of two frames. In the lab
+frame it adds the diagonal free term to the bath commutator.
+frame="rotating" removes the free rotation analytically:
+rho~ = e^{iHt} rho e^{-iHt} obeys a bath-only equation in which the ladder
+diagonals carry explicit phases e^{-i Omega_n t}, Omega_n = E_{n+1} - E_n;
+the lab frame is the same kernel with unit phases. Closed mode is the
+co-moving run without a generator. Recorded observables and snapshots are
+always lab-frame values: the recorder dresses co-moving states with the
+level phases.
 
-For strongly anharmonic parameters that cap becomes punishing: the corner
-coherence rotates at E_top - E_0 ~ mu n_max^2 while the physics of interest
-drifts at bath rates ~ gamma. frame="rotating" removes the free rotation
-analytically: rho_tilde = e^{iHt} rho e^{-iHt} obeys a bath-only equation in
-which the ladder diagonals carry explicit phases e^{-i Omega_n t} with
-Omega_n = E_{n+1} - E_n. The integrator then only has to resolve those
-oscillating coefficients (frequencies up to ~2 Omega_top, linear in n_max
-instead of quadratic), and the state itself moves slowly. Both born-markov
-modes support it; recorded observables are always reported in the lab frame.
+Time stepping is classical fixed-step RK4 with one step rule,
+default_dtau(params, n_max, frame). In the lab frame the step is capped by
+the largest level-energy difference in the truncated space (corner
+coherences rotate at that rate and must stay inside the stability region)
+and by the envelope timescale tau_e. In the rotating frame only the
+coefficient phases oscillate, at up to ~2 Omega_top, linear in n_max
+instead of quadratic, so strongly anharmonic runs take far fewer steps.
+Closed mode integrates no step; dtau only spaces its samples, 2001 of them
+when unset. Only the born-markov and closed modes run in the rotating frame.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fock
-from .kernels import BathCoefficients, asymptotic_coefficients, coefficient_tables
+from .kernels import asymptotic_coefficients, coefficient_tables
 from .model import SystemParams, derive_timescales
 
 MODES = (
@@ -70,6 +78,10 @@ MODES = (
     "born-markov-transient",
     "lindblad-rwa",
 )
+FRAMES = ("lab", "rotating")
+
+# closed mode's sample grid when no dtau is given: tau_end split in 2000 steps
+_CLOSED_STEPS = 2000
 
 
 class IntegrationError(RuntimeError):
@@ -82,10 +94,13 @@ class TruncationLeakWarning(UserWarning):
 
 @dataclass
 class IntegratorConfig:
-    """Knobs for the RK4 propagation.
+    """Knobs for the propagation, shared by every mode and both frames.
 
-    dtau None picks min(1/(E_top - E_0), tau_e/200) in the lab frame and
-    0.05/Omega_top in the rotating frame; stride None aims for about 4000
+    Every mode runs on one grid of dtau steps through the same sample loop
+    and recorder. dtau None picks the step rule default_dtau(params, n_max,
+    frame), except in closed mode: that is the co-moving run without a
+    generator, whose state never changes, so dtau only spaces its exact
+    samples and defaults to tau_end/2000. stride None aims for about 4000
     stored samples. overlap_pair (alpha, beta) records a coherence envelope
     for that superposition: with rho~ the co-moving state e^{iHt} rho e^{-iHt}
     and W_nm = conj(alpha_n) beta_m, the envelope is sum_j |sum over the j-th
@@ -93,13 +108,12 @@ class IntegratorConfig:
     exactly invariant under rigid phase-space rotation of the state (each
     diagonal only picks up a common phase), and decays at the bath's
     off-diagonal damping rate, so slow bath-induced frequency shifts do not
-    masquerade as decoherence. frame is "lab" or "rotating" (born-markov
-    only).
+    masquerade as decoherence. frame is "lab" or "rotating" (not
+    lindblad-rwa).
     """
 
     dtau: float | None = None
     stride: int | None = None
-    closed_samples: int = 2001
     snapshot_taus: tuple[float, ...] = ()
     overlap_pair: tuple[complex, complex] | None = None
     record_min_eig: bool = False
@@ -113,11 +127,11 @@ class Trajectory:
     """Sampled observables of one propagation run.
 
     All stored quantities are lab-frame regardless of the integration frame;
-    frame only records which stepping path produced them. energy_expect is
-    <n + mu n^2>, conserved exactly by the closed flow. overlap, when an
-    overlap_pair was requested, is the real coherence envelope of that pair
-    (see IntegratorConfig), 1 at tau=0 for the pure off-diagonal lobe and
-    rotation-invariant thereafter.
+    frame only records which kernel produced them. dtau is the step of the
+    run's grid. energy_expect is <n + mu n^2>, conserved exactly by the
+    closed flow. overlap, when an overlap_pair was requested, is the real
+    coherence envelope of that pair (see IntegratorConfig), 1 at tau=0 for
+    the pure off-diagonal lobe and rotation-invariant thereafter.
     """
 
     taus: np.ndarray
@@ -142,158 +156,115 @@ class Trajectory:
         return math.sqrt(2.0) * self.a_expect.real
 
 
-# ---------------------------------------------------------------------------
-# dense reference right-hand sides (small systems, used to pin down the fast
-# banded path in tests)
+class _Ladder:
+    """Level energies E_n = n + mu n^2, gaps Omega_n = E_{n+1} - E_n and
+    ladder amplitudes sqrt(n+1), computed once per run."""
 
+    def __init__(self, params: SystemParams, n_max: int):
+        self.energies = fock.FockSpace(n_max).energies(params.mu_bar)
+        self.gaps = np.diff(self.energies)
+        self.sqrt_n = np.sqrt(np.arange(1, n_max, dtype=float))
 
-def free_rhs(params: SystemParams, rho: np.ndarray) -> np.ndarray:
-    """-i [n + mu n^2, rho] as an elementwise phase generator."""
-    e = fock.FockSpace(rho.shape[0]).energies(params.mu_bar)
-    return -1j * (e[:, None] - e[None, :]) * rho
-
-
-def dense_bath_operators(coeffs: BathCoefficients):
-    """Full matrices X, S_A, S_B for a coefficient set."""
-    n_max = coeffs.omegas.size
-    s = np.sqrt(np.arange(1, n_max, dtype=float))
-    x = np.diag(s, 1) + np.diag(s, -1)
-    su_a = s * (coeffs.a1[:-1] + 1j * coeffs.a2[:-1])
-    su_b = s * (coeffs.b1[:-1] + 1j * coeffs.b2[:-1])
-    s_a = np.diag(su_a, 1) + np.diag(su_a.conj(), -1)
-    s_b = np.diag(su_b, 1) + np.diag(su_b.conj(), -1)
-    return x, s_a, s_b
-
-
-def born_markov_rhs(
-    params: SystemParams, rho: np.ndarray, coeffs: BathCoefficients
-) -> np.ndarray:
-    """Dense reference of the full Born-Markov right-hand side."""
-    x, s_a, s_b = dense_bath_operators(coeffs)
-    anti = s_a @ rho + rho @ s_a
-    comm = s_b @ rho - rho @ s_b
-    out = free_rhs(params, rho)
-    out += 0.5j * (x @ anti - anti @ x)
-    out -= 0.5 * (x @ comm - comm @ x)
-    return out
-
-
-def lindblad_rhs(params: SystemParams, rho: np.ndarray) -> np.ndarray:
-    """Dense reference of the rotating-wave damping right-hand side."""
-    n_max = rho.shape[0]
-    g = params.gamma
-    n = np.arange(n_max, dtype=float)
-    out = free_rhs(params, rho)
-    out -= 0.5 * g * (n[:, None] + n[None, :]) * rho
-    s = np.sqrt(np.arange(1, n_max, dtype=float))
-    out[:-1, :-1] += g * (s[:, None] * s[None, :]) * rho[1:, 1:]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# banded fast path
+    def to_lab(self, state: np.ndarray, tau: float) -> np.ndarray:
+        """The lab-frame state e^{-iH tau} state e^{iH tau} of a co-moving one."""
+        dress = np.exp(-1j * self.energies * tau)
+        return dress[:, None] * state * dress.conj()[None, :]
 
 
 class _BandedRHS:
     """O(n^2) right-hand side with preallocated work buffers.
 
     The bath enters as [X, M] with M = P rho + rho Q; P and Q are
-    tridiagonal with zero main diagonal, X is the symmetric ladder band.
-
-    In the rotating frame the free term drops out and every upper ladder
-    diagonal picks up the phase e^{-i Omega_n t} (lower diagonals the
-    conjugate); set_time installs the modulated bands for the current RK4
-    stage. X is then no longer symmetric, so the commutator uses separate
-    upper/lower bands.
+    tridiagonal with zero main diagonal and X is the ladder band. In the
+    lab frame the bands are constant, X is the real symmetric ladder and
+    the diagonal free term (with the Lindblad decay folded in) is added.
+    In the rotating frame the free term drops out and every evaluation
+    first multiplies each upper band by e^{-i Omega_n t} and each lower band
+    by the conjugate, so X has distinct complex upper and lower bands. One
+    commutator body serves both: the lab frame is the case of unit phases.
+    With a transient table, every evaluation also installs the
+    coefficients interpolated at its time.
     """
 
-    def __init__(self, params: SystemParams, n_max: int, mode: str, rotating=False):
-        self.params = params
-        self.n_max = n_max
-        self.mode = mode
+    def __init__(self, params: SystemParams, ladder: _Ladder, mode: str,
+                 rotating: bool = False, table=None):
+        n_max = ladder.energies.size
+        self.ladder = ladder
         self.rotating = rotating
-        e = fock.FockSpace(n_max).energies(params.mu_bar)
-        self.l_free = -1j * (e[:, None] - e[None, :])
-        self.xsd = np.sqrt(np.arange(1, n_max, dtype=float))
-        self.omega_sd = np.diff(e)
+        self.table = table
         self._m = np.empty((n_max, n_max), dtype=complex)
-        self.pu = self.pl = self.qu = self.ql = None
+        self._coef = None  # P and Q bands (pu, pl, qu, ql) as installed
+        self.bands = None  # the bands the body uses, modulated if rotating
+        self.l_free = self.gain = None
         if rotating:
             k = n_max - 1
             self._ph = np.empty(k, dtype=complex)
-            self.pu_t = np.empty(k, dtype=complex)
-            self.pl_t = np.empty(k, dtype=complex)
-            self.qu_t = np.empty(k, dtype=complex)
-            self.ql_t = np.empty(k, dtype=complex)
-            self.xu_t = np.empty(k, dtype=complex)
-            self.xl_t = np.empty(k, dtype=complex)
-        if mode == "lindblad-rwa" and params.gamma > 0:
-            n = np.arange(n_max, dtype=float)
-            self.l_free = self.l_free - 0.5 * params.gamma * (n[:, None] + n[None, :])
-            self.gain = params.gamma * (self.xsd[:, None] * self.xsd[None, :])
+            self._mod = tuple(np.empty(k, dtype=complex) for _ in range(6))
+            self.xu, self.xl = self._mod[4:]
         else:
-            self.gain = None
+            self.xu = self.xl = ladder.sqrt_n
+            e = ladder.energies
+            self.l_free = -1j * (e[:, None] - e[None, :])
+            if mode == "lindblad-rwa" and params.gamma > 0:
+                n = np.arange(n_max, dtype=float)
+                self.l_free = self.l_free - 0.5 * params.gamma * (n[:, None] + n[None, :])
+                s = ladder.sqrt_n
+                self.gain = params.gamma * (s[:, None] * s[None, :])
 
     def set_coefficients(self, a1, a2, b1, b2) -> None:
         """Install level-resolved bath coefficients (arrays over levels)."""
-        su_a = self.xsd * (a1[:-1] + 1j * a2[:-1])
-        su_b = self.xsd * (b1[:-1] + 1j * b2[:-1])
-        self.pu = 0.5 * (1j * su_a - su_b)
-        self.pl = 0.5 * (1j * su_a.conj() - su_b.conj())
-        self.qu = 0.5 * (1j * su_a + su_b)
-        self.ql = 0.5 * (1j * su_a.conj() + su_b.conj())
+        s = self.ladder.sqrt_n
+        su_a = s * (a1[:-1] + 1j * a2[:-1])
+        su_b = s * (b1[:-1] + 1j * b2[:-1])
+        self._coef = (
+            0.5 * (1j * su_a - su_b),
+            0.5 * (1j * su_a.conj() - su_b.conj()),
+            0.5 * (1j * su_a + su_b),
+            0.5 * (1j * su_a.conj() + su_b.conj()),
+        )
+        self.bands = self._mod[:4] if self.rotating else self._coef
 
-    def set_time(self, tau: float) -> None:
-        """Modulate the bands with the interaction-picture phases at tau."""
-        if self.pu is None:
+    def _set_time(self, tau: float) -> None:
+        """Coefficients and interaction-picture phases at tau."""
+        if self.table is not None:
+            self.set_coefficients(*self.table.at(tau))
+        if not self.rotating or self._coef is None:
             return
         ph = self._ph
-        np.exp(-1j * self.omega_sd * tau, out=ph)
+        np.exp(-1j * self.ladder.gaps * tau, out=ph)
         conj = ph.conj()
-        np.multiply(self.pu, ph, out=self.pu_t)
-        np.multiply(self.pl, conj, out=self.pl_t)
-        np.multiply(self.qu, ph, out=self.qu_t)
-        np.multiply(self.ql, conj, out=self.ql_t)
-        np.multiply(self.xsd, ph, out=self.xu_t)
-        np.multiply(self.xsd, conj, out=self.xl_t)
+        pu, pl, qu, ql = self._coef
+        pu_t, pl_t, qu_t, ql_t, xu_t, xl_t = self._mod
+        np.multiply(pu, ph, out=pu_t)
+        np.multiply(pl, conj, out=pl_t)
+        np.multiply(qu, ph, out=qu_t)
+        np.multiply(ql, conj, out=ql_t)
+        np.multiply(self.ladder.sqrt_n, ph, out=xu_t)
+        np.multiply(self.ladder.sqrt_n, conj, out=xl_t)
 
-    def __call__(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if self.rotating:
-            return self._apply_rotating(rho, out)
-        np.multiply(self.l_free, rho, out=out)
+    def __call__(self, tau: float, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the right-hand side at time tau for state rho into out."""
+        self._set_time(tau)
+        if self.l_free is None:
+            out[:] = 0.0
+        else:
+            np.multiply(self.l_free, rho, out=out)
         if self.gain is not None:
             out[:-1, :-1] += self.gain * rho[1:, 1:]
+        if self.bands is None:
             return out
-        if self.pu is None:
-            return out
+        pu, pl, qu, ql = self.bands
+        xu, xl = self.xu, self.xl
         m = self._m
-        xsd = self.xsd
-        m[:-1, :] = self.pu[:, None] * rho[1:, :]
+        m[:-1, :] = pu[:, None] * rho[1:, :]
         m[-1, :] = 0.0
-        m[1:, :] += self.pl[:, None] * rho[:-1, :]
-        m[:, 1:] += rho[:, :-1] * self.qu[None, :]
-        m[:, :-1] += rho[:, 1:] * self.ql[None, :]
-        out[:-1, :] += xsd[:, None] * m[1:, :]
-        out[1:, :] += xsd[:, None] * m[:-1, :]
-        out[:, 1:] -= m[:, :-1] * xsd[None, :]
-        out[:, :-1] -= m[:, 1:] * xsd[None, :]
-        return out
-
-    def _apply_rotating(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if self.pu is None:
-            out[:] = 0.0
-            return out
-        m = self._m
-        m[:-1, :] = self.pu_t[:, None] * rho[1:, :]
-        m[-1, :] = 0.0
-        m[1:, :] += self.pl_t[:, None] * rho[:-1, :]
-        m[:, 1:] += rho[:, :-1] * self.qu_t[None, :]
-        m[:, :-1] += rho[:, 1:] * self.ql_t[None, :]
-        out[:] = 0.0
-        out[:-1, :] += self.xu_t[:, None] * m[1:, :]
-        out[1:, :] += self.xl_t[:, None] * m[:-1, :]
-        out[:, 1:] -= m[:, :-1] * self.xu_t[None, :]
-        out[:, :-1] -= m[:, 1:] * self.xl_t[None, :]
+        m[1:, :] += pl[:, None] * rho[:-1, :]
+        m[:, 1:] += rho[:, :-1] * qu[None, :]
+        m[:, :-1] += rho[:, 1:] * ql[None, :]
+        out[:-1, :] += xu[:, None] * m[1:, :]
+        out[1:, :] += xl[:, None] * m[:-1, :]
+        out[:, 1:] -= m[:, :-1] * xu[None, :]
+        out[:, :-1] -= m[:, 1:] * xl[None, :]
         return out
 
 
@@ -330,69 +301,42 @@ class _TransientTable:
         return tuple(t[i] * (1.0 - w) + t[i + 1] * w for t in self.tables)
 
 
-def default_dtau(params: SystemParams, n_max: int) -> float:
-    """Stability- and accuracy-limited RK4 step in the lab frame.
+def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
+    """The RK4 step rule of a frame.
 
-    The fastest coherence in the truncated space rotates at the full level
-    spread E_top - E_0; one radian per step keeps it well inside the RK4
-    stability region. tau_e/200 resolves the envelope collapse.
+    Lab frame: the fastest coherence in the truncated space rotates at the
+    full level spread E_top - E_0; one radian per step keeps it well inside
+    the RK4 stability region, and tau_e/200 resolves the envelope collapse.
+
+    Rotating frame: only the explicit coefficient phases oscillate, at up to
+    twice the top level gap Omega_top = E_top - E_{top-1}; 0.05/Omega_top
+    keeps the RK4 quadrature error of those oscillations near
+    (2 Omega dt)^4 ~ 1e-4 relative, far below the bath-rate tolerances.
     """
+    if frame not in FRAMES:
+        raise ValueError(f"unknown frame {frame!r}")
+    if frame == "rotating":
+        return 0.05 / (1.0 + params.mu_bar * (2.0 * n_max - 3.0))
     top = n_max - 1
-    e_spread = top + params.mu_bar * top * top
-    dt = 1.0 / max(e_spread, 1.0)
-    scales = derive_timescales(params)
-    if math.isfinite(scales.tau_e):
-        dt = min(dt, scales.tau_e / 200.0)
-    return dt
-
-
-def default_dtau_rotating(params: SystemParams, n_max: int) -> float:
-    """Accuracy-limited RK4 step in the rotating frame.
-
-    Only the explicit coefficient phases oscillate, at up to twice the top
-    level gap Omega_top = E_top - E_{top-1}; 0.05/Omega_top keeps the RK4
-    quadrature error of those oscillations near (2 Omega dt)^4 ~ 1e-4
-    relative, far below the bath-rate tolerances this path is used for.
-    """
-    top_gap = 1.0 + params.mu_bar * (2.0 * n_max - 3.0)
-    return 0.05 / top_gap
-
-
-def _closed_trajectory(
-    params: SystemParams,
-    rho0: np.ndarray,
-    tau_end: float,
-    config: IntegratorConfig,
-) -> Trajectory:
-    n_max = rho0.shape[0]
-    e = fock.FockSpace(n_max).energies(params.mu_bar)
-    phase_gen = e[:, None] - e[None, :]
-    n_samples = max(2, config.closed_samples)
-    taus = np.linspace(0.0, tau_end, n_samples) if tau_end > 0 else np.array([0.0])
-    rec = _Recorder(params, taus.size, config, n_max)
-    snap_left = sorted(config.snapshot_taus)
-    snaps = {}
-    for k, t in enumerate(taus):
-        rho = np.exp(-1j * phase_gen * t) * rho0
-        rec.store(k, t, rho)
-        while snap_left and t >= snap_left[0] - 1e-12:
-            snaps[snap_left.pop(0)] = rho.copy()
-    return rec.finish(
-        taus, mode="closed", n_max=n_max, dtau=0.0, snapshots=snaps, final_rho=rho
-    )
+    dt = 1.0 / max(top + params.mu_bar * top * top, 1.0)
+    tau_e = derive_timescales(params).tau_e
+    return min(dt, tau_e / 200.0) if math.isfinite(tau_e) else dt
 
 
 class _Recorder:
     """Accumulates per-sample observables, reporting lab-frame values.
 
-    For a rotating-frame state the lower ladder diagonal is dressed with
+    For a co-moving state the lower ladder diagonal is dressed with
     e^{-i Omega_n tau} before summing <a>; diagonal quantities and norms are
-    frame-invariant, and the coherence envelope needs no dressing because the
-    rotating-frame state is already the co-moving one.
+    frame-invariant, and the coherence envelope needs no dressing because
+    the state is already the co-moving one (lab-frame states get the
+    inverse dressing e^{i(E_n - E_m) tau} for it).
     """
 
-    def __init__(self, params, n_samples, config, n_max: int, rotating=False):
-        self.rotating = rotating
+    def __init__(self, ladder: _Ladder, n_samples: int, config: IntegratorConfig,
+                 co_moving: bool):
+        self.ladder = ladder
+        self.co_moving = co_moving
         self.a = np.empty(n_samples, dtype=complex)
         self.n = np.empty(n_samples)
         self.energy = np.empty(n_samples)
@@ -400,18 +344,16 @@ class _Recorder:
         self.herm = np.empty(n_samples)
         self.top = np.empty(n_samples)
         self.min_eig = np.empty(n_samples) if config.record_min_eig else None
-        self.energies = fock.FockSpace(n_max).energies(params.mu_bar)
-        self.omega_sd = np.diff(self.energies)
-        self.xsd = np.sqrt(np.arange(1, n_max, dtype=float))
+        n_max = ladder.energies.size
         self.levels = np.arange(n_max, dtype=float)
         if config.overlap_pair is not None:
             al, be = config.overlap_pair
             va = fock.coherent_amplitudes(al, n_max).conj()
             vb = fock.coherent_amplitudes(be, n_max)
             self.wmat = va[:, None] * vb[None, :]
-            if not rotating:
-                # lab-frame states need the co-moving dressing e^{i(E_n-E_m)t}
-                self.ediff = self.energies[:, None] - self.energies[None, :]
+            if not co_moving:
+                e = ladder.energies
+                self.ediff = e[:, None] - e[None, :]
             # flattened (column - row) index of each element's diagonal
             idx = np.arange(n_max)
             self.diag_idx = (idx[None, :] - idx[:, None] + n_max - 1).ravel()
@@ -422,19 +364,20 @@ class _Recorder:
 
     def store(self, k: int, tau: float, rho: np.ndarray) -> None:
         lower = np.diagonal(rho, -1)
-        if self.rotating:
-            self.a[k] = np.sum(self.xsd * np.exp(-1j * self.omega_sd * tau) * lower)
+        sqrt_n = self.ladder.sqrt_n
+        if self.co_moving:
+            self.a[k] = np.sum(sqrt_n * np.exp(-1j * self.ladder.gaps * tau) * lower)
         else:
-            self.a[k] = np.sum(self.xsd * lower)
+            self.a[k] = np.sum(sqrt_n * lower)
         pops = np.diagonal(rho).real
         self.n[k] = float(np.dot(self.levels, pops))
-        self.energy[k] = float(np.dot(self.energies, pops))
+        self.energy[k] = float(np.dot(self.ladder.energies, pops))
         self.tr[k] = np.trace(rho)
         self.herm[k] = float(np.max(np.abs(rho - rho.conj().T)))
         self.top[k] = float(np.max(np.abs(pops[-3:])))
         if self.overlap is not None:
             weighted = self.wmat * rho
-            if not self.rotating:
+            if not self.co_moving:
                 weighted *= np.exp(1j * self.ediff * tau)
             flat = weighted.ravel()
             diag_sums = np.bincount(
@@ -477,18 +420,23 @@ def evolve(
 
     rho0 defaults to the coherent state of the model parameters in a basis
     sized by fock_cutoff. The returned trajectory samples every
-    config.stride steps plus the final time.
+    config.stride steps plus the final time; each snapshot is the lab-frame
+    state at the step nearest its requested time (the earlier on a tie).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if tau_end < 0:
         raise ValueError(f"tau_end must be non-negative, got {tau_end}")
     config = config or IntegratorConfig()
-    if config.frame not in ("lab", "rotating"):
+    if config.frame not in FRAMES:
         raise ValueError(f"unknown frame {config.frame!r}")
     rotating = config.frame == "rotating"
-    if rotating and not mode.startswith("born-markov"):
-        raise ValueError("frame='rotating' is only supported in born-markov modes")
+    if rotating and mode == "lindblad-rwa":
+        raise ValueError("frame='rotating' is not supported in lindblad-rwa mode")
+    if config.dtau is not None and not (math.isfinite(config.dtau) and config.dtau > 0):
+        raise ValueError(f"dtau must be positive and finite, got {config.dtau}")
+    if config.stride is not None and config.stride < 1:
+        raise ValueError(f"stride must be at least 1, got {config.stride}")
     if rho0 is None:
         n_max = fock.fock_cutoff(params.intensity)
         rho0 = fock.coherent_state_density(params.alpha, n_max)
@@ -496,15 +444,12 @@ def evolve(
         rho0 = np.array(rho0, dtype=complex)
         n_max = rho0.shape[0]
 
-    if mode == "closed":
-        return _closed_trajectory(params, rho0, tau_end, config)
-
     if config.dtau is not None:
         dtau = config.dtau
-    elif rotating:
-        dtau = default_dtau_rotating(params, n_max)
+    elif mode == "closed":
+        dtau = tau_end / _CLOSED_STEPS
     else:
-        dtau = default_dtau(params, n_max)
+        dtau = default_dtau(params, n_max, config.frame)
     n_steps = max(1, int(math.ceil(tau_end / dtau - 1e-12))) if tau_end > 0 else 0
     if n_steps > config.max_steps:
         raise IntegrationError(
@@ -514,26 +459,25 @@ def evolve(
     dtau = tau_end / n_steps if n_steps else dtau
     stride = config.stride or max(1, n_steps // 4000)
 
-    rhs = _BandedRHS(params, n_max, mode, rotating=rotating)
-    table = None
-    if mode == "born-markov-asymptotic" and params.gamma > 0:
-        c = asymptotic_coefficients(params, n_max)
-        rhs.set_coefficients(c.a1, c.a2, c.b1, c.b2)
-    elif mode == "born-markov-transient" and params.gamma > 0:
-        table = _TransientTable(params, n_max, config.transient_table_points)
-
-    energies = fock.FockSpace(n_max).energies(params.mu_bar)
+    ladder = _Ladder(params, n_max)
+    co_moving = rotating or mode == "closed"
+    rhs = None  # closed mode: the co-moving state never changes
+    if mode != "closed":
+        table = None
+        if mode == "born-markov-transient" and params.gamma > 0:
+            table = _TransientTable(params, n_max, config.transient_table_points)
+        rhs = _BandedRHS(params, ladder, mode, rotating=rotating, table=table)
+        if mode == "born-markov-asymptotic" and params.gamma > 0:
+            c = asymptotic_coefficients(params, n_max)
+            rhs.set_coefficients(c.a1, c.a2, c.b1, c.b2)
 
     def to_lab(state, t):
-        if not rotating:
-            return state.copy()
-        dress = np.exp(-1j * energies * t)
-        return dress[:, None] * state * dress.conj()[None, :]
+        return ladder.to_lab(state, t) if co_moving else state.copy()
 
     sample_steps = list(range(0, n_steps + 1, stride))
     if sample_steps[-1] != n_steps:
         sample_steps.append(n_steps)
-    rec = _Recorder(params, len(sample_steps), config, n_max, rotating=rotating)
+    rec = _Recorder(ladder, len(sample_steps), config, co_moving)
     snap_left = sorted(config.snapshot_taus)
     snaps = {}
 
@@ -544,33 +488,26 @@ def evolve(
     k4 = np.empty_like(rho)
     tmp = np.empty_like(rho)
 
-    def stage(target, src, t):
-        if table is not None:
-            rhs.set_coefficients(*table.at(t))
-        if rotating:
-            rhs.set_time(t)
-        rhs(src, target)
-
     sample_idx = 0
     for step in range(n_steps + 1):
         t = step * dtau
-        if sample_idx < len(sample_steps) and step == sample_steps[sample_idx]:
+        if step == sample_steps[sample_idx]:
             rec.store(sample_idx, t, rho)
             sample_idx += 1
         while snap_left and t >= snap_left[0] - 0.5 * dtau:
             snaps[snap_left.pop(0)] = to_lab(rho, t)
-        if step == n_steps:
-            break
-        stage(k1, rho, t)
+        if step == n_steps or rhs is None:
+            continue
+        rhs(t, rho, k1)
         np.multiply(k1, 0.5 * dtau, out=tmp)
         tmp += rho
-        stage(k2, tmp, t + 0.5 * dtau)
+        rhs(t + 0.5 * dtau, tmp, k2)
         np.multiply(k2, 0.5 * dtau, out=tmp)
         tmp += rho
-        stage(k3, tmp, t + 0.5 * dtau)
+        rhs(t + 0.5 * dtau, tmp, k3)
         np.multiply(k3, dtau, out=tmp)
         tmp += rho
-        stage(k4, tmp, t + dtau)
+        rhs(t + dtau, tmp, k4)
         k2 += k3
         k1 += k4
         k1 += 2.0 * k2

@@ -65,11 +65,6 @@ class FockSpace:
         n = np.arange(self.n_max, dtype=float)
         return n + mu_bar * n * n
 
-    def omega_levels(self, mu_bar: float) -> np.ndarray:
-        """Level frequencies 1 + mu (1 + 2n), the gaps E_{n+1} - E_n."""
-        n = np.arange(self.n_max, dtype=float)
-        return 1.0 + mu_bar * (1.0 + 2.0 * n)
-
 
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     """Number-basis amplitudes of |alpha>, e^{-|a|^2/2} a^n / sqrt(n!).

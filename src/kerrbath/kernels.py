@@ -139,11 +139,12 @@ def asymptotic_b1_at(params: SystemParams, omega: float) -> float:
 
 def _check_quadrature(vals, errs, gamma: float, omegas, label: str) -> None:
     """Fail loudly when a reported error bound is not small against the
-    natural coefficient scale (all coefficients are O(gamma))."""
+    natural coefficient scale (all coefficients are O(gamma)), or is not
+    below the value it bounds."""
     scale = np.maximum(np.abs(vals), gamma / (2.0 * math.pi))
-    bad = errs > 0.01 * scale
+    bad = (errs > 0.01 * scale) | ((errs > 0.0) & (errs >= np.abs(vals)))
     if np.any(bad):
-        k = int(np.argmax(errs / scale))
+        k = int(np.argmax(np.where(bad, errs / scale, -np.inf)))
         raise QuadratureError(
             f"{label} did not converge at omega={omegas[k]:g}: "
             f"error bound {errs[k]:.3e} against value {vals[k]:.3e}"

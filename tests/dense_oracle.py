@@ -1,0 +1,55 @@
+"""Dense reference right-hand sides, kept as a test oracle.
+
+The package propagates with a banded O(n_max^2) kernel. These are the same
+generators written naively as full matrix products, for small systems, so
+the tests can pin the banded kernel against them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from kerrbath import BathCoefficients, FockSpace, SystemParams
+
+
+def free_rhs(params: SystemParams, rho: np.ndarray) -> np.ndarray:
+    """-i [n + mu n^2, rho] as an elementwise phase generator."""
+    e = FockSpace(rho.shape[0]).energies(params.mu_bar)
+    return -1j * (e[:, None] - e[None, :]) * rho
+
+
+def dense_bath_operators(coeffs: BathCoefficients):
+    """Full matrices X, S_A, S_B for a coefficient set."""
+    n_max = coeffs.omegas.size
+    s = np.sqrt(np.arange(1, n_max, dtype=float))
+    x = np.diag(s, 1) + np.diag(s, -1)
+    su_a = s * (coeffs.a1[:-1] + 1j * coeffs.a2[:-1])
+    su_b = s * (coeffs.b1[:-1] + 1j * coeffs.b2[:-1])
+    s_a = np.diag(su_a, 1) + np.diag(su_a.conj(), -1)
+    s_b = np.diag(su_b, 1) + np.diag(su_b.conj(), -1)
+    return x, s_a, s_b
+
+
+def born_markov_rhs(
+    params: SystemParams, rho: np.ndarray, coeffs: BathCoefficients
+) -> np.ndarray:
+    """Dense reference of the full Born-Markov right-hand side."""
+    x, s_a, s_b = dense_bath_operators(coeffs)
+    anti = s_a @ rho + rho @ s_a
+    comm = s_b @ rho - rho @ s_b
+    out = free_rhs(params, rho)
+    out += 0.5j * (x @ anti - anti @ x)
+    out -= 0.5 * (x @ comm - comm @ x)
+    return out
+
+
+def lindblad_rhs(params: SystemParams, rho: np.ndarray) -> np.ndarray:
+    """Dense reference of the rotating-wave damping right-hand side."""
+    n_max = rho.shape[0]
+    g = params.gamma
+    n = np.arange(n_max, dtype=float)
+    out = free_rhs(params, rho)
+    out -= 0.5 * g * (n[:, None] + n[None, :]) * rho
+    s = np.sqrt(np.arange(1, n_max, dtype=float))
+    out[:-1, :-1] += g * (s[:, None] * s[None, :]) * rho[1:, 1:]
+    return out

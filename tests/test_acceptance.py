@@ -39,7 +39,7 @@ from kerrbath import (
     theta_cantilever,
 )
 from kerrbath.cli import draw_parameters, run_sweep_draw
-from kerrbath.evolve import coefficient_settle_time, default_dtau_rotating
+from kerrbath.evolve import coefficient_settle_time, default_dtau
 
 REGISTRY = []  # (label, mode, params, trajectory)
 
@@ -200,7 +200,7 @@ def test_06_spectral_width_invariance(lines):
         duration = 2.0 * math.pi / p.mu_bar
         samples = 4096
         dt = duration / samples
-        cap = default_dtau_rotating(p, fock_cutoff(p.intensity))
+        cap = default_dtau(p, fock_cutoff(p.intensity), "rotating")
         sub = max(1, int(math.ceil(dt / cap)))
         traj = register(
             f"spectrum-g{gamma:g}", "born-markov-asymptotic", p,

@@ -138,6 +138,29 @@ def test_simulate_csv_contract(tmp_path, capsys):
     assert meta["max_trace_deviation"] < 1e-10
 
 
+def test_simulate_bad_step_exit_2(tmp_path, capsys):
+    base = ["simulate", "--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3",
+            "--tau-end", "1.0", "--out", str(tmp_path)]
+    for mode in ("closed", "lindblad-rwa"):
+        for dtau in ("0", "-0.01", "nan", "inf"):
+            assert main([*base, "--mode", mode, "--dtau", dtau]) == 2
+            assert "dtau must be positive and finite" in capsys.readouterr().err
+        for stride in ("0", "-3"):
+            assert main([*base, "--mode", mode, "--dtau", "0.01", "--stride", stride]) == 2
+            assert "stride must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_simulate_closed_honours_dtau_and_stride(tmp_path):
+    code = main(["simulate", "--mu-bar", "0.1", "--intensity", "5", "--mode", "closed",
+                 "--tau-end", "1.0", "--dtau", "0.01", "--stride", "10",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 1 + 11
+    assert read_json(tmp_path / "trajectory.json")["dtau"] == pytest.approx(0.01)
+
+
 def test_simulate_requires_tau_end(capsys):
     assert main(["simulate", "--mu-bar", "0.1", "--intensity", "5", "--out", "/tmp/x"]) == 2
     assert "tau_end" in capsys.readouterr().err

@@ -1,7 +1,7 @@
-"""Propagation: dense-reference against banded paths, order checks, physics.
+"""Propagation: dense-reference against the banded kernel, order checks, physics.
 
-The dense right-hand sides in evolve are deliberately naive (full matrix
-products) and serve as the reference for the banded production path here.
+The dense right-hand sides in dense_oracle.py are deliberately naive (full
+matrix products) and serve as the reference for the banded kernel here.
 Analytic oracles: the closed-mode phase formula, the rotating-wave closed
 form, and exact conservation laws of the flow's algebraic structure.
 """
@@ -23,18 +23,13 @@ from kerrbath import (
     cat_state_density,
     coherent_state_density,
     default_dtau,
-    default_dtau_rotating,
     evolve,
     fock_cutoff,
 )
-from kerrbath.evolve import (
-    _BandedRHS,
-    born_markov_rhs,
-    dense_bath_operators,
-    free_rhs,
-    lindblad_rhs,
-)
+from kerrbath.evolve import _BandedRHS, _Ladder
 from kerrbath.fock import FockSpace
+
+from dense_oracle import born_markov_rhs, free_rhs, lindblad_rhs
 
 
 def random_density(rng, n_max):
@@ -88,9 +83,9 @@ def test_banded_matches_dense_born_markov():
     coeffs = asymptotic_coefficients(p, n_max)
     rng = np.random.default_rng(3)
     rho = random_density(rng, n_max)
-    rhs = _BandedRHS(p, n_max, "born-markov-asymptotic")
+    rhs = _BandedRHS(p, _Ladder(p, n_max), "born-markov-asymptotic")
     rhs.set_coefficients(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2)
-    got = rhs(rho, np.empty_like(rho))
+    got = rhs(0.0, rho, np.empty_like(rho))
     want = born_markov_rhs(p, rho, coeffs)
     assert np.max(np.abs(got - want)) < 1e-14
 
@@ -100,8 +95,8 @@ def test_banded_matches_dense_lindblad():
     n_max = 14
     rng = np.random.default_rng(4)
     rho = random_density(rng, n_max)
-    rhs = _BandedRHS(p, n_max, "lindblad-rwa")
-    got = rhs(rho, np.empty_like(rho))
+    rhs = _BandedRHS(p, _Ladder(p, n_max), "lindblad-rwa")
+    got = rhs(0.0, rho, np.empty_like(rho))
     assert np.max(np.abs(got - lindblad_rhs(p, rho))) < 1e-14
 
 
@@ -113,10 +108,9 @@ def test_rotating_frame_rhs_matches_dressed_dense():
     rng = np.random.default_rng(5)
     rho_t = random_density(rng, n_max)
     t = 0.83
-    rhs = _BandedRHS(p, n_max, "born-markov-asymptotic", rotating=True)
+    rhs = _BandedRHS(p, _Ladder(p, n_max), "born-markov-asymptotic", rotating=True)
     rhs.set_coefficients(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2)
-    rhs.set_time(t)
-    got = rhs(rho_t, np.empty_like(rho_t))
+    got = rhs(t, rho_t, np.empty_like(rho_t))
     e = FockSpace(n_max).energies(p.mu_bar)
     u = np.exp(1j * e * t)
     rho_lab = u.conj()[:, None] * rho_t * u[None, :]
@@ -199,7 +193,8 @@ def test_overlap_envelope_constant_under_closed_flow():
     rho0 = cat_state_density(al, be, n_max)
     p = SystemParams(mu_bar=0.1, intensity=8.0)
     tr = evolve(p, 20.0, mode="closed", rho0=rho0,
-                config=IntegratorConfig(overlap_pair=(al, be), closed_samples=301))
+                config=IntegratorConfig(overlap_pair=(al, be), dtau=20.0 / 300))
+    assert tr.taus.size == 301
     assert tr.overlap is not None
     assert np.max(np.abs(tr.overlap - tr.overlap[0])) < 1e-12
     # cross coherence of a balanced well-separated pair carries weight 1/2
@@ -262,6 +257,43 @@ def test_stride_controls_sample_count():
     assert tr.dtau == pytest.approx(0.01)
 
 
+def test_closed_sample_count_follows_dtau_and_stride():
+    p = SystemParams(mu_bar=0.1, intensity=5.0)
+    tr = evolve(p, 1.0, mode="closed", config=IntegratorConfig(dtau=0.01, stride=10))
+    assert tr.taus.size == 11
+    assert tr.taus[0] == 0.0 and tr.taus[-1] == pytest.approx(1.0)
+    assert tr.dtau == pytest.approx(0.01)
+    # an uneven stride still ends on the final time
+    tr = evolve(p, 1.0, mode="closed", config=IntegratorConfig(dtau=0.01, stride=30))
+    np.testing.assert_allclose(tr.taus, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=1e-14)
+    # no dtau: tau_end is split into 2000 steps, every one sampled
+    tr = evolve(p, 3.0, mode="closed")
+    assert tr.taus.size == 2001 and tr.dtau == pytest.approx(3.0 / 2000)
+    np.testing.assert_allclose(tr.taus, np.linspace(0.0, 3.0, 2001), rtol=1e-15)
+
+
+def test_closed_run_is_the_generator_free_rotating_run():
+    """Closed mode and a gamma = 0 rotating-frame run share the co-moving
+    representation: the state stays rho0 and only the recorder's dressing
+    moves, so every recorded quantity agrees on a common grid."""
+    p = SystemParams(mu_bar=0.1, intensity=8.0, beta_bar=1.0, gamma=0.0)
+    al = math.sqrt(8.0)
+    be = 1j * al
+    rho0 = cat_state_density(al, be, fock_cutoff(8.0))
+    cfg = dict(dtau=0.013, stride=7, overlap_pair=(al, be), snapshot_taus=(0.4, 1.0, 2.5))
+    closed = evolve(p, 3.0, mode="closed", rho0=rho0, config=IntegratorConfig(**cfg))
+    rot = evolve(p, 3.0, mode="born-markov-asymptotic", rho0=rho0,
+                 config=IntegratorConfig(**cfg, frame="rotating"))
+    np.testing.assert_array_equal(closed.taus, rot.taus)
+    assert closed.dtau == rot.dtau
+    assert np.max(np.abs(closed.a_expect - rot.a_expect)) < 1e-13
+    assert np.max(np.abs(closed.overlap - rot.overlap)) < 1e-13
+    assert set(closed.snapshots) == set(rot.snapshots) == {0.4, 1.0, 2.5}
+    for t in closed.snapshots:
+        assert np.max(np.abs(closed.snapshots[t] - rot.snapshots[t])) < 1e-13
+    assert np.max(np.abs(closed.final_rho - rot.final_rho)) < 1e-13
+
+
 def test_validation_errors():
     p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
     with pytest.raises(ValueError, match="unknown mode"):
@@ -272,6 +304,13 @@ def test_validation_errors():
         evolve(p, 1.0, mode="lindblad-rwa", config=IntegratorConfig(frame="galilean"))
     with pytest.raises(ValueError, match="rotating"):
         evolve(p, 1.0, mode="lindblad-rwa", config=IntegratorConfig(frame="rotating"))
+    for mode in ("closed", "lindblad-rwa"):
+        for bad in (0.0, -0.01, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dtau must be positive and finite"):
+                evolve(p, 1.0, mode=mode, config=IntegratorConfig(dtau=bad))
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="stride must be at least 1"):
+                evolve(p, 1.0, mode=mode, config=IntegratorConfig(dtau=0.01, stride=bad))
 
 
 def test_max_steps_guard():
@@ -303,7 +342,16 @@ def test_default_step_rules():
     spread = top + p.mu_bar * top * top
     tau_e = 1.0 / (2.0 * p.mu_bar * math.sqrt(p.intensity))
     assert default_dtau(p, n_max) == pytest.approx(min(1.0 / spread, tau_e / 200.0))
-    assert default_dtau_rotating(p, n_max) == pytest.approx(0.05 / (1.0 + p.mu_bar * (2 * n_max - 3)))
+    assert default_dtau(p, n_max, "lab") == default_dtau(p, n_max)
+    rot = default_dtau(p, n_max, "rotating")
+    assert rot == pytest.approx(0.05 / (1.0 + p.mu_bar * (2 * n_max - 3)))
+    with pytest.raises(ValueError, match="unknown frame"):
+        default_dtau(p, n_max, "galilean")
+    # the rule a run uses when no dtau is given
+    for frame, want in (("lab", default_dtau(p, n_max)), ("rotating", rot)):
+        tr = evolve(p, 0.5, mode="born-markov-asymptotic",
+                    config=IntegratorConfig(frame=frame))
+        assert tr.dtau == pytest.approx(0.5 / math.ceil(0.5 / want))
 
 
 def test_trajectory_x_property():

@@ -33,6 +33,7 @@ from kerrbath import (
     transient_coefficients,
 )
 from kerrbath.evolve import coefficient_settle_time
+from kerrbath.kernels import _check_quadrature
 from quadrature_oracle import principal_value_coefficient, transient_quadrature
 
 # modest parameters keep the nested-quadrature oracles cheap and accurate
@@ -408,3 +409,20 @@ def test_tiny_tau_bounded_and_reports_truncation():
         assert np.all(c.err < 0.01 * p.gamma / (2.0 * math.pi))
     with pytest.raises(QuadratureError, match="error bound"):
         transient_coefficients(p, 38, 1e-7)
+
+
+def test_guard_rejects_bound_not_below_value():
+    """At tau = 1e-7 and Lambda = 10 the capped Matsubara sum leaves a bound
+    (7.7e-5 gamma) below 1% of gamma/2pi but above B1 itself (5.7e-5 gamma):
+    the value carries no correct digit, so the guard must raise."""
+    p = SystemParams(mu_bar=1e-2, intensity=10.0, beta_bar=1.0, gamma=1e-2, lambda_bar=10.0)
+    with pytest.raises(QuadratureError, match="error bound"):
+        transient_coefficients(p, 38, 1e-7)
+    # the same numbers straight into the guard: the bound is under 1% of
+    # gamma/2pi, so only the comparison with the value catches it
+    g = p.gamma
+    omegas = np.array([1.01])
+    with pytest.raises(QuadratureError, match="error bound"):
+        _check_quadrature(np.array([5.7e-5 * g]), np.array([7.7e-5 * g]), g, omegas, "B1")
+    _check_quadrature(np.array([5.7e-5 * g]), np.array([0.5e-5 * g]), g, omegas, "B1")
+    _check_quadrature(np.zeros(1), np.zeros(1), g, omegas, "B1")  # exact zero passes
