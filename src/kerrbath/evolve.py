@@ -36,7 +36,11 @@ with X = a + a^dag and the level-resolved coefficient operators
 Using M = P rho + rho Q with P = (i S_A - S_B)/2 and Q = (i S_A + S_B)/2 the
 bath term collapses to the single commutator [X, M]; M^dag = -M keeps rho
 Hermitian and tr[X, M] = 0 keeps the trace exactly conserved by the flow.
-All operators are tridiagonal, so one right-hand side costs O(n_max^2).
+Since Q = -P^dag, a Hermitian rho gives M = A - A^dag with A = P rho, and
+since X is Hermitian, [X, M] = B + B^dag with B = X M. The kernel builds the
+one-sided products A and B and mirrors them, so it requires rho = rho^dag:
+evolve rejects an initial state with max|rho0 - rho0^dag| > 1e-9. All
+operators are tridiagonal, so one right-hand side costs O(n_max^2).
 
 Every mode runs through one sample loop and one recorder; the stepping
 modes share one banded kernel, which works in one of two frames. In the lab
@@ -82,6 +86,9 @@ FRAMES = ("lab", "rotating")
 
 # closed mode's sample grid when no dtau is given: tau_end split in 2000 steps
 _CLOSED_STEPS = 2000
+
+# largest max|rho0 - rho0^dag| accepted, the conservation audit's bound
+_HERM_TOL = 1e-9
 
 
 class IntegrationError(RuntimeError):
@@ -174,14 +181,18 @@ class _Ladder:
 class _BandedRHS:
     """O(n^2) right-hand side with preallocated work buffers.
 
-    The bath enters as [X, M] with M = P rho + rho Q; P and Q are
-    tridiagonal with zero main diagonal and X is the ladder band. In the
-    lab frame the bands are constant, X is the real symmetric ladder and
-    the diagonal free term (with the Lindblad decay folded in) is added.
-    In the rotating frame the free term drops out and every evaluation
-    first multiplies each upper band by e^{-i Omega_n t} and each lower band
-    by the conjugate, so X has distinct complex upper and lower bands. One
-    commutator body serves both: the lab frame is the case of unit phases.
+    The bath enters as [X, M] with M = P rho + rho Q; P is tridiagonal with
+    zero main diagonal, Q = -P^dag, and X is the Hermitian ladder band. For
+    Hermitian rho (a precondition, not checked per call) this is
+    M = A - A^dag with A = P rho and [X, M] = B + B^dag with B = X M, so
+    each evaluation forms the two one-sided products and mirrors them; only
+    the P bands are stored. In the lab frame the bands are constant, X is
+    the real symmetric ladder and the diagonal free term (with the Lindblad
+    decay folded in) is added. In the rotating frame the free term drops out
+    and every evaluation first multiplies each upper band by
+    e^{-i Omega_n t} and each lower band by the conjugate, so X has distinct
+    complex upper and lower bands. One commutator body serves both: the lab
+    frame is the case of unit phases.
     With a transient table, every evaluation also installs the
     coefficients interpolated at its time.
     """
@@ -192,15 +203,16 @@ class _BandedRHS:
         self.ladder = ladder
         self.rotating = rotating
         self.table = table
+        self._a = np.empty((n_max, n_max), dtype=complex)
         self._m = np.empty((n_max, n_max), dtype=complex)
-        self._coef = None  # P and Q bands (pu, pl, qu, ql) as installed
+        self._coef = None  # P bands (pu, pl) as installed
         self.bands = None  # the bands the body uses, modulated if rotating
         self.l_free = self.gain = None
         if rotating:
             k = n_max - 1
             self._ph = np.empty(k, dtype=complex)
-            self._mod = tuple(np.empty(k, dtype=complex) for _ in range(6))
-            self.xu, self.xl = self._mod[4:]
+            self._mod = tuple(np.empty(k, dtype=complex) for _ in range(4))
+            self.xu, self.xl = self._mod[2:]
         else:
             self.xu = self.xl = ladder.sqrt_n
             e = ladder.energies
@@ -219,10 +231,8 @@ class _BandedRHS:
         self._coef = (
             0.5 * (1j * su_a - su_b),
             0.5 * (1j * su_a.conj() - su_b.conj()),
-            0.5 * (1j * su_a + su_b),
-            0.5 * (1j * su_a.conj() + su_b.conj()),
         )
-        self.bands = self._mod[:4] if self.rotating else self._coef
+        self.bands = self._mod[:2] if self.rotating else self._coef
 
     def _set_time(self, tau: float) -> None:
         """Coefficients and interaction-picture phases at tau."""
@@ -233,17 +243,15 @@ class _BandedRHS:
         ph = self._ph
         np.exp(-1j * self.ladder.gaps * tau, out=ph)
         conj = ph.conj()
-        pu, pl, qu, ql = self._coef
-        pu_t, pl_t, qu_t, ql_t, xu_t, xl_t = self._mod
+        pu, pl = self._coef
+        pu_t, pl_t, xu_t, xl_t = self._mod
         np.multiply(pu, ph, out=pu_t)
         np.multiply(pl, conj, out=pl_t)
-        np.multiply(qu, ph, out=qu_t)
-        np.multiply(ql, conj, out=ql_t)
         np.multiply(self.ladder.sqrt_n, ph, out=xu_t)
         np.multiply(self.ladder.sqrt_n, conj, out=xl_t)
 
     def __call__(self, tau: float, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the right-hand side at time tau for state rho into out."""
+        """Write the right-hand side at time tau for Hermitian rho into out."""
         self._set_time(tau)
         if self.l_free is None:
             out[:] = 0.0
@@ -253,18 +261,20 @@ class _BandedRHS:
             out[:-1, :-1] += self.gain * rho[1:, 1:]
         if self.bands is None:
             return out
-        pu, pl, qu, ql = self.bands
+        pu, pl = self.bands
         xu, xl = self.xu, self.xl
-        m = self._m
-        m[:-1, :] = pu[:, None] * rho[1:, :]
-        m[-1, :] = 0.0
-        m[1:, :] += pl[:, None] * rho[:-1, :]
-        m[:, 1:] += rho[:, :-1] * qu[None, :]
-        m[:, :-1] += rho[:, 1:] * ql[None, :]
-        out[:-1, :] += xu[:, None] * m[1:, :]
-        out[1:, :] += xl[:, None] * m[:-1, :]
-        out[:, 1:] -= m[:, :-1] * xu[None, :]
-        out[:, :-1] -= m[:, 1:] * xl[None, :]
+        a, m = self._a, self._m
+        # A = P rho, then M = A - A^dag
+        np.multiply(pu[:, None], rho[1:, :], out=a[:-1, :])
+        a[-1, :] = 0.0
+        a[1:, :] += pl[:, None] * rho[:-1, :]
+        np.subtract(a, a.T.conj(), out=m)
+        # B = X M into the same buffer, then [X, M] = B + B^dag
+        np.multiply(xu[:, None], m[1:, :], out=a[:-1, :])
+        a[-1, :] = 0.0
+        a[1:, :] += xl[:, None] * m[:-1, :]
+        out += a
+        out += a.T.conj()
         return out
 
 
@@ -331,12 +341,16 @@ class _Recorder:
     frame-invariant, and the coherence envelope needs no dressing because
     the state is already the co-moving one (lab-frame states get the
     inverse dressing e^{i(E_n - E_m) tau} for it).
+
+    A static state (closed mode) never changes, so everything but <a> is
+    computed at the first sample and copied to the later ones.
     """
 
     def __init__(self, ladder: _Ladder, n_samples: int, config: IntegratorConfig,
-                 co_moving: bool):
+                 co_moving: bool, static: bool):
         self.ladder = ladder
         self.co_moving = co_moving
+        self.static = static
         self.a = np.empty(n_samples, dtype=complex)
         self.n = np.empty(n_samples)
         self.energy = np.empty(n_samples)
@@ -361,6 +375,10 @@ class _Recorder:
             self.overlap = np.empty(n_samples)
         else:
             self.overlap = None
+        self.state_arrays = [
+            v for v in (self.n, self.energy, self.tr, self.herm, self.top,
+                        self.overlap, self.min_eig) if v is not None
+        ]
 
     def store(self, k: int, tau: float, rho: np.ndarray) -> None:
         lower = np.diagonal(rho, -1)
@@ -369,6 +387,20 @@ class _Recorder:
             self.a[k] = np.sum(sqrt_n * np.exp(-1j * self.ladder.gaps * tau) * lower)
         else:
             self.a[k] = np.sum(sqrt_n * lower)
+        if self.static and k > 0:
+            for v in self.state_arrays:
+                v[k] = v[0]
+        else:
+            self._store_state(k, tau, rho)
+        if not np.isfinite(self.a[k].real) or abs(self.tr[k] - 1.0) > 0.5:
+            raise IntegrationError(
+                f"state became unphysical at tau={tau:g} "
+                f"(trace={self.tr[k]:.3g}, <a>={self.a[k]:.3g}); "
+                "reduce dtau or enlarge the basis"
+            )
+
+    def _store_state(self, k: int, tau: float, rho: np.ndarray) -> None:
+        """Every recorded quantity of rho other than <a>."""
         pops = np.diagonal(rho).real
         self.n[k] = float(np.dot(self.levels, pops))
         self.energy[k] = float(np.dot(self.ladder.energies, pops))
@@ -387,12 +419,6 @@ class _Recorder:
         if self.min_eig is not None:
             w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
             self.min_eig[k] = float(w[0])
-        if not np.isfinite(self.a[k].real) or abs(self.tr[k] - 1.0) > 0.5:
-            raise IntegrationError(
-                f"state became unphysical at tau={tau:g} "
-                f"(trace={self.tr[k]:.3g}, <a>={self.a[k]:.3g}); "
-                "reduce dtau or enlarge the basis"
-            )
 
     def finish(self, taus, **kw) -> Trajectory:
         return Trajectory(
@@ -419,9 +445,11 @@ def evolve(
     """Propagate an initial density matrix and record observables.
 
     rho0 defaults to the coherent state of the model parameters in a basis
-    sized by fock_cutoff. The returned trajectory samples every
-    config.stride steps plus the final time; each snapshot is the lab-frame
-    state at the step nearest its requested time (the earlier on a tie).
+    sized by fock_cutoff; a given rho0 must be a finite square matrix with
+    max|rho0 - rho0^dag| <= 1e-9, or ValueError is raised. The returned
+    trajectory samples every config.stride steps plus the final time; each
+    snapshot is the lab-frame state at the step nearest its requested time
+    (the earlier on a tie).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -442,6 +470,16 @@ def evolve(
         rho0 = fock.coherent_state_density(params.alpha, n_max)
     else:
         rho0 = np.array(rho0, dtype=complex)
+        if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or rho0.size == 0:
+            raise ValueError(f"rho0 must be a non-empty square matrix, got shape {rho0.shape}")
+        if not np.all(np.isfinite(rho0)):
+            raise ValueError("rho0 must be finite")
+        # the kernel builds half of each commutator and mirrors the rest
+        herm = float(np.max(np.abs(rho0 - rho0.conj().T)))
+        if herm > _HERM_TOL:
+            raise ValueError(
+                f"rho0 must be Hermitian: max|rho0 - rho0^dag| = {herm:.3g} > {_HERM_TOL:g}"
+            )
         n_max = rho0.shape[0]
 
     if config.dtau is not None:
@@ -477,7 +515,7 @@ def evolve(
     sample_steps = list(range(0, n_steps + 1, stride))
     if sample_steps[-1] != n_steps:
         sample_steps.append(n_steps)
-    rec = _Recorder(ladder, len(sample_steps), config, co_moving)
+    rec = _Recorder(ladder, len(sample_steps), config, co_moving, rhs is None)
     snap_left = sorted(config.snapshot_taus)
     snaps = {}
 

@@ -6,6 +6,7 @@ Analytic oracles: the closed-mode phase formula, the rotating-wave closed
 form, and exact conservation laws of the flow's algebraic structure.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -21,12 +22,13 @@ from kerrbath import (
     alpha_lindblad_rwa,
     asymptotic_coefficients,
     cat_state_density,
+    coherent_amplitudes,
     coherent_state_density,
     default_dtau,
     evolve,
     fock_cutoff,
 )
-from kerrbath.evolve import _BandedRHS, _Ladder
+from kerrbath.evolve import _BandedRHS, _Ladder, _TransientTable
 from kerrbath.fock import FockSpace
 
 from dense_oracle import born_markov_rhs, free_rhs, lindblad_rhs
@@ -79,15 +81,15 @@ def test_born_markov_rhs_conserves_trace_and_hermiticity():
 
 def test_banded_matches_dense_born_markov():
     p = SystemParams(mu_bar=0.2, intensity=4.0, beta_bar=0.8, gamma=2e-3)
-    n_max = 14
-    coeffs = asymptotic_coefficients(p, n_max)
-    rng = np.random.default_rng(3)
-    rho = random_density(rng, n_max)
-    rhs = _BandedRHS(p, _Ladder(p, n_max), "born-markov-asymptotic")
-    rhs.set_coefficients(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2)
-    got = rhs(0.0, rho, np.empty_like(rho))
-    want = born_markov_rhs(p, rho, coeffs)
-    assert np.max(np.abs(got - want)) < 1e-14
+    for n_max in (14, 40):
+        coeffs = asymptotic_coefficients(p, n_max)
+        rng = np.random.default_rng(3)
+        rho = random_density(rng, n_max)
+        rhs = _BandedRHS(p, _Ladder(p, n_max), "born-markov-asymptotic")
+        rhs.set_coefficients(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2)
+        got = rhs(0.0, rho, np.empty_like(rho))
+        want = born_markov_rhs(p, rho, coeffs)
+        assert np.max(np.abs(got - want)) < 1e-14, n_max
 
 
 def test_banded_matches_dense_lindblad():
@@ -101,22 +103,33 @@ def test_banded_matches_dense_lindblad():
 
 
 def test_rotating_frame_rhs_matches_dressed_dense():
-    """d rho~/dt = U (L_bath[U^dag rho~ U]) U^dag with U = e^{iHt}."""
+    """d rho~/dt = U (L_bath[U^dag rho~ U]) U^dag with U = e^{iHt}.
+
+    The transient case installs the table's coefficients inside the
+    evaluation, at a time between two nodes in the middle of the table."""
     p = SystemParams(mu_bar=0.2, intensity=4.0, beta_bar=0.8, gamma=2e-3)
-    n_max = 12
-    coeffs = asymptotic_coefficients(p, n_max)
-    rng = np.random.default_rng(5)
-    rho_t = random_density(rng, n_max)
-    t = 0.83
-    rhs = _BandedRHS(p, _Ladder(p, n_max), "born-markov-asymptotic", rotating=True)
-    rhs.set_coefficients(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2)
-    got = rhs(t, rho_t, np.empty_like(rho_t))
-    e = FockSpace(n_max).energies(p.mu_bar)
-    u = np.exp(1j * e * t)
-    rho_lab = u.conj()[:, None] * rho_t * u[None, :]
-    bath_lab = born_markov_rhs(p, rho_lab, coeffs) - free_rhs(p, rho_lab)
-    want = u[:, None] * bath_lab * u.conj()[None, :]
-    assert np.max(np.abs(got - want)) < 1e-14
+    for n_max, transient in ((12, False), (40, False), (40, True)):
+        coeffs = asymptotic_coefficients(p, n_max)
+        rng = np.random.default_rng(5)
+        rho_t = random_density(rng, n_max)
+        ladder = _Ladder(p, n_max)
+        if transient:
+            table = _TransientTable(p, n_max, 512)
+            t = 0.5 * table.t_end + 0.37 * table.dt
+            rhs = _BandedRHS(p, ladder, "born-markov-transient", rotating=True, table=table)
+            a1, a2, b1, b2 = table.at(t)
+            coeffs = dataclasses.replace(coeffs, a1=a1, a2=a2, b1=b1, b2=b2)
+        else:
+            t = 0.83
+            rhs = _BandedRHS(p, ladder, "born-markov-asymptotic", rotating=True)
+            rhs.set_coefficients(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2)
+        got = rhs(t, rho_t, np.empty_like(rho_t))
+        e = FockSpace(n_max).energies(p.mu_bar)
+        u = np.exp(1j * e * t)
+        rho_lab = u.conj()[:, None] * rho_t * u[None, :]
+        bath_lab = born_markov_rhs(p, rho_lab, coeffs) - free_rhs(p, rho_lab)
+        want = u[:, None] * bath_lab * u.conj()[None, :]
+        assert np.max(np.abs(got - want)) < 1e-14, (n_max, transient)
 
 
 def test_rk4_fourth_order():
@@ -294,6 +307,38 @@ def test_closed_run_is_the_generator_free_rotating_run():
     assert np.max(np.abs(closed.final_rho - rot.final_rho)) < 1e-13
 
 
+def test_closed_run_matches_per_sample_computation():
+    """Closed mode computes the state's invariants once; every sample must
+    still equal the quantities computed directly from its lab-frame state."""
+    p = SystemParams(mu_bar=0.1, intensity=8.0)
+    al = math.sqrt(8.0)
+    be = 1j * al
+    n_max = fock_cutoff(8.0)
+    rho0 = cat_state_density(al, be, n_max)
+    tr = evolve(p, 3.0, mode="closed", rho0=rho0,
+                config=IntegratorConfig(dtau=0.05, stride=3, overlap_pair=(al, be),
+                                        record_min_eig=True))
+    assert tr.taus.size == 21
+    e = FockSpace(n_max).energies(p.mu_bar)
+    levels = np.arange(n_max)
+    w = np.outer(coherent_amplitudes(al, n_max).conj(), coherent_amplitudes(be, n_max))
+    for k, t in enumerate(tr.taus):
+        dress = np.exp(-1j * e * t)
+        lab = dress[:, None] * rho0 * dress.conj()[None, :]
+        pops = np.diagonal(lab).real
+        a = np.sum(np.sqrt(levels[1:]) * np.diagonal(lab, -1))
+        co_moving = dress.conj()[:, None] * lab * dress[None, :]
+        overlap = sum(abs(np.trace(w * co_moving, offset=j)) for j in range(1 - n_max, n_max))
+        assert abs(tr.a_expect[k] - a) < 1e-13
+        assert abs(tr.n_expect[k] - levels @ pops) < 1e-13
+        assert abs(tr.energy_expect[k] - e @ pops) < 1e-12
+        assert abs(tr.trace[k] - np.trace(lab)) < 1e-14
+        assert abs(tr.herm_defect[k] - np.max(np.abs(lab - lab.conj().T))) < 1e-15
+        assert tr.top_population[k] == pytest.approx(np.max(pops[-3:]), rel=1e-12, abs=0)
+        assert abs(tr.overlap[k] - overlap) < 1e-13
+        assert abs(tr.min_eig[k] - np.linalg.eigvalsh(lab)[0]) < 1e-13
+
+
 def test_validation_errors():
     p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
     with pytest.raises(ValueError, match="unknown mode"):
@@ -311,6 +356,17 @@ def test_validation_errors():
         for bad in (0, -3):
             with pytest.raises(ValueError, match="stride must be at least 1"):
                 evolve(p, 1.0, mode=mode, config=IntegratorConfig(dtau=0.01, stride=bad))
+    # the kernel mirrors half of each commutator, so rho0 must be Hermitian
+    bad_rho0 = (
+        (np.triu(np.ones((10, 10))) / 10, "Hermitian"),
+        (np.eye(10)[:, :9] / 9, "square"),
+        (np.ones(10) / 10, "square"),
+        (np.full((10, 10), math.nan), "finite"),
+    )
+    for rho0, msg in bad_rho0:
+        for mode in ("closed", "born-markov-asymptotic"):
+            with pytest.raises(ValueError, match=msg):
+                evolve(p, 1.0, mode=mode, rho0=rho0)
 
 
 def test_max_steps_guard():
