@@ -44,8 +44,11 @@ class RelaxationFit:
 class DecoherenceFit:
     """Fitted coherence-decay time with its extraction route.
 
-    method is "peak-ratio" (recurrence heights) or "cat-overlap"
-    (off-diagonal matrix element of a two-component superposition).
+    method names the route: "peak-ratio" (recurrence heights,
+    fit_recurrence_decay), "cat-overlap" (exponential fit of the
+    off-diagonal element of a two-component superposition,
+    cat_offdiagonal_rate) or "modulated" (the same element fitted through
+    its orbital modulation, overlap_rate_modulated).
     uncertainty is the 1-sigma propagation of the least-squares residual
     onto tau_d; nan when the fit has no spare degrees of freedom.
     """
@@ -416,67 +419,6 @@ def cat_offdiagonal_rate(
     )
 
 
-def overlap_rate_period_matched(
-    taus,
-    overlap,
-    half_period: float,
-    target_span: float,
-    floor: float = 1e-10,
-) -> DecoherenceFit:
-    """Modulation-immune decay rate from log differences across whole
-    modulation periods.
-
-    Under the position-only coupling the instantaneous decay rate of a
-    rigidly rotating pair oscillates as the squared x-projection of the
-    chord, with period pi/Omega_bar. A log difference of the envelope
-    across an integer number of those periods cancels the oscillation
-    exactly (both its cos^2 and cos*sin quadratures), leaving the secular
-    rate. The differencing span is the integer multiple of half_period
-    closest to target_span, at least one period and at most the recorded
-    window; every sample in the first tenth of the span is paired with its
-    partner one span later and the pair slopes are averaged.
-    """
-    t = np.asarray(taus, dtype=float)
-    f = np.abs(np.asarray(overlap, dtype=complex))
-    if t.size != f.size:
-        raise ValueError("taus and overlap must have the same length")
-    if t.size < 8:
-        raise ValueError(f"need at least 8 samples, got {t.size}")
-    if half_period <= 0 or target_span <= 0:
-        raise ValueError("half_period and target_span must be positive")
-    dt = float(np.median(np.diff(t)))
-    k_avail = int((t[-1] - t[0]) / half_period)
-    if k_avail < 1:
-        raise ValueError("recorded window is shorter than one modulation period")
-    k = min(max(1, round(target_span / half_period)), k_avail)
-    m = max(1, round(k * half_period / dt))
-    if m >= t.size:
-        m = t.size - 1
-    span = t[m] - t[0]
-    n_starts = max(1, min(int(0.1 * span / dt), t.size - 1 - m))
-    i0 = np.arange(n_starts)
-    ok = (f[i0] > floor) & (f[i0 + m] > floor)
-    if not ok.any():
-        raise ValueError(
-            "overlap envelope is below the floor across the differencing span"
-        )
-    i0 = i0[ok]
-    slopes = (np.log(f[i0]) - np.log(f[i0 + m])) / span
-    rate = float(slopes.mean())
-    if rate <= 0:
-        raise ValueError("overlap magnitude does not decay over the window")
-    spread = float(slopes.std())
-    unc = spread / math.sqrt(len(slopes)) / rate**2 if len(slopes) > 1 else math.nan
-    return DecoherenceFit(
-        tau_d=1.0 / rate,
-        rate=rate,
-        method="period-matched",
-        uncertainty=unc,
-        n_points=int(len(slopes)),
-        residual_rms=spread * span,
-    )
-
-
 def overlap_rate_modulated(
     taus,
     overlap,
@@ -498,10 +440,9 @@ def overlap_rate_modulated(
     absorbs into its free coefficient, and leaves f unchanged). Fitting
     ln|overlap| = c - A f(t) - B g(t) over a window shorter than a couple
     of coherence lifetimes separates the secular rate A/2 from the
-    modulation without requiring the window to cover whole periods. Meant
-    for the regime where the coherence dies within roughly a period, when
-    neither whole-period differencing nor a plain exponential fit is
-    usable.
+    modulation without requiring the window to cover whole periods, so
+    one fit serves coherence that dies deep inside a period and coherence
+    that outlives many.
     """
     t = np.asarray(taus, dtype=float)
     env = np.abs(np.asarray(overlap, dtype=complex))

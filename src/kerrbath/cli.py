@@ -442,14 +442,10 @@ def run_sweep_draw(spec: dict) -> dict:
     inside a fraction of an orbit there is no averaging at all, only the
     instantaneous projection, which the 45 degree chord orientation pins to
     the same I0. All three give 2 B1 I0, the inverse analytic decoherence
-    time. The decay rate of the pair is modulated at period pi/Omega_bar
-    (the chord's x-projection rotates), so the fit differences the log
-    envelope across an integer number of modulation periods, which cancels
-    the modulation exactly; draws whose coherence dies too deep inside a
-    single period for that (predicted log drop per period above 20) fall
-    back to a plain exponential fit over two lifetimes, where the chord has
-    barely rotated and the modulation is a percent-level correction. The
-    step size is capped so the fit span always holds a few hundred samples.
+    time. The decay rate of the pair is modulated at period pi/Omega_bar as
+    the chord's x-projection rotates; overlap_rate_modulated fits that
+    modulation explicitly, so every draw uses one window, a predicted
+    envelope log drop of 0.23, sampled by at least 400 steps.
     """
     omega = 1.0 + spec["mu_bar"] * (1.0 + 2.0 * spec["intensity"])
     params = SystemParams(
@@ -467,24 +463,8 @@ def run_sweep_draw(spec: dict) -> dict:
     # orbit-effective separation of the quarter pair: |chord|^2 cos^2(45deg)
     delta_eff = math.sqrt(params.intensity)
     rate_pred = analysis.predicted_overlap_rate(params, delta_eff)
-    half_period = math.pi / params.omega_bar
-    # predicted log drop of the envelope over one modulation period picks
-    # the estimator: differencing across whole periods when many fit into
-    # a lifetime, the explicit modulation model when the coherence dies
-    # within about a period, a plain fit when it dies far inside one
-    drop_per_period = rate_pred * half_period
-    if drop_per_period <= 1.0:
-        k = max(1, round(0.2 / drop_per_period))
-        span = k * half_period
-        window = 1.15 * span
-        dtau = min(
-            default_dtau(params, n_max, "rotating"),
-            half_period / 40.0,
-            span / 400.0,
-        )
-    else:
-        window = 1.6 / rate_pred
-        dtau = min(default_dtau(params, n_max, "rotating"), window / 600.0)
+    window = 0.23 / rate_pred
+    dtau = min(default_dtau(params, n_max, "rotating"), window / 400.0)
     traj = evolve(
         params,
         window,
@@ -494,23 +474,9 @@ def run_sweep_draw(spec: dict) -> dict:
             frame="rotating", overlap_pair=(al, be), dtau=dtau
         ),
     )
-    if drop_per_period <= 1.0:
-        fit = analysis.overlap_rate_period_matched(
-            traj.taus, traj.overlap, half_period, span
-        )
-    elif drop_per_period <= 20.0:
-        fit = analysis.overlap_rate_modulated(
-            traj.taus,
-            traj.overlap,
-            params.omega_bar,
-            -0.25 * math.pi,
-            1.5 / rate_pred,
-        )
-    else:
-        t_max = 1.5 / rate_pred
-        fit = analysis.cat_offdiagonal_rate(
-            traj.taus, traj.overlap, t_min=0.05 * t_max, t_max=t_max
-        )
+    fit = analysis.overlap_rate_modulated(
+        traj.taus, traj.overlap, params.omega_bar, -0.25 * math.pi, window
+    )
     tau_d_fit = analysis.scale_tau_d_to_intensity(
         fit.tau_d, delta_eff, params.intensity
     )
@@ -530,6 +496,7 @@ def run_sweep_draw(spec: dict) -> dict:
         "fit_residual_rms": fit.residual_rms,
         "max_trace_deviation": float(np.abs(traj.trace - 1.0).max()),
         "max_herm_defect": float(traj.herm_defect.max()),
+        "final_min_eig": float(np.linalg.eigvalsh(traj.final_rho)[0]),
     }
 
 
@@ -550,6 +517,7 @@ def _sweep_manifest_skeleton(seed: int, draws: int, entries: list[dict]) -> dict
                 "status": "pending",
                 "result_file": None,
                 "error": None,
+                "final_min_eig": None,
             }
             for e in entries
         ],
@@ -564,6 +532,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if draws < 0:
         raise ConfigError(f"draws must be non-negative, got {draws}")
     workers = opts.get("workers", 1)
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     out = _out_dir(opts)
     manifest_path = out / "manifest.json"
 
@@ -603,15 +573,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             entry["status"] = "complete"
             entry["result_file"] = name
             entry["error"] = None
+            entry["final_min_eig"] = result_or_error["final_min_eig"]
         else:
             entry["status"] = "failed"
             entry["error"] = str(result_or_error)
+            entry["final_min_eig"] = None
         _write_json(manifest_path, manifest)
 
     if workers > 1 and len(pending) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=min(workers, len(pending))) as pool:
             for index, outcome in pool.imap_unordered(_sweep_worker, pending):
                 record(outcome, index)
     else:

@@ -194,7 +194,9 @@ class _BandedRHS:
     complex upper and lower bands. One commutator body serves both: the lab
     frame is the case of unit phases.
     With a transient table, every evaluation also installs the
-    coefficients interpolated at its time.
+    coefficients interpolated at its time. Phases and table coefficients
+    are redone only when the time differs from the last one set up (RK4
+    stages 2 and 3 share it).
     """
 
     def __init__(self, params: SystemParams, ladder: _Ladder, mode: str,
@@ -206,6 +208,7 @@ class _BandedRHS:
         self._a = np.empty((n_max, n_max), dtype=complex)
         self._m = np.empty((n_max, n_max), dtype=complex)
         self._coef = None  # P bands (pu, pl) as installed
+        self._tau = None  # time the bands were last set up for
         self.bands = None  # the bands the body uses, modulated if rotating
         self.l_free = self.gain = None
         if rotating:
@@ -233,11 +236,15 @@ class _BandedRHS:
             0.5 * (1j * su_a.conj() - su_b.conj()),
         )
         self.bands = self._mod[:2] if self.rotating else self._coef
+        self._tau = None
 
     def _set_time(self, tau: float) -> None:
         """Coefficients and interaction-picture phases at tau."""
+        if tau == self._tau:
+            return
         if self.table is not None:
             self.set_coefficients(*self.table.at(tau))
+        self._tau = tau
         if not self.rotating or self._coef is None:
             return
         ph = self._ph

@@ -27,7 +27,6 @@ from kerrbath import (
     fock_cutoff,
     gaussian_residual,
     overlap_rate_modulated,
-    overlap_rate_period_matched,
     predicted_overlap_rate,
     scale_tau_d_to_intensity,
     x_closed,
@@ -325,49 +324,28 @@ def test_cat_rate_errors():
         cat_offdiagonal_rate(t[:3], np.exp(-t[:3]))
 
 
-def test_period_matched_cancels_modulation():
-    """Whole-period log differences strip a cos^2 modulated rate exactly."""
-    r = 0.03
-    omega = 2.0
-    theta0 = 0.6
-    half_period = math.pi / omega
-    dt = half_period / 100.0
-    t = np.arange(0, 1200) * dt
-    phase = omega * t - theta0
-    exponent = r * (t + (np.sin(2.0 * phase) + math.sin(2.0 * theta0)) / (2.0 * omega))
-    f = np.exp(-exponent)
-    fit = overlap_rate_period_matched(t, f, half_period, target_span=3.0 * half_period)
-    assert fit.rate == pytest.approx(r, rel=1e-9)
-    assert fit.method == "period-matched"
-
-
-def test_period_matched_errors():
-    t = np.linspace(0.0, 10.0, 100)
-    f = np.exp(-0.1 * t)
-    with pytest.raises(ValueError, match="shorter than one modulation period"):
-        overlap_rate_period_matched(t, f, half_period=50.0, target_span=50.0)
-    with pytest.raises(ValueError, match="below the floor"):
-        overlap_rate_period_matched(t, 1e-14 * f, half_period=1.0, target_span=2.0)
-    with pytest.raises(ValueError, match="does not decay"):
-        overlap_rate_period_matched(t, np.exp(0.1 * t), half_period=1.0, target_span=2.0)
-    with pytest.raises(ValueError, match="must be positive"):
-        overlap_rate_period_matched(t, f, half_period=-1.0, target_span=2.0)
-    with pytest.raises(ValueError, match="at least 8"):
-        overlap_rate_period_matched(t[:5], f[:5], half_period=1.0, target_span=2.0)
-
-
 def test_modulated_fit_exact_recovery():
-    r = 0.4
-    omega = 5.1
-    theta0 = -math.pi / 4.0
+    """Envelopes with a known secular rate give it back: the fit's own model
+    with a free cross-quadrature term inside one period, and a cos^2
+    modulated rate written as an orbit phase across 12 half-periods."""
+    r, omega, theta0 = 0.4, 5.1, -math.pi / 4.0
     t = np.linspace(0.0, 2.0, 400)
     two = 2.0 * theta0
     f_q = 0.5 * t + (math.sin(two) - np.sin(two - 2.0 * omega * t)) / (4.0 * omega)
     g_q = (np.cos(two - 2.0 * omega * t) - math.cos(two)) / (4.0 * omega)
     env = 0.5 * np.exp(-2.0 * r * f_q - 0.7 * g_q)
-    fit = overlap_rate_modulated(t, env, omega, theta0, t_max=2.0)
-    assert fit.rate == pytest.approx(r, rel=1e-9)
-    assert fit.method == "modulated"
+    cases = [(r, omega, theta0, t, env)]
+
+    r, omega, theta0 = 0.03, 2.0, 0.6
+    t = np.arange(0, 1200) * (math.pi / omega / 100.0)
+    phase = omega * t - theta0
+    exponent = r * (t + (np.sin(2.0 * phase) + math.sin(2.0 * theta0)) / (2.0 * omega))
+    cases.append((r, omega, theta0, t, np.exp(-exponent)))
+
+    for r, omega, theta0, t, env in cases:
+        fit = overlap_rate_modulated(t, env, omega, theta0, t_max=t[-1])
+        assert fit.rate == pytest.approx(r, rel=1e-9), theta0
+        assert fit.method == "modulated"
 
 
 def test_modulated_fit_errors():

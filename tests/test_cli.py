@@ -257,16 +257,21 @@ def test_sweep_lambda_rule():
     assert sweep_lambda_bar(20.0) == 60.0
 
 
-def test_run_sweep_draw_result_contract():
-    spec = {"index": 0, "mu_bar": 0.1, "gamma": 1e-3, "beta_bar": 1.0,
-            "intensity": 20.0, "lambda_bar": None}
+@pytest.mark.parametrize("index", [0, 1])
+def test_run_sweep_draw_result_contract(index):
+    # acceptance 07's plan: draw 0 drops 25 e-folds per modulation period,
+    # draw 1 only 0.055; one estimator and one window rule serve both
+    spec = dict(draw_parameters(1, 20)[index], lambda_bar=None)
     res = run_sweep_draw(spec)
     for key in ("index", "params", "delta_eff", "n_max", "window", "fit_method",
                 "rate_fit", "rate_predicted", "tau_d_fit", "tau_d_theory",
                 "ln_ratio", "fit_uncertainty", "fit_residual_rms",
-                "max_trace_deviation", "max_herm_defect"):
+                "max_trace_deviation", "max_herm_defect", "final_min_eig"):
         assert key in res, key
-    assert res["params"]["lambda_bar"] == sweep_lambda_bar(1.0 + 0.1 * 41.0)
+    omega = 1.0 + spec["mu_bar"] * (1.0 + 2.0 * spec["intensity"])
+    assert res["params"]["lambda_bar"] == sweep_lambda_bar(omega)
+    assert res["fit_method"] == "modulated"
+    assert res["window"] == pytest.approx(0.23 / res["rate_predicted"], rel=1e-15)
     assert abs(res["ln_ratio"]) < math.log(2.0)
     assert res["max_trace_deviation"] < 1e-10
 
@@ -283,6 +288,7 @@ def test_sweep_end_to_end_and_resume(tmp_path):
     res = json.loads(result_bytes)
     assert abs(res["ln_ratio"]) < math.log(2.0)
     assert res["params"]["mu_bar"] == manifest["entries"][0]["params"]["mu_bar"]
+    assert entry["final_min_eig"] == res["final_min_eig"]
     # resuming a finished sweep recomputes nothing: bytes stay identical
     assert main(args) == 0
     assert (tmp_path / entry["result_file"]).read_bytes() == result_bytes
@@ -319,6 +325,13 @@ def test_sweep_rejects_foreign_manifest(tmp_path, capsys):
 def test_sweep_requires_seed_and_draws(capsys):
     assert main(["sweep", "--out", "/tmp/x"]) == 2
     assert "--draws and --seed" in capsys.readouterr().err
+
+
+def test_sweep_rejects_nonpositive_workers(tmp_path, capsys):
+    args = ["sweep", "--seed", "7", "--draws", "1", "--workers", "0", "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,26 @@ def test_rotating_frame_rhs_matches_dressed_dense():
         assert np.max(np.abs(got - want)) < 1e-14, (n_max, transient)
 
 
+def test_rotating_rhs_new_coefficients_at_same_time():
+    """Installing coefficients drops the bands set up for the current time,
+    so a repeat evaluation at that time sees the new ones."""
+    p = SystemParams(mu_bar=0.2, intensity=4.0, beta_bar=0.8, gamma=2e-3)
+    n_max, t = 20, 0.83
+    c = asymptotic_coefficients(p, n_max)
+    rho = random_density(np.random.default_rng(6), n_max)
+    ladder = _Ladder(p, n_max)
+    rhs = _BandedRHS(p, ladder, "born-markov-asymptotic", rotating=True)
+    rhs.set_coefficients(c.a1, c.a2, c.b1, c.b2)
+    first = rhs(t, rho, np.empty_like(rho)).copy()
+    assert np.array_equal(rhs(t, rho, np.empty_like(rho)), first)
+    rhs.set_coefficients(2.0 * c.a1, 2.0 * c.a2, 2.0 * c.b1, 2.0 * c.b2)
+    fresh = _BandedRHS(p, ladder, "born-markov-asymptotic", rotating=True)
+    fresh.set_coefficients(2.0 * c.a1, 2.0 * c.a2, 2.0 * c.b1, 2.0 * c.b2)
+    want = fresh(t, rho, np.empty_like(rho))
+    assert np.array_equal(rhs(t, rho, np.empty_like(rho)), want)
+    assert not np.allclose(want, first)
+
+
 def test_rk4_fourth_order():
     """Halving the step shrinks the closed-form error ~ 16x."""
     p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
