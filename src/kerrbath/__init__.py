@@ -17,7 +17,6 @@ from .model import (
     Violation,
     classify_regime,
     derive_timescales,
-    params_ok,
     theta_bec,
     theta_cantilever,
     validate_params,
@@ -29,38 +28,17 @@ from .kernels import (
     asymptotic_b1_at,
     asymptotic_coefficients,
     coefficient_tables,
-    effective_frequency,
     omega_levels,
     spectral_density,
     transient_coefficients,
 )
 from .fock import (
-    FockSpace,
     cat_state_density,
     coherent_amplitudes,
-    coherent_overlap,
     coherent_state_density,
-    density_diagnostics,
-    expect_a,
-    expect_n,
-    expect_x,
-    expectation,
     fock_cutoff,
 )
-from .closedform import (
-    alpha_closed,
-    alpha_lindblad_rwa,
-    bump_envelope,
-    decay_factor,
-    ehrenfest_envelope,
-    fourier_lines,
-    gaussian_envelope,
-    gaussian_spectrum,
-    line_weights,
-    line_weights_quadrature,
-    reconstruct_lines,
-    x_closed,
-)
+from .closedform import alpha_closed, alpha_lindblad_rwa
 from .evolve import (
     MODES,
     IntegrationError,
@@ -73,7 +51,6 @@ from .evolve import (
 from .analysis import (
     BumpFit,
     DecoherenceFit,
-    RelaxationFit,
     SpectrumFit,
     cat_offdiagonal_rate,
     overlap_rate_modulated,
@@ -81,10 +58,7 @@ from .analysis import (
     discrete_spectrum,
     extract_envelope_peaks,
     fit_ehrenfest_bump,
-    fit_recurrence_decay,
-    fit_relaxation_decay,
     fit_spectral_width,
-    gaussian_residual,
     predicted_overlap_rate,
     scale_tau_d_to_intensity,
 )
@@ -100,7 +74,6 @@ __all__ = [
     "Violation",
     "classify_regime",
     "derive_timescales",
-    "params_ok",
     "theta_bec",
     "theta_cantilever",
     "validate_params",
@@ -110,33 +83,15 @@ __all__ = [
     "asymptotic_b1_at",
     "asymptotic_coefficients",
     "coefficient_tables",
-    "effective_frequency",
     "omega_levels",
     "spectral_density",
     "transient_coefficients",
-    "FockSpace",
     "cat_state_density",
     "coherent_amplitudes",
-    "coherent_overlap",
     "coherent_state_density",
-    "density_diagnostics",
-    "expect_a",
-    "expect_n",
-    "expect_x",
-    "expectation",
     "fock_cutoff",
     "alpha_closed",
     "alpha_lindblad_rwa",
-    "bump_envelope",
-    "decay_factor",
-    "ehrenfest_envelope",
-    "fourier_lines",
-    "gaussian_envelope",
-    "gaussian_spectrum",
-    "line_weights",
-    "line_weights_quadrature",
-    "reconstruct_lines",
-    "x_closed",
     "MODES",
     "IntegrationError",
     "IntegratorConfig",
@@ -146,7 +101,6 @@ __all__ = [
     "evolve",
     "BumpFit",
     "DecoherenceFit",
-    "RelaxationFit",
     "SpectrumFit",
     "cat_offdiagonal_rate",
     "overlap_rate_modulated",
@@ -154,10 +108,7 @@ __all__ = [
     "discrete_spectrum",
     "extract_envelope_peaks",
     "fit_ehrenfest_bump",
-    "fit_recurrence_decay",
-    "fit_relaxation_decay",
     "fit_spectral_width",
-    "gaussian_residual",
     "predicted_overlap_rate",
     "scale_tau_d_to_intensity",
 ]

@@ -1,7 +1,6 @@
 """Fitting utilities that turn sampled trajectories into the handful of
-numbers the model predicts: the envelope collapse time tau_e, recurrence
-suppression time tau_d, classical relaxation time, and the spectral envelope
-width.
+numbers the model predicts: the envelope collapse time tau_e, the
+decoherence time tau_d of a superposition, and the spectral envelope width.
 
 All fitters work on peak sequences or spectra in log space, where every
 model here is linear or quadratic and the fits stay closed-form least
@@ -31,24 +30,15 @@ class BumpFit:
 
 
 @dataclass(frozen=True)
-class RelaxationFit:
-    """Exponential envelope fit of a classical ring-down."""
-
-    decay_time: float
-    amplitude: float
-    n_peaks: int
-    residual_rms: float
-
-
-@dataclass(frozen=True)
 class DecoherenceFit:
     """Fitted coherence-decay time with its extraction route.
 
-    method names the route: "peak-ratio" (recurrence heights,
-    fit_recurrence_decay), "cat-overlap" (exponential fit of the
+    method names the route: "cat-overlap" (exponential fit of the
     off-diagonal element of a two-component superposition,
     cat_offdiagonal_rate) or "modulated" (the same element fitted through
-    its orbital modulation, overlap_rate_modulated).
+    its orbital modulation, overlap_rate_modulated). The test suite's
+    analytic oracle adds "peak-ratio" (recurrence heights,
+    fit_recurrence_decay).
     uncertainty is the 1-sigma propagation of the least-squares residual
     onto tau_d; nan when the fit has no spare degrees of freedom.
     """
@@ -111,25 +101,17 @@ def extract_envelope_peaks(taus, x, floor_frac: float = 1e-3):
 # envelope fits
 
 
-def fit_ehrenfest_bump(
-    peak_taus,
-    peak_heights,
-    n_bump: int = 0,
-    tau_r: float = math.inf,
-    free_center: bool = False,
-) -> BumpFit:
-    """Fit ln(height) = const - (tau - c)^2 / (2 tau_e^2) on one bump.
+def fit_ehrenfest_bump(peak_taus, peak_heights, tau_r: float = math.inf) -> BumpFit:
+    """Fit ln(height) = const - tau^2 / (2 tau_e^2) on the first bump.
 
-    The center c is pinned to n_bump * tau_r (the revival comb is set by the
-    level curvature, not by the fit); free_center=True releases it as a
-    diagnostic. Peaks outside [c - tau_r/2, c + tau_r/2] are ignored when
-    tau_r is finite. Needs at least 5 peaks across the bump.
+    The center is pinned to tau = 0 (the revival comb is set by the level
+    curvature, not by the fit). Peaks outside [-tau_r/2, tau_r/2] are
+    ignored when tau_r is finite. Needs at least 5 peaks across the bump.
     """
     t = np.asarray(peak_taus, dtype=float)
     h = np.asarray(peak_heights, dtype=float)
-    center = n_bump * tau_r if n_bump else 0.0
     if math.isfinite(tau_r):
-        keep = np.abs(t - center) <= 0.5 * tau_r
+        keep = np.abs(t) <= 0.5 * tau_r
         t, h = t[keep], h[keep]
     if t.size < 5:
         raise ValueError(
@@ -137,131 +119,19 @@ def fit_ehrenfest_bump(
             "sample more densely or widen the window"
         )
     y = np.log(h)
-    if free_center:
-        coef = np.polynomial.polynomial.polyfit(t, y, 2)
-        q2, q1 = coef[2], coef[1]
-        if q2 >= 0:
-            raise ValueError("peak heights are not bump-shaped (no curvature)")
-        center = -0.5 * q1 / q2
-        tau_e = 1.0 / math.sqrt(-2.0 * q2)
-        resid = y - np.polynomial.polynomial.polyval(t, coef)
-        height = math.exp(np.polynomial.polynomial.polyval(center, coef))
-    else:
-        s = (t - center) ** 2
-        design = np.stack([np.ones_like(s), s], axis=1)
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        if coef[1] >= 0:
-            raise ValueError("peak heights are not bump-shaped (no curvature)")
-        tau_e = 1.0 / math.sqrt(-2.0 * coef[1])
-        resid = y - design @ coef
-        height = math.exp(coef[0])
-    return BumpFit(
-        tau_e=tau_e,
-        center=center,
-        height=height,
-        n_peaks=int(t.size),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-    )
-
-
-def fit_recurrence_decay(peak_taus, peak_heights, tau_r: float) -> DecoherenceFit:
-    """Coherence decay from the heights of successive revival bumps.
-
-    Peaks are grouped by revival index round(tau/tau_r); each bump
-    contributes its tallest peak, and ln(height) against the bump center is
-    fit to a line. Needs at least two bumps; for decays too slow to kill a
-    revival visibly, prefer the cat-overlap route.
-    """
-    t = np.asarray(peak_taus, dtype=float)
-    h = np.asarray(peak_heights, dtype=float)
-    if tau_r <= 0 or not math.isfinite(tau_r):
-        raise ValueError(f"tau_r must be positive and finite, got {tau_r}")
-    if t.size == 0:
-        raise ValueError("no peaks supplied")
-    k = np.rint(t / tau_r).astype(int)
-    bumps = sorted(set(k.tolist()))
-    if len(bumps) < 2:
-        raise ValueError(
-            "need at least two recurrence bumps to take a height ratio; "
-            "integrate past tau_r, or use cat_offdiagonal_rate for decays "
-            "too slow to suppress a revival measurably"
-        )
-    centers = np.array([b * tau_r for b in bumps])
-    heights = np.array([h[k == b].max() for b in bumps])
-    y = np.log(heights)
-    design = np.stack([np.ones_like(centers), centers], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    rate = -coef[1]
-    if rate <= 0:
-        raise ValueError("recurrence heights do not decay")
-    resid = y - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    if len(bumps) > 2:
-        # residual-based 1-sigma of the slope, propagated onto tau_d
-        s_xx = float(np.sum((centers - centers.mean()) ** 2))
-        sigma = math.sqrt(np.sum(resid**2) / (len(bumps) - 2) / s_xx)
-        unc = sigma / rate**2
-    else:
-        unc = math.nan
-    return DecoherenceFit(
-        tau_d=1.0 / rate,
-        rate=rate,
-        method="peak-ratio",
-        uncertainty=unc,
-        n_points=len(bumps),
-        residual_rms=rms,
-    )
-
-
-def fit_relaxation_decay(peak_taus, peak_heights) -> RelaxationFit:
-    """Exponential fit ln(height) = ln(amplitude) - tau/decay_time.
-
-    Meant for classical-regime ring-downs where the envelope is a plain
-    exponential; the caller should supply a window spanning a couple of
-    decay times, and a shorter window triggers a warning.
-    """
-    t = np.asarray(peak_taus, dtype=float)
-    h = np.asarray(peak_heights, dtype=float)
-    if t.size < 4:
-        raise ValueError(f"need at least 4 peaks, got {t.size}")
-    y = np.log(h)
-    design = np.stack([np.ones_like(t), t], axis=1)
+    s = t * t
+    design = np.stack([np.ones_like(s), s], axis=1)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     if coef[1] >= 0:
-        raise ValueError("peak heights do not decay")
-    decay = -1.0 / coef[1]
-    span = float(t.max() - t.min())
-    if span < decay:
-        warnings.warn(
-            f"fit window ({span:g}) is shorter than the fitted decay time "
-            f"({decay:g}); the estimate is extrapolated",
-            stacklevel=2,
-        )
+        raise ValueError("peak heights are not bump-shaped (no curvature)")
     resid = y - design @ coef
-    return RelaxationFit(
-        decay_time=decay,
-        amplitude=math.exp(coef[0]),
+    return BumpFit(
+        tau_e=1.0 / math.sqrt(-2.0 * coef[1]),
+        center=0.0,
+        height=math.exp(coef[0]),
         n_peaks=int(t.size),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
     )
-
-
-def gaussian_residual(peak_taus, peak_heights, tau_e: float, center: float = 0.0):
-    """RMS log-residual of a fixed-width Gaussian envelope.
-
-    Fits only the overall amplitude of exp(-(tau-center)^2/(2 tau_e^2)) to
-    the peaks and returns the root-mean-square residual in ln(height). Used
-    to test whether a Gaussian of a prescribed width describes the data at
-    all, e.g. against the exponential alternative of fit_relaxation_decay.
-    """
-    t = np.asarray(peak_taus, dtype=float)
-    h = np.asarray(peak_heights, dtype=float)
-    if t.size < 2:
-        raise ValueError("need at least 2 peaks")
-    if tau_e <= 0:
-        raise ValueError(f"tau_e must be positive, got {tau_e}")
-    r = np.log(h) + (t - center) ** 2 / (2.0 * tau_e * tau_e)
-    return float(np.sqrt(np.mean((r - r.mean()) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +177,11 @@ def comb_peaks(omegas, amps):
     return extract_envelope_peaks(omegas, amps, floor_frac=0.0)
 
 
-def fit_spectral_width(omegas, amps, half_frac: float = 0.5) -> SpectrumFit:
+def fit_spectral_width(omegas, amps) -> SpectrumFit:
     """Gaussian fit of the dominant lobe of a spectrum.
 
-    Keeps the contiguous run of points above half_frac times the global
-    maximum that contains the maximum, fits ln(amplitude) to a parabola in
+    Keeps the contiguous run of points at or above half the global maximum
+    that contains the maximum, fits ln(amplitude) to a parabola in
     omega, and reports its apex (center) and standard-deviation width; the
     inverse width estimates the collapse time tau_e. Warns if points
     outside the dominant lobe also reach above the threshold (multi-modal
@@ -323,7 +193,7 @@ def fit_spectral_width(omegas, amps, half_frac: float = 0.5) -> SpectrumFit:
     if w.size != a.size or w.size == 0:
         raise ValueError("omegas and amps must be equal-length, non-empty")
     i_max = int(np.argmax(a))
-    thresh = half_frac * a[i_max]
+    thresh = 0.5 * a[i_max]
     above = a >= thresh
     lo = i_max
     while lo > 0 and above[lo - 1]:
@@ -364,17 +234,12 @@ def fit_spectral_width(omegas, amps, half_frac: float = 0.5) -> SpectrumFit:
 # superposition decoherence
 
 
-def cat_offdiagonal_rate(
-    taus,
-    overlap,
-    t_min: float | None = None,
-    t_max: float | None = None,
-    drift: bool = True,
-) -> DecoherenceFit:
+def cat_offdiagonal_rate(taus, overlap, t_min: float | None = None) -> DecoherenceFit:
     """Decay rate of the co-moving off-diagonal coherence of a superposition.
 
-    Fits ln|overlap| to const - rate*tau (plus an optional quadratic drift
-    term that absorbs slow separation shrinkage and coefficient settling).
+    Fits ln|overlap| to const - rate*tau + drift*tau^2 from t_min (default:
+    5% into the record) to the end; the quadratic drift term absorbs slow
+    separation shrinkage and coefficient settling.
     tau_d = 1/rate is the e-folding lifetime of the coherence at the
     separation the overlap was recorded with; to compare against the
     decoherence time of a size-sqrt(I0) superposition, scale it by
@@ -385,17 +250,12 @@ def cat_offdiagonal_rate(
     if t.size != f.size:
         raise ValueError("taus and overlap must have the same length")
     lo = t_min if t_min is not None else t[0] + 0.05 * (t[-1] - t[0])
-    hi = t_max if t_max is not None else t[-1]
-    keep = (t >= lo) & (t <= hi) & (f > 0)
+    keep = (t >= lo) & (f > 0)
     t, f = t[keep], f[keep]
-    needed = 4 if drift else 3
-    if t.size < needed:
-        raise ValueError(f"need at least {needed} usable samples, got {t.size}")
+    if t.size < 4:
+        raise ValueError(f"need at least 4 usable samples, got {t.size}")
     y = np.log(f)
-    cols = [np.ones_like(t), t]
-    if drift:
-        cols.append(t * t)
-    design = np.stack(cols, axis=1)
+    design = np.stack([np.ones_like(t), t, t * t], axis=1)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     rate = -coef[1]
     if rate <= 0:
@@ -419,14 +279,7 @@ def cat_offdiagonal_rate(
     )
 
 
-def overlap_rate_modulated(
-    taus,
-    overlap,
-    omega: float,
-    theta0: float,
-    t_max: float,
-    floor: float = 1e-12,
-) -> DecoherenceFit:
+def overlap_rate_modulated(taus, overlap, omega: float, theta0: float) -> DecoherenceFit:
     """Secular decay rate fitted through the known orbital modulation.
 
     For a rigidly rotating pair whose chord starts at angle theta0 from the
@@ -442,13 +295,14 @@ def overlap_rate_modulated(
     of coherence lifetimes separates the secular rate A/2 from the
     modulation without requiring the window to cover whole periods, so
     one fit serves coherence that dies deep inside a period and coherence
-    that outlives many.
+    that outlives many. Every sample is used whose envelope is above 1e-12,
+    where its logarithm is still resolved.
     """
     t = np.asarray(taus, dtype=float)
     env = np.abs(np.asarray(overlap, dtype=complex))
     if t.size != env.size:
         raise ValueError("taus and overlap must have the same length")
-    keep = (t <= t_max) & (env > floor)
+    keep = env > 1e-12
     t, env = t[keep], env[keep]
     if t.size < 8:
         raise ValueError(f"need at least 8 usable samples, got {t.size}")

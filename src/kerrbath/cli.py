@@ -32,8 +32,10 @@ import numpy as np
 
 from . import __version__, analysis, closedform, fock
 from .evolve import IntegrationError, IntegratorConfig, default_dtau, evolve
-from .kernels import OverdampedError, QuadratureError
+from .kernels import QuadratureError
 from .model import (
+    THETA_HI,
+    THETA_LO,
     SystemParams,
     classify_regime,
     derive_timescales,
@@ -475,7 +477,7 @@ def run_sweep_draw(spec: dict) -> dict:
         ),
     )
     fit = analysis.overlap_rate_modulated(
-        traj.taus, traj.overlap, params.omega_bar, -0.25 * math.pi, window
+        traj.taus, traj.overlap, params.omega_bar, -0.25 * math.pi
     )
     tau_d_fit = analysis.scale_tau_d_to_intensity(
         fit.tau_d, delta_eff, params.intensity
@@ -626,8 +628,8 @@ def cmd_regimes(args: argparse.Namespace) -> int:
         print(f"theta = {fmt(theta)}")
         print(f"mu_cl threshold (theta = 1) = {fmt(threshold)}")
     verdict = (
-        "quantum-surviving" if theta > 10.0
-        else "classical" if theta < 1.0 / 3.0
+        "quantum-surviving" if theta > THETA_HI
+        else "classical" if theta < THETA_LO
         else "intermediate"
     )
     print(f"regime = {verdict}")
@@ -700,7 +702,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OverdampedError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, QuadratureError) as exc:

@@ -1,5 +1,6 @@
-"""Closed-form trajectories and spectra for the isolated and weakly damped
-anharmonic oscillator.
+"""Closed-form amplitudes of the isolated and weakly damped anharmonic
+oscillator, the references that `compare` and the oracle tests check the
+integrators against.
 
 For a coherent initial state |alpha>, alpha = sqrt(I0) e^{-i theta}, the
 isolated evolution of the lowering-operator expectation is
@@ -14,18 +15,12 @@ multiples of tau_r = pi/mu. Under number-conserving damping at rate gamma
     <a>(tau) = alpha exp[-i (1 + mu) tau - gamma tau / 2]
                exp[-(I0 / (1 + k^2)) (1 + i k) (1 - e^{-gamma tau} e^{-2 i mu tau})],
 
-with k = gamma / (2 mu). The modulus defines the decay exponent
-D(tau) = -ln|<a>(tau)/alpha|, which interpolates between revival suppression
-and plain amplitude damping.
+with k = gamma / (2 mu).
 """
 
 from __future__ import annotations
 
-import math
-import warnings
-
 import numpy as np
-from scipy.special import gammaln
 
 from .model import SystemParams
 
@@ -37,51 +32,6 @@ def alpha_closed(params: SystemParams, taus) -> np.ndarray:
     phase = np.exp(-1j * (1.0 + mu) * t)
     spread = np.exp(params.intensity * (np.exp(-2j * mu * t) - 1.0))
     return params.alpha * phase * spread
-
-
-def x_closed(params: SystemParams, taus) -> np.ndarray:
-    """Isolated position expectation sqrt(2) Re <a>(tau)."""
-    return math.sqrt(2.0) * alpha_closed(params, taus).real
-
-
-def ehrenfest_envelope(params: SystemParams, taus) -> np.ndarray:
-    """Envelope of x_closed: sqrt(2 I0) exp[I0 (cos(2 mu tau) - 1)].
-
-    Collapses like a Gaussian of width tau_e around tau = 0 and around every
-    revival at multiples of pi/mu.
-    """
-    t = np.asarray(taus, dtype=float)
-    i0 = params.intensity
-    return math.sqrt(2.0 * i0) * np.exp(i0 * (np.cos(2.0 * params.mu_bar * t) - 1.0))
-
-
-def gaussian_envelope(params: SystemParams, taus) -> np.ndarray:
-    """Early-time Gaussian approximation sqrt(2 I0) exp[-tau^2/(2 tau_e^2)].
-
-    Only the leading quadratic of the exact envelope; it has no revivals.
-    """
-    t = np.asarray(taus, dtype=float)
-    i0 = params.intensity
-    rate = 2.0 * params.mu_bar**2 * i0  # 1/(2 tau_e^2)
-    return math.sqrt(2.0 * i0) * np.exp(-rate * t * t)
-
-
-def bump_envelope(taus, tau_e: float, n_bump: int = 0, tau_r: float = math.inf,
-                  tau_d: float = math.inf) -> np.ndarray:
-    """Parametric model of the n-th recurrence bump, normalized to 1 at the
-    n = 0 peak:
-
-        exp(-n tau_r / tau_d) exp(-(tau - n tau_r)^2 / (2 tau_e^2)).
-
-    This is what the envelope fitters invert: a Gaussian of width tau_e
-    centered on the n-th revival, scaled by the accumulated coherence decay.
-    """
-    if tau_e <= 0:
-        raise ValueError(f"tau_e must be positive, got {tau_e}")
-    t = np.asarray(taus, dtype=float)
-    center = n_bump * tau_r if n_bump else 0.0
-    height = math.exp(-center / tau_d) if math.isfinite(tau_d) else 1.0
-    return height * np.exp(-((t - center) ** 2) / (2.0 * tau_e * tau_e))
 
 
 def alpha_lindblad_rwa(params: SystemParams, taus) -> np.ndarray:
@@ -98,116 +48,3 @@ def alpha_lindblad_rwa(params: SystemParams, taus) -> np.ndarray:
         * (1.0 - np.exp(-g * t) * np.exp(-2j * mu * t))
     )
     return base * spread
-
-
-def decay_factor(params: SystemParams, taus) -> np.ndarray:
-    """D(tau) = -ln|<a>(tau)/alpha| under rotating-wave damping.
-
-    D(tau) = g t/2 + (4 mu^2 I0/(4 mu^2 + g^2))
-             [(1 - e^{-g t} cos 2 mu t) - (g/2 mu) e^{-g t} sin 2 mu t]
-    """
-    t = np.asarray(taus, dtype=float)
-    mu, g, i0 = params.mu_bar, params.gamma, params.intensity
-    lin = 0.5 * g * t
-    if mu == 0.0:
-        return lin + np.zeros_like(t)
-    k = 0.5 * g / mu
-    damp = np.exp(-g * t)
-    osc = (1.0 - damp * np.cos(2.0 * mu * t)) - k * damp * np.sin(2.0 * mu * t)
-    return lin + (i0 / (1.0 + k * k)) * osc
-
-
-# ---------------------------------------------------------------------------
-# line spectrum
-
-
-def line_weights(params: SystemParams, n_lines: int) -> np.ndarray:
-    """Poisson weights e^{-I0} I0^n / n! of the level-frequency comb."""
-    n = np.arange(n_lines, dtype=float)
-    i0 = params.intensity
-    if i0 == 0.0:
-        w = np.zeros(n_lines)
-        w[0] = 1.0
-        return w
-    return np.exp(-i0 + n * math.log(i0) - gammaln(n + 1.0))
-
-
-def line_weights_quadrature(params: SystemParams, n_lines: int, full_output=False):
-    """Line weights as period averages of the isolated phase factor.
-
-    L(n) = (mu/pi) Int_0^{pi/mu} exp[(e^{2 i mu t} - 1) I0 - 2 i mu n t] dt.
-    Composite Gauss-Legendre panels sized to the integrand's fastest phase.
-    Agrees with line_weights; kept as an independent route. With
-    full_output=True also returns a per-line error estimate (difference
-    against a half-order rule).
-    """
-    mu, i0 = params.mu_bar, params.intensity
-    if mu <= 0:
-        raise ValueError("line weights need mu_bar > 0")
-    period = math.pi / mu
-    out = np.empty(n_lines)
-    err = np.empty(n_lines)
-    x, w = np.polynomial.legendre.leggauss(16)
-    x8, w8 = np.polynomial.legendre.leggauss(8)
-
-    def panel_sum(n, n_pan, nodes, weights):
-        edges = np.linspace(0.0, period, n_pan + 1)
-        a, b = edges[:-1][:, None], edges[1:][:, None]
-        t = (0.5 * (a + b) + 0.5 * (b - a) * nodes[None, :]).ravel()
-        wt = (0.5 * (b - a) * np.broadcast_to(weights, (n_pan, nodes.size))).ravel()
-        f = np.exp((np.exp(2j * mu * t) - 1.0) * i0 - 2j * mu * n * t)
-        return np.dot(f, wt) * (mu / math.pi)
-
-    for n in range(n_lines):
-        n_pan = max(40, int(2 * (i0 + n + 4)))
-        val = panel_sum(n, n_pan, x, w)
-        out[n] = val.real  # imaginary part cancels exactly over a full period
-        err[n] = abs(val - panel_sum(n, n_pan, x8, w8))
-    if full_output:
-        return out, err
-    return out
-
-
-def fourier_lines(params: SystemParams, n_lines: int):
-    """Exact discrete spectrum of x_closed.
-
-    Returns (omegas, amplitudes): omegas[n] = 1 + mu (1 + 2n) with uniform
-    spacing 2 mu, amplitudes[n] = (conj(alpha)/sqrt(2)) L(n) with L the
-    Poisson weight. The signal is recovered exactly as
-    x(tau) = sum_n 2 Re[amplitudes[n] e^{i omegas[n] tau}].
-    """
-    n = np.arange(n_lines, dtype=float)
-    omegas = 1.0 + params.mu_bar * (1.0 + 2.0 * n)
-    amps = (np.conj(params.alpha) / math.sqrt(2.0)) * line_weights(params, n_lines)
-    return omegas, amps
-
-
-def reconstruct_lines(omegas: np.ndarray, amplitudes: np.ndarray, taus) -> np.ndarray:
-    """Sum the line spectrum back into a time signal."""
-    t = np.asarray(taus, dtype=float)
-    phases = np.exp(1j * np.outer(t, omegas))
-    return 2.0 * (phases @ amplitudes).real
-
-
-def gaussian_spectrum(params: SystemParams, omegas) -> np.ndarray:
-    """Smooth large-I0 envelope of the line spectrum,
-
-        x_w = x(0) (4 pi I0)^{-1/2} exp[-(w - w_cl)^2 / (2 dw^2)],
-
-    centered on the orbit frequency w_cl = 1 + 2 mu I0 with width
-    dw = 2 mu sqrt(I0) = 1/tau_e. Describes the shape of the comb envelope;
-    comparisons against sampled spectra should be peak-normalized. The shape
-    is a large-I0 limit of the Poisson weights, so it degrades for small I0.
-    """
-    w = np.asarray(omegas, dtype=float)
-    i0 = params.intensity
-    if i0 < 10.0:
-        warnings.warn(
-            f"gaussian_spectrum assumes I0 >> 1; got I0={i0:g}, the comb "
-            "envelope is visibly skewed there",
-            stacklevel=2,
-        )
-    w_cl = 1.0 + 2.0 * params.mu_bar * i0
-    dw = 2.0 * params.mu_bar * math.sqrt(i0)
-    x0 = math.sqrt(2.0) * (params.alpha.real)
-    return x0 / math.sqrt(4.0 * math.pi * i0) * np.exp(-((w - w_cl) ** 2) / (2.0 * dw * dw))

@@ -90,6 +90,9 @@ _CLOSED_STEPS = 2000
 # largest max|rho0 - rho0^dag| accepted, the conservation audit's bound
 _HERM_TOL = 1e-9
 
+# most RK4 steps one run may take; checked before the run allocates its buffers
+_MAX_STEPS = 20_000_000
+
 
 class IntegrationError(RuntimeError):
     """Raised when the propagation produces non-finite or unphysical state."""
@@ -125,7 +128,6 @@ class IntegratorConfig:
     overlap_pair: tuple[complex, complex] | None = None
     record_min_eig: bool = False
     transient_table_points: int = 512
-    max_steps: int = 20_000_000
     frame: str = "lab"
 
 
@@ -168,7 +170,8 @@ class _Ladder:
     ladder amplitudes sqrt(n+1), computed once per run."""
 
     def __init__(self, params: SystemParams, n_max: int):
-        self.energies = fock.FockSpace(n_max).energies(params.mu_bar)
+        n = np.arange(n_max, dtype=float)
+        self.energies = n + params.mu_bar * n * n
         self.gaps = np.diff(self.energies)
         self.sqrt_n = np.sqrt(np.arange(1, n_max, dtype=float))
 
@@ -496,10 +499,9 @@ def evolve(
     else:
         dtau = default_dtau(params, n_max, config.frame)
     n_steps = max(1, int(math.ceil(tau_end / dtau - 1e-12))) if tau_end > 0 else 0
-    if n_steps > config.max_steps:
+    if n_steps > _MAX_STEPS:
         raise IntegrationError(
-            f"{n_steps} steps exceed max_steps={config.max_steps}; "
-            "raise dtau or max_steps"
+            f"{n_steps} steps exceed the limit of {_MAX_STEPS}; raise dtau"
         )
     dtau = tau_end / n_steps if n_steps else dtau
     stride = config.stride or max(1, n_steps // 4000)

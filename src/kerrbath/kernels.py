@@ -95,22 +95,6 @@ def omega_levels(params: SystemParams, n_max: int) -> np.ndarray:
     return 1.0 + params.mu_bar * (1.0 + 2.0 * n)
 
 
-def effective_frequency(params: SystemParams, omega: float | None = None) -> float:
-    """Cutoff-renormalized oscillation frequency sqrt(O^2 - g L^3/(L^2+O^2)).
-
-    Raises OverdampedError when the radicand is not positive.
-    """
-    o = params.omega_bar if omega is None else float(omega)
-    lam = params.lambda_bar
-    rad = o * o - params.gamma * lam**3 / (lam * lam + o * o)
-    if rad <= 0.0:
-        raise OverdampedError(
-            f"renormalized squared frequency {rad:g} <= 0 at omega={o:g}, "
-            f"gamma={params.gamma:g}, lambda_bar={lam:g}"
-        )
-    return math.sqrt(rad)
-
-
 @dataclass(frozen=True)
 class BathCoefficients:
     """Level-diagonal master-equation coefficients.

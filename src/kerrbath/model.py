@@ -11,7 +11,7 @@ harmonic period over 2*pi, all frequencies in units of the harmonic frequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 HBAR = 1.054571817e-34  # J s, CODATA 2018
 
@@ -107,15 +107,15 @@ class Violation:
     message: str
 
 
-def derive_timescales(params: SystemParams, exact_tau_d: bool = False) -> Timescales:
+def derive_timescales(params: SystemParams) -> Timescales:
     """Compute the five timescales of the model.
 
     mu_bar = 0 gives infinite tau_e and tau_r (a harmonic oscillator never
     spreads or revives); gamma = 0 gives infinite tau_d and tau_gamma.
     theta is tau_gamma/tau_e, nan only when both are infinite.
 
-    With exact_tau_d the decoherence time keeps the Ohmic cutoff factor,
-    tau_d = 1/(2*B1(inf)*I0); the default drops it.
+    tau_d drops the Ohmic cutoff factor Lambda^2/(Lambda^2 + Omega^2) that
+    the bath coefficient B1(inf) carries.
     """
     mu, i0, g = params.mu_bar, params.intensity, params.gamma
     if i0 <= 0:
@@ -130,12 +130,7 @@ def derive_timescales(params: SystemParams, exact_tau_d: bool = False) -> Timesc
 
     if g > 0:
         omega = params.omega_bar
-        if exact_tau_d:
-            from .kernels import asymptotic_b1_at
-
-            tau_d = 1.0 / (2.0 * asymptotic_b1_at(params, omega) * i0)
-        else:
-            tau_d = math.tanh(0.5 * params.beta_bar * omega) / (i0 * g * omega)
+        tau_d = math.tanh(0.5 * params.beta_bar * omega) / (i0 * g * omega)
     else:
         tau_d = math.inf
 
@@ -244,7 +239,3 @@ def validate_params(params: SystemParams) -> list[Violation]:
             )
     out.sort(key=lambda v: v.level)  # errors before warnings
     return out
-
-
-def params_ok(params: SystemParams) -> bool:
-    return not any(v.level == "error" for v in validate_params(params))

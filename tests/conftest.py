@@ -29,12 +29,6 @@ def params_classical():
     return SystemParams(mu_bar=1e-4, intensity=50.0, beta_bar=1.0, gamma=1e-2)
 
 
-@pytest.fixture(scope="session")
-def params_small():
-    # cheap closed-dynamics set used by the oracle comparisons
-    return SystemParams(mu_bar=0.1, intensity=20.0, beta_bar=1.0, gamma=0.0)
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     lines = getattr(config, "acceptance_lines", None)
     if lines:

@@ -1,20 +1,58 @@
-"""Dense reference right-hand sides, kept as a test oracle.
+"""Dense reference right-hand sides and observables, kept as a test oracle.
 
 The package propagates with a banded O(n_max^2) kernel. These are the same
 generators written naively as full matrix products, for small systems, so
-the tests can pin the banded kernel against them.
+the tests can pin the banded kernel against them, plus the level energies,
+the lowering operator and the expectations read off a density matrix.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from kerrbath import BathCoefficients, FockSpace, SystemParams
+from kerrbath import BathCoefficients, SystemParams, coherent_amplitudes
+
+
+def energies(n_max: int, mu_bar: float) -> np.ndarray:
+    """Level energies n + mu n^2 of the anharmonic Hamiltonian."""
+    n = np.arange(n_max, dtype=float)
+    return n + mu_bar * n * n
+
+
+def lowering(n_max: int) -> np.ndarray:
+    """The lowering operator a, <n-1|a|n> = sqrt(n), as a dense matrix."""
+    return np.diag(np.sqrt(np.arange(1, n_max, dtype=float)), 1)
+
+
+def expect_a(rho: np.ndarray) -> complex:
+    """tr(a rho) from the single nonzero diagonal of the lowering operator."""
+    s = np.sqrt(np.arange(1, rho.shape[0], dtype=float))
+    return complex(np.sum(s * np.diagonal(rho, -1)))
+
+
+def expect_x(rho: np.ndarray) -> float:
+    """tr(x rho) = sqrt(2) Re tr(a rho) for Hermitian rho."""
+    return math.sqrt(2.0) * expect_a(rho).real
+
+
+def expect_n(rho: np.ndarray) -> float:
+    """tr(n rho) for Hermitian rho."""
+    return float(np.sum(np.arange(rho.shape[0]) * np.diagonal(rho).real))
+
+
+def coherent_overlap(rho: np.ndarray, alpha: complex, beta: complex) -> complex:
+    """Matrix element <alpha| rho |beta> in the truncated basis."""
+    n_max = rho.shape[0]
+    va = coherent_amplitudes(alpha, n_max)
+    vb = coherent_amplitudes(beta, n_max)
+    return complex(va.conj() @ rho @ vb)
 
 
 def free_rhs(params: SystemParams, rho: np.ndarray) -> np.ndarray:
     """-i [n + mu n^2, rho] as an elementwise phase generator."""
-    e = FockSpace(rho.shape[0]).energies(params.mu_bar)
+    e = energies(rho.shape[0], params.mu_bar)
     return -1j * (e[:, None] - e[None, :]) * rho
 
 

@@ -24,22 +24,21 @@ from kerrbath import (
     cat_offdiagonal_rate,
     cat_state_density,
     comb_peaks,
-    decay_factor,
     derive_timescales,
     discrete_spectrum,
     evolve,
     extract_envelope_peaks,
     fit_ehrenfest_bump,
-    fit_relaxation_decay,
     fit_spectral_width,
     fock_cutoff,
-    gaussian_residual,
     spectral_density,
     theta_bec,
     theta_cantilever,
 )
 from kerrbath.cli import draw_parameters, run_sweep_draw
 from kerrbath.evolve import coefficient_settle_time, default_dtau
+
+from analytic_oracle import decay_factor, fit_relaxation_decay, gaussian_residual
 
 REGISTRY = []  # (label, mode, params, trajectory)
 

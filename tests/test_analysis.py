@@ -13,6 +13,7 @@ import pytest
 from kerrbath import (
     IntegratorConfig,
     SystemParams,
+    asymptotic_b1_at,
     cat_offdiagonal_rate,
     cat_state_density,
     comb_peaks,
@@ -21,17 +22,19 @@ from kerrbath import (
     evolve,
     extract_envelope_peaks,
     fit_ehrenfest_bump,
-    fit_recurrence_decay,
-    fit_relaxation_decay,
     fit_spectral_width,
     fock_cutoff,
-    gaussian_residual,
     overlap_rate_modulated,
     predicted_overlap_rate,
     scale_tau_d_to_intensity,
+)
+
+from analytic_oracle import (
+    fit_recurrence_decay,
+    fit_relaxation_decay,
+    gaussian_residual,
     x_closed,
 )
-from kerrbath.kernels import asymptotic_b1_at
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +90,9 @@ def test_extract_peaks_on_closed_trajectory():
 # bump and decay fits
 
 
-def synth_gaussian_peaks(tau_e, center=0.0, height=1.0, span=3.0, n=25):
-    t = center + np.linspace(-span * tau_e, span * tau_e, n)
-    return t, height * np.exp(-((t - center) ** 2) / (2.0 * tau_e**2))
+def synth_gaussian_peaks(tau_e, height=1.0, span=3.0, n=25):
+    t = np.linspace(-span * tau_e, span * tau_e, n)
+    return t, height * np.exp(-(t**2) / (2.0 * tau_e**2))
 
 
 def test_bump_fit_exact_recovery():
@@ -104,20 +107,14 @@ def test_bump_fit_exact_recovery():
 
 def test_bump_fit_pinned_center_and_window():
     tau_r = 10.0
-    t, h = synth_gaussian_peaks(0.9, center=2.0 * tau_r)
+    t, h = synth_gaussian_peaks(0.9)
     # contaminate with a stray tall peak one revival away; the window drops it
     t = np.append(t, tau_r)
     h = np.append(h, 5.0)
-    fit = fit_ehrenfest_bump(t, h, n_bump=2, tau_r=tau_r)
-    assert fit.center == pytest.approx(2.0 * tau_r)
+    fit = fit_ehrenfest_bump(t, h, tau_r=tau_r)
+    assert fit.center == 0.0
+    assert fit.n_peaks == 25
     assert fit.tau_e == pytest.approx(0.9, rel=1e-10)
-
-
-def test_bump_fit_free_center():
-    t, h = synth_gaussian_peaks(1.3, center=4.0)
-    fit = fit_ehrenfest_bump(t, h, free_center=True)
-    assert fit.center == pytest.approx(4.0, rel=1e-10)
-    assert fit.tau_e == pytest.approx(1.3, rel=1e-10)
 
 
 def test_bump_fit_errors():
@@ -310,8 +307,6 @@ def test_cat_rate_exact_recovery():
     assert fit.tau_d == pytest.approx(50.0, rel=1e-9)
     assert fit.method == "cat-overlap"
     assert math.isfinite(fit.uncertainty)
-    plain = cat_offdiagonal_rate(t, np.exp(-0.02 * t), t_min=0.0, drift=False)
-    assert plain.rate == pytest.approx(0.02, rel=1e-12)
 
 
 def test_cat_rate_errors():
@@ -333,7 +328,7 @@ def test_modulated_fit_exact_recovery():
     f_q = 0.5 * t + (math.sin(two) - np.sin(two - 2.0 * omega * t)) / (4.0 * omega)
     g_q = (np.cos(two - 2.0 * omega * t) - math.cos(two)) / (4.0 * omega)
     env = 0.5 * np.exp(-2.0 * r * f_q - 0.7 * g_q)
-    fit = overlap_rate_modulated(t, env, omega, theta0, t_max=2.0)
+    fit = overlap_rate_modulated(t, env, omega, theta0)
     assert fit.rate == pytest.approx(r, rel=1e-9)
     assert fit.method == "modulated"
 
@@ -345,7 +340,7 @@ def test_period_matched_cancels_modulation():
     t = np.arange(0, 1200) * (math.pi / omega / 100.0)
     phase = omega * t - theta0
     exponent = r * (t + (np.sin(2.0 * phase) + math.sin(2.0 * theta0)) / (2.0 * omega))
-    fit = overlap_rate_modulated(t, np.exp(-exponent), omega, theta0, t_max=t[-1])
+    fit = overlap_rate_modulated(t, np.exp(-exponent), omega, theta0)
     assert fit.rate == pytest.approx(r, rel=1e-9)
     assert fit.method == "modulated"
 
@@ -353,9 +348,9 @@ def test_period_matched_cancels_modulation():
 def test_modulated_fit_errors():
     t = np.linspace(0.0, 2.0, 100)
     with pytest.raises(ValueError, match="usable samples"):
-        overlap_rate_modulated(t, np.full(t.size, 1e-15), 5.0, 0.0, t_max=2.0)
+        overlap_rate_modulated(t, np.full(t.size, 1e-15), 5.0, 0.0)
     with pytest.raises(ValueError, match="does not decay"):
-        overlap_rate_modulated(t, np.exp(0.3 * t), 5.0, 0.0, t_max=2.0)
+        overlap_rate_modulated(t, np.exp(0.3 * t), 5.0, 0.0)
 
 
 def test_predicted_rate_identities():
@@ -363,10 +358,11 @@ def test_predicted_rate_identities():
     b1 = asymptotic_b1_at(p, p.omega_bar)
     dx = 3.0
     assert predicted_overlap_rate(p, dx) == pytest.approx(2.0 * b1 * dx * dx, rel=1e-14)
-    # at dx = sqrt(I0) the rate is the inverse cutoff-corrected tau_d
-    scales = derive_timescales(p, exact_tau_d=True)
+    # at dx = sqrt(I0) the rate is the inverse tau_d with the cutoff factor
+    lam2, om2 = p.lambda_bar**2, p.omega_bar**2
     rate = predicted_overlap_rate(p, math.sqrt(p.intensity))
-    assert rate == pytest.approx(1.0 / scales.tau_d, rel=1e-12)
+    tau_d = derive_timescales(p).tau_d
+    assert rate == pytest.approx(lam2 / (om2 + lam2) / tau_d, rel=1e-12)
 
 
 def test_scale_tau_d():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kerrbath import THETA_HI, THETA_LO, analysis
 from kerrbath.cli import (
     CSV_HEADER,
     ConfigError,
@@ -276,6 +277,23 @@ def test_run_sweep_draw_result_contract(index):
     assert res["max_trace_deviation"] < 1e-10
 
 
+def test_sweep_fit_keeps_last_sample(monkeypatch):
+    """Draw 3 of acceptance 07's plan ends one ulp past its window (400
+    steps of window/400); the fit still uses every recorded sample."""
+    fits = []
+    fit_overlap = analysis.overlap_rate_modulated
+
+    def spy(taus, *args):
+        fits.append((taus, fit_overlap(taus, *args)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(analysis, "overlap_rate_modulated", spy)
+    res = run_sweep_draw(dict(draw_parameters(1, 20)[3], lambda_bar=None))
+    (taus, fit), = fits
+    assert taus[-1] > res["window"]
+    assert fit.n_points == taus.size
+
+
 def test_sweep_end_to_end_and_resume(tmp_path):
     args = ["sweep", "--seed", "7", "--draws", "1", "--out", str(tmp_path)]
     assert main(args) == 0
@@ -358,6 +376,23 @@ def test_regimes_cantilever(capsys):
     assert f"theta = {fmt(1.0)}" in out
     assert f"mu_cl threshold (theta = 1) = {fmt(1.0)}" in out
     assert "regime = intermediate" in out
+
+
+@pytest.mark.parametrize("theta,verdict", [
+    (THETA_HI * (1.0 + 1e-9), "quantum-surviving"),
+    (THETA_HI * (1.0 - 1e-9), "intermediate"),
+    (THETA_LO * (1.0 + 1e-9), "intermediate"),
+    (THETA_LO * (1.0 - 1e-9), "classical"),
+])
+def test_regimes_cantilever_thresholds(capsys, theta, verdict):
+    """At Q = 1 and n = 16, theta = 4 mu_cl Q / sqrt(n) is mu_cl exactly; the
+    verdict flips at the model's THETA_HI and THETA_LO."""
+    code = main(["regimes", "cantilever", "--mu-cl", repr(theta), "--quality", "1",
+                 "--n-levels", "16"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert f"theta = {fmt(theta)}" in out
+    assert f"regime = {verdict}" in out
 
 
 def test_regimes_invalid_exit_2(capsys):

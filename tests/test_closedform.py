@@ -1,6 +1,7 @@
 """Closed-form trajectories, envelopes, line spectra and the decay exponent.
 
-The damped closed form is pinned to a frozen density-matrix integration
+The package's two closed forms are checked here together with the analytic
+oracle built on them (tests/analytic_oracle.py). The damped closed form is pinned to a frozen density-matrix integration
 value; the line-weight formula is cross-checked against its period-average
 quadrature route; everything else follows from elementary limits of the
 formulas (recurrence, mu -> 0, gamma -> 0) that are asserted directly.
@@ -11,13 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from kerrbath import (
-    SystemParams,
-    alpha_closed,
-    alpha_lindblad_rwa,
+from kerrbath import SystemParams, alpha_closed, alpha_lindblad_rwa, derive_timescales
+
+from analytic_oracle import (
     bump_envelope,
     decay_factor,
-    derive_timescales,
     ehrenfest_envelope,
     fourier_lines,
     gaussian_envelope,
@@ -153,7 +152,7 @@ def test_line_weights_are_poisson():
 def test_line_weights_quadrature_route():
     p = SystemParams(mu_bar=0.1, intensity=20.0)
     w = line_weights(p, 60)
-    q, err = line_weights_quadrature(p, 60, full_output=True)
+    q, err = line_weights_quadrature(p, 60)
     np.testing.assert_allclose(q, w, atol=1e-10)
     assert np.all(err < 1e-9)
     with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
-"""Truncated Fock space: operators, coherent/cat states, expectation shortcuts.
+"""Truncated Fock space: coherent/cat states and the dense oracle's operators.
 
-The cheap expectation helpers (diagonal contractions) are checked against the
-brute-force tr(op rho) route with explicitly built matrices, and the operator
-matrices themselves against the sqrt(n) ladder rule written out by hand.
+The states are checked through the dense oracle's expectation shortcuts
+(diagonal contractions), which are pinned against the brute-force
+tr(op rho) route with explicitly built matrices, and the oracle's operator
+matrices against the sqrt(n) ladder rule written out by hand.
 """
 
 import cmath
@@ -14,20 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrbath import (
-    FockSpace,
     SystemParams,
     cat_state_density,
     coherent_amplitudes,
-    coherent_overlap,
     coherent_state_density,
-    density_diagnostics,
-    expect_a,
-    expect_n,
-    expect_x,
-    expectation,
     fock_cutoff,
     omega_levels,
 )
+
+from dense_oracle import coherent_overlap, energies, expect_a, expect_n, expect_x, lowering
 
 
 def test_fock_cutoff_rule():
@@ -38,36 +34,26 @@ def test_fock_cutoff_rule():
 
 
 def test_operators_match_ladder_rule():
-    """Rebuild a, a^dag, n by hand from <n-1|a|n> = sqrt(n) and compare."""
+    """Rebuild a by hand from <n-1|a|n> = sqrt(n) and compare."""
     n_max = 12
-    fs = FockSpace(n_max)
     a = np.zeros((n_max, n_max))
     for n in range(1, n_max):
         a[n - 1, n] = math.sqrt(n)
-    assert np.array_equal(fs.a, a)
-    assert np.array_equal(fs.adag, a.T)
-    assert np.array_equal(fs.num, np.diag(np.arange(n_max, dtype=float)))
-    np.testing.assert_allclose(fs.adag @ fs.a, fs.num, atol=1e-14)
-    np.testing.assert_allclose(fs.x, (a + a.T) / math.sqrt(2.0), atol=0)
+    assert np.array_equal(lowering(n_max), a)
+    num = np.diag(np.arange(n_max, dtype=float))
+    np.testing.assert_allclose(a.T @ a, num, atol=1e-14)
     # commutator is the identity away from the truncation edge
-    comm = fs.a @ fs.adag - fs.adag @ fs.a
+    comm = a @ a.T - a.T @ a
     np.testing.assert_allclose(comm[:-1, :-1], np.eye(n_max - 1), atol=1e-14)
     assert comm[-1, -1] == pytest.approx(1.0 - n_max)
 
 
-def test_operators_are_read_only():
-    fs = FockSpace(5)
-    with pytest.raises(ValueError):
-        fs.a[0, 0] = 1.0
-
-
 def test_energies_and_level_frequencies():
-    fs = FockSpace(6)
     mu = 0.1
     n = np.arange(6, dtype=float)
-    np.testing.assert_allclose(fs.energies(mu), n + mu * n * n, atol=0)
+    e = energies(6, mu)
+    np.testing.assert_allclose(e, n + mu * n * n, atol=0)
     # level frequency is the energy gap
-    e = fs.energies(mu)
     levels = omega_levels(SystemParams(mu_bar=mu, intensity=1.0), 6)
     np.testing.assert_allclose(np.diff(e), levels[:-1], atol=1e-14)
 
@@ -90,9 +76,8 @@ def test_coherent_is_lowering_eigenvector():
     alpha = 1.7 + 0.9j
     n_max = fock_cutoff(abs(alpha) ** 2)
     v = coherent_amplitudes(alpha, n_max)
-    fs = FockSpace(n_max)
     # eigenvalue relation holds away from the truncated tail
-    resid = fs.a @ v - alpha * v
+    resid = lowering(n_max) @ v - alpha * v
     assert np.max(np.abs(resid[: n_max - 5])) < 1e-9
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
 
@@ -144,11 +129,12 @@ def test_expectation_contractions_match_brute_force():
     m = rng.normal(size=(n_max, n_max)) + 1j * rng.normal(size=(n_max, n_max))
     rho = m @ m.conj().T
     rho /= np.trace(rho).real
-    fs = FockSpace(n_max)
-    assert expect_a(rho) == pytest.approx(complex(np.trace(fs.a @ rho)), rel=1e-12)
-    assert expect_n(rho) == pytest.approx(float(np.trace(fs.num @ rho).real), rel=1e-12)
-    assert expect_x(rho) == pytest.approx(float(np.trace(fs.x @ rho).real), rel=1e-12)
-    assert expectation(rho, fs.a) == pytest.approx(complex(np.trace(fs.a @ rho)), rel=1e-12)
+    a = lowering(n_max)
+    x = (a + a.T) / math.sqrt(2.0)
+    num = np.diag(np.arange(n_max, dtype=float))
+    assert expect_a(rho) == pytest.approx(complex(np.trace(a @ rho)), rel=1e-12)
+    assert expect_n(rho) == pytest.approx(float(np.trace(num @ rho).real), rel=1e-12)
+    assert expect_x(rho) == pytest.approx(float(np.trace(x @ rho).real), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,16 +152,6 @@ def test_coherent_moments_property(intensity, phase):
     rho = coherent_state_density(alpha, fock_cutoff(intensity))
     assert expect_n(rho) == pytest.approx(intensity, rel=1e-6, abs=2e-7)
     assert expect_a(rho) == pytest.approx(alpha, rel=1e-6, abs=2e-7)
-    d = density_diagnostics(rho, eigs=True)
-    assert d["trace"].real == pytest.approx(1.0, abs=1e-9)
-    assert d["herm_defect"] < 1e-12
-    assert d["min_eig"] > -1e-12
-
-
-def test_density_diagnostics_fields():
-    rho = coherent_state_density(1.0, 20)
-    d = density_diagnostics(rho)
-    assert set(d) == {"trace", "herm_defect", "top_population"}
-    assert d["top_population"] < 1e-12
-    d = density_diagnostics(rho, eigs=True)
-    assert "min_eig" in d
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+    assert np.linalg.eigvalsh(rho)[0] > -1e-12

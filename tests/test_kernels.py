@@ -27,13 +27,13 @@ from kerrbath import (
     asymptotic_b1_at,
     asymptotic_coefficients,
     coefficient_tables,
-    effective_frequency,
     omega_levels,
     spectral_density,
     transient_coefficients,
 )
 from kerrbath.evolve import coefficient_settle_time
 from kerrbath.kernels import _check_quadrature
+from analytic_oracle import effective_frequency
 from quadrature_oracle import principal_value_coefficient, transient_quadrature
 
 # modest parameters keep the nested-quadrature oracles cheap and accurate

@@ -11,8 +11,8 @@ from kerrbath import (
     SystemParams,
     Violation,
     classify_regime,
+    asymptotic_b1_at,
     derive_timescales,
-    params_ok,
     theta_bec,
     theta_cantilever,
     validate_params,
@@ -69,12 +69,12 @@ def test_classical_regime_times(params_classical):
 
 
 def test_exact_tau_d_keeps_cutoff_factor(params_quantum):
-    """The exact decoherence time divides out the Ohmic cutoff suppression."""
+    """tau_d drops the Ohmic cutoff suppression that B1(inf) carries:
+    1/(2 B1(inf) I0) = tau_d (Lambda^2 + Omega^2)/Lambda^2."""
     p = params_quantum
-    plain = derive_timescales(p).tau_d
-    exact = derive_timescales(p, exact_tau_d=True).tau_d
+    exact = 1.0 / (2.0 * asymptotic_b1_at(p, p.omega_bar) * p.intensity)
     lam2, om2 = p.lambda_bar**2, p.omega_bar**2
-    assert exact == pytest.approx(plain * (lam2 + om2) / lam2, rel=1e-12)
+    assert exact == pytest.approx(derive_timescales(p).tau_d * (lam2 + om2) / lam2, rel=1e-12)
 
 
 def test_alpha_and_derived_properties():
@@ -187,7 +187,6 @@ def test_validate_params_errors():
     bad = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=-1.0)
     out = validate_params(bad)
     assert any(v.level == "error" and "beta_bar" in v.message for v in out)
-    assert not params_ok(bad)
     assert out == sorted(out, key=lambda v: v.level)  # errors first
 
 
@@ -196,7 +195,7 @@ def test_validate_params_cutoff_warning():
     out = validate_params(p)
     warn = [v for v in out if v.level == "warning"]
     assert any("cutoff below system frequency" in v.message for v in warn)
-    assert params_ok(p)  # warnings do not disqualify
+    assert warn == out  # a warning is not an error
 
 
 def test_validate_params_truncation_warning():
@@ -209,5 +208,4 @@ def test_validate_params_clean():
     # lambda_bar must exceed omega_bar = 11.1 for a warning-free set
     p = SystemParams(mu_bar=0.1, intensity=50.0, gamma=1e-4, lambda_bar=100.0)
     assert validate_params(p) == []
-    assert params_ok(p)
     assert isinstance(Violation("warning", "x"), Violation)
