@@ -281,6 +281,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "frame": traj.frame,
                 "n_max": traj.n_max,
                 "dtau": traj.dtau,
+                "step": traj.step,
                 "tau_end": tau_end,
                 "n_samples": int(traj.taus.size),
                 "csv": "trajectory.csv",
@@ -447,7 +448,8 @@ def run_sweep_draw(spec: dict) -> dict:
     time. The decay rate of the pair is modulated at period pi/Omega_bar as
     the chord's x-projection rotates; overlap_rate_modulated fits that
     modulation explicitly, so every draw uses one window, a predicted
-    envelope log drop of 0.23, sampled by at least 400 steps.
+    envelope log drop of 0.23, sampled at least 400 times (the RK4 step
+    may span several samples).
     """
     omega = 1.0 + spec["mu_bar"] * (1.0 + 2.0 * spec["intensity"])
     params = SystemParams(

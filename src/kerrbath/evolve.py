@@ -53,15 +53,24 @@ co-moving run without a generator. Recorded observables and snapshots are
 always lab-frame values: the recorder dresses co-moving states with the
 level phases.
 
-Time stepping is classical fixed-step RK4 with one step rule,
-default_dtau(params, n_max, frame). In the lab frame the step is capped by
-the largest level-energy difference in the truncated space (corner
-coherences rotate at that rate and must stay inside the stability region)
-and by the envelope timescale tau_e. In the rotating frame only the
-coefficient phases oscillate, at up to ~2 Omega_top, linear in n_max
-instead of quadratic, so strongly anharmonic runs take far fewer steps.
-Closed mode integrates no step; dtau only spaces its samples, 2001 of them
-when unset. Only the born-markov and closed modes run in the rotating frame.
+Time stepping is classical fixed-step RK4. dtau is the sample grid in every
+mode: samples and snapshots lie on it, and default_dtau(params, n_max,
+frame) gives it when unset. In the lab frame, and in lindblad-rwa, the RK4
+step is the grid cell: the step rule caps it by the largest level-energy
+difference in the truncated space (corner coherences rotate at that rate
+and must stay inside the stability region) and by the envelope timescale
+tau_e. In the rotating frame only the coefficient phases oscillate, at up
+to ~2 Omega_top, linear in n_max instead of quadratic, and the RK4 step
+spans a whole number q of grid cells, as many as fit in the smallest of
+three budgets: 0.5 rad of the fastest coefficient phase per step, a step
+times the bath generator's norm bound of at most 0.25, and the transient
+table's spacing. A grid that is not a multiple of q ends on a shorter step.
+Samples inside a step come from the cubic Hermite interpolant of the
+step's end states and their derivatives (Hairer, Norsett & Wanner, Solving
+ODEs I, II.6). The end derivative is the next step's first stage, and the
+interpolation weights are real, so trace and hermiticity carry over. Closed mode
+integrates no step; dtau only spaces its samples, 2001 of them when unset.
+Only the born-markov and closed modes run in the rotating frame.
 """
 
 from __future__ import annotations
@@ -90,8 +99,13 @@ _CLOSED_STEPS = 2000
 # largest max|rho0 - rho0^dag| accepted, the conservation audit's bound
 _HERM_TOL = 1e-9
 
-# most RK4 steps one run may take; checked before the run allocates its buffers
+# most grid cells one run may take; checked before the run allocates its buffers
 _MAX_STEPS = 20_000_000
+
+# rotating-frame step budgets: radians of the fastest coefficient phase per
+# step, and the step times the bath generator's norm bound
+_PHASE_PER_STEP = 0.5
+_RATE_PER_STEP = 0.25
 
 
 class IntegrationError(RuntimeError):
@@ -106,20 +120,23 @@ class TruncationLeakWarning(UserWarning):
 class IntegratorConfig:
     """Knobs for the propagation, shared by every mode and both frames.
 
-    Every mode runs on one grid of dtau steps through the same sample loop
-    and recorder. dtau None picks the step rule default_dtau(params, n_max,
-    frame), except in closed mode: that is the co-moving run without a
-    generator, whose state never changes, so dtau only spaces its exact
-    samples and defaults to tau_end/2000. stride None aims for about 4000
-    stored samples. overlap_pair (alpha, beta) records a coherence envelope
-    for that superposition: with rho~ the co-moving state e^{iHt} rho e^{-iHt}
-    and W_nm = conj(alpha_n) beta_m, the envelope is sum_j |sum over the j-th
-    diagonal of W*rho~|. It equals 1 for the pure lobe |alpha><beta|, is
-    exactly invariant under rigid phase-space rotation of the state (each
-    diagonal only picks up a common phase), and decays at the bath's
-    off-diagonal damping rate, so slow bath-induced frequency shifts do not
-    masquerade as decoherence. frame is "lab" or "rotating" (not
-    lindblad-rwa).
+    Every mode runs on one grid of dtau cells through the same sample loop
+    and recorder: samples and snapshots lie on that grid. dtau None picks
+    default_dtau(params, n_max, frame), except in closed mode: that is the
+    co-moving run without a generator, whose state never changes, so dtau
+    only spaces its exact samples and defaults to tau_end/2000. The RK4 step
+    is one cell in the lab frame; a rotating-frame run with a generator
+    steps over as many whole cells as its step budgets allow (see the module
+    docstring), so a given dtau sets the sample density, not the step.
+    stride None aims for about 4000 stored samples. overlap_pair (alpha,
+    beta) records a coherence envelope for that superposition: with rho~ the
+    co-moving state e^{iHt} rho e^{-iHt} and W_nm = conj(alpha_n) beta_m,
+    the envelope is sum_j |sum over the j-th diagonal of W*rho~|. It equals
+    1 for the pure lobe |alpha><beta|, is exactly invariant under rigid
+    phase-space rotation of the state (each diagonal only picks up a common
+    phase), and decays at the bath's off-diagonal damping rate, so slow
+    bath-induced frequency shifts do not masquerade as decoherence. frame is
+    "lab" or "rotating" (not lindblad-rwa).
     """
 
     dtau: float | None = None
@@ -136,9 +153,11 @@ class Trajectory:
     """Sampled observables of one propagation run.
 
     All stored quantities are lab-frame regardless of the integration frame;
-    frame only records which kernel produced them. dtau is the step of the
-    run's grid. energy_expect is <n + mu n^2>, conserved exactly by the
-    closed flow. overlap, when an overlap_pair was requested, is the real
+    frame only records which kernel produced them. dtau is the spacing of
+    the run's sample grid and step the RK4 step taken, a whole number of
+    dtau (the last step may be shorter); step is None in closed mode, which
+    integrates nothing. energy_expect is <n + mu n^2>, conserved exactly by
+    the closed flow. overlap, when an overlap_pair was requested, is the real
     coherence envelope of that pair (see IntegratorConfig), 1 at tau=0 for
     the pure off-diagonal lobe and rotation-invariant thereafter.
     """
@@ -154,6 +173,7 @@ class Trajectory:
     n_max: int
     dtau: float
     frame: str = "lab"
+    step: float | None = None
     overlap: np.ndarray | None = None
     min_eig: np.ndarray | None = None
     snapshots: dict = field(default_factory=dict)
@@ -229,15 +249,17 @@ class _BandedRHS:
                 s = ladder.sqrt_n
                 self.gain = params.gamma * (s[:, None] * s[None, :])
 
+    def p_bands(self, a1, a2, b1, b2):
+        """The P bands (upper, lower) of level-resolved coefficients; the
+        arrays run over levels on their last axis."""
+        s = self.ladder.sqrt_n
+        su_a = s * (a1[..., :-1] + 1j * a2[..., :-1])
+        su_b = s * (b1[..., :-1] + 1j * b2[..., :-1])
+        return 0.5 * (1j * su_a - su_b), 0.5 * (1j * su_a.conj() - su_b.conj())
+
     def set_coefficients(self, a1, a2, b1, b2) -> None:
         """Install level-resolved bath coefficients (arrays over levels)."""
-        s = self.ladder.sqrt_n
-        su_a = s * (a1[:-1] + 1j * a2[:-1])
-        su_b = s * (b1[:-1] + 1j * b2[:-1])
-        self._coef = (
-            0.5 * (1j * su_a - su_b),
-            0.5 * (1j * su_a.conj() - su_b.conj()),
-        )
+        self._coef = self.p_bands(a1, a2, b1, b2)
         self.bands = self._mod[:2] if self.rotating else self._coef
         self._tau = None
 
@@ -321,26 +343,82 @@ class _TransientTable:
         return tuple(t[i] * (1.0 - w) + t[i + 1] * w for t in self.tables)
 
 
+def _omega_top(params: SystemParams, n_max: int) -> float:
+    """The top level gap Omega_top = E_top - E_{top-1}."""
+    return 1.0 + params.mu_bar * (2.0 * n_max - 3.0)
+
+
 def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
-    """The RK4 step rule of a frame.
+    """The default sample grid of a frame, which is also the lab-frame step.
 
-    Lab frame: the fastest coherence in the truncated space rotates at the
-    full level spread E_top - E_0; one radian per step keeps it well inside
-    the RK4 stability region, and tau_e/200 resolves the envelope collapse.
+    Lab frame: the RK4 step is one grid cell. The fastest coherence in the
+    truncated space rotates at the full level spread E_top - E_0; one radian
+    per step keeps it well inside the RK4 stability region, and tau_e/200
+    resolves the envelope collapse.
 
-    Rotating frame: only the explicit coefficient phases oscillate, at up to
-    twice the top level gap Omega_top = E_top - E_{top-1}; 0.05/Omega_top
-    keeps the RK4 quadrature error of those oscillations near
-    (2 Omega dt)^4 ~ 1e-4 relative, far below the bath-rate tolerances.
+    Rotating frame: 0.05/Omega_top, with Omega_top = E_top - E_{top-1},
+    fixes the sample density only (0.1 rad of the fastest coefficient phase,
+    at twice Omega_top, per sample). The RK4 step spans several such cells
+    (see the module docstring); cubic Hermite dense output fills the samples
+    between step ends.
     """
     if frame not in FRAMES:
         raise ValueError(f"unknown frame {frame!r}")
     if frame == "rotating":
-        return 0.05 / (1.0 + params.mu_bar * (2.0 * n_max - 3.0))
+        return 0.05 / _omega_top(params, n_max)
     top = n_max - 1
     dt = 1.0 / max(top + params.mu_bar * top * top, 1.0)
     tau_e = derive_timescales(params).tau_e
     return min(dt, tau_e / 200.0) if math.isfinite(tau_e) else dt
+
+
+def _rotating_step_cap(params: SystemParams, rhs: _BandedRHS, coef_sets) -> float:
+    """Longest RK4 step h_max of a rotating-frame run with a generator.
+
+    The smallest of three budgets. Phase: the fastest coefficient phase
+    turns at 2 Omega_top, by at most _PHASE_PER_STEP per step. Bath rate:
+    ||X|| <= 2 max sqrt(n) and ||P|| <= 2 max|P band| bound the bath term
+    [X, P rho + rho Q] by r = 16 max sqrt(n) max|P band| times ||rho||, and
+    h r stays at most _RATE_PER_STEP. coef_sets holds every coefficient set
+    (a1, a2, b1, b2) the run can install, tabulated or not. Table: with a
+    transient table the coefficients vary on its spacing, which caps h too.
+    """
+    ladder = rhs.ladder
+    cap = _PHASE_PER_STEP / (2.0 * _omega_top(params, ladder.energies.size))
+    if coef_sets and ladder.sqrt_n.size:
+        p_max = max(float(np.max(np.abs(band)))
+                    for c in coef_sets for band in rhs.p_bands(*c))
+        rate = 16.0 * float(ladder.sqrt_n[-1]) * p_max
+        if rate > 0.0:
+            cap = min(cap, _RATE_PER_STEP / rate)
+    if rhs.table is not None:
+        cap = min(cap, rhs.table.dt)
+    return cap
+
+
+def _snapshot_cell(ts: float, dtau: float, n_cells: int) -> int | None:
+    """The grid point c <= n_cells nearest to ts (the earlier on a tie):
+    the first with c dtau >= ts - dtau/2. None past the grid's end."""
+    lim = ts - 0.5 * dtau
+    if not lim <= n_cells * dtau:
+        return None
+    c = max(0, math.ceil(lim / dtau)) if dtau > 0 else 0
+    while c > 0 and (c - 1) * dtau >= lim:
+        c -= 1
+    while c * dtau < lim:
+        c += 1
+    return c
+
+
+def _hermite(s: float, h: float, y0, y1, f0, f1, out, work) -> None:
+    """Cubic Hermite interpolant at fraction s of a step h from (y0, f0) to
+    (y1, f1), written into out; work is scratch of the same shape."""
+    r = 1.0 - s
+    np.multiply(y0, (1.0 + 2.0 * s) * r * r, out=out)
+    weights = ((s * s * (3.0 - 2.0 * s), y1), (h * s * r * r, f0), (-h * s * s * r, f1))
+    for w, y in weights:
+        np.multiply(y, w, out=work)
+        out += work
 
 
 class _Recorder:
@@ -498,68 +576,110 @@ def evolve(
         dtau = tau_end / _CLOSED_STEPS
     else:
         dtau = default_dtau(params, n_max, config.frame)
-    n_steps = max(1, int(math.ceil(tau_end / dtau - 1e-12))) if tau_end > 0 else 0
-    if n_steps > _MAX_STEPS:
+    n_cells = max(1, int(math.ceil(tau_end / dtau - 1e-12))) if tau_end > 0 else 0
+    if n_cells > _MAX_STEPS:
         raise IntegrationError(
-            f"{n_steps} steps exceed the limit of {_MAX_STEPS}; raise dtau"
+            f"{n_cells} steps exceed the limit of {_MAX_STEPS}; raise dtau"
         )
-    dtau = tau_end / n_steps if n_steps else dtau
-    stride = config.stride or max(1, n_steps // 4000)
+    dtau = tau_end / n_cells if n_cells else dtau
+    stride = config.stride or max(1, n_cells // 4000)
 
     ladder = _Ladder(params, n_max)
     co_moving = rotating or mode == "closed"
     rhs = None  # closed mode: the co-moving state never changes
+    q = 1  # grid cells per RK4 step
     if mode != "closed":
         table = None
+        coef_sets = []
         if mode == "born-markov-transient" and params.gamma > 0:
             table = _TransientTable(params, n_max, config.transient_table_points)
+            coef_sets = [table.tables, table.inf]
         rhs = _BandedRHS(params, ladder, mode, rotating=rotating, table=table)
         if mode == "born-markov-asymptotic" and params.gamma > 0:
             c = asymptotic_coefficients(params, n_max)
-            rhs.set_coefficients(c.a1, c.a2, c.b1, c.b2)
+            coef_sets = [(c.a1, c.a2, c.b1, c.b2)]
+            rhs.set_coefficients(*coef_sets[0])
+        if rotating:
+            # the 1e-9 keeps an exact multiple that division leaves an ulp short
+            cap = _rotating_step_cap(params, rhs, coef_sets)
+            q = max(1, min(int(cap / dtau * (1.0 + 1e-9)), max(n_cells, 1)))
 
     def to_lab(state, t):
         return ladder.to_lab(state, t) if co_moving else state.copy()
 
-    sample_steps = list(range(0, n_steps + 1, stride))
-    if sample_steps[-1] != n_steps:
-        sample_steps.append(n_steps)
-    rec = _Recorder(ladder, len(sample_steps), config, co_moving, rhs is None)
-    snap_left = sorted(config.snapshot_taus)
+    sample_cells = list(range(0, n_cells + 1, stride))
+    if sample_cells[-1] != n_cells:
+        sample_cells.append(n_cells)
+    rec = _Recorder(ladder, len(sample_cells), config, co_moving, rhs is None)
+    snap_at = {}  # grid point -> the snapshot requests it answers
+    for ts in sorted(config.snapshot_taus):
+        c = _snapshot_cell(ts, dtau, n_cells)
+        if c is not None:
+            snap_at.setdefault(c, []).append(ts)
+    events = sorted(set(sample_cells).union(snap_at))  # ends with n_cells
     snaps = {}
+    sample_idx = 0
+
+    def visit(c: int, state: np.ndarray) -> None:
+        """Record the sample and snapshots that grid point c holds; grid
+        points come in increasing order."""
+        nonlocal sample_idx
+        t = c * dtau
+        if c == sample_cells[sample_idx]:
+            rec.store(sample_idx, t, state)
+            sample_idx += 1
+        for ts in snap_at.get(c, ()):
+            snaps[ts] = to_lab(state, t)
 
     rho = rho0.copy()
-    k1 = np.empty_like(rho)
-    k2 = np.empty_like(rho)
-    k3 = np.empty_like(rho)
-    k4 = np.empty_like(rho)
-    tmp = np.empty_like(rho)
-
-    sample_idx = 0
-    for step in range(n_steps + 1):
-        t = step * dtau
-        if step == sample_steps[sample_idx]:
-            rec.store(sample_idx, t, rho)
-            sample_idx += 1
-        while snap_left and t >= snap_left[0] - 0.5 * dtau:
-            snaps[snap_left.pop(0)] = to_lab(rho, t)
-        if step == n_steps or rhs is None:
-            continue
-        rhs(t, rho, k1)
-        np.multiply(k1, 0.5 * dtau, out=tmp)
-        tmp += rho
-        rhs(t + 0.5 * dtau, tmp, k2)
-        np.multiply(k2, 0.5 * dtau, out=tmp)
-        tmp += rho
-        rhs(t + 0.5 * dtau, tmp, k3)
-        np.multiply(k3, dtau, out=tmp)
-        tmp += rho
-        rhs(t + dtau, tmp, k4)
-        k2 += k3
-        k1 += k4
-        k1 += 2.0 * k2
-        k1 *= dtau / 6.0
-        rho += k1
+    if rhs is None:
+        for c in events:
+            visit(c, rho)
+    else:
+        rho_prev = np.empty_like(rho)
+        k1 = np.empty_like(rho)
+        f1 = np.empty_like(rho)  # derivative at the step's end: the next k1
+        k2 = np.empty_like(rho)
+        k3 = np.empty_like(rho)
+        k4 = np.empty_like(rho)
+        tmp = np.empty_like(rho)
+        if n_cells:
+            rhs(0.0, rho, k1)
+        visit(0, rho)
+        e = 1  # next event to visit
+        c0 = 0
+        while c0 < n_cells:
+            c1 = min(c0 + q, n_cells)
+            t = c0 * dtau
+            h = (c1 - c0) * dtau
+            np.multiply(k1, 0.5 * h, out=tmp)
+            tmp += rho
+            rhs(t + 0.5 * h, tmp, k2)
+            np.multiply(k2, 0.5 * h, out=tmp)
+            tmp += rho
+            rhs(t + 0.5 * h, tmp, k3)
+            np.multiply(k3, h, out=tmp)
+            tmp += rho
+            rhs(t + h, tmp, k4)
+            k2 += k3
+            k2 *= 2.0
+            k4 += k1
+            k4 += k2
+            k4 *= h / 6.0
+            np.add(rho, k4, out=rho_prev)
+            rho, rho_prev = rho_prev, rho
+            if c1 < n_cells or events[e] < c1:
+                rhs(c1 * dtau, rho, f1)
+            while events[e] < c1:
+                c = events[e]
+                _hermite((c - c0) / (c1 - c0), h, rho_prev, rho, k1, f1, tmp, k2)
+                visit(c, tmp)
+                e += 1
+            if events[e] == c1:
+                visit(c1, rho)
+                e += 1
+            k1, f1 = f1, k1
+            c0 = c1
 
     if float(np.max(rec.top)) > 1e-6:
         warnings.warn(
@@ -568,13 +688,14 @@ def evolve(
             TruncationLeakWarning,
             stacklevel=2,
         )
-    taus = np.array([s * dtau for s in sample_steps])
+    taus = np.array([s * dtau for s in sample_cells])
     return rec.finish(
         taus,
         mode=mode,
         n_max=n_max,
         dtau=dtau,
         frame=config.frame,
+        step=None if rhs is None else q * dtau,
         snapshots=snaps,
-        final_rho=to_lab(rho, n_steps * dtau),
+        final_rho=to_lab(rho, n_cells * dtau),
     )

@@ -136,6 +136,7 @@ def test_simulate_csv_contract(tmp_path, capsys):
     meta = read_json(tmp_path / "trajectory.json")
     assert meta["n_samples"] == 11
     assert meta["mode"] == "lindblad-rwa"
+    assert meta["step"] == meta["dtau"]  # the lab frame steps one grid cell
     assert meta["max_trace_deviation"] < 1e-10
 
 
@@ -159,7 +160,9 @@ def test_simulate_closed_honours_dtau_and_stride(tmp_path):
     assert code == 0
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 1 + 11
-    assert read_json(tmp_path / "trajectory.json")["dtau"] == pytest.approx(0.01)
+    meta = read_json(tmp_path / "trajectory.json")
+    assert meta["dtau"] == pytest.approx(0.01)
+    assert meta["step"] is None  # closed mode integrates no step
 
 
 def test_simulate_requires_tau_end(capsys):

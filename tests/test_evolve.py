@@ -28,7 +28,7 @@ from kerrbath import (
     evolve,
     fock_cutoff,
 )
-from kerrbath.evolve import _BandedRHS, _Ladder, _TransientTable
+from kerrbath.evolve import _BandedRHS, _Ladder, _TransientTable, _snapshot_cell
 
 from dense_oracle import born_markov_rhs, energies, free_rhs, lindblad_rhs
 
@@ -427,6 +427,80 @@ def test_default_step_rules():
         tr = evolve(p, 0.5, mode="born-markov-asymptotic",
                     config=IntegratorConfig(frame=frame))
         assert tr.dtau == pytest.approx(0.5 / math.ceil(0.5 / want))
+
+
+def test_rotating_step_spans_whole_grid_cells():
+    """A default rotating run at the quantum-corner parameters steps over
+    five grid cells: the phase budget is exactly 5 * default_dtau, and the
+    division must not drop that multiple by an ulp. Every other path steps
+    one cell, and closed mode takes no step."""
+    p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
+    tr = evolve(p, 2.5, mode="born-markov-asymptotic", config=IntegratorConfig(frame="rotating"))
+    assert tr.step == 5 * tr.dtau
+    assert tr.dtau == 2.5 / math.ceil(2.5 / default_dtau(p, tr.n_max, "rotating"))
+    small = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=1.0, gamma=1e-3)
+    for mode, frame in (("born-markov-asymptotic", "lab"), ("lindblad-rwa", "lab"),
+                        ("born-markov-transient", "rotating")):
+        tr = evolve(small, 0.2, mode=mode, config=IntegratorConfig(frame=frame))
+        assert tr.step == tr.dtau, (mode, frame)
+    assert evolve(small, 0.2, mode="closed").step is None
+
+
+def test_dense_output_between_rotating_steps():
+    """A run stepping five cells per step against one whose grid is that
+    step: the two take the same steps, so they agree to round-off at the
+    shared step ends. The Hermite samples in between stay within 1e-7 of a
+    lab-frame run at a quarter of the cell (measured: 1.6e-8 in <a>, 4.4e-8
+    in <n>; 5e-9 and 1.1e-8 at the step ends)."""
+    p = SystemParams(mu_bar=0.1, intensity=10.0, beta_bar=1.0, gamma=1e-3)
+    mode = "born-markov-asymptotic"
+    fine = evolve(p, 1.0, mode=mode, config=IntegratorConfig(frame="rotating", dtau=1 / 175, stride=1))
+    coarse = evolve(p, 1.0, mode=mode, config=IntegratorConfig(frame="rotating", dtau=1 / 35, stride=1))
+    lab = evolve(p, 1.0, mode=mode, config=IntegratorConfig(frame="lab", dtau=1 / 700, stride=4))
+    assert fine.step == 5 * fine.dtau and coarse.step == coarse.dtau
+    assert fine.step == pytest.approx(coarse.step, rel=1e-15)
+    np.testing.assert_allclose(fine.taus[::5], coarse.taus, rtol=1e-15)
+    assert np.max(np.abs(fine.a_expect[::5] - coarse.a_expect)) < 1e-13
+    assert np.max(np.abs(fine.n_expect[::5] - coarse.n_expect)) < 1e-13
+    assert np.max(np.abs(fine.final_rho - coarse.final_rho)) < 1e-15
+    np.testing.assert_allclose(fine.taus, lab.taus, rtol=1e-15)
+    interior = np.arange(fine.taus.size) % 5 != 0
+    assert np.max(np.abs(fine.a_expect - lab.a_expect)[interior]) < 1e-7
+    assert np.max(np.abs(fine.n_expect - lab.n_expect)[interior]) < 1e-7
+    assert np.max(np.abs(fine.trace - 1.0)) < 1e-14
+    assert np.max(fine.herm_defect) < 1e-15
+
+
+def test_snapshot_inside_a_step_matches_its_sample():
+    """A snapshot at a grid point inside a rotating-frame step is the same
+    interpolated state the recorder samples there."""
+    p = SystemParams(mu_bar=0.1, intensity=10.0, beta_bar=1.0, gamma=1e-3)
+    tr = evolve(p, 0.2, mode="born-markov-asymptotic",
+                config=IntegratorConfig(frame="rotating", dtau=1 / 175, stride=1,
+                                        snapshot_taus=(0.05,)))
+    assert tr.step == 5 * tr.dtau
+    (snap,) = tr.snapshots.values()
+    k = int(np.argmin(np.abs(tr.taus - 0.05)))
+    assert k % 5 != 0  # inside a step
+    levels = np.arange(tr.n_max)
+    a = np.sum(np.sqrt(levels[1:]) * np.diagonal(snap, -1))
+    assert abs(a - tr.a_expect[k]) < 1e-13
+    assert abs(levels @ np.diagonal(snap).real - tr.n_expect[k]) < 1e-13
+    assert abs(np.trace(snap) - tr.trace[k]) < 1e-15
+    assert np.max(np.abs(snap - snap.conj().T)) < 1e-15
+
+
+def test_snapshot_cell_matches_grid_scan():
+    """The snapshot's grid point is the first c of a scan over the grid with
+    c dtau >= ts - dtau/2: the nearest to ts, the earlier on a tie, and none
+    past the grid's end."""
+    assert _snapshot_cell(0.625, 0.25, 4) == 2  # tie between cells 2 and 3
+    for n_cells, tau_end in ((4, 1.0), (7, 1.0), (35, 0.2), (0, 0.0)):
+        dtau = tau_end / n_cells if n_cells else 0.0
+        grid = [k * dtau for k in range(-2, n_cells + 3)]
+        for ts in grid + [t + 0.5 * dtau for t in grid] + [0.3, math.inf]:
+            scan = next((c for c in range(n_cells + 1) if c * dtau >= ts - 0.5 * dtau), None)
+            assert _snapshot_cell(ts, dtau, n_cells) == scan, (n_cells, ts)
 
 
 def test_trajectory_x_property():
