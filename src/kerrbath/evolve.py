@@ -68,13 +68,20 @@ table's spacing. A grid that is not a multiple of q ends on a shorter step.
 Samples inside a step come from the cubic Hermite interpolant of the
 step's end states and their derivatives (Hairer, Norsett & Wanner, Solving
 ODEs I, II.6). The end derivative is the next step's first stage, and the
-interpolation weights are real, so trace and hermiticity carry over. Closed mode
-integrates no step; dtau only spaces its samples, 2001 of them when unset.
+interpolation weights are real, so trace and hermiticity carry over. The
+recorded quantities other than the hermiticity defect and the minimum
+eigenvalue are linear in the state, so the recorder interpolates the
+O(n_max) vectors they are read from instead of forming interior states. An
+interior sample's hermiticity defect is the larger end-state defect, which
+bounds the interpolant's: the kernel's output is exactly Hermitian and the
+state weights lie in [0, 1] and sum to 1. Closed mode integrates no step;
+dtau only spaces its samples, 2001 of them when unset.
 Only the born-markov and closed modes run in the rotating frame.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -98,6 +105,9 @@ _CLOSED_STEPS = 2000
 
 # largest max|rho0 - rho0^dag| accepted, the conservation audit's bound
 _HERM_TOL = 1e-9
+
+# closed-mode samples recorded at once, which bounds the dressing phases' memory
+_CLOSED_BLOCK = 512
 
 # most grid cells one run may take; checked before the run allocates its buffers
 _MAX_STEPS = 20_000_000
@@ -160,6 +170,10 @@ class Trajectory:
     the closed flow. overlap, when an overlap_pair was requested, is the real
     coherence envelope of that pair (see IntegratorConfig), 1 at tau=0 for
     the pure off-diagonal lobe and rotation-invariant thereafter.
+    herm_defect is max|rho - rho^dag| of the state at a step end (or of the
+    static state in closed mode); at a sample inside a rotating-frame step
+    it is the larger of the two end-state defects, which bounds the defect
+    of the interpolated state there (see the module docstring).
     """
 
     taus: np.ndarray
@@ -410,9 +424,11 @@ def _snapshot_cell(ts: float, dtau: float, n_cells: int) -> int | None:
     return c
 
 
-def _hermite(s: float, h: float, y0, y1, f0, f1, out, work) -> None:
+def _hermite(s, h: float, y0, y1, f0, f1, out, work) -> None:
     """Cubic Hermite interpolant at fraction s of a step h from (y0, f0) to
-    (y1, f1), written into out; work is scratch of the same shape."""
+    (y1, f1), written into out; work is scratch of the same shape. An array
+    s of shape (k, 1) interpolates rows of vectors, one row per fraction.
+    The two state weights lie in [0, 1] and sum to 1."""
     r = 1.0 - s
     np.multiply(y0, (1.0 + 2.0 * s) * r * r, out=out)
     weights = ((s * s * (3.0 - 2.0 * s), y1), (h * s * r * r, f0), (-h * s * s * r, f1))
@@ -424,21 +440,25 @@ def _hermite(s: float, h: float, y0, y1, f0, f1, out, work) -> None:
 class _Recorder:
     """Accumulates per-sample observables, reporting lab-frame values.
 
+    The linear observables of a state are read off one complex vector
+    (vector): the lower ladder diagonal (for <a>), the diagonal (for <n>,
+    energy, trace and top population) and, with an overlap_pair, the
+    2 n_max - 1 diagonal sums of W*rho~. store turns rows of such vectors
+    into samples, so a step spanning several grid cells interpolates its
+    end vectors; only min_eig and snapshots form the interior state.
+
     For a co-moving state the lower ladder diagonal is dressed with
     e^{-i Omega_n tau} before summing <a>; diagonal quantities and norms are
     frame-invariant, and the coherence envelope needs no dressing because
     the state is already the co-moving one (lab-frame states get the
-    inverse dressing e^{i(E_n - E_m) tau} for it).
-
-    A static state (closed mode) never changes, so everything but <a> is
-    computed at the first sample and copied to the later ones.
+    inverse dressing e^{i(E_n - E_m) tau} for it, from the level phases).
     """
 
     def __init__(self, ladder: _Ladder, n_samples: int, config: IntegratorConfig,
-                 co_moving: bool, static: bool):
+                 co_moving: bool, hint: str):
         self.ladder = ladder
         self.co_moving = co_moving
-        self.static = static
+        self.hint = hint
         self.a = np.empty(n_samples, dtype=complex)
         self.n = np.empty(n_samples)
         self.energy = np.empty(n_samples)
@@ -448,65 +468,78 @@ class _Recorder:
         self.min_eig = np.empty(n_samples) if config.record_min_eig else None
         n_max = ladder.energies.size
         self.levels = np.arange(n_max, dtype=float)
+        self.gap_rates = -1j * ladder.gaps
+        self.size = 2 * n_max - 1
+        self.overlap = None
         if config.overlap_pair is not None:
             al, be = config.overlap_pair
             va = fock.coherent_amplitudes(al, n_max).conj()
             vb = fock.coherent_amplitudes(be, n_max)
             self.wmat = va[:, None] * vb[None, :]
-            if not co_moving:
-                e = ladder.energies
-                self.ediff = e[:, None] - e[None, :]
-            # flattened (column - row) index of each element's diagonal
-            idx = np.arange(n_max)
-            self.diag_idx = (idx[None, :] - idx[:, None] + n_max - 1).ravel()
-            self.n_diags = 2 * n_max - 1
+            # row r of the band view starts at column n_max - 1 - r of the
+            # zero-padded buffer, so column j sums diagonal j - (n_max - 1)
+            self._pad = np.zeros((n_max, 2 * n_max - 1), dtype=complex)
+            item = self._pad.itemsize
+            self._band = np.lib.stride_tricks.as_strided(
+                self._pad.ravel()[n_max - 1:], shape=(n_max, n_max),
+                strides=((2 * n_max - 2) * item, item))
+            self.size += 2 * n_max - 1
             self.overlap = np.empty(n_samples)
-        else:
-            self.overlap = None
-        self.state_arrays = [
-            v for v in (self.n, self.energy, self.tr, self.herm, self.top,
-                        self.overlap, self.min_eig) if v is not None
-        ]
 
-    def store(self, k: int, tau: float, rho: np.ndarray) -> None:
-        lower = np.diagonal(rho, -1)
-        sqrt_n = self.ladder.sqrt_n
-        if self.co_moving:
-            self.a[k] = np.sum(sqrt_n * np.exp(-1j * self.ladder.gaps * tau) * lower)
-        else:
-            self.a[k] = np.sum(sqrt_n * lower)
-        if self.static and k > 0:
-            for v in self.state_arrays:
-                v[k] = v[0]
-        else:
-            self._store_state(k, tau, rho)
-        if not np.isfinite(self.a[k].real) or abs(self.tr[k] - 1.0) > 0.5:
-            raise IntegrationError(
-                f"state became unphysical at tau={tau:g} "
-                f"(trace={self.tr[k]:.3g}, <a>={self.a[k]:.3g}); "
-                "reduce dtau or enlarge the basis"
-            )
-
-    def _store_state(self, k: int, tau: float, rho: np.ndarray) -> None:
-        """Every recorded quantity of rho other than <a>."""
-        pops = np.diagonal(rho).real
-        self.n[k] = float(np.dot(self.levels, pops))
-        self.energy[k] = float(np.dot(self.ladder.energies, pops))
-        self.tr[k] = np.trace(rho)
-        self.herm[k] = float(np.max(np.abs(rho - rho.conj().T)))
-        self.top[k] = float(np.max(np.abs(pops[-3:])))
+    def vector(self, state: np.ndarray, tau: float) -> np.ndarray:
+        """The linear-observable vector of a state (or of a derivative of a
+        co-moving state) at tau."""
+        n_max = state.shape[0]
+        v = np.empty(self.size, dtype=complex)
+        v[:n_max - 1] = np.diagonal(state, -1)
+        v[n_max - 1:2 * n_max - 1] = np.diagonal(state)
         if self.overlap is not None:
-            weighted = self.wmat * rho
-            if not self.co_moving:
-                weighted *= np.exp(1j * self.ediff * tau)
-            flat = weighted.ravel()
-            diag_sums = np.bincount(
-                self.diag_idx, flat.real, self.n_diags
-            ) + 1j * np.bincount(self.diag_idx, flat.imag, self.n_diags)
-            self.overlap[k] = float(np.abs(diag_sums).sum())
+            if not self.co_moving:  # the envelope reads the co-moving state
+                state = self.ladder.to_lab(state, -tau)
+            np.multiply(self.wmat, state, out=self._band)
+            np.sum(self._pad, axis=0, out=v[2 * n_max - 1:])
+        return v
+
+    @staticmethod
+    def defect(state: np.ndarray) -> float:
+        """The hermiticity defect max|state - state^dag|."""
+        return float(np.max(np.abs(state - state.conj().T)))
+
+    @staticmethod
+    def lowest_eig(state: np.ndarray) -> float:
+        """The lowest eigenvalue of the state's Hermitian part."""
+        return float(np.linalg.eigvalsh(0.5 * (state + state.conj().T))[0])
+
+    def store(self, k: int, taus: np.ndarray, vecs: np.ndarray, herm,
+              min_eig=None) -> None:
+        """Record samples k, k + 1, ... at taus from the rows of vecs, their
+        linear-observable vectors (one row serves every tau of a static
+        state), with hermiticity defects herm and, when recorded, minimum
+        eigenvalues min_eig (each one value or one per sample)."""
+        rows = slice(k, k + taus.size)
+        n_max = self.levels.size
+        lower, diag = vecs[:, :n_max - 1], vecs[:, n_max - 1:2 * n_max - 1]
+        amp = self.ladder.sqrt_n
+        if self.co_moving:
+            amp = amp * np.exp(taus[:, None] * self.gap_rates)
+        a = self.a[rows] = (amp * lower).sum(axis=1)
+        pops = diag.real
+        self.n[rows] = np.dot(pops, self.levels)
+        self.energy[rows] = np.dot(pops, self.ladder.energies)
+        tr = self.tr[rows] = diag.sum(axis=1)
+        self.herm[rows] = herm
+        self.top[rows] = np.abs(pops[:, -3:]).max(axis=1)
+        if self.overlap is not None:
+            self.overlap[rows] = np.abs(vecs[:, 2 * n_max - 1:]).sum(axis=1)
         if self.min_eig is not None:
-            w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-            self.min_eig[k] = float(w[0])
+            self.min_eig[rows] = min_eig
+        bad = ~np.isfinite(a.real) | (np.abs(tr - 1.0) > 0.5)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise IntegrationError(
+                f"state became unphysical at tau={taus[i]:g} "
+                f"(trace={self.tr[k + i]:.3g}, <a>={a[i]:.3g}); {self.hint}"
+            )
 
     def finish(self, taus, **kw) -> Trajectory:
         return Trajectory(
@@ -610,7 +643,12 @@ def evolve(
     sample_cells = list(range(0, n_cells + 1, stride))
     if sample_cells[-1] != n_cells:
         sample_cells.append(n_cells)
-    rec = _Recorder(ladder, len(sample_cells), config, co_moving, rhs is None)
+    taus = np.array(sample_cells) * dtau
+    hint = ("reduce dtau or enlarge the basis" if q == 1 else "enlarge the basis "
+            f"(the rotating-frame step {q * dtau:g} follows the step cap, not dtau)")
+    if rhs is None:
+        hint = "closed mode keeps rho0, so check its trace"
+    rec = _Recorder(ladder, len(sample_cells), config, co_moving, hint)
     snap_at = {}  # grid point -> the snapshot requests it answers
     for ts in sorted(config.snapshot_taus):
         c = _snapshot_cell(ts, dtau, n_cells)
@@ -619,22 +657,56 @@ def evolve(
     events = sorted(set(sample_cells).union(snap_at))  # ends with n_cells
     snaps = {}
     sample_idx = 0
+    ends = None  # (grid point, vector, derivative vector or None, defect) last measured
 
-    def visit(c: int, state: np.ndarray) -> None:
-        """Record the sample and snapshots that grid point c holds; grid
-        points come in increasing order."""
-        nonlocal sample_idx
-        t = c * dtau
-        if c == sample_cells[sample_idx]:
-            rec.store(sample_idx, t, state)
-            sample_idx += 1
-        for ts in snap_at.get(c, ()):
-            snaps[ts] = to_lab(state, t)
+    def record(cells, c0, c1, h, y0, y1, f0, f1) -> None:
+        """Record the samples and snapshots at cells, the event grid points
+        in (c0, c1] of the step from (y0, f0) to (y1, f1); grid point 0
+        comes as c0 = c1 = 0. Samples inside the step interpolate the end
+        vectors and take the larger end defect."""
+        nonlocal sample_idx, ends
+
+        def state_at(c):
+            if c == c1:
+                return y1
+            _hermite((c - c0) / (c1 - c0), h, y0, y1, f0, f1, tmp, k2)
+            return tmp
+
+        j = bisect.bisect_right(sample_cells, c1, sample_idx)
+        if j > sample_idx:
+            cells_s = sample_cells[sample_idx:j]
+            t0, t1 = c0 * dtau, c1 * dtau
+            v1, g1, d1 = rec.vector(y1, t1), None, rec.defect(y1)
+            vecs, herm = v1[None], d1
+            if cells_s[0] < c1:
+                g1 = rec.vector(f1, t1)
+                if ends[0] != c0:
+                    ends = (c0, rec.vector(y0, t0), None, rec.defect(y0))
+                _, v0, g0, d0 = ends
+                if g0 is None:
+                    g0 = rec.vector(f0, t0)
+                s = (np.array(cells_s)[:, None] - c0) / (c1 - c0)
+                vecs = np.empty((s.size, v1.size), dtype=complex)
+                _hermite(s, h, v0, v1, g0, g1, vecs, np.empty_like(vecs))
+                herm = np.where(s[:, 0] < 1.0, max(d0, d1), d1)
+            ends = (c1, v1, g1, d1)
+            min_eig = None
+            if rec.min_eig is not None:
+                min_eig = [rec.lowest_eig(state_at(c)) for c in cells_s]
+            rec.store(sample_idx, taus[sample_idx:j], vecs, herm, min_eig)
+            sample_idx = j
+        for c in cells:
+            for ts in snap_at.get(c, ()):
+                snaps[ts] = to_lab(state_at(c), c * dtau)
 
     rho = rho0.copy()
     if rhs is None:
-        for c in events:
-            visit(c, rho)
+        # the co-moving state is rho0 throughout: one vector serves every sample
+        static = (rec.vector(rho, 0.0)[None], rec.defect(rho),
+                  rec.lowest_eig(rho) if rec.min_eig is not None else None)
+        for k in range(0, taus.size, _CLOSED_BLOCK):
+            rec.store(k, taus[k:k + _CLOSED_BLOCK], *static)
+        snaps = {ts: to_lab(rho, c * dtau) for c, requests in snap_at.items() for ts in requests}
     else:
         rho_prev = np.empty_like(rho)
         k1 = np.empty_like(rho)
@@ -645,8 +717,8 @@ def evolve(
         tmp = np.empty_like(rho)
         if n_cells:
             rhs(0.0, rho, k1)
-        visit(0, rho)
-        e = 1  # next event to visit
+        e = 1  # next event to record
+        record(events[:e], 0, 0, 0.0, None, rho, None, None)
         c0 = 0
         while c0 < n_cells:
             c1 = min(c0 + q, n_cells)
@@ -670,14 +742,10 @@ def evolve(
             rho, rho_prev = rho_prev, rho
             if c1 < n_cells or events[e] < c1:
                 rhs(c1 * dtau, rho, f1)
-            while events[e] < c1:
-                c = events[e]
-                _hermite((c - c0) / (c1 - c0), h, rho_prev, rho, k1, f1, tmp, k2)
-                visit(c, tmp)
-                e += 1
-            if events[e] == c1:
-                visit(c1, rho)
-                e += 1
+            e1 = bisect.bisect_right(events, c1, e)
+            if e1 > e:
+                record(events[e:e1], c0, c1, h, rho_prev, rho, k1, f1)
+            e = e1
             k1, f1 = f1, k1
             c0 = c1
 
@@ -688,7 +756,6 @@ def evolve(
             TruncationLeakWarning,
             stacklevel=2,
         )
-    taus = np.array([s * dtau for s in sample_cells])
     return rec.finish(
         taus,
         mode=mode,

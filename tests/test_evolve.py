@@ -151,6 +151,30 @@ def test_rotating_rhs_new_coefficients_at_same_time():
     assert not np.allclose(want, first)
 
 
+def test_rotating_rhs_output_is_exactly_hermitian():
+    """The rotating kernel starts from zero and mirrors B + B^dag, so its
+    output is Hermitian to the bit, also for an input that is not: the
+    recorder's bound on an interpolated state's hermiticity defect rests on
+    this."""
+    p = SystemParams(mu_bar=0.2, intensity=4.0, beta_bar=0.8, gamma=2e-3)
+    n_max = 30
+    c = asymptotic_coefficients(p, n_max)
+    ladder = _Ladder(p, n_max)
+    asym = _BandedRHS(p, ladder, "born-markov-asymptotic", rotating=True)
+    asym.set_coefficients(c.a1, c.a2, c.b1, c.b2)
+    table = _TransientTable(p, n_max, 64)
+    trans = _BandedRHS(p, ladder, "born-markov-transient", rotating=True, table=table)
+    rng = np.random.default_rng(8)
+    rho = random_density(rng, n_max)
+    m = rng.normal(size=(n_max, n_max)) + 1j * rng.normal(size=(n_max, n_max))
+    skewed = rho + 0.5e-12 * (m - m.conj().T)
+    assert np.max(np.abs(skewed - skewed.conj().T)) > 1e-12
+    for rhs, t in ((asym, 0.83), (trans, 0.37 * table.t_end)):
+        for state in (rho, skewed):
+            out = rhs(t, state, np.empty_like(state))
+            assert np.array_equal(out, out.conj().T)
+
+
 def test_rk4_fourth_order():
     """Halving the step shrinks the closed-form error ~ 16x."""
     p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
@@ -397,8 +421,17 @@ def test_max_steps_guard():
 
 def test_unstable_step_raises():
     p = SystemParams(mu_bar=0.1, intensity=20.0, gamma=0.1)
-    with pytest.raises(IntegrationError, match="unphysical"):
+    with pytest.raises(IntegrationError, match="unphysical.*reduce dtau"):
         evolve(p, 50.0, mode="lindblad-rwa", config=IntegratorConfig(dtau=5.0, stride=1))
+    # each message names the fix that applies: a rotating step spanning
+    # several cells does not follow dtau, and closed mode keeps rho0
+    p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
+    rho0 = 3.0 * coherent_state_density(p.alpha, fock_cutoff(p.intensity))
+    with pytest.raises(IntegrationError, match="unphysical.*enlarge the basis.*not dtau"):
+        evolve(p, 0.5, mode="born-markov-asymptotic", rho0=rho0,
+               config=IntegratorConfig(frame="rotating"))
+    with pytest.raises(IntegrationError, match="unphysical.*check its trace"):
+        evolve(p, 1.0, mode="closed", rho0=rho0)
 
 
 def test_truncation_leak_warns():
@@ -488,6 +521,52 @@ def test_snapshot_inside_a_step_matches_its_sample():
     assert abs(levels @ np.diagonal(snap).real - tr.n_expect[k]) < 1e-13
     assert abs(np.trace(snap) - tr.trace[k]) < 1e-15
     assert np.max(np.abs(snap - snap.conj().T)) < 1e-15
+
+
+def test_interior_samples_match_snapshot_states():
+    """At the quantum-corner parameters (q = 5) the recorder interpolates
+    observable vectors, not states, inside a step. Every interior sample
+    must agree with the quantities computed from the interpolated state,
+    which a snapshot at the same grid point returns; its hermiticity defect
+    is the larger end-state defect, which bounds the interpolant's, and its
+    minimum eigenvalue is still the interpolated state's."""
+    p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
+    al = math.sqrt(p.intensity)
+    be = 1j * al  # the sweep's quarter pair, so that <a> is not zero
+    n_max = fock_cutoff(p.intensity)
+    rho0 = cat_state_density(al, be, n_max)
+    tau_end = 0.1
+    dtau = default_dtau(p, n_max, "rotating")
+    dtau = tau_end / math.ceil(tau_end / dtau)
+    n_cells = round(tau_end / dtau)
+    interior = [c * dtau for c in range(n_cells + 1) if c % 5]
+    tr = evolve(p, tau_end, mode="born-markov-asymptotic", rho0=rho0,
+                config=IntegratorConfig(frame="rotating", stride=1, overlap_pair=(al, be),
+                                        record_min_eig=True, snapshot_taus=tuple(interior)))
+    assert tr.step == 5 * tr.dtau and tr.taus.size == n_cells + 1
+    e = energies(n_max, p.mu_bar)
+    levels = np.arange(n_max)
+    w = np.outer(coherent_amplitudes(al, n_max).conj(), coherent_amplitudes(be, n_max))
+    assert len(tr.snapshots) == len(interior)
+    for ts, snap in tr.snapshots.items():
+        k = int(np.argmin(np.abs(tr.taus - ts)))
+        assert k % 5 != 0
+        pops = np.diagonal(snap).real
+        dress = np.exp(1j * e * tr.taus[k])
+        co_moving = dress[:, None] * snap * dress.conj()[None, :]
+        overlap = sum(abs(np.trace(w * co_moving, offset=j)) for j in range(1 - n_max, n_max))
+        want = (
+            (tr.a_expect, np.sum(np.sqrt(levels[1:]) * np.diagonal(snap, -1))),
+            (tr.n_expect, levels @ pops),
+            (tr.energy_expect, e @ pops),
+            (tr.trace, np.trace(snap)),
+            (tr.top_population, np.max(pops[-3:])),
+            (tr.overlap, overlap),
+        )
+        for got, value in want:
+            assert abs(got[k] - value) < 1e-13 * max(1.0, abs(value))
+        assert tr.herm_defect[k] >= np.max(np.abs(snap - snap.conj().T)) - 1e-15
+        assert abs(tr.min_eig[k] - np.linalg.eigvalsh(snap)[0]) < 1e-13
 
 
 def test_snapshot_cell_matches_grid_scan():
