@@ -23,7 +23,6 @@ from .model import (
 )
 from .kernels import (
     BathCoefficients,
-    OverdampedError,
     QuadratureError,
     asymptotic_b1_at,
     asymptotic_coefficients,
@@ -78,7 +77,6 @@ __all__ = [
     "theta_cantilever",
     "validate_params",
     "BathCoefficients",
-    "OverdampedError",
     "QuadratureError",
     "asymptotic_b1_at",
     "asymptotic_coefficients",

@@ -97,6 +97,17 @@ def extract_envelope_peaks(taus, x, floor_frac: float = 1e-3):
     return t0 + shift, np.maximum(height, y0)
 
 
+def _lstsq(design, y):
+    """Least-squares fit of y to design @ coef: the coefficients, the
+    residual rms and the coefficient covariance, None when the fit has no
+    spare degrees of freedom."""
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    dof = y.size - design.shape[1]
+    cov = np.linalg.inv(design.T @ design) * (np.sum(resid**2) / dof) if dof > 0 else None
+    return coef, float(np.sqrt(np.mean(resid**2))), cov
+
+
 # ---------------------------------------------------------------------------
 # envelope fits
 
@@ -120,17 +131,15 @@ def fit_ehrenfest_bump(peak_taus, peak_heights, tau_r: float = math.inf) -> Bump
         )
     y = np.log(h)
     s = t * t
-    design = np.stack([np.ones_like(s), s], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    coef, rms, _ = _lstsq(np.stack([np.ones_like(s), s], axis=1), y)
     if coef[1] >= 0:
         raise ValueError("peak heights are not bump-shaped (no curvature)")
-    resid = y - design @ coef
     return BumpFit(
         tau_e=1.0 / math.sqrt(-2.0 * coef[1]),
         center=0.0,
         height=math.exp(coef[0]),
         n_peaks=int(t.size),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
+        residual_rms=rms,
     )
 
 
@@ -255,25 +264,15 @@ def cat_offdiagonal_rate(taus, overlap, t_min: float | None = None) -> Decoheren
     if t.size < 4:
         raise ValueError(f"need at least 4 usable samples, got {t.size}")
     y = np.log(f)
-    design = np.stack([np.ones_like(t), t, t * t], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    coef, rms, cov = _lstsq(np.stack([np.ones_like(t), t, t * t], axis=1), y)
     rate = -coef[1]
     if rate <= 0:
         raise ValueError("overlap magnitude does not decay over the window")
-    resid = y - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    dof = t.size - design.shape[1]
-    if dof > 0:
-        cov = np.linalg.inv(design.T @ design) * (np.sum(resid**2) / dof)
-        sigma_rate = math.sqrt(cov[1, 1])
-        unc = sigma_rate / rate**2
-    else:
-        unc = math.nan
     return DecoherenceFit(
         tau_d=1.0 / rate,
         rate=rate,
         method="cat-overlap",
-        uncertainty=unc,
+        uncertainty=math.nan if cov is None else math.sqrt(cov[1, 1]) / rate**2,
         n_points=int(t.size),
         residual_rms=rms,
     )
@@ -309,25 +308,15 @@ def overlap_rate_modulated(taus, overlap, omega: float, theta0: float) -> Decohe
     two = 2.0 * theta0
     f = 0.5 * t + (math.sin(two) - np.sin(two - 2.0 * omega * t)) / (4.0 * omega)
     g = (np.cos(two - 2.0 * omega * t) - math.cos(two)) / (4.0 * omega)
-    design = np.stack([np.ones_like(t), f, g], axis=1)
-    y = np.log(env)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    coef, rms, cov = _lstsq(np.stack([np.ones_like(t), f, g], axis=1), np.log(env))
     rate = -0.5 * coef[1]
     if rate <= 0:
         raise ValueError("overlap magnitude does not decay over the window")
-    resid = y - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    dof = t.size - 3
-    if dof > 0:
-        cov = np.linalg.inv(design.T @ design) * (np.sum(resid**2) / dof)
-        unc = 0.5 * math.sqrt(cov[1, 1]) / rate**2
-    else:
-        unc = math.nan
     return DecoherenceFit(
         tau_d=1.0 / rate,
         rate=rate,
         method="modulated",
-        uncertainty=unc,
+        uncertainty=math.nan if cov is None else 0.5 * math.sqrt(cov[1, 1]) / rate**2,
         n_points=int(t.size),
         residual_rms=rms,
     )

@@ -21,6 +21,7 @@ wall-clock timestamps only appear in JSON sidecars.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -31,7 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, closedform, fock
-from .evolve import IntegrationError, IntegratorConfig, default_dtau, evolve
+from .evolve import (
+    FRAMES,
+    MODES,
+    IntegrationError,
+    IntegratorConfig,
+    default_dtau,
+    evolve,
+)
 from .kernels import QuadratureError
 from .model import (
     THETA_HI,
@@ -66,13 +74,30 @@ def sweep_lambda_bar(omega_bar: float) -> float:
     """
     return max(30.0, 3.0 * omega_bar)
 
-FLOAT_KEYS = {
-    "mu_bar", "intensity", "beta_bar", "gamma", "lambda_bar", "theta",
-    "tau_end", "dtau", "tolerance",
+
+#: every option a flag or a config file can set: its type, or the tuple of
+#: values it accepts, and the flag's help text; --mu-bar sets mu_bar
+OPTIONS = {
+    "out": (str, "output directory"),
+    "seed": (int, "random seed (sweep)"),
+    "workers": (int, "parallel draws (sweep)"),
+    "mode": (MODES, "evolution mode"),
+    "tolerance": (float, "compare failure threshold"),
+    "mu_bar": (float, None),
+    "intensity": (float, None),
+    "beta_bar": (float, None),
+    "gamma": (float, None),
+    "lambda_bar": (float, None),
+    "theta": (float, None),
+    "tau_end": (float, None),
+    "dtau": (float, None),
+    "stride": (int, None),
+    "frame": (FRAMES, None),
+    "draws": (int, None),
+    "samples": (int, None),
+    "periods": (int, None),
+    "window": (("none", "hann"), None),
 }
-INT_KEYS = {"seed", "workers", "draws", "stride", "samples", "periods"}
-STR_KEYS = {"mode", "frame", "out", "window"}
-CONFIG_KEYS = FLOAT_KEYS | INT_KEYS | STR_KEYS
 
 
 class ConfigError(ValueError):
@@ -91,9 +116,10 @@ def fmt(value: float) -> str:
 def parse_config(text: str) -> dict:
     """Parse flat key=value lines into typed values.
 
-    Blank lines and #-comments are skipped; keys must come from the known
-    option set and values must parse as their declared type. Later
-    occurrences of a key override earlier ones.
+    Blank lines and #-comments are skipped; keys must come from OPTIONS and
+    values must parse as their declared type or be one of the accepted
+    values, exactly as the flags are checked. Later occurrences of a key
+    override earlier ones.
     """
     out: dict = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -104,32 +130,20 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {ln}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in OPTIONS:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
-        try:
-            if key in FLOAT_KEYS:
-                out[key] = float(value)
-            elif key in INT_KEYS:
-                out[key] = int(value)
-            else:
-                out[key] = value
-        except ValueError as exc:
-            raise ConfigError(f"line {ln}: bad value for {key}: {value!r}") from exc
-    return out
-
-
-def serialize_config(options: dict) -> str:
-    """Inverse of parse_config for the supported keys."""
-    lines = []
-    for key in sorted(options):
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown key {key!r}")
-        value = options[key]
-        if key in FLOAT_KEYS:
-            lines.append(f"{key} = {fmt(value)}")
+        kind = OPTIONS[key][0]
+        bad = f"line {ln}: bad value for {key}: {value!r}"
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ConfigError(f"{bad}, expected one of {kind}")
+            out[key] = value
         else:
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+            try:
+                out[key] = kind(value)
+            except ValueError as exc:
+                raise ConfigError(bad) from exc
+    return out
 
 
 def _merged_options(args: argparse.Namespace) -> dict:
@@ -140,7 +154,7 @@ def _merged_options(args: argparse.Namespace) -> dict:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         merged.update(parse_config(path.read_text()))
-    for key in CONFIG_KEYS:
+    for key in OPTIONS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
@@ -148,32 +162,16 @@ def _merged_options(args: argparse.Namespace) -> dict:
 
 
 def _build_params(opts: dict) -> SystemParams:
-    params = SystemParams(
-        mu_bar=opts.get("mu_bar", 0.0),
-        intensity=opts.get("intensity", 1.0),
-        beta_bar=opts.get("beta_bar", 1.0),
-        gamma=opts.get("gamma", 0.0),
-        lambda_bar=opts.get("lambda_bar", 10.0),
-        theta=opts.get("theta", 0.0),
-    )
-    errors = [v for v in validate_params(params) if v.level == "error"]
+    """SystemParams from the options, mu_bar 0 and intensity 1 by default."""
+    given = {f.name: opts[f.name] for f in dataclasses.fields(SystemParams) if f.name in opts}
+    params = SystemParams(**{"mu_bar": 0.0, "intensity": 1.0, **given})
+    violations = validate_params(params)
+    errors = [v.message for v in violations if v.level == "error"]
     if errors:
-        raise ConfigError("; ".join(v.message for v in errors))
-    for v in validate_params(params):
-        if v.level == "warning":
-            print(f"warning: {v.message}", file=sys.stderr)
+        raise ConfigError("; ".join(errors))
+    for v in violations:  # warnings only
+        print(f"warning: {v.message}", file=sys.stderr)
     return params
-
-
-def _params_dict(params: SystemParams) -> dict:
-    return {
-        "mu_bar": params.mu_bar,
-        "intensity": params.intensity,
-        "beta_bar": params.beta_bar,
-        "gamma": params.gamma,
-        "lambda_bar": params.lambda_bar,
-        "theta": params.theta,
-    }
 
 
 def _out_dir(opts: dict, required: bool = True) -> Path | None:
@@ -210,7 +208,7 @@ def cmd_timescales(args: argparse.Namespace) -> int:
     params = _build_params(opts)
     scales = derive_timescales(params)
     report = classify_regime(scales)
-    for name, value in scales.as_dict().items():
+    for name, value in dataclasses.asdict(scales).items():
         print(f"{name:9s} = {fmt(value)}")
     print(f"{'regime':9s} = {report.regime}")
     print("ordering  = " + " < ".join(name for name, _ in report.ordering))
@@ -220,8 +218,8 @@ def cmd_timescales(args: argparse.Namespace) -> int:
             out / "timescales.json",
             _sidecar(
                 {
-                    "params": _params_dict(params),
-                    "timescales": scales.as_dict(),
+                    "params": dataclasses.asdict(params),
+                    "timescales": dataclasses.asdict(scales),
                     "regime": report.regime,
                     "theta": report.theta,
                     "ordering": [list(item) for item in report.ordering],
@@ -232,14 +230,7 @@ def cmd_timescales(args: argparse.Namespace) -> int:
 
 
 def _trajectory_config(opts: dict) -> IntegratorConfig:
-    kwargs: dict = {}
-    if opts.get("dtau") is not None:
-        kwargs["dtau"] = opts["dtau"]
-    if opts.get("stride") is not None:
-        kwargs["stride"] = opts["stride"]
-    if opts.get("frame") is not None:
-        kwargs["frame"] = opts["frame"]
-    return IntegratorConfig(**kwargs)
+    return IntegratorConfig(**{k: opts[k] for k in ("dtau", "stride", "frame") if k in opts})
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -254,29 +245,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(opts)
     traj = evolve(params, tau_end, mode=mode, config=_trajectory_config(opts))
 
-    lines = [CSV_HEADER]
-    for k in range(traj.taus.size):
-        a = traj.a_expect[k]
-        lines.append(
-            ",".join(
-                fmt(v)
-                for v in (
-                    traj.taus[k],
-                    math.sqrt(2.0) * a.real,
-                    a.real,
-                    a.imag,
-                    traj.n_expect[k],
-                    traj.trace[k].real,
-                    traj.herm_defect[k],
-                )
-            )
-        )
+    columns = (traj.taus, traj.x, traj.a_expect.real, traj.a_expect.imag,
+               traj.n_expect, traj.trace.real, traj.herm_defect)
+    lines = [CSV_HEADER] + [",".join(map(fmt, row)) for row in zip(*columns)]
     (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
     _write_json(
         out / "trajectory.json",
         _sidecar(
             {
-                "params": _params_dict(params),
+                "params": dataclasses.asdict(params),
                 "mode": traj.mode,
                 "frame": traj.frame,
                 "n_max": traj.n_max,
@@ -325,7 +302,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             out / "compare.json",
             _sidecar(
                 {
-                    "params": _params_dict(params),
+                    "params": dataclasses.asdict(params),
                     "mode": mode,
                     "tau_end": tau_end,
                     "max_deviation": max_dev,
@@ -378,12 +355,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     fit = analysis.fit_spectral_width(peak_om, peak_amp)
     scales = derive_timescales(params)
 
-    lines = ["omega,amplitude"]
-    for w, a in zip(omegas, amps):
-        lines.append(f"{fmt(w)},{fmt(a)}")
+    lines = ["omega,amplitude"] + [f"{fmt(w)},{fmt(a)}" for w, a in zip(omegas, amps)]
     (out / "spectrum.csv").write_text("\n".join(lines) + "\n")
     payload = {
-        "params": _params_dict(params),
+        "params": dataclasses.asdict(params),
         "mode": mode,
         "duration": duration,
         "samples": samples,
@@ -451,13 +426,9 @@ def run_sweep_draw(spec: dict) -> dict:
     envelope log drop of 0.23, sampled at least 400 times (the RK4 step
     may span several samples).
     """
-    omega = 1.0 + spec["mu_bar"] * (1.0 + 2.0 * spec["intensity"])
-    params = SystemParams(
-        mu_bar=spec["mu_bar"],
-        intensity=spec["intensity"],
-        beta_bar=spec["beta_bar"],
-        gamma=spec["gamma"],
-        lambda_bar=spec.get("lambda_bar") or sweep_lambda_bar(omega),
+    params = SystemParams(**{k: spec[k] for k in ("mu_bar", "intensity", "beta_bar", "gamma")})
+    params = dataclasses.replace(
+        params, lambda_bar=spec.get("lambda_bar") or sweep_lambda_bar(params.omega_bar)
     )
     scales = derive_timescales(params)
     al = math.sqrt(params.intensity)
@@ -486,7 +457,7 @@ def run_sweep_draw(spec: dict) -> dict:
     )
     return {
         "index": spec["index"],
-        "params": _params_dict(params),
+        "params": dataclasses.asdict(params),
         "delta_eff": delta_eff,
         "n_max": n_max,
         "window": window,
@@ -504,30 +475,6 @@ def run_sweep_draw(spec: dict) -> dict:
     }
 
 
-def _sweep_manifest_skeleton(seed: int, draws: int, entries: list[dict]) -> dict:
-    return {
-        "schema_version": "1",
-        "tool_version": __version__,
-        "seed": seed,
-        "draws": draws,
-        "pair_rule": SWEEP_PAIR_RULE,
-        "lambda_bar_rule": SWEEP_LAMBDA_RULE,
-        "ranges": {k: [v[0], v[1], v[2]] for k, v in SWEEP_RANGES.items()},
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "entries": [
-            {
-                "index": e["index"],
-                "params": {k: e[k] for k in ("mu_bar", "gamma", "beta_bar", "intensity")},
-                "status": "pending",
-                "result_file": None,
-                "error": None,
-                "final_min_eig": None,
-            }
-            for e in entries
-        ],
-    }
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     opts = _merged_options(args)
     if "draws" not in opts or "seed" not in opts:
@@ -542,13 +489,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     manifest_path = out / "manifest.json"
 
     plan = draw_parameters(seed, draws)
+    ranges = {k: list(v) for k, v in SWEEP_RANGES.items()}
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
         same = (
             manifest.get("seed") == seed
             and manifest.get("draws") == draws
-            and manifest.get("ranges")
-            == {k: [v[0], v[1], v[2]] for k, v in SWEEP_RANGES.items()}
+            and manifest.get("ranges") == ranges
         )
         if not same:
             raise ConfigError(
@@ -556,7 +503,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "ranges differ); use a fresh --out directory"
             )
     else:
-        manifest = _sweep_manifest_skeleton(seed, draws, plan)
+        manifest = {
+            "schema_version": "1",
+            "tool_version": __version__,
+            "seed": seed,
+            "draws": draws,
+            "pair_rule": SWEEP_PAIR_RULE,
+            "lambda_bar_rule": SWEEP_LAMBDA_RULE,
+            "ranges": ranges,
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "entries": [
+                {
+                    "index": e["index"],
+                    "params": {k: e[k] for k in ("mu_bar", "gamma", "beta_bar", "intensity")},
+                    "status": "pending",
+                    "result_file": None,
+                    "error": None,
+                    "final_min_eig": None,
+                }
+                for e in plan
+            ],
+        }
         _write_json(manifest_path, manifest)
 
     pending = []
@@ -644,25 +611,12 @@ def cmd_regimes(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="random seed (sweep)")
-    parser.add_argument("--workers", type=int, help="parallel draws (sweep)")
-    parser.add_argument("--mode", help="evolution mode")
-    parser.add_argument("--tolerance", type=float, help="compare failure threshold")
-    parser.add_argument("--mu-bar", dest="mu_bar", type=float)
-    parser.add_argument("--intensity", type=float)
-    parser.add_argument("--beta-bar", dest="beta_bar", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--lambda-bar", dest="lambda_bar", type=float)
-    parser.add_argument("--theta", type=float)
-    parser.add_argument("--tau-end", dest="tau_end", type=float)
-    parser.add_argument("--dtau", type=float)
-    parser.add_argument("--stride", type=int)
-    parser.add_argument("--frame", choices=("lab", "rotating"))
-    parser.add_argument("--draws", type=int)
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--periods", type=int)
-    parser.add_argument("--window", choices=("none", "hann"))
+    for name, (kind, help_text) in OPTIONS.items():
+        choices = kind if isinstance(kind, tuple) else None
+        parser.add_argument(
+            "--" + name.replace("_", "-"), dest=name, help=help_text,
+            type=None if choices else kind, choices=choices,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

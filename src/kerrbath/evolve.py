@@ -416,12 +416,7 @@ def _snapshot_cell(ts: float, dtau: float, n_cells: int) -> int | None:
     lim = ts - 0.5 * dtau
     if not lim <= n_cells * dtau:
         return None
-    c = max(0, math.ceil(lim / dtau)) if dtau > 0 else 0
-    while c > 0 and (c - 1) * dtau >= lim:
-        c -= 1
-    while c * dtau < lim:
-        c += 1
-    return c
+    return bisect.bisect_left(range(n_cells + 1), lim, key=lambda c: c * dtau)
 
 
 def _hermite(s, h: float, y0, y1, f0, f1, out, work) -> None:
@@ -596,7 +591,7 @@ def evolve(
         if not np.all(np.isfinite(rho0)):
             raise ValueError("rho0 must be finite")
         # the kernel builds half of each commutator and mirrors the rest
-        herm = float(np.max(np.abs(rho0 - rho0.conj().T)))
+        herm = _Recorder.defect(rho0)
         if herm > _HERM_TOL:
             raise ValueError(
                 f"rho0 must be Hermitian: max|rho0 - rho0^dag| = {herm:.3g} > {_HERM_TOL:g}"

@@ -71,10 +71,6 @@ _MATSUBARA_CHUNK = 4096
 _MATSUBARA_CAP = 1 << 18
 
 
-class OverdampedError(ValueError):
-    """Raised when the cutoff renormalization overwhelms the bare frequency."""
-
-
 class QuadratureError(RuntimeError):
     """Raised when a coefficient's error bound is not small against its scale."""
 

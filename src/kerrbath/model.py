@@ -11,7 +11,7 @@ harmonic period over 2*pi, all frequencies in units of the harmonic frequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 HBAR = 1.054571817e-34  # J s, CODATA 2018
 
@@ -83,16 +83,6 @@ class Timescales:
     tau_gamma: float
     theta: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "tau_cl": self.tau_cl,
-            "tau_e": self.tau_e,
-            "tau_r": self.tau_r,
-            "tau_d": self.tau_d,
-            "tau_gamma": self.tau_gamma,
-            "theta": self.theta,
-        }
-
 
 @dataclass(frozen=True)
 class RegimeReport:
@@ -161,7 +151,7 @@ def classify_regime(scales: Timescales) -> RegimeReport:
         regime = "classical"
     else:
         regime = "intermediate"
-    times = {k: v for k, v in scales.as_dict().items() if k != "theta"}
+    times = {k: v for k, v in asdict(scales).items() if k != "theta"}
     ordering = tuple(sorted(times.items(), key=lambda kv: kv[1]))
     return RegimeReport(theta=scales.theta, regime=regime, ordering=ordering)
 

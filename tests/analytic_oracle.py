@@ -17,7 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from kerrbath import DecoherenceFit, OverdampedError, SystemParams, alpha_closed
+from kerrbath import DecoherenceFit, SystemParams, alpha_closed
+
+
+class OverdampedError(ValueError):
+    """Raised when the cutoff renormalization overwhelms the bare frequency."""
 
 
 def x_closed(params: SystemParams, taus) -> np.ndarray:

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from kerrbath import THETA_HI, THETA_LO, analysis
 from kerrbath.cli import (
     CSV_HEADER,
+    OPTIONS,
     ConfigError,
     draw_parameters,
     fmt,
     main,
     parse_config,
     run_sweep_draw,
-    serialize_config,
     sweep_lambda_bar,
 )
 
@@ -28,6 +28,17 @@ QUANTUM = ["--mu-bar", "0.1", "--intensity", "50", "--beta-bar", "1", "--gamma",
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def serialize_config(options: dict) -> str:
+    """Inverse of parse_config: floats at 17 significant digits."""
+    lines = []
+    for key in sorted(options):
+        if key not in OPTIONS:
+            raise ConfigError(f"unknown key {key!r}")
+        value = options[key]
+        lines.append(f"{key} = {fmt(value) if OPTIONS[key][0] is float else value}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -65,14 +76,73 @@ def test_parse_config_errors():
         st.floats(allow_nan=False, allow_infinity=False),
     ),
     st.dictionaries(st.sampled_from(["seed", "draws", "stride"]), st.integers()),
-    st.dictionaries(
-        st.sampled_from(["mode", "frame", "window"]),
-        st.sampled_from(["closed", "lab", "hann", "born-markov-transient"]),
+    st.fixed_dictionaries(
+        {}, optional={key: st.sampled_from(OPTIONS[key][0]) for key in ("mode", "frame", "window")}
     ),
 )
 def test_config_round_trip(floats, ints, strs):
     opts = {**floats, **ints, **strs}
     assert parse_config(serialize_config(opts)) == opts
+
+
+# each key paired with a value from outside its accepted set
+OUT_OF_SET = [
+    (key, value)
+    for key in ("mode", "frame", "window")
+    for value in ("closed", "lab", "hann", "born-markov-transient", "hamming", "bogus")
+    if value not in OPTIONS[key][0]
+]
+
+
+@pytest.mark.parametrize("key,value", OUT_OF_SET)
+def test_config_rejects_out_of_set_values(tmp_path, capsys, key, value):
+    """A config file's value is checked like the flag's, before any run and
+    before the output directory is made."""
+    with pytest.raises(ConfigError, match=f"bad value for {key}"):
+        parse_config(f"{key} = {value}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    for command in ("simulate", "compare", "spectrum"):
+        argv = [command, "--config", str(cfg), *QUANTUM, "--tau-end", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert f"bad value for {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("opts", [
+    {"command": "simulate", "mode": "lindblad-rwa", "mu_bar": 0.1, "intensity": 5.0,
+     "gamma": 1e-3, "tau_end": 1.0, "dtau": 0.01, "stride": 10},
+    {"command": "simulate", "mode": "born-markov-asymptotic", "frame": "rotating",
+     "mu_bar": 0.1, "intensity": 5.0, "gamma": 1e-3, "beta_bar": 0.5,
+     "lambda_bar": 20.0, "theta": 0.3, "tau_end": 0.5},
+    {"command": "compare", "mode": "closed", "mu_bar": 0.1, "intensity": 20.0,
+     "tau_end": 10.0, "tolerance": 1e-5},
+    {"command": "spectrum", "mode": "closed", "mu_bar": 0.1, "intensity": 50.0,
+     "samples": 1024, "periods": 2, "window": "none", "frame": "lab"},
+], ids=lambda opts: opts["command"])
+def test_config_file_matches_flags(tmp_path, opts):
+    """A command given its options as a config file writes the same bytes as
+    with flags, apart from the sidecar's timestamp."""
+    opts = dict(opts)
+    command = opts.pop("command")
+    flags = [
+        arg for key, value in opts.items()
+        for arg in ("--" + key.replace("_", "-"), str(value))
+    ]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(serialize_config(opts))
+    by_flag, by_file = tmp_path / "flags", tmp_path / "file"
+    assert main([command, *flags, "--out", str(by_flag)]) == 0
+    assert main([command, "--config", str(cfg), "--out", str(by_file)]) == 0
+    names = sorted(f.name for f in by_flag.iterdir())
+    assert names == sorted(f.name for f in by_file.iterdir())
+    for name in names:
+        a, b = (by_flag / name).read_bytes(), (by_file / name).read_bytes()
+        if name.endswith(".json"):
+            a, b = json.loads(a), json.loads(b)
+            assert a.pop("created_utc") and b.pop("created_utc")
+        assert a == b, name
 
 
 def test_config_layering(tmp_path, capsys):

@@ -21,7 +21,6 @@ from scipy.integrate import quad
 
 from kerrbath import (
     BathCoefficients,
-    OverdampedError,
     QuadratureError,
     SystemParams,
     asymptotic_b1_at,
@@ -33,7 +32,7 @@ from kerrbath import (
 )
 from kerrbath.evolve import coefficient_settle_time
 from kerrbath.kernels import _check_quadrature
-from analytic_oracle import effective_frequency
+from analytic_oracle import OverdampedError, effective_frequency
 from quadrature_oracle import principal_value_coefficient, transient_quadrature
 
 # modest parameters keep the nested-quadrature oracles cheap and accurate

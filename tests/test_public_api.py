@@ -5,7 +5,7 @@ import kerrbath
 
 PUBLIC = [
     "BathCoefficients", "BumpFit", "DecoherenceFit", "HBAR", "IntegrationError",
-    "IntegratorConfig", "MODES", "OverdampedError", "QuadratureError",
+    "IntegratorConfig", "MODES", "QuadratureError",
     "RegimeReport", "SpectrumFit", "SystemParams", "THETA_HI", "THETA_LO",
     "Timescales", "Trajectory", "TruncationLeakWarning", "Violation",
     "__version__", "alpha_closed", "alpha_lindblad_rwa", "asymptotic_b1_at",
@@ -20,6 +20,6 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC) == 47
+    assert len(PUBLIC) == 46
     assert sorted(kerrbath.__all__) == PUBLIC
     assert [name for name in PUBLIC if not hasattr(kerrbath, name)] == []
