@@ -242,8 +242,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if tau_end < 0:
         raise ConfigError(f"tau_end must be non-negative, got {tau_end}")
     mode = opts.get("mode", "closed")
+    config = _trajectory_config(opts)  # a bad step is refused before --out is made
     out = _out_dir(opts)
-    traj = evolve(params, tau_end, mode=mode, config=_trajectory_config(opts))
+    traj = evolve(params, tau_end, mode=mode, config=config)
 
     columns = (traj.taus, traj.x, traj.a_expect.real, traj.a_expect.imag,
                traj.n_expect, traj.trace.real, traj.herm_defect)
@@ -655,9 +656,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse on a bad flag value, --help or --version
+        return exc.code
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,40 +43,40 @@ evolve rejects an initial state with max|rho0 - rho0^dag| > 1e-9. All
 operators are tridiagonal, so one right-hand side costs O(n_max^2).
 
 Every mode runs through one sample loop and one recorder; the stepping
-modes share one banded kernel, which works in one of two frames. In the lab
-frame it adds the diagonal free term to the bath commutator.
-frame="rotating" removes the free rotation analytically:
-rho~ = e^{iHt} rho e^{-iHt} obeys a bath-only equation in which the ladder
-diagonals carry explicit phases e^{-i Omega_n t}, Omega_n = E_{n+1} - E_n;
-the lab frame is the same kernel with unit phases. Closed mode is the
-co-moving run without a generator. Recorded observables and snapshots are
-always lab-frame values: the recorder dresses co-moving states with the
-level phases.
+modes share one banded kernel, which holds its mode's whole generator and
+works in one of two frames. frame="rotating" removes the free rotation
+analytically: rho~ = e^{iHt} rho e^{-iHt} obeys an equation without the
+free term, in which the ladder diagonals (those of X and P, and of a in the
+Lindblad gain a rho~ a^dag) carry explicit phases e^{-i Omega_n t},
+Omega_n = E_{n+1} - E_n; the Lindblad decay is diagonal and carries none.
+The lab frame is the same kernel with unit phases, plus the diagonal free
+term. Closed mode is the co-moving run without a generator. Recorded
+observables and snapshots are always lab-frame values: the recorder dresses
+co-moving states with the level phases.
 
 Time stepping is classical fixed-step RK4. dtau is the sample grid in every
 mode: samples and snapshots lie on it, and default_dtau(params, n_max,
-frame) gives it when unset. In the lab frame, and in lindblad-rwa, the RK4
-step is the grid cell: the step rule caps it by the largest level-energy
-difference in the truncated space (corner coherences rotate at that rate
-and must stay inside the stability region) and by the envelope timescale
-tau_e. In the rotating frame only the coefficient phases oscillate, at up
-to ~2 Omega_top, linear in n_max instead of quadratic, and the RK4 step
-spans a whole number q of grid cells, as many as fit in the smallest of
-three budgets: 0.5 rad of the fastest coefficient phase per step, a step
-times the bath generator's norm bound of at most 0.25, and the transient
-table's spacing. A grid that is not a multiple of q ends on a shorter step.
-Samples inside a step come from the cubic Hermite interpolant of the
-step's end states and their derivatives (Hairer, Norsett & Wanner, Solving
-ODEs I, II.6). The end derivative is the next step's first stage, and the
-interpolation weights are real, so trace and hermiticity carry over. The
-recorded quantities other than the hermiticity defect and the minimum
+frame) gives it when unset. In the lab frame the RK4 step is the grid cell:
+the step rule caps it by the largest level-energy difference in the
+truncated space (corner coherences rotate at that rate and must stay inside
+the stability region) and by the envelope timescale tau_e. In the rotating
+frame only the band phases oscillate, at up to ~2 Omega_top, linear in n_max
+instead of quadratic, and the RK4 step spans a whole number q of grid cells,
+as many as fit in the smallest of three budgets: 0.5 rad of the fastest band
+phase per step, a step times the generator's norm bound of at most 0.25, and
+the transient table's spacing. A grid that is not a multiple of q ends on a
+shorter step. Samples inside a step come from the cubic Hermite interpolant
+of the step's end states and their derivatives (Hairer, Norsett & Wanner,
+Solving ODEs I, II.6). The end derivative is the next step's first stage,
+and the interpolation weights are real, so trace and hermiticity carry over.
+The recorded quantities other than the hermiticity defect and the minimum
 eigenvalue are linear in the state, so the recorder interpolates the
 O(n_max) vectors they are read from instead of forming interior states. An
 interior sample's hermiticity defect is the larger end-state defect, which
-bounds the interpolant's: the kernel's output is exactly Hermitian and the
-state weights lie in [0, 1] and sum to 1. Closed mode integrates no step;
-dtau only spaces its samples, 2001 of them when unset.
-Only the born-markov and closed modes run in the rotating frame.
+bounds the interpolant's: the state weights lie in [0, 1] and sum to 1, and
+the kernel's output is exactly Hermitian (the rotating Lindblad output to
+round-off, ~1e-19, which the bound then carries). Closed mode integrates no
+step; dtau only spaces its samples, 2001 of them when unset.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class TruncationLeakWarning(UserWarning):
     """Population reached the top of the truncated basis."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorConfig:
     """Knobs for the propagation, shared by every mode and both frames.
 
@@ -146,7 +146,8 @@ class IntegratorConfig:
     phase-space rotation of the state (each diagonal only picks up a common
     phase), and decays at the bath's off-diagonal damping rate, so slow
     bath-induced frequency shifts do not masquerade as decoherence. frame is
-    "lab" or "rotating" (not lindblad-rwa).
+    "lab" or "rotating". The config is frozen, and a frame, dtau or stride
+    that no run can use raises ValueError on construction.
     """
 
     dtau: float | None = None
@@ -156,6 +157,14 @@ class IntegratorConfig:
     record_min_eig: bool = False
     transient_table_points: int = 512
     frame: str = "lab"
+
+    def __post_init__(self) -> None:
+        if self.frame not in FRAMES:
+            raise ValueError(f"unknown frame {self.frame!r}")
+        if self.dtau is not None and not (math.isfinite(self.dtau) and self.dtau > 0):
+            raise ValueError(f"dtau must be positive and finite, got {self.dtau}")
+        if self.stride is not None and self.stride < 1:
+            raise ValueError(f"stride must be at least 1, got {self.stride}")
 
 
 @dataclass
@@ -216,52 +225,62 @@ class _Ladder:
 
 
 class _BandedRHS:
-    """O(n^2) right-hand side with preallocated work buffers.
+    """O(n^2) right-hand side of one mode's whole generator.
 
     The bath enters as [X, M] with M = P rho + rho Q; P is tridiagonal with
     zero main diagonal, Q = -P^dag, and X is the Hermitian ladder band. For
     Hermitian rho (a precondition, not checked per call) this is
     M = A - A^dag with A = P rho and [X, M] = B + B^dag with B = X M, so
     each evaluation forms the two one-sided products and mirrors them; only
-    the P bands are stored. In the lab frame the bands are constant, X is
-    the real symmetric ladder and the diagonal free term (with the Lindblad
-    decay folded in) is added. In the rotating frame the free term drops out
-    and every evaluation first multiplies each upper band by
-    e^{-i Omega_n t} and each lower band by the conjugate, so X has distinct
-    complex upper and lower bands. One commutator body serves both: the lab
-    frame is the case of unit phases.
-    With a transient table, every evaluation also installs the
-    coefficients interpolated at its time. Phases and table coefficients
-    are redone only when the time differs from the last one set up (RK4
-    stages 2 and 3 share it).
+    the P bands are stored. lindblad-rwa has the decay -gamma (n + m)/2 and
+    the gain gamma a rho a^dag, the product of the upper and lower X bands
+    on the shifted block. In the rotating frame each evaluation multiplies
+    every upper band by e^{-i Omega_n t} and every lower band by the
+    conjugate, and rebuilds the gain from them; the lab frame is the case of
+    unit phases, plus the diagonal free term. The constructor installs the
+    asymptotic bath coefficients, or a transient table of table_points
+    nodes; phases and table coefficients are redone only when the time
+    differs from the last one set up (RK4 stages 2 and 3 share it). rate
+    bounds the generator's norm without the free term.
     """
 
     def __init__(self, params: SystemParams, ladder: _Ladder, mode: str,
-                 rotating: bool = False, table=None):
+                 rotating: bool = False,
+                 table_points: int = IntegratorConfig.transient_table_points):
         n_max = ladder.energies.size
         self.ladder = ladder
         self.rotating = rotating
-        self.table = table
         self._a = np.empty((n_max, n_max), dtype=complex)
         self._m = np.empty((n_max, n_max), dtype=complex)
         self._coef = None  # P bands (pu, pl) as installed
         self._tau = None  # time the bands were last set up for
         self.bands = None  # the bands the body uses, modulated if rotating
-        self.l_free = self.gain = None
+        self.table = self.l_free = self.gain = None
         if rotating:
-            k = n_max - 1
-            self._ph = np.empty(k, dtype=complex)
-            self._mod = tuple(np.empty(k, dtype=complex) for _ in range(4))
+            self._mod = tuple(np.zeros(n_max - 1, dtype=complex) for _ in range(4))
             self.xu, self.xl = self._mod[2:]
         else:
             self.xu = self.xl = ladder.sqrt_n
-            e = ladder.energies
-            self.l_free = -1j * (e[:, None] - e[None, :])
-            if mode == "lindblad-rwa" and params.gamma > 0:
-                n = np.arange(n_max, dtype=float)
-                self.l_free = self.l_free - 0.5 * params.gamma * (n[:, None] + n[None, :])
-                s = ladder.sqrt_n
-                self.gain = params.gamma * (s[:, None] * s[None, :])
+            self.l_free = -1j * np.subtract.outer(ladder.energies, ladder.energies)
+        coef_sets = []
+        if params.gamma > 0 and mode == "born-markov-asymptotic":
+            c = asymptotic_coefficients(params, n_max)
+            coef_sets = [(c.a1, c.a2, c.b1, c.b2)]
+            self.set_coefficients(*coef_sets[0])
+        elif params.gamma > 0 and mode == "born-markov-transient":
+            self.table = _TransientTable(params, n_max, table_points)
+            coef_sets = [self.table.tables, self.table.inf]
+        p_max = max((np.abs(band).max(initial=0.0)
+                     for c in coef_sets for band in self.p_bands(*c)), default=0.0)
+        self.rate = float(16.0 * ladder.sqrt_n.max(initial=0.0) * p_max)
+        self.gamma = params.gamma
+        if params.gamma > 0 and mode == "lindblad-rwa":
+            n = np.arange(n_max, dtype=float)
+            decay = 0.5 * params.gamma * (n[:, None] + n[None, :])
+            self.l_free = -decay if rotating else self.l_free - decay
+            self.gain = params.gamma * (self.xu[:, None] * self.xl[None, :])
+            # the decay and the gain each have norm at most gamma n_max
+            self.rate += 2.0 * params.gamma * n_max
 
     def p_bands(self, a1, a2, b1, b2):
         """The P bands (upper, lower) of level-resolved coefficients; the
@@ -284,17 +303,20 @@ class _BandedRHS:
         if self.table is not None:
             self.set_coefficients(*self.table.at(tau))
         self._tau = tau
-        if not self.rotating or self._coef is None:
+        if not self.rotating:
             return
-        ph = self._ph
-        np.exp(-1j * self.ladder.gaps * tau, out=ph)
+        ph = np.exp(-1j * self.ladder.gaps * tau)
         conj = ph.conj()
-        pu, pl = self._coef
         pu_t, pl_t, xu_t, xl_t = self._mod
-        np.multiply(pu, ph, out=pu_t)
-        np.multiply(pl, conj, out=pl_t)
         np.multiply(self.ladder.sqrt_n, ph, out=xu_t)
         np.multiply(self.ladder.sqrt_n, conj, out=xl_t)
+        if self._coef is not None:
+            pu, pl = self._coef
+            np.multiply(pu, ph, out=pu_t)
+            np.multiply(pl, conj, out=pl_t)
+        if self.gain is not None:
+            np.multiply(xu_t[:, None], xl_t[None, :], out=self.gain)
+            self.gain *= self.gamma
 
     def __call__(self, tau: float, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the right-hand side at time tau for Hermitian rho into out."""
@@ -340,9 +362,8 @@ class _TransientTable:
     """Linear-in-time interpolation of the four coefficient arrays."""
 
     def __init__(self, params: SystemParams, n_max: int, n_points: int):
-        settle = coefficient_settle_time(params)
-        self.t_end = settle
-        self.taus = np.linspace(0.0, settle, n_points)
+        self.t_end = coefficient_settle_time(params)
+        self.taus = np.linspace(0.0, self.t_end, n_points)
         self.tables = coefficient_tables(params, n_max, self.taus)
         inf = asymptotic_coefficients(params, n_max)
         self.inf = (inf.a1, inf.a2, inf.b1, inf.b2)
@@ -386,25 +407,19 @@ def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
     return min(dt, tau_e / 200.0) if math.isfinite(tau_e) else dt
 
 
-def _rotating_step_cap(params: SystemParams, rhs: _BandedRHS, coef_sets) -> float:
+def _rotating_step_cap(params: SystemParams, rhs: _BandedRHS) -> float:
     """Longest RK4 step h_max of a rotating-frame run with a generator.
 
-    The smallest of three budgets. Phase: the fastest coefficient phase
-    turns at 2 Omega_top, by at most _PHASE_PER_STEP per step. Bath rate:
-    ||X|| <= 2 max sqrt(n) and ||P|| <= 2 max|P band| bound the bath term
-    [X, P rho + rho Q] by r = 16 max sqrt(n) max|P band| times ||rho||, and
-    h r stays at most _RATE_PER_STEP. coef_sets holds every coefficient set
-    (a1, a2, b1, b2) the run can install, tabulated or not. Table: with a
-    transient table the coefficients vary on its spacing, which caps h too.
+    The smallest of three budgets. Phase: the fastest band phase turns at
+    2 Omega_top, by at most _PHASE_PER_STEP per step. Rate: h rhs.rate stays
+    at most _RATE_PER_STEP. ||X|| <= 2 max sqrt(n) and ||P|| <= 2 max|P band|
+    bound the bath term by 16 max sqrt(n) max|P band| ||rho|| over every
+    coefficient set the run can install, and lindblad-rwa's decay and gain
+    by 2 gamma n_max ||rho||. Table: a transient table's spacing caps h too.
     """
-    ladder = rhs.ladder
-    cap = _PHASE_PER_STEP / (2.0 * _omega_top(params, ladder.energies.size))
-    if coef_sets and ladder.sqrt_n.size:
-        p_max = max(float(np.max(np.abs(band)))
-                    for c in coef_sets for band in rhs.p_bands(*c))
-        rate = 16.0 * float(ladder.sqrt_n[-1]) * p_max
-        if rate > 0.0:
-            cap = min(cap, _RATE_PER_STEP / rate)
+    cap = _PHASE_PER_STEP / (2.0 * _omega_top(params, rhs.ladder.energies.size))
+    if rhs.rate > 0.0:
+        cap = min(cap, _RATE_PER_STEP / rhs.rate)
     if rhs.table is not None:
         cap = min(cap, rhs.table.dt)
     return cap
@@ -572,15 +587,7 @@ def evolve(
     if tau_end < 0:
         raise ValueError(f"tau_end must be non-negative, got {tau_end}")
     config = config or IntegratorConfig()
-    if config.frame not in FRAMES:
-        raise ValueError(f"unknown frame {config.frame!r}")
     rotating = config.frame == "rotating"
-    if rotating and mode == "lindblad-rwa":
-        raise ValueError("frame='rotating' is not supported in lindblad-rwa mode")
-    if config.dtau is not None and not (math.isfinite(config.dtau) and config.dtau > 0):
-        raise ValueError(f"dtau must be positive and finite, got {config.dtau}")
-    if config.stride is not None and config.stride < 1:
-        raise ValueError(f"stride must be at least 1, got {config.stride}")
     if rho0 is None:
         n_max = fock.fock_cutoff(params.intensity)
         rho0 = fock.coherent_state_density(params.alpha, n_max)
@@ -617,20 +624,10 @@ def evolve(
     rhs = None  # closed mode: the co-moving state never changes
     q = 1  # grid cells per RK4 step
     if mode != "closed":
-        table = None
-        coef_sets = []
-        if mode == "born-markov-transient" and params.gamma > 0:
-            table = _TransientTable(params, n_max, config.transient_table_points)
-            coef_sets = [table.tables, table.inf]
-        rhs = _BandedRHS(params, ladder, mode, rotating=rotating, table=table)
-        if mode == "born-markov-asymptotic" and params.gamma > 0:
-            c = asymptotic_coefficients(params, n_max)
-            coef_sets = [(c.a1, c.a2, c.b1, c.b2)]
-            rhs.set_coefficients(*coef_sets[0])
+        rhs = _BandedRHS(params, ladder, mode, rotating, config.transient_table_points)
         if rotating:
             # the 1e-9 keeps an exact multiple that division leaves an ulp short
-            cap = _rotating_step_cap(params, rhs, coef_sets)
-            q = max(1, min(int(cap / dtau * (1.0 + 1e-9)), max(n_cells, 1)))
+            q = max(1, min(int(_rotating_step_cap(params, rhs) / dtau * (1.0 + 1e-9)), n_cells))
 
     def to_lab(state, t):
         return ladder.to_lab(state, t) if co_moving else state.copy()

@@ -97,16 +97,18 @@ OUT_OF_SET = [
 @pytest.mark.parametrize("key,value", OUT_OF_SET)
 def test_config_rejects_out_of_set_values(tmp_path, capsys, key, value):
     """A config file's value is checked like the flag's, before any run and
-    before the output directory is made."""
+    before the output directory is made; main returns 2 for either."""
     with pytest.raises(ConfigError, match=f"bad value for {key}"):
         parse_config(f"{key} = {value}\n")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
     out = tmp_path / "out"
     for command in ("simulate", "compare", "spectrum"):
-        argv = [command, "--config", str(cfg), *QUANTUM, "--tau-end", "1", "--out", str(out)]
-        assert main(argv) == 2
+        argv = [command, *QUANTUM, "--tau-end", "1", "--out", str(out)]
+        assert main([*argv, "--config", str(cfg)]) == 2
         assert f"bad value for {key}" in capsys.readouterr().err
+        assert main([*argv, "--" + key, value]) == 2
+        assert "invalid choice" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -118,6 +120,9 @@ def test_config_rejects_out_of_set_values(tmp_path, capsys, key, value):
      "lambda_bar": 20.0, "theta": 0.3, "tau_end": 0.5},
     {"command": "compare", "mode": "closed", "mu_bar": 0.1, "intensity": 20.0,
      "tau_end": 10.0, "tolerance": 1e-5},
+    pytest.param({"command": "compare", "mode": "lindblad-rwa", "frame": "rotating",
+                  "mu_bar": 0.1, "intensity": 20.0, "gamma": 1e-3, "tau_end": 2.5,
+                  "tolerance": 1e-3}, id="compare-rotating"),
     {"command": "spectrum", "mode": "closed", "mu_bar": 0.1, "intensity": 50.0,
      "samples": 1024, "periods": 2, "window": "none", "frame": "lab"},
 ], ids=lambda opts: opts["command"])
@@ -211,8 +216,11 @@ def test_simulate_csv_contract(tmp_path, capsys):
 
 
 def test_simulate_bad_step_exit_2(tmp_path, capsys):
+    """A bad step is refused before the output directory is made, and a
+    missing --out before any run."""
+    out = tmp_path / "d"
     base = ["simulate", "--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3",
-            "--tau-end", "1.0", "--out", str(tmp_path)]
+            "--tau-end", "1.0", "--out", str(out)]
     for mode in ("closed", "lindblad-rwa"):
         for dtau in ("0", "-0.01", "nan", "inf"):
             assert main([*base, "--mode", mode, "--dtau", dtau]) == 2
@@ -220,7 +228,10 @@ def test_simulate_bad_step_exit_2(tmp_path, capsys):
         for stride in ("0", "-3"):
             assert main([*base, "--mode", mode, "--dtau", "0.01", "--stride", stride]) == 2
             assert "stride must be at least 1" in capsys.readouterr().err
-    assert not (tmp_path / "trajectory.csv").exists()
+    assert not out.exists()
+    # this run would take 1e9 steps, over the step limit, and exit 3
+    assert main(base[:-2] + ["--mode", "lindblad-rwa", "--dtau", "1e-9"]) == 2
+    assert "--out DIR is required" in capsys.readouterr().err
 
 
 def test_simulate_closed_honours_dtau_and_stride(tmp_path):
@@ -482,3 +493,6 @@ def test_console_script_version():
     proc = subprocess.run([sys.executable, "-m", "kerrbath.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+    # in process, --version and --help return 0 like any successful command
+    assert main(["--version"]) == 0
+    assert main(["simulate", "--help"]) == 0
