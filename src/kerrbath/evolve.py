@@ -250,8 +250,9 @@ class _BandedRHS:
         n_max = ladder.energies.size
         self.ladder = ladder
         self.rotating = rotating
-        self._a = np.empty((n_max, n_max), dtype=complex)
-        self._m = np.empty((n_max, n_max), dtype=complex)
+        # work buffers: every evaluation writes into these and allocates no
+        # n_max^2 temporary
+        self._a, self._m, self._t = (np.empty((n_max, n_max), dtype=complex) for _ in range(3))
         self._coef = None  # P bands (pu, pl) as installed
         self._tau = None  # time the bands were last set up for
         self.bands = None  # the bands the body uses, modulated if rotating
@@ -278,7 +279,17 @@ class _BandedRHS:
             n = np.arange(n_max, dtype=float)
             decay = 0.5 * params.gamma * (n[:, None] + n[None, :])
             self.l_free = -decay if rotating else self.l_free - decay
-            self.gain = params.gamma * (self.xu[:, None] * self.xl[None, :])
+            # the gain gamma xu[i] xl[j] fills columns j < n_max - 1 of an
+            # (n_max - 1, n_max) array whose last column stays zero. With
+            # k = i n_max + j, gain.flat[k] rho.flat[k + n_max + 1] is then
+            # gain[i, j] rho[i+1, j+1]: the shifted block is one contiguous
+            # product, and _block keeps i, j < n_max - 1 of it when adding
+            self.gain = np.zeros((n_max - 1, n_max), dtype=complex)
+            self.gain[:, :-1] = params.gamma * (self.xu[:, None] * self.xl[None, :])
+            self._gain_flat = self.gain.reshape(-1)[:n_max * n_max - n_max - 1]
+            self._t_flat = self._t.reshape(-1)[:self._gain_flat.size]
+            self._block = np.zeros((n_max, n_max), dtype=bool)
+            self._block[:-1, :-1] = True
             # the decay and the gain each have norm at most gamma n_max
             self.rate += 2.0 * params.gamma * n_max
 
@@ -315,7 +326,9 @@ class _BandedRHS:
             np.multiply(pu, ph, out=pu_t)
             np.multiply(pl, conj, out=pl_t)
         if self.gain is not None:
-            np.multiply(xu_t[:, None], xl_t[None, :], out=self.gain)
+            # copied first, so that numpy buffers one broadcast operand, not two
+            np.copyto(self.gain[:, :-1], xl_t)
+            np.multiply(xu_t[:, None], self.gain, out=self.gain)
             self.gain *= self.gamma
 
     def __call__(self, tau: float, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -325,24 +338,32 @@ class _BandedRHS:
             out[:] = 0.0
         else:
             np.multiply(self.l_free, rho, out=out)
+        a, m, t = self._a, self._m, self._t
         if self.gain is not None:
-            out[:-1, :-1] += self.gain * rho[1:, 1:]
+            # t[i, j] = gain[i, j] rho[i+1, j+1] on the block i, j < n_max - 1
+            np.multiply(self._gain_flat, rho.reshape(-1)[rho.shape[0] + 1:], out=self._t_flat)
+            np.add(out, t, out=out, where=self._block)
         if self.bands is None:
             return out
         pu, pl = self.bands
         xu, xl = self.xu, self.xl
-        a, m = self._a, self._m
-        # A = P rho, then M = A - A^dag
+        # A = P rho, then M = A - A^dag; t holds the shifted product, then A^dag
         np.multiply(pu[:, None], rho[1:, :], out=a[:-1, :])
         a[-1, :] = 0.0
-        a[1:, :] += pl[:, None] * rho[:-1, :]
-        np.subtract(a, a.T.conj(), out=m)
-        # B = X M into the same buffer, then [X, M] = B + B^dag
+        np.multiply(pl[:, None], rho[:-1, :], out=t[1:, :])
+        a[1:, :] += t[1:, :]
+        np.copyto(t, a.T)
+        np.conjugate(t, out=t)
+        np.subtract(a, t, out=m)
+        # B = X M into a, then [X, M] = B + B^dag
         np.multiply(xu[:, None], m[1:, :], out=a[:-1, :])
         a[-1, :] = 0.0
-        a[1:, :] += xl[:, None] * m[:-1, :]
+        np.multiply(xl[:, None], m[:-1, :], out=t[1:, :])
+        a[1:, :] += t[1:, :]
+        np.copyto(t, a.T)
+        np.conjugate(t, out=t)
         out += a
-        out += a.T.conj()
+        out += t
         return out
 
 
@@ -447,6 +468,15 @@ def _hermite(s, h: float, y0, y1, f0, f1, out, work) -> None:
         out += work
 
 
+def _herm_defect(state: np.ndarray, diff: np.ndarray, mag: np.ndarray) -> float:
+    """max|state - state^dag|, formed in diff (complex) and mag (real),
+    scratch arrays of the state's shape."""
+    np.copyto(diff, state.T)
+    np.conjugate(diff, out=diff)
+    np.subtract(state, diff, out=diff)
+    return float(np.abs(diff, out=mag).max())
+
+
 class _Recorder:
     """Accumulates per-sample observables, reporting lab-frame values.
 
@@ -477,6 +507,8 @@ class _Recorder:
         self.top = np.empty(n_samples)
         self.min_eig = np.empty(n_samples) if config.record_min_eig else None
         n_max = ladder.energies.size
+        self._diff = np.empty((n_max, n_max), dtype=complex)
+        self._mag = np.empty((n_max, n_max))
         self.levels = np.arange(n_max, dtype=float)
         self.gap_rates = -1j * ladder.gaps
         self.size = 2 * n_max - 1
@@ -510,10 +542,10 @@ class _Recorder:
             np.sum(self._pad, axis=0, out=v[2 * n_max - 1:])
         return v
 
-    @staticmethod
-    def defect(state: np.ndarray) -> float:
-        """The hermiticity defect max|state - state^dag|."""
-        return float(np.max(np.abs(state - state.conj().T)))
+    def defect(self, state: np.ndarray) -> float:
+        """The hermiticity defect max|state - state^dag|, formed in the
+        recorder's buffers."""
+        return _herm_defect(state, self._diff, self._mag)
 
     @staticmethod
     def lowest_eig(state: np.ndarray) -> float:
@@ -598,7 +630,7 @@ def evolve(
         if not np.all(np.isfinite(rho0)):
             raise ValueError("rho0 must be finite")
         # the kernel builds half of each commutator and mirrors the rest
-        herm = _Recorder.defect(rho0)
+        herm = _herm_defect(rho0, np.empty_like(rho0), np.empty(rho0.shape))
         if herm > _HERM_TOL:
             raise ValueError(
                 f"rho0 must be Hermitian: max|rho0 - rho0^dag| = {herm:.3g} > {_HERM_TOL:g}"

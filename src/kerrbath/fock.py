@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 
 def fock_cutoff(intensity: float) -> int:
@@ -34,7 +33,8 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
         v[0] = 1.0
         return v
     r = abs(alpha)
-    log_mag = -0.5 * r * r + n * math.log(r) - 0.5 * gammaln(n + 1.0)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_max)])
+    log_mag = -0.5 * r * r + n * math.log(r) - 0.5 * log_fact
     phase = np.exp(1j * n * np.angle(alpha))
     return np.exp(log_mag) * phase
 

@@ -50,6 +50,12 @@ there while their sum is finite; the pair nearest the resonance is always
 evaluated merged (see _decaying_parts). The Matsubara sum converges like
 e^{-nu_k tau}; it is truncated once the remainder is below round-off, at
 most _MATSUBARA_CAP terms, and err reports the bound on the remainder.
+
+psi is evaluated in numpy (_digamma): the recurrence psi(w) = psi(w+1) - 1/w
+up to Re w >= 10, then the asymptotic series through B_14 (DLMF 5.5.2,
+5.11.2). For real x and for Re psi(1 + iy) it agrees with scipy's digamma
+to 2e-15 relative to max(1, |psi|). A transient table evaluates the
+long-time parts once, not once per tau.
 """
 
 from __future__ import annotations
@@ -58,7 +64,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .model import SystemParams
 
@@ -69,6 +74,11 @@ from .model import SystemParams
 _DECAY_EXPONENT = 40.0
 _MATSUBARA_CHUNK = 4096
 _MATSUBARA_CAP = 1 << 18
+
+# psi: the recurrence runs up to Re w >= _PSI_SHIFT, where the asymptotic
+# series with the Bernoulli numbers B_2 ... B_14 is below round-off
+_PSI_SHIFT = 10.0
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
 class QuadratureError(RuntimeError):
@@ -131,6 +141,26 @@ def _check_quadrature(vals, errs, gamma: float, omegas, label: str) -> None:
         )
 
 
+def _digamma(w):
+    """psi(w) for real w > 0 or complex w with Re w > 0, elementwise.
+
+    psi(w) = psi(w + 1) - 1/w carries w up to Re w >= 10, and there
+    psi(w) = ln w - 1/(2w) - sum_{k=1}^{7} B_2k / (2k w^2k) (DLMF 5.5.2,
+    5.11.2); the first dropped term is below 5e-17.
+    """
+    w = np.asarray(w)
+    steps = np.maximum(np.ceil(_PSI_SHIFT - w.real), 0.0)
+    acc = np.zeros_like(w)
+    for k in range(int(steps.max(initial=0.0))):
+        acc -= np.where(k < steps, 1.0 / (w + k), 0.0)
+    w = w + steps
+    inv2 = 1.0 / (w * w)
+    series = np.zeros_like(w)
+    for k in range(len(_BERNOULLI), 0, -1):
+        series = inv2 * (series + _BERNOULLI[k - 1] / (2 * k))
+    return acc + np.log(w) - 0.5 / w - series
+
+
 def _asymptotic_parts(params: SystemParams, omegas: np.ndarray):
     """A1, A2, B1, B2 at tau -> inf per unit gamma."""
     lam = params.lambda_bar
@@ -142,7 +172,7 @@ def _asymptotic_parts(params: SystemParams, omegas: np.ndarray):
     x = beta * lam / (2.0 * math.pi)
     y = beta * omegas / (2.0 * math.pi)
     b2 = lam * lam * omegas / (math.pi * den) * (
-        digamma(1.0 + 1j * y).real - digamma(x) - 0.5 / x
+        _digamma(1.0 + 1j * y).real - _digamma(x) - 0.5 / x
     )
     return a1, a2, b1, b2
 
@@ -234,16 +264,22 @@ def _decaying_parts(params: SystemParams, omegas: np.ndarray, tau: float):
     return d_a, d_b, 4.0 * lam2 / (beta * c * c) * tail
 
 
-def _coefficients(params: SystemParams, n_max: int, tau: float) -> BathCoefficients:
+def _coefficients(params: SystemParams, n_max: int, tau: float,
+                  parts=None) -> BathCoefficients:
     """The four coefficients at elapsed time tau in [0, inf], asymptotic at
-    inf; gamma enters as the last factor, so they are exactly linear in it."""
+    inf; gamma enters as the last factor, so they are exactly linear in it.
+    parts are the levels' _asymptotic_parts when the caller already has them."""
+    if tau < 0:
+        raise ValueError(f"tau must be non-negative, got {tau}")
     omegas = omega_levels(params, n_max)
     finite = math.isfinite(tau)
     meta = dict(mode="transient", tau=tau) if finite else dict(mode="asymptotic")
     if params.gamma == 0.0 or tau == 0.0:
         z = np.zeros(n_max)
         return BathCoefficients(omegas, z, z.copy(), z.copy(), z.copy(), err=z.copy(), **meta)
-    a1, a2, b1, b2 = _asymptotic_parts(params, omegas)
+    if parts is None:
+        parts = _asymptotic_parts(params, omegas)
+    a1, a2, b1, b2 = parts
     err = np.zeros(n_max)
     if finite:
         d_a, d_b, bound = _decaying_parts(params, omegas, tau)
@@ -272,8 +308,6 @@ def transient_coefficients(
     Exact up to the truncated Matsubara sum, whose bound is err; raises
     QuadratureError when that bound is not small against the coefficients.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
     return _coefficients(params, n_max, float(tau))
 
 
@@ -282,15 +316,18 @@ def coefficient_tables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Transient coefficients tabulated on a time grid.
 
-    Returns four arrays of shape (len(taus), n_max): a1, a2, b1, b2.
+    Returns four arrays of shape (len(taus), n_max): a1, a2, b1, b2, each
+    row equal to transient_coefficients at its tau. The long-time parts are
+    evaluated once for the whole table.
     """
     taus = np.asarray(taus, dtype=float)
+    parts = _asymptotic_parts(params, omega_levels(params, n_max))
     shape = (taus.size, n_max)
     a1 = np.empty(shape)
     a2 = np.empty(shape)
     b1 = np.empty(shape)
     b2 = np.empty(shape)
     for k, t in enumerate(taus):
-        c = transient_coefficients(params, n_max, float(t))
+        c = _coefficients(params, n_max, float(t), parts)
         a1[k], a2[k], b1[k], b2[k] = c.a1, c.a2, c.b1, c.b2
     return a1, a2, b1, b2

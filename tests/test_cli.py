@@ -496,3 +496,13 @@ def test_console_script_version():
     # in process, --version and --help return 0 like any successful command
     assert main(["--version"]) == 0
     assert main(["simulate", "--help"]) == 0
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy is a test dependency only, and importing it was most of the
+    package's start-up time: importing the CLI, and with it every module of
+    the package, must not load it."""
+    code = "import sys, kerrbath.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -23,6 +23,7 @@ from kerrbath import (
     omega_levels,
 )
 
+from analytic_oracle import line_weights
 from dense_oracle import coherent_overlap, energies, expect_a, expect_n, expect_x, lowering
 
 
@@ -155,3 +156,22 @@ def test_coherent_moments_property(intensity, phase):
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(rho)[0] > -1e-12
+
+
+def test_coherent_weights_match_gammaln_form():
+    """|<n|alpha>|^2 against the oracle's Poisson weights, which use scipy's
+    gammaln where the package uses math.lgamma. Both sum log-space terms of
+    size I0 + n |ln I0| + ln n!, so they agree to a few round-offs of that
+    size: within 1e-13 relative up to I0 = 10, and to 4 eps times that size
+    at every level up to I0 = 200, a phase on alpha included."""
+    eps = np.finfo(float).eps
+    for i0 in (0.5, 2.0, 10.0, 50.0, 200.0):
+        n_max = fock_cutoff(i0)
+        want = line_weights(SystemParams(mu_bar=0.1, intensity=i0), n_max)
+        got = np.abs(coherent_amplitudes(math.sqrt(i0) * cmath.exp(0.3j), n_max)) ** 2
+        rel = np.abs(got / want - 1.0)
+        n = np.arange(n_max)
+        size = i0 + n * abs(math.log(i0)) + np.array([math.lgamma(k + 1.0) for k in n])
+        assert np.all(rel <= 4.0 * eps * size), i0
+        if i0 <= 10.0:
+            assert rel.max() < 1e-13, i0

@@ -18,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import digamma
 
 from kerrbath import (
     BathCoefficients,
@@ -31,7 +32,7 @@ from kerrbath import (
     transient_coefficients,
 )
 from kerrbath.evolve import coefficient_settle_time
-from kerrbath.kernels import _check_quadrature
+from kerrbath.kernels import _check_quadrature, _digamma
 from analytic_oracle import OverdampedError, effective_frequency
 from quadrature_oracle import principal_value_coefficient, transient_quadrature
 
@@ -306,13 +307,36 @@ def test_settling_within_two_percent_beyond_10_over_lambda():
 
 
 def test_coefficient_tables_shape_and_rows():
-    p = ORACLE_P
-    taus = np.array([0.2, 0.7, 1.9])
-    a1, a2, b1, b2 = coefficient_tables(p, 5, taus)
-    assert a1.shape == a2.shape == b1.shape == b2.shape == (3, 5)
-    row = transient_coefficients(p, 5, 0.7)
-    np.testing.assert_array_equal(a1[1], row.a1)
-    np.testing.assert_array_equal(b2[1], row.b2)
+    """The table evaluates the long-time parts once for all its rows; each
+    row is still transient_coefficients at its tau, bit for bit, from tau = 0
+    to past the settle time, and a negative tau is still refused."""
+    p_setup = SystemParams(mu_bar=1e-2, intensity=10.0, beta_bar=1.0, gamma=1e-2,
+                           lambda_bar=10.0)
+    cases = ((ORACLE_P, 5, np.array([0.2, 0.7, 1.9])),
+             (p_setup, 38, np.linspace(0.0, 1.25 * coefficient_settle_time(p_setup), 41)))
+    for p, n_max, taus in cases:
+        tables = coefficient_tables(p, n_max, taus)
+        assert all(table.shape == (taus.size, n_max) for table in tables)
+        for k, tau in enumerate(taus):
+            c = transient_coefficients(p, n_max, tau)
+            for table, row in zip(tables, (c.a1, c.a2, c.b1, c.b2)):
+                assert table[k].tobytes() == row.tobytes(), tau
+    with pytest.raises(ValueError, match="non-negative"):
+        coefficient_tables(p_setup, 38, np.array([0.5, -0.1]))
+
+
+def test_digamma_against_scipy():
+    """The package's psi against scipy's on the two forms B2(inf) takes:
+    real x = beta Lambda/2pi over seven decades, and Re psi(1 + iy) with
+    y = beta Omega_n/2pi from 0 to 1e4, across the recurrence's edge at 10."""
+    x = np.concatenate((np.geomspace(1e-3, 1e4, 4001), np.linspace(8.0, 12.0, 401)))
+    want = digamma(x)
+    assert np.max(np.abs(_digamma(x) - want) / np.maximum(1.0, np.abs(want))) < 1e-14
+    y = np.concatenate(([0.0], np.geomspace(1e-6, 1e4, 4001), np.linspace(0.0, 30.0, 601)))
+    want = digamma(1.0 + 1j * y).real
+    got = _digamma(1.0 + 1j * y).real
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-14
+    assert abs(_digamma(0.37) - digamma(0.37)) < 1e-14  # a scalar, as _asymptotic_parts passes x
 
 
 # (Lambda, beta, mu, n_max) of the benchmark workloads: transient-setup,
