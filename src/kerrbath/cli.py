@@ -185,6 +185,12 @@ def _out_dir(opts: dict, required: bool = True) -> Path | None:
     return path
 
 
+def _step_stats(traj) -> dict:
+    """A run's stepping telemetry: the largest RK4 step, the accepted steps
+    and the worst accepted local error estimate."""
+    return {"step": traj.step, "steps": traj.steps, "step_error": traj.step_error}
+
+
 def _write_json(path: Path, payload: dict) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -259,7 +265,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "frame": traj.frame,
                 "n_max": traj.n_max,
                 "dtau": traj.dtau,
-                "step": traj.step,
+                **_step_stats(traj),
                 "tau_end": tau_end,
                 "n_samples": int(traj.taus.size),
                 "csv": "trajectory.csv",
@@ -310,6 +316,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     "rms_deviation": rms_dev,
                     "relative_deviation": rel,
                     "tolerance": opts.get("tolerance"),
+                    **_step_stats(traj),
                 }
             ),
         )
@@ -371,6 +378,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "residual_rms": fit.residual_rms,
         "width_times_tau_e": fit.width * scales.tau_e,
         "csv": "spectrum.csv",
+        **_step_stats(traj),
     }
     _write_json(out / "spectrum.json", _sidecar(payload))
     print(
@@ -473,7 +481,12 @@ def run_sweep_draw(spec: dict) -> dict:
         "max_trace_deviation": float(np.abs(traj.trace - 1.0).max()),
         "max_herm_defect": float(traj.herm_defect.max()),
         "final_min_eig": float(np.linalg.eigvalsh(traj.final_rho)[0]),
+        **_step_stats(traj),
     }
+
+
+#: the draw results a manifest entry repeats, None until the draw completes
+_ENTRY_RESULTS = ("final_min_eig", "step", "steps", "step_error")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -520,7 +533,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "status": "pending",
                     "result_file": None,
                     "error": None,
-                    "final_min_eig": None,
+                    **dict.fromkeys(_ENTRY_RESULTS),
                 }
                 for e in plan
             ],
@@ -545,11 +558,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             entry["status"] = "complete"
             entry["result_file"] = name
             entry["error"] = None
-            entry["final_min_eig"] = result_or_error["final_min_eig"]
+            entry.update((k, result_or_error[k]) for k in _ENTRY_RESULTS)
         else:
             entry["status"] = "failed"
             entry["error"] = str(result_or_error)
-            entry["final_min_eig"] = None
+            entry.update(dict.fromkeys(_ENTRY_RESULTS))
         _write_json(manifest_path, manifest)
 
     if workers > 1 and len(pending) > 1:

@@ -54,18 +54,30 @@ term. Closed mode is the co-moving run without a generator. Recorded
 observables and snapshots are always lab-frame values: the recorder dresses
 co-moving states with the level phases.
 
-Time stepping is classical fixed-step RK4. dtau is the sample grid in every
-mode: samples and snapshots lie on it, and default_dtau(params, n_max,
-frame) gives it when unset. In the lab frame the RK4 step is the grid cell:
-the step rule caps it by the largest level-energy difference in the
-truncated space (corner coherences rotate at that rate and must stay inside
-the stability region) and by the envelope timescale tau_e. In the rotating
+Time stepping is classical RK4. dtau is the sample grid in every mode:
+samples and snapshots lie on it, and default_dtau(params, n_max, frame)
+gives it when unset. In the lab frame the RK4 step is the grid cell: the
+step rule caps it by the largest level-energy difference in the truncated
+space (corner coherences rotate at that rate and must stay inside the
+stability region) and by the envelope timescale tau_e. In the rotating
 frame only the band phases oscillate, at up to ~2 Omega_top, linear in n_max
-instead of quadratic, and the RK4 step spans a whole number q of grid cells,
-as many as fit in the smallest of three budgets: 0.5 rad of the fastest band
-phase per step, a step times the generator's norm bound of at most 0.25, and
-the transient table's spacing. A grid that is not a multiple of q ends on a
-shorter step. Samples inside a step come from the cubic Hermite interpolant
+instead of quadratic, and the RK4 step spans a whole number q of grid cells
+between a floor and a ceiling. The floor q_floor is as many cells as fit in
+the smallest of three budgets: 0.5 rad of the fastest band phase per step, a
+step times the generator's norm bound of at most 0.25, and the transient
+table's spacing; the ceiling q_ceil is the same with 2 rad per step. Every
+step measures the FSAL error estimate err = (h/6) max|f(t+h, y1) - k4|
+(Hairer, Norsett & Wanner, Solving ODEs I, II.4): f(t+h, y1) is the next
+step's first stage, so the estimate costs a subtraction and a maximum. It
+scales as h^4 but is blind to aliasing of the band phases, which the
+ceiling bounds. The run starts at q_floor, and after each step
+q <- clamp(floor(q min(2, max(0.2, 0.9 (tol/err)^(1/4)))), q_floor, q_ceil)
+with tol = _STEP_TOL; a step above q_floor with err > tol is rejected and
+retried with the new q. So a run never steps shorter than q_floor, and
+where the rate or the table binds, q_floor = q_ceil and the step is fixed.
+The lab frame steps one cell (q_floor = q_ceil = 1) and reports the
+estimate too. A grid that is not a multiple of q ends on a shorter step.
+Samples inside a step come from the cubic Hermite interpolant
 of the step's end states and their derivatives (Hairer, Norsett & Wanner,
 Solving ODEs I, II.6). The end derivative is the next step's first stage,
 and the interpolation weights are real, so trace and hermiticity carry over.
@@ -113,9 +125,15 @@ _CLOSED_BLOCK = 512
 _MAX_STEPS = 20_000_000
 
 # rotating-frame step budgets: radians of the fastest coefficient phase per
-# step, and the step times the bath generator's norm bound
+# step at the step floor and at the step ceiling, and the step times the bath
+# generator's norm bound
 _PHASE_PER_STEP = 0.5
+_PHASE_PER_STEP_MAX = 2.0
 _RATE_PER_STEP = 0.25
+
+# local error tolerance of a rotating-frame step above its floor: the largest
+# accepted (h/6) max|f(t+h, y1) - k4|
+_STEP_TOL = 3e-10
 
 
 class IntegrationError(RuntimeError):
@@ -136,7 +154,9 @@ class IntegratorConfig:
     co-moving run without a generator, whose state never changes, so dtau
     only spaces its exact samples and defaults to tau_end/2000. The RK4 step
     is one cell in the lab frame; a rotating-frame run with a generator
-    steps over as many whole cells as its step budgets allow (see the module
+    steps over whole cells, as many as its local error estimate allows
+    between a floor set by its step budgets and a ceiling set by the same
+    budgets at 2 rad of phase per step instead of 0.5 (see the module
     docstring), so a given dtau sets the sample density, not the step.
     stride None aims for about 4000 stored samples. overlap_pair (alpha,
     beta) records a coherence envelope for that superposition: with rho~ the
@@ -173,9 +193,12 @@ class Trajectory:
 
     All stored quantities are lab-frame regardless of the integration frame;
     frame only records which kernel produced them. dtau is the spacing of
-    the run's sample grid and step the RK4 step taken, a whole number of
-    dtau (the last step may be shorter); step is None in closed mode, which
-    integrates nothing. energy_expect is <n + mu n^2>, conserved exactly by
+    the run's sample grid and step the largest RK4 step taken, a whole
+    number of dtau; steps counts the accepted RK4 steps, and step_error is
+    the largest accepted local error estimate (h/6) max|f(t+h, y1) - k4|
+    (see the module docstring). With no step taken (closed mode, which
+    integrates nothing, or tau_end = 0) steps is 0 and step and step_error
+    are None. energy_expect is <n + mu n^2>, conserved exactly by
     the closed flow. overlap, when an overlap_pair was requested, is the real
     coherence envelope of that pair (see IntegratorConfig), 1 at tau=0 for
     the pure off-diagonal lobe and rotation-invariant thereafter.
@@ -197,6 +220,8 @@ class Trajectory:
     dtau: float
     frame: str = "lab"
     step: float | None = None
+    steps: int = 0
+    step_error: float | None = None
     overlap: np.ndarray | None = None
     min_eig: np.ndarray | None = None
     snapshots: dict = field(default_factory=dict)
@@ -334,15 +359,15 @@ class _BandedRHS:
     def __call__(self, tau: float, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the right-hand side at time tau for Hermitian rho into out."""
         self._set_time(tau)
-        if self.l_free is None:
-            out[:] = 0.0
-        else:
-            np.multiply(self.l_free, rho, out=out)
         a, m, t = self._a, self._m, self._t
-        if self.gain is not None:
-            # t[i, j] = gain[i, j] rho[i+1, j+1] on the block i, j < n_max - 1
-            np.multiply(self._gain_flat, rho.reshape(-1)[rho.shape[0] + 1:], out=self._t_flat)
-            np.add(out, t, out=out, where=self._block)
+        if self.l_free is not None:
+            np.multiply(self.l_free, rho, out=out)
+            if self.gain is not None:
+                # t[i, j] = gain[i, j] rho[i+1, j+1] on the block i, j < n_max - 1
+                np.multiply(self._gain_flat, rho.reshape(-1)[rho.shape[0] + 1:], out=self._t_flat)
+                np.add(out, t, out=out, where=self._block)
+        elif self.bands is None:
+            out[:] = 0.0
         if self.bands is None:
             return out
         pu, pl = self.bands
@@ -362,6 +387,8 @@ class _BandedRHS:
         a[1:, :] += t[1:, :]
         np.copyto(t, a.T)
         np.conjugate(t, out=t)
+        if self.l_free is None:
+            return np.add(a, t, out=out)
         out += a
         out += t
         return out
@@ -428,22 +455,35 @@ def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
     return min(dt, tau_e / 200.0) if math.isfinite(tau_e) else dt
 
 
-def _rotating_step_cap(params: SystemParams, rhs: _BandedRHS) -> float:
-    """Longest RK4 step h_max of a rotating-frame run with a generator.
+def _rotating_step_cap(params: SystemParams, rhs: _BandedRHS, phase: float) -> float:
+    """Longest RK4 step of a rotating-frame run with a generator, for a
+    phase budget of phase radians per step.
 
     The smallest of three budgets. Phase: the fastest band phase turns at
-    2 Omega_top, by at most _PHASE_PER_STEP per step. Rate: h rhs.rate stays
-    at most _RATE_PER_STEP. ||X|| <= 2 max sqrt(n) and ||P|| <= 2 max|P band|
+    2 Omega_top, by at most phase per step; _PHASE_PER_STEP gives the step
+    floor and _PHASE_PER_STEP_MAX the ceiling. Rate: h rhs.rate stays at
+    most _RATE_PER_STEP. ||X|| <= 2 max sqrt(n) and ||P|| <= 2 max|P band|
     bound the bath term by 16 max sqrt(n) max|P band| ||rho|| over every
     coefficient set the run can install, and lindblad-rwa's decay and gain
     by 2 gamma n_max ||rho||. Table: a transient table's spacing caps h too.
+    Where the rate or the table binds, floor and ceiling coincide.
     """
-    cap = _PHASE_PER_STEP / (2.0 * _omega_top(params, rhs.ladder.energies.size))
+    cap = phase / (2.0 * _omega_top(params, rhs.ladder.energies.size))
     if rhs.rate > 0.0:
         cap = min(cap, _RATE_PER_STEP / rhs.rate)
     if rhs.table is not None:
         cap = min(cap, rhs.table.dt)
     return cap
+
+
+def _step_bounds(params: SystemParams, rhs: _BandedRHS, dtau: float,
+                 n_cells: int) -> tuple[int, int]:
+    """The floor and the ceiling of a rotating-frame run's grid cells per
+    RK4 step, each at least 1 and at most n_cells."""
+    # the 1e-9 keeps an exact multiple that division leaves an ulp short
+    return tuple(
+        max(1, min(int(_rotating_step_cap(params, rhs, phase) / dtau * (1.0 + 1e-9)), n_cells))
+        for phase in (_PHASE_PER_STEP, _PHASE_PER_STEP_MAX))
 
 
 def _snapshot_cell(ts: float, dtau: float, n_cells: int) -> int | None:
@@ -508,7 +548,7 @@ class _Recorder:
         self.min_eig = np.empty(n_samples) if config.record_min_eig else None
         n_max = ladder.energies.size
         self._diff = np.empty((n_max, n_max), dtype=complex)
-        self._mag = np.empty((n_max, n_max))
+        self.mag = np.empty((n_max, n_max))  # real scratch, also for the step estimate
         self.levels = np.arange(n_max, dtype=float)
         self.gap_rates = -1j * ladder.gaps
         self.size = 2 * n_max - 1
@@ -545,7 +585,7 @@ class _Recorder:
     def defect(self, state: np.ndarray) -> float:
         """The hermiticity defect max|state - state^dag|, formed in the
         recorder's buffers."""
-        return _herm_defect(state, self._diff, self._mag)
+        return _herm_defect(state, self._diff, self.mag)
 
     @staticmethod
     def lowest_eig(state: np.ndarray) -> float:
@@ -654,12 +694,11 @@ def evolve(
     ladder = _Ladder(params, n_max)
     co_moving = rotating or mode == "closed"
     rhs = None  # closed mode: the co-moving state never changes
-    q = 1  # grid cells per RK4 step
+    q_floor = q_ceil = 1  # bounds on the grid cells per RK4 step
     if mode != "closed":
         rhs = _BandedRHS(params, ladder, mode, rotating, config.transient_table_points)
         if rotating:
-            # the 1e-9 keeps an exact multiple that division leaves an ulp short
-            q = max(1, min(int(_rotating_step_cap(params, rhs) / dtau * (1.0 + 1e-9)), n_cells))
+            q_floor, q_ceil = _step_bounds(params, rhs, dtau, n_cells)
 
     def to_lab(state, t):
         return ladder.to_lab(state, t) if co_moving else state.copy()
@@ -668,8 +707,9 @@ def evolve(
     if sample_cells[-1] != n_cells:
         sample_cells.append(n_cells)
     taus = np.array(sample_cells) * dtau
-    hint = ("reduce dtau or enlarge the basis" if q == 1 else "enlarge the basis "
-            f"(the rotating-frame step {q * dtau:g} follows the step cap, not dtau)")
+    hint = ("reduce dtau or enlarge the basis" if q_ceil == 1 else "enlarge the basis "
+            f"(the rotating-frame step, {q_floor * dtau:g} to {q_ceil * dtau:g}, follows "
+            "the error estimate and the step caps, not dtau)")
     if rhs is None:
         hint = "closed mode keeps rho0, so check its trace"
     rec = _Recorder(ladder, len(sample_cells), config, co_moving, hint)
@@ -724,6 +764,7 @@ def evolve(
                 snaps[ts] = to_lab(state_at(c), c * dtau)
 
     rho = rho0.copy()
+    steps, largest, step_error = 0, 0, 0.0  # accepted steps, largest in cells, worst estimate
     if rhs is None:
         # the co-moving state is rho0 throughout: one vector serves every sample
         static = (rec.vector(rho, 0.0)[None], rec.defect(rho),
@@ -744,10 +785,12 @@ def evolve(
         e = 1  # next event to record
         record(events[:e], 0, 0, 0.0, None, rho, None, None)
         c0 = 0
+        q = q_floor
         while c0 < n_cells:
             c1 = min(c0 + q, n_cells)
+            taken = c1 - c0
             t = c0 * dtau
-            h = (c1 - c0) * dtau
+            h = taken * dtau
             np.multiply(k1, 0.5 * h, out=tmp)
             tmp += rho
             rhs(t + 0.5 * h, tmp, k2)
@@ -757,15 +800,25 @@ def evolve(
             np.multiply(k3, h, out=tmp)
             tmp += rho
             rhs(t + h, tmp, k4)
+            # the increment goes to k3, keeping k4 for the error estimate
             k2 += k3
             k2 *= 2.0
-            k4 += k1
-            k4 += k2
-            k4 *= h / 6.0
-            np.add(rho, k4, out=rho_prev)
+            np.add(k4, k1, out=k3)
+            k3 += k2
+            k3 *= h / 6.0
+            np.add(rho, k3, out=rho_prev)
+            rhs(c1 * dtau, rho_prev, f1)
+            # FSAL estimate: the end derivative, the next k1, against k4
+            np.subtract(f1, k4, out=tmp)
+            err = h / 6.0 * float(np.abs(tmp, out=rec.mag).max())
+            grow = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (_STEP_TOL / err) ** 0.25))
+            q = min(max(int(taken * grow), q_floor), q_ceil)
+            if taken > q_floor and not err <= _STEP_TOL:
+                continue  # rejected: retry from rho with the shorter q
             rho, rho_prev = rho_prev, rho
-            if c1 < n_cells or events[e] < c1:
-                rhs(c1 * dtau, rho, f1)
+            steps += 1
+            largest = max(largest, taken)
+            step_error = max(step_error, err)
             e1 = bisect.bisect_right(events, c1, e)
             if e1 > e:
                 record(events[e:e1], c0, c1, h, rho_prev, rho, k1, f1)
@@ -786,7 +839,9 @@ def evolve(
         n_max=n_max,
         dtau=dtau,
         frame=config.frame,
-        step=None if rhs is None else q * dtau,
+        step=largest * dtau if steps else None,
+        steps=steps,
+        step_error=step_error if steps else None,
         snapshots=snaps,
         final_rho=to_lab(rho, n_cells * dtau),
     )

@@ -212,6 +212,7 @@ def test_simulate_csv_contract(tmp_path, capsys):
     assert meta["n_samples"] == 11
     assert meta["mode"] == "lindblad-rwa"
     assert meta["step"] == meta["dtau"]  # the lab frame steps one grid cell
+    assert meta["steps"] == 100 and meta["step_error"] > 0.0
     assert meta["max_trace_deviation"] < 1e-10
 
 
@@ -243,7 +244,8 @@ def test_simulate_closed_honours_dtau_and_stride(tmp_path):
     assert len(lines) == 1 + 11
     meta = read_json(tmp_path / "trajectory.json")
     assert meta["dtau"] == pytest.approx(0.01)
-    assert meta["step"] is None  # closed mode integrates no step
+    # closed mode integrates no step
+    assert meta["step"] is None and meta["steps"] == 0 and meta["step_error"] is None
 
 
 def test_simulate_requires_tau_end(capsys):
@@ -289,6 +291,21 @@ def test_compare_healthy_and_breach(tmp_path, capsys):
     assert "tolerance breached" in capsys.readouterr().err
 
 
+def test_compare_reports_the_step_error(tmp_path):
+    """At acceptance 02's parameters the lab-frame lindblad-rwa run's step
+    error shows in compare.json (measured: 8.2e-7 per step, against 5.1e-11
+    in the rotating frame)."""
+    args = ["compare", "--mu-bar", "0.1", "--intensity", "20", "--gamma", "1e-3",
+            "--mode", "lindblad-rwa", "--tau-end", "2.5"]
+    data = {}
+    for frame in ("lab", "rotating"):
+        assert main([*args, "--frame", frame, "--out", str(tmp_path / frame)]) == 0
+        data[frame] = read_json(tmp_path / frame / "compare.json")
+    assert data["lab"]["steps"] == 955 and data["lab"]["step"] == pytest.approx(2.5 / 955)
+    assert data["rotating"]["steps"] < 955
+    assert data["lab"]["step_error"] > 1e3 * data["rotating"]["step_error"] > 0.0
+
+
 def test_compare_rejects_modes_without_reference(capsys):
     code = main(["compare", "--mu-bar", "0.1", "--intensity", "20", "--gamma", "1e-3",
                  "--mode", "born-markov-asymptotic", "--tau-end", "1"])
@@ -312,6 +329,7 @@ def test_spectrum_closed_quantum(tmp_path, capsys):
     assert lines[0] == "omega,amplitude"
     assert len(lines) == 1 + 2048 // 2 + 1
     assert "width*tau_e" in capsys.readouterr().out
+    assert data["step"] is None and data["steps"] == 0 and data["step_error"] is None
 
 
 def test_spectrum_validation(capsys):
@@ -351,7 +369,8 @@ def test_run_sweep_draw_result_contract(index):
     for key in ("index", "params", "delta_eff", "n_max", "window", "fit_method",
                 "rate_fit", "rate_predicted", "tau_d_fit", "tau_d_theory",
                 "ln_ratio", "fit_uncertainty", "fit_residual_rms",
-                "max_trace_deviation", "max_herm_defect", "final_min_eig"):
+                "max_trace_deviation", "max_herm_defect", "final_min_eig",
+                "step", "steps", "step_error"):
         assert key in res, key
     omega = 1.0 + spec["mu_bar"] * (1.0 + 2.0 * spec["intensity"])
     assert res["params"]["lambda_bar"] == sweep_lambda_bar(omega)
@@ -390,7 +409,9 @@ def test_sweep_end_to_end_and_resume(tmp_path):
     res = json.loads(result_bytes)
     assert abs(res["ln_ratio"]) < math.log(2.0)
     assert res["params"]["mu_bar"] == manifest["entries"][0]["params"]["mu_bar"]
-    assert entry["final_min_eig"] == res["final_min_eig"]
+    for key in ("final_min_eig", "step", "steps", "step_error"):
+        assert entry[key] == res[key], key
+    assert res["steps"] > 0
     # resuming a finished sweep recomputes nothing: bytes stay identical
     assert main(args) == 0
     assert (tmp_path / entry["result_file"]).read_bytes() == result_bytes

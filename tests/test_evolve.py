@@ -7,6 +7,7 @@ form, and exact conservation laws of the flow's algebraic structure.
 """
 
 import dataclasses
+import importlib
 import math
 import tracemalloc
 import warnings
@@ -29,7 +30,10 @@ from kerrbath import (
     evolve,
     fock_cutoff,
 )
-from kerrbath.evolve import _BandedRHS, _Ladder, _Recorder, _snapshot_cell
+from kerrbath.evolve import _BandedRHS, _Ladder, _Recorder, _snapshot_cell, _step_bounds
+
+# the module: the package re-exports the function evolve under its name
+EV = importlib.import_module("kerrbath.evolve")
 
 from dense_oracle import born_markov_rhs, energies, free_rhs, lindblad_rhs
 
@@ -218,9 +222,10 @@ def test_rk4_fourth_order():
 def test_rotating_lindblad_matches_closed_form():
     """lindblad-rwa in the rotating frame at acceptance 02's parameters
     steps over several grid cells, follows the rotating-wave closed form
-    (measured: 1.5e-11 relative, against 1.2e-9 in the lab frame) and stays
-    positive at every sample (measured: min eig -5.7e-13, against -5.5e-4
-    from the lab frame's step error)."""
+    (measured: 2.9e-11 relative in 32 steps, against 1.2e-9 in 955 in the
+    lab frame) and stays positive at every sample to round-off (measured:
+    min eig -4.5e-10 at an interpolated sample, against -5.5e-4 from the lab
+    frame's step error)."""
     p = SystemParams(mu_bar=0.1, intensity=20.0, beta_bar=1.0, gamma=1e-3)
     tr = evolve(p, 2.5, mode="lindblad-rwa",
                 config=IntegratorConfig(frame="rotating", record_min_eig=True))
@@ -470,7 +475,8 @@ def test_unstable_step_raises():
     # several cells does not follow dtau, and closed mode keeps rho0
     p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
     rho0 = 3.0 * coherent_state_density(p.alpha, fock_cutoff(p.intensity))
-    with pytest.raises(IntegrationError, match="unphysical.*enlarge the basis.*not dtau"):
+    with pytest.raises(IntegrationError,
+                       match="unphysical.*enlarge the basis.*error estimate.*not dtau"):
         evolve(p, 0.5, mode="born-markov-asymptotic", rho0=rho0,
                config=IntegratorConfig(frame="rotating"))
     with pytest.raises(IntegrationError, match="unphysical.*check its trace"):
@@ -506,36 +512,171 @@ def test_default_step_rules():
 
 
 def test_rotating_step_spans_whole_grid_cells():
-    """A default rotating run at the quantum-corner parameters, with the
-    bath or with Lindblad damping, steps over five grid cells: the phase
-    budget is exactly 5 * default_dtau, and the division must not drop that
-    multiple by an ulp. Every other path steps one cell, and closed mode
-    takes no step."""
+    """A default rotating run at the quantum-corner parameters steps over
+    whole grid cells: its phase budgets are exactly 5 and 20 times
+    default_dtau, and the division must not drop either multiple by an ulp.
+    The bath run at gamma = 3e-4 is floor-bound (its estimate stays above
+    the tolerance at five cells) and steps five cells throughout; the
+    Lindblad run, whose estimate stays near 5e-13, reaches the ceiling of
+    twenty. Every other path steps one cell, and closed mode takes no step."""
     p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
-    for mode in ("born-markov-asymptotic", "lindblad-rwa"):
-        tr = evolve(p, 2.5, mode=mode, config=IntegratorConfig(frame="rotating"))
-        assert tr.step == 5 * tr.dtau, mode
+    for mode, gamma, q in (("born-markov-asymptotic", 3e-4, 5), ("lindblad-rwa", 1e-4, 20)):
+        tr = evolve(dataclasses.replace(p, gamma=gamma), 2.5, mode=mode,
+                    config=IntegratorConfig(frame="rotating"))
+        assert tr.step == q * tr.dtau, mode
         assert tr.dtau == 2.5 / math.ceil(2.5 / default_dtau(p, tr.n_max, "rotating"))
+    assert tr.steps < math.ceil(2.5 / (5 * tr.dtau))  # the Lindblad run left its floor
     small = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=1.0, gamma=1e-3)
     for mode, frame in (("born-markov-asymptotic", "lab"), ("lindblad-rwa", "lab"),
                         ("born-markov-transient", "rotating")):
         tr = evolve(small, 0.2, mode=mode, config=IntegratorConfig(frame=frame))
         assert tr.step == tr.dtau, (mode, frame)
-    assert evolve(small, 0.2, mode="closed").step is None
+        assert tr.steps == tr.taus.size - 1 and tr.step_error > 0.0, (mode, frame)
+    tr = evolve(small, 0.2, mode="closed")
+    assert tr.step is None and tr.steps == 0 and tr.step_error is None
 
 
-def test_dense_output_between_rotating_steps():
+def run_attempts(monkeypatch, params, tau_end, dtau=None):
+    """A rotating-frame born-markov-asymptotic run from the coherent start,
+    with its RK4 step attempts as (first cell, cells, estimate), read off
+    the kernel's calls: after the initial k1, each attempt evaluates at
+    t + h/2 twice, at t + h for k4 and again at t + h for the end derivative
+    f1, and the estimate (h/6) max|f1 - k4| is recomputed from the last two.
+    Also returns which attempts were accepted and the run's (floor, ceiling)
+    in grid cells."""
+    mode = "born-markov-asymptotic"
+    n_max = fock_cutoff(params.intensity)
+    dtau = dtau or default_dtau(params, n_max, "rotating")
+    dtau = tau_end / math.ceil(tau_end / dtau - 1e-12)
+    bounds = _step_bounds(params, _BandedRHS(params, _Ladder(params, n_max), mode, True),
+                          dtau, round(tau_end / dtau))
+    calls, attempts, last = [], [], [None]
+    original = _BandedRHS.__call__
+
+    def spy(self, tau, rho, out):
+        original(self, tau, rho, out)
+        calls.append(tau)
+        if len(calls) % 4 == 1 and len(calls) > 1:  # f1, right after k4
+            mid = calls[-3]
+            cells = round(2.0 * (tau - mid) / dtau)
+            err = cells * dtau / 6.0 * float(np.abs(out - last[0]).max())
+            attempts.append((round((2.0 * mid - tau) / dtau), cells, err))
+        last[0] = out.copy()
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(_BandedRHS, "__call__", spy)
+        tr = evolve(params, tau_end, mode=mode,
+                    config=IntegratorConfig(frame="rotating", dtau=dtau))
+    assert tr.dtau == dtau and len(calls) == 1 + 4 * len(attempts)
+    accepted = [a[0] + a[1] == b[0] for a, b in zip(attempts, attempts[1:])] + [True]
+    return tr, attempts, accepted, bounds
+
+
+def test_controller_stays_between_floor_and_ceiling(monkeypatch):
+    """Every attempt spans q_floor to q_ceil cells (the last may be
+    shorter); a rejected attempt lies above the floor with an estimate over
+    the tolerance, and every accepted step above the floor is within it.
+    The trajectory reports the accepted steps, the largest of them and the
+    worst accepted estimate. Runs: the quantum-corner bump (floor 5,
+    ceiling 20), which steps up to 9 cells and retries 3 steps, and the
+    frames test's bath (floor 15, ceiling 60), which climbs to 23."""
+    qc = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
+    frames = SystemParams(mu_bar=0.1, intensity=10.0, beta_bar=1.0, gamma=1e-3)
+    rejected = []
+    for p, tau_end, dtau in ((qc, 2.5, None), (frames, 3.0, 2e-3)):
+        tr, attempts, accepted, (q_floor, q_ceil) = run_attempts(monkeypatch, p, tau_end,
+                                                                 dtau=dtau)
+        assert q_floor < q_ceil
+        rejected.append(accepted.count(False))
+        n_cells = tr.taus.size - 1
+        for (c0, cells, err), ok in zip(attempts, accepted):
+            assert cells <= q_ceil and (cells >= q_floor or c0 + cells == n_cells)
+            if not ok:
+                assert cells > q_floor and err > EV._STEP_TOL
+            elif cells > q_floor:
+                assert err <= EV._STEP_TOL
+        kept = [a for a, ok in zip(attempts, accepted) if ok]
+        assert sum(cells for _, cells, _ in kept) == n_cells and tr.steps == len(kept)
+        assert tr.step == max(cells for _, cells, _ in kept) * tr.dtau
+        assert tr.step > q_floor * tr.dtau
+        assert tr.step_error == max(err for _, _, err in kept)
+    assert rejected[0] > 0
+
+
+def test_floor_bound_run_keeps_the_fixed_step(monkeypatch):
+    """The quantum-corner bath at gamma = 3e-4 has floor 5 and ceiling 7
+    cells. Its estimate at the floor exceeds the tolerance on 219 of 225
+    steps and stays above 0.75^4 of it on all (measured: 0.41), where the
+    growth factor 0.9 (tol/err)^(1/4) is below 6/5. It then takes the
+    floor's step and step count throughout, with no retry, and its
+    trajectory is bit-identical to the run whose ceiling is pinned to the
+    floor."""
+    p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=3e-4, lambda_bar=100.0)
+    tr, attempts, accepted, (q_floor, q_ceil) = run_attempts(monkeypatch, p, 2.5)
+    assert (q_floor, q_ceil) == (5, 7) and all(accepted)
+    assert all(cells == q_floor for _, cells, _ in attempts)
+    assert all(err > 0.75**4 * EV._STEP_TOL for _, _, err in attempts)
+    assert tr.step_error > EV._STEP_TOL
+    n_cells = tr.taus.size - 1
+    assert tr.steps == n_cells // q_floor and tr.step == q_floor * tr.dtau
+    monkeypatch.setattr(EV, "_PHASE_PER_STEP_MAX", EV._PHASE_PER_STEP)
+    pinned = evolve(p, 2.5, mode="born-markov-asymptotic",
+                    config=IntegratorConfig(frame="rotating"))
+    for name in ("a_expect", "n_expect", "trace", "herm_defect", "final_rho"):
+        np.testing.assert_array_equal(getattr(tr, name), getattr(pinned, name), err_msg=name)
+    assert (pinned.steps, pinned.step, pinned.step_error) == (tr.steps, tr.step, tr.step_error)
+
+
+def test_weak_coupling_run_stays_below_the_ceiling(monkeypatch):
+    """Acceptance 01's gamma = 1e-8 run: its estimate is near 1e-17, blind
+    to the aliasing of the band phases, so it would ask for steps of
+    hundreds of radians. The ceiling holds every step to 2 rad of the
+    fastest phase (20 cells), and the run steps there."""
+    p = SystemParams(mu_bar=0.1, intensity=20.0, beta_bar=1.0, gamma=1e-8)
+    tr, attempts, accepted, (q_floor, q_ceil) = run_attempts(monkeypatch, p, math.pi / p.mu_bar)
+    assert (q_floor, q_ceil) == (5, 20) and all(accepted)
+    assert max(cells for _, cells, _ in attempts) == q_ceil
+    assert tr.step == q_ceil * tr.dtau and tr.step_error < 1e-3 * EV._STEP_TOL
+
+
+def test_step_estimate_is_fourth_order(monkeypatch):
+    """On acceptance 03's cat, with the step pinned to 5, 10 and 20 cells
+    (0.5, 1 and 2 rad of the fastest phase), the worst estimate over the
+    first unit of time grows at least 8x per doubling of the step (measured:
+    15.7x and 14.9x), as a local error of order h^4 or higher must."""
+    p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
+    al = math.sqrt(p.intensity)
+    rho0 = cat_state_density(al, -al, fock_cutoff(p.intensity))
+    errs = []
+    for q, phase in ((5, 0.5), (10, 1.0), (20, 2.0)):
+        monkeypatch.setattr(EV, "_PHASE_PER_STEP", phase)
+        monkeypatch.setattr(EV, "_PHASE_PER_STEP_MAX", phase)
+        tr = evolve(p, 1.0, mode="born-markov-asymptotic", rho0=rho0,
+                    config=IntegratorConfig(frame="rotating"))
+        assert tr.step == q * tr.dtau
+        errs.append(tr.step_error)
+    assert errs[1] >= 8.0 * errs[0] and errs[2] >= 8.0 * errs[1]
+
+
+def test_dense_output_between_rotating_steps(monkeypatch):
     """A run stepping five cells per step against one whose grid is that
     step: the two take the same steps, so they agree to round-off at the
     shared step ends. The Hermite samples in between stay within 1e-7 of a
     lab-frame run at a quarter of the cell (measured: 1.6e-8 in <a>, 4.4e-8
-    in <n>; 5e-9 and 1.1e-8 at the step ends)."""
+    in <n>; 5e-9 and 1.1e-8 at the step ends). The ceiling is pinned to the
+    floor, which makes both runs floor-bound: left free, the estimate
+    (2.3e-10 at most) would lengthen the fine run's steps, and a coupling
+    that keeps it above the tolerance (gamma = 3e-3) moves the interior
+    samples by 1.3e-7 in <n>, because the state itself changes faster."""
+    monkeypatch.setattr(EV, "_PHASE_PER_STEP_MAX", EV._PHASE_PER_STEP)
     p = SystemParams(mu_bar=0.1, intensity=10.0, beta_bar=1.0, gamma=1e-3)
     mode = "born-markov-asymptotic"
     fine = evolve(p, 1.0, mode=mode, config=IntegratorConfig(frame="rotating", dtau=1 / 175, stride=1))
     coarse = evolve(p, 1.0, mode=mode, config=IntegratorConfig(frame="rotating", dtau=1 / 35, stride=1))
     lab = evolve(p, 1.0, mode=mode, config=IntegratorConfig(frame="lab", dtau=1 / 700, stride=4))
     assert fine.step == 5 * fine.dtau and coarse.step == coarse.dtau
+    assert fine.steps == coarse.steps == 35
     assert fine.step == pytest.approx(coarse.step, rel=1e-15)
     np.testing.assert_allclose(fine.taus[::5], coarse.taus, rtol=1e-15)
     assert np.max(np.abs(fine.a_expect[::5] - coarse.a_expect)) < 1e-13
@@ -551,12 +692,13 @@ def test_dense_output_between_rotating_steps():
 
 def test_snapshot_inside_a_step_matches_its_sample():
     """A snapshot at a grid point inside a rotating-frame step is the same
-    interpolated state the recorder samples there."""
-    p = SystemParams(mu_bar=0.1, intensity=10.0, beta_bar=1.0, gamma=1e-3)
+    interpolated state the recorder samples there. The run is floor-bound,
+    so its steps end on every fifth grid point."""
+    p = SystemParams(mu_bar=0.1, intensity=10.0, beta_bar=1.0, gamma=3e-3)
     tr = evolve(p, 0.2, mode="born-markov-asymptotic",
                 config=IntegratorConfig(frame="rotating", dtau=1 / 175, stride=1,
                                         snapshot_taus=(0.05,)))
-    assert tr.step == 5 * tr.dtau
+    assert tr.step == 5 * tr.dtau and tr.steps == 7
     (snap,) = tr.snapshots.values()
     k = int(np.argmin(np.abs(tr.taus - 0.05)))
     assert k % 5 != 0  # inside a step
@@ -569,13 +711,14 @@ def test_snapshot_inside_a_step_matches_its_sample():
 
 
 def test_interior_samples_match_snapshot_states():
-    """At the quantum-corner parameters (q = 5) the recorder interpolates
-    observable vectors, not states, inside a step. Every interior sample
+    """At the quantum-corner parameters with gamma = 3e-4, a floor-bound run
+    (q = 5), the recorder interpolates observable vectors, not states,
+    inside a step. Every interior sample
     must agree with the quantities computed from the interpolated state,
     which a snapshot at the same grid point returns; its hermiticity defect
     is the larger end-state defect, which bounds the interpolant's, and its
     minimum eigenvalue is still the interpolated state's."""
-    p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
+    p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=3e-4, lambda_bar=100.0)
     al = math.sqrt(p.intensity)
     be = 1j * al  # the sweep's quarter pair, so that <a> is not zero
     n_max = fock_cutoff(p.intensity)
@@ -588,7 +731,7 @@ def test_interior_samples_match_snapshot_states():
     tr = evolve(p, tau_end, mode="born-markov-asymptotic", rho0=rho0,
                 config=IntegratorConfig(frame="rotating", stride=1, overlap_pair=(al, be),
                                         record_min_eig=True, snapshot_taus=tuple(interior)))
-    assert tr.step == 5 * tr.dtau and tr.taus.size == n_cells + 1
+    assert tr.step == 5 * tr.dtau and tr.steps == n_cells // 5 and tr.taus.size == n_cells + 1
     e = energies(n_max, p.mu_bar)
     levels = np.arange(n_max)
     w = np.outer(coherent_amplitudes(al, n_max).conj(), coherent_amplitudes(be, n_max))
