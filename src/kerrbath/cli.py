@@ -15,7 +15,8 @@ Floats in outputs carry 17 significant digits so round-trips are lossless.
 
 Exit codes: 0 success, 2 invalid parameters or configuration, 3 integrator
 failure, 4 tolerance breach in compare. Trajectory CSVs are deterministic;
-wall-clock timestamps only appear in JSON sidecars.
+wall-clock timestamps only appear in JSON sidecars. Files are written
+atomically, and --out is made by the first write, so exits 2 and 3 leave none.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,13 +44,12 @@ from .evolve import (
 )
 from .kernels import QuadratureError
 from .model import (
-    THETA_HI,
-    THETA_LO,
     SystemParams,
     classify_regime,
     derive_timescales,
     theta_bec,
     theta_cantilever,
+    theta_regime,
     validate_params,
 )
 
@@ -149,15 +150,12 @@ def parse_config(text: str) -> dict:
 def _merged_options(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
     merged: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         merged.update(parse_config(path.read_text()))
-    for key in OPTIONS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
+    merged.update((k, v) for k, v in vars(args).items() if k in OPTIONS and v is not None)
     return merged
 
 
@@ -175,152 +173,142 @@ def _build_params(opts: dict) -> SystemParams:
 
 
 def _out_dir(opts: dict, required: bool = True) -> Path | None:
-    out = opts.get("out")
-    if out is None:
+    """The --out directory, checked before any run but not made: the first
+    write makes it, so a command that fails before writing leaves none."""
+    if "out" not in opts:
         if required:
             raise ConfigError("--out DIR is required for this command")
         return None
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(opts["out"])
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {path}: {existing} is not a directory")
     return path
 
 
-def _step_stats(traj) -> dict:
-    """A run's stepping telemetry: the largest RK4 step, the accepted steps
-    and the worst accepted local error estimate."""
-    return {"step": traj.step, "steps": traj.steps, "step_error": traj.step_error}
-
-
-def _write_json(path: Path, payload: dict) -> None:
+def _write(path: Path, text: str) -> None:
+    """Every file the CLI writes: atomically, into a directory made on demand."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    tmp.write_text(text)
     os.replace(tmp, path)
 
 
-def _sidecar(payload: dict) -> dict:
-    payload = dict(payload)
-    payload["schema_version"] = "1"
-    payload["tool_version"] = __version__
-    payload["created_utc"] = datetime.now(timezone.utc).isoformat()
-    return payload
+def _write_csv(path: Path, header: str, columns) -> None:
+    rows = (",".join(map(fmt, row)) for row in zip(*columns))
+    _write(path, "\n".join([header, *rows]) + "\n")
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _sidecar(params: SystemParams | None, traj=None, **fields) -> dict:
+    """A JSON sidecar: the fields, the run's params, the trajectory's stepping
+    telemetry when there was a run (the largest RK4 step, the accepted steps
+    and the worst accepted local error estimate), and the schema stamp."""
+    if params is not None:
+        fields["params"] = dataclasses.asdict(params)
+    if traj is not None:
+        fields.update(step=traj.step, steps=traj.steps, step_error=traj.step_error)
+    return {
+        **fields,
+        "schema_version": "1",
+        "tool_version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+    }
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_timescales(args: argparse.Namespace) -> int:
-    opts = _merged_options(args)
+def cmd_timescales(opts: dict) -> int:
     params = _build_params(opts)
+    out = _out_dir(opts, required=False)
     scales = derive_timescales(params)
     report = classify_regime(scales)
     for name, value in dataclasses.asdict(scales).items():
         print(f"{name:9s} = {fmt(value)}")
     print(f"{'regime':9s} = {report.regime}")
     print("ordering  = " + " < ".join(name for name, _ in report.ordering))
-    out = _out_dir(opts, required=False)
     if out is not None:
-        _write_json(
-            out / "timescales.json",
-            _sidecar(
-                {
-                    "params": dataclasses.asdict(params),
-                    "timescales": dataclasses.asdict(scales),
-                    "regime": report.regime,
-                    "theta": report.theta,
-                    "ordering": [list(item) for item in report.ordering],
-                }
-            ),
-        )
+        _write_json(out / "timescales.json", _sidecar(
+            params,
+            timescales=dataclasses.asdict(scales),
+            regime=report.regime,
+            theta=report.theta,
+            ordering=[list(item) for item in report.ordering],
+        ))
     return 0
 
 
-def _trajectory_config(opts: dict) -> IntegratorConfig:
-    return IntegratorConfig(**{k: opts[k] for k in ("dtau", "stride", "frame") if k in opts})
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    opts = _merged_options(args)
+def _run(opts: dict, out_required: bool):
+    """Params, --out and trajectory of a simulate or compare run, every input
+    checked before the run: tau_end is required and non-negative."""
     params = _build_params(opts)
     if "tau_end" not in opts:
         raise ConfigError("tau_end is required (flag --tau-end or config)")
-    tau_end = opts["tau_end"]
-    if tau_end < 0:
-        raise ConfigError(f"tau_end must be non-negative, got {tau_end}")
-    mode = opts.get("mode", "closed")
-    config = _trajectory_config(opts)  # a bad step is refused before --out is made
-    out = _out_dir(opts)
-    traj = evolve(params, tau_end, mode=mode, config=config)
+    if opts["tau_end"] < 0:
+        raise ConfigError(f"tau_end must be non-negative, got {opts['tau_end']}")
+    config = IntegratorConfig(**{k: opts[k] for k in ("dtau", "stride", "frame") if k in opts})
+    out = _out_dir(opts, out_required)
+    traj = evolve(params, opts["tau_end"], mode=opts.get("mode", "closed"), config=config)
+    return params, out, traj
 
-    columns = (traj.taus, traj.x, traj.a_expect.real, traj.a_expect.imag,
-               traj.n_expect, traj.trace.real, traj.herm_defect)
-    lines = [CSV_HEADER] + [",".join(map(fmt, row)) for row in zip(*columns)]
-    (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
-    _write_json(
-        out / "trajectory.json",
-        _sidecar(
-            {
-                "params": dataclasses.asdict(params),
-                "mode": traj.mode,
-                "frame": traj.frame,
-                "n_max": traj.n_max,
-                "dtau": traj.dtau,
-                **_step_stats(traj),
-                "tau_end": tau_end,
-                "n_samples": int(traj.taus.size),
-                "csv": "trajectory.csv",
-                "max_trace_deviation": float(np.abs(traj.trace - 1.0).max()),
-                "max_herm_defect": float(traj.herm_defect.max()),
-            }
-        ),
-    )
+
+def cmd_simulate(opts: dict) -> int:
+    params, out, traj = _run(opts, out_required=True)
+    _write_csv(out / "trajectory.csv", CSV_HEADER, (
+        traj.taus, traj.x, traj.a_expect.real, traj.a_expect.imag,
+        traj.n_expect, traj.trace.real, traj.herm_defect,
+    ))
+    _write_json(out / "trajectory.json", _sidecar(
+        params, traj,
+        mode=traj.mode,
+        frame=traj.frame,
+        n_max=traj.n_max,
+        dtau=traj.dtau,
+        tau_end=opts["tau_end"],
+        n_samples=int(traj.taus.size),
+        csv="trajectory.csv",
+        max_trace_deviation=float(np.abs(traj.trace - 1.0).max()),
+        max_herm_defect=float(traj.herm_defect.max()),
+    ))
     print(f"wrote {traj.taus.size} samples to {out / 'trajectory.csv'}")
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    opts = _merged_options(args)
-    params = _build_params(opts)
+def cmd_compare(opts: dict) -> int:
     mode = opts.get("mode", "closed")
     if mode not in ("closed", "lindblad-rwa"):
         raise ConfigError(
             f"compare needs a mode with a closed-form reference, got {mode!r} "
             "(expected closed or lindblad-rwa)"
         )
-    if "tau_end" not in opts:
-        raise ConfigError("tau_end is required (flag --tau-end or config)")
-    tau_end = opts["tau_end"]
-    traj = evolve(params, tau_end, mode=mode, config=_trajectory_config(opts))
+    params, out, traj = _run(opts, out_required=False)
     if mode == "closed":
         ref = closedform.alpha_closed(params, traj.taus)
     else:
         ref = closedform.alpha_lindblad_rwa(params, traj.taus)
     dev = np.abs(traj.a_expect - ref)
-    scale = math.sqrt(params.intensity)
     max_dev = float(dev.max())
     rms_dev = float(np.sqrt(np.mean(dev**2)))
-    rel = max_dev / scale
+    rel = max_dev / math.sqrt(params.intensity)
     print(f"max |d<a>|      = {fmt(max_dev)}")
     print(f"rms |d<a>|      = {fmt(rms_dev)}")
     print(f"max/sqrt(I0)    = {fmt(rel)}")
-    out = _out_dir(opts, required=False)
-    if out is not None:
-        _write_json(
-            out / "compare.json",
-            _sidecar(
-                {
-                    "params": dataclasses.asdict(params),
-                    "mode": mode,
-                    "tau_end": tau_end,
-                    "max_deviation": max_dev,
-                    "rms_deviation": rms_dev,
-                    "relative_deviation": rel,
-                    "tolerance": opts.get("tolerance"),
-                    **_step_stats(traj),
-                }
-            ),
-        )
     tolerance = opts.get("tolerance")
+    if out is not None:
+        _write_json(out / "compare.json", _sidecar(
+            params, traj,
+            mode=mode,
+            tau_end=opts["tau_end"],
+            max_deviation=max_dev,
+            rms_deviation=rms_dev,
+            relative_deviation=rel,
+            tolerance=tolerance,
+        ))
     if tolerance is not None and rel > tolerance:
         print(
             f"tolerance breached: max/sqrt(I0) = {fmt(rel)} > {fmt(tolerance)}",
@@ -330,8 +318,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    opts = _merged_options(args)
+def cmd_spectrum(opts: dict) -> int:
     params = _build_params(opts)
     if params.mu_bar <= 0:
         raise ConfigError("spectrum needs mu_bar > 0 (finite recurrence period)")
@@ -356,31 +343,27 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         params, duration, mode=mode,
         config=IntegratorConfig(dtau=dt / sub, stride=sub, frame=frame),
     )
-    x = traj.x[:-1]  # drop the periodic endpoint
-    taus = traj.taus[:-1]
-    omegas, amps = analysis.discrete_spectrum(taus, x, window=window_arg)
+    # the last sample is the periodic endpoint, the first one again
+    omegas, amps = analysis.discrete_spectrum(traj.taus[:-1], traj.x[:-1], window=window_arg)
     peak_om, peak_amp = analysis.comb_peaks(omegas, amps)
     fit = analysis.fit_spectral_width(peak_om, peak_amp)
     scales = derive_timescales(params)
 
-    lines = ["omega,amplitude"] + [f"{fmt(w)},{fmt(a)}" for w, a in zip(omegas, amps)]
-    (out / "spectrum.csv").write_text("\n".join(lines) + "\n")
-    payload = {
-        "params": dataclasses.asdict(params),
-        "mode": mode,
-        "duration": duration,
-        "samples": samples,
-        "window": window,
-        "center": fit.center,
-        "width": fit.width,
-        "tau_e_estimate": fit.tau_e_estimate,
-        "n_bins": fit.n_bins,
-        "residual_rms": fit.residual_rms,
-        "width_times_tau_e": fit.width * scales.tau_e,
-        "csv": "spectrum.csv",
-        **_step_stats(traj),
-    }
-    _write_json(out / "spectrum.json", _sidecar(payload))
+    _write_csv(out / "spectrum.csv", "omega,amplitude", (omegas, amps))
+    _write_json(out / "spectrum.json", _sidecar(
+        params, traj,
+        mode=mode,
+        duration=duration,
+        samples=samples,
+        window=window,
+        center=fit.center,
+        width=fit.width,
+        tau_e_estimate=fit.tau_e_estimate,
+        n_bins=fit.n_bins,
+        residual_rms=fit.residual_rms,
+        width_times_tau_e=fit.width * scales.tau_e,
+        csv="spectrum.csv",
+    ))
     print(
         f"center = {fmt(fit.center)}  width = {fmt(fit.width)}  "
         f"width*tau_e = {fmt(fit.width * scales.tau_e)}"
@@ -433,7 +416,7 @@ def run_sweep_draw(spec: dict) -> dict:
     the chord's x-projection rotates; overlap_rate_modulated fits that
     modulation explicitly, so every draw uses one window, a predicted
     envelope log drop of 0.23, sampled at least 400 times (the RK4 step
-    may span several samples).
+    may span several samples). The result is the draw file's sidecar.
     """
     params = SystemParams(**{k: spec[k] for k in ("mu_bar", "intensity", "beta_bar", "gamma")})
     params = dataclasses.replace(
@@ -464,33 +447,31 @@ def run_sweep_draw(spec: dict) -> dict:
     tau_d_fit = analysis.scale_tau_d_to_intensity(
         fit.tau_d, delta_eff, params.intensity
     )
-    return {
-        "index": spec["index"],
-        "params": dataclasses.asdict(params),
-        "delta_eff": delta_eff,
-        "n_max": n_max,
-        "window": window,
-        "fit_method": fit.method,
-        "rate_fit": fit.rate,
-        "rate_predicted": rate_pred,
-        "tau_d_fit": tau_d_fit,
-        "tau_d_theory": scales.tau_d,
-        "ln_ratio": math.log(tau_d_fit / scales.tau_d),
-        "fit_uncertainty": fit.uncertainty,
-        "fit_residual_rms": fit.residual_rms,
-        "max_trace_deviation": float(np.abs(traj.trace - 1.0).max()),
-        "max_herm_defect": float(traj.herm_defect.max()),
-        "final_min_eig": float(np.linalg.eigvalsh(traj.final_rho)[0]),
-        **_step_stats(traj),
-    }
+    return _sidecar(
+        params, traj,
+        index=spec["index"],
+        delta_eff=delta_eff,
+        n_max=n_max,
+        window=window,
+        fit_method=fit.method,
+        rate_fit=fit.rate,
+        rate_predicted=rate_pred,
+        tau_d_fit=tau_d_fit,
+        tau_d_theory=scales.tau_d,
+        ln_ratio=math.log(tau_d_fit / scales.tau_d),
+        fit_uncertainty=fit.uncertainty,
+        fit_residual_rms=fit.residual_rms,
+        max_trace_deviation=float(np.abs(traj.trace - 1.0).max()),
+        max_herm_defect=float(traj.herm_defect.max()),
+        final_min_eig=float(np.linalg.eigvalsh(traj.final_rho)[0]),
+    )
 
 
 #: the draw results a manifest entry repeats, None until the draw completes
 _ENTRY_RESULTS = ("final_min_eig", "step", "steps", "step_error")
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    opts = _merged_options(args)
+def cmd_sweep(opts: dict) -> int:
     if "draws" not in opts or "seed" not in opts:
         raise ConfigError("sweep needs --draws and --seed")
     draws, seed = opts["draws"], opts["seed"]
@@ -503,65 +484,51 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     manifest_path = out / "manifest.json"
 
     plan = draw_parameters(seed, draws)
-    ranges = {k: list(v) for k, v in SWEEP_RANGES.items()}
+    manifest = _sidecar(
+        None,
+        seed=seed,
+        draws=draws,
+        pair_rule=SWEEP_PAIR_RULE,
+        lambda_bar_rule=SWEEP_LAMBDA_RULE,
+        ranges={k: list(v) for k, v in SWEEP_RANGES.items()},
+        entries=[
+            {
+                "index": e["index"],
+                "params": {k: e[k] for k in ("mu_bar", "gamma", "beta_bar", "intensity")},
+                "status": "pending",
+                "result_file": None,
+                "error": None,
+                **dict.fromkeys(_ENTRY_RESULTS),
+            }
+            for e in plan
+        ],
+    )
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        same = (
-            manifest.get("seed") == seed
-            and manifest.get("draws") == draws
-            and manifest.get("ranges") == ranges
-        )
-        if not same:
+        found = json.loads(manifest_path.read_text())
+        if any(found.get(k) != manifest[k] for k in ("seed", "draws", "ranges")):
             raise ConfigError(
                 f"{manifest_path} belongs to a different sweep (seed/draws/"
                 "ranges differ); use a fresh --out directory"
             )
+        manifest = found
     else:
-        manifest = {
-            "schema_version": "1",
-            "tool_version": __version__,
-            "seed": seed,
-            "draws": draws,
-            "pair_rule": SWEEP_PAIR_RULE,
-            "lambda_bar_rule": SWEEP_LAMBDA_RULE,
-            "ranges": ranges,
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "entries": [
-                {
-                    "index": e["index"],
-                    "params": {k: e[k] for k in ("mu_bar", "gamma", "beta_bar", "intensity")},
-                    "status": "pending",
-                    "result_file": None,
-                    "error": None,
-                    **dict.fromkeys(_ENTRY_RESULTS),
-                }
-                for e in plan
-            ],
-        }
         _write_json(manifest_path, manifest)
 
-    pending = []
-    for entry, spec in zip(manifest["entries"], plan):
-        done = (
-            entry["status"] == "complete"
-            and entry["result_file"]
-            and (out / entry["result_file"]).exists()
-        )
-        if not done:
-            pending.append(dict(spec, lambda_bar=opts.get("lambda_bar")))
+    pending = [
+        dict(spec, lambda_bar=opts.get("lambda_bar"))
+        for entry, spec in zip(manifest["entries"], plan)
+        if not (entry["status"] == "complete" and entry["result_file"]
+                and (out / entry["result_file"]).exists())
+    ]
 
     def record(result_or_error, index: int) -> None:
         entry = manifest["entries"][index]
         if isinstance(result_or_error, dict):
-            name = f"draw_{index:03d}.json"
-            _write_json(out / name, _sidecar(result_or_error))
-            entry["status"] = "complete"
-            entry["result_file"] = name
-            entry["error"] = None
+            entry.update(status="complete", result_file=f"draw_{index:03d}.json", error=None)
             entry.update((k, result_or_error[k]) for k in _ENTRY_RESULTS)
+            _write_json(out / entry["result_file"], result_or_error)
         else:
-            entry["status"] = "failed"
-            entry["error"] = str(result_or_error)
+            entry.update(status="failed", error=str(result_or_error))
             entry.update(dict.fromkeys(_ENTRY_RESULTS))
         _write_json(manifest_path, manifest)
 
@@ -572,13 +539,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for index, outcome in pool.imap_unordered(_sweep_worker, pending):
                 record(outcome, index)
     else:
-        for spec in pending:
-            index, outcome = _sweep_worker(spec)
+        for index, outcome in map(_sweep_worker, pending):
             record(outcome, index)
 
-    n_done = sum(1 for e in manifest["entries"] if e["status"] == "complete")
-    n_fail = sum(1 for e in manifest["entries"] if e["status"] == "failed")
-    print(f"sweep: {n_done} complete, {n_fail} failed, of {draws} draws")
+    status = Counter(e["status"] for e in manifest["entries"])
+    print(f"sweep: {status['complete']} complete, {status['failed']} failed, of {draws} draws")
     return 0
 
 
@@ -610,12 +575,7 @@ def cmd_regimes(args: argparse.Namespace) -> int:
         threshold = math.sqrt(args.n_levels) / (4.0 * args.quality)
         print(f"theta = {fmt(theta)}")
         print(f"mu_cl threshold (theta = 1) = {fmt(threshold)}")
-    verdict = (
-        "quantum-surviving" if theta > THETA_HI
-        else "classical" if theta < THETA_LO
-        else "intermediate"
-    )
-    print(f"regime = {verdict}")
+    print(f"regime = {theta_regime(theta)}")
     return 0
 
 
@@ -650,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         _add_common(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=lambda args, run=func: run(_merged_options(args)))
 
     reg = sub.add_parser("regimes")
     regsub = reg.add_subparsers(dest="system", required=True)

@@ -20,18 +20,17 @@ with k = gamma / (2 mu).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .model import SystemParams
 
 
 def alpha_closed(params: SystemParams, taus) -> np.ndarray:
-    """Isolated <a>(tau) for a coherent initial state."""
-    t = np.asarray(taus, dtype=float)
-    mu = params.mu_bar
-    phase = np.exp(-1j * (1.0 + mu) * t)
-    spread = np.exp(params.intensity * (np.exp(-2j * mu * t) - 1.0))
-    return params.alpha * phase * spread
+    """Isolated <a>(tau) for a coherent initial state: the damped form at
+    gamma = 0."""
+    return alpha_lindblad_rwa(dataclasses.replace(params, gamma=0.0), taus)
 
 
 def alpha_lindblad_rwa(params: SystemParams, taus) -> np.ndarray:

@@ -87,8 +87,12 @@ O(n_max) vectors they are read from instead of forming interior states. An
 interior sample's hermiticity defect is the larger end-state defect, which
 bounds the interpolant's: the state weights lie in [0, 1] and sum to 1, and
 the kernel's output is exactly Hermitian (the rotating Lindblad output to
-round-off, ~1e-19, which the bound then carries). Closed mode integrates no
-step; dtau only spaces its samples, 2001 of them when unset.
+round-off, ~1e-19, which the bound then carries). The interpolant is not
+positivity-preserving, and its error grows as h^4: at the 2-rad ceiling
+(acceptance 02's lindblad-rwa run, 20 cells per step) an interpolated
+sample's minimum eigenvalue reaches -4.5e-10, while the step ends stay at
+round-off (-1.8e-16). Closed mode integrates no step; dtau only spaces its
+samples, 2001 of them when unset.
 """
 
 from __future__ import annotations

@@ -50,11 +50,9 @@ def _check_truncation(alphas, n_max: int) -> None:
 
 
 def coherent_state_density(alpha: complex, n_max: int) -> np.ndarray:
-    """Density matrix of |alpha><alpha| in the truncated basis, renormalized."""
-    _check_truncation([alpha], n_max)
-    v = coherent_amplitudes(alpha, n_max)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
+    """Density matrix of |alpha><alpha| in the truncated basis, renormalized:
+    the cat state of two equal lobes."""
+    return cat_state_density(alpha, alpha, n_max)
 
 
 def cat_state_density(alpha: complex, beta: complex, n_max: int) -> np.ndarray:

@@ -133,6 +133,16 @@ def derive_timescales(params: SystemParams) -> Timescales:
     return Timescales(tau_cl, tau_e, tau_r, tau_d, tau_gamma, theta)
 
 
+def theta_regime(theta: float) -> str:
+    """The verdict on a survival ratio: quantum-surviving above THETA_HI,
+    classical below THETA_LO, intermediate otherwise."""
+    if theta > THETA_HI:
+        return "quantum-surviving"
+    if theta < THETA_LO:
+        return "classical"
+    return "intermediate"
+
+
 def classify_regime(scales: Timescales) -> RegimeReport:
     """Classify the dynamical regime from the timescale hierarchy.
 
@@ -143,14 +153,7 @@ def classify_regime(scales: Timescales) -> RegimeReport:
                        ever spreads
     intermediate       otherwise
     """
-    if math.isinf(scales.tau_gamma):
-        regime = "isolated"
-    elif scales.theta > THETA_HI:
-        regime = "quantum-surviving"
-    elif scales.theta < THETA_LO:
-        regime = "classical"
-    else:
-        regime = "intermediate"
+    regime = "isolated" if math.isinf(scales.tau_gamma) else theta_regime(scales.theta)
     times = {k: v for k, v in asdict(scales).items() if k != "theta"}
     ordering = tuple(sorted(times.items(), key=lambda kv: kv[1]))
     return RegimeReport(theta=scales.theta, regime=regime, ordering=ordering)

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file formats, determinism, resume."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrbath import THETA_HI, THETA_LO, analysis
+from kerrbath import THETA_HI, THETA_LO, SystemParams, analysis
 from kerrbath.cli import (
     CSV_HEADER,
     OPTIONS,
@@ -275,6 +276,34 @@ def test_integrator_failure_exit_3(tmp_path, capsys):
     assert "integration failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["simulate", "--mu-bar", "0.1", "--intensity", "20", "--gamma", "0.1",
+      "--mode", "lindblad-rwa", "--tau-end", "50", "--dtau", "5"], 3),
+    # the fit finds too few bins on the dominant lobe
+    (["spectrum", "--mu-bar", "0.1", "--intensity", "1", "--samples", "64"], 2),
+], ids=["simulate-exit-3", "spectrum-exit-2"])
+def test_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, code):
+    """--out is made by the first file written, so a command that fails
+    after its inputs were accepted leaves no directory behind."""
+    out = tmp_path / "new" / "out"
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command,out", [("simulate", "afile"), ("timescales", "afile/sub")])
+def test_out_that_is_or_lies_under_a_file_exits_2(tmp_path, capsys, monkeypatch, command, out):
+    """An --out that names a file, or a path beneath one, is refused before
+    any run, with a message that names the path."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("keep\n")
+    assert main([command, *QUANTUM, "--tau-end", "1", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--out {out}: afile is not a directory" in captured.err
+    assert (tmp_path / "afile").read_text() == "keep\n"
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -455,6 +484,29 @@ def test_sweep_rejects_nonpositive_workers(tmp_path, capsys):
     assert main(args) == 2
     assert "workers must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
+
+
+SIDECARS = {
+    "trajectory.json": ["simulate", "--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3",
+                        "--mode", "lindblad-rwa", "--tau-end", "0.5"],
+    "compare.json": ["compare", "--mu-bar", "0.1", "--intensity", "5", "--tau-end", "1"],
+    "spectrum.json": ["spectrum", "--mu-bar", "0.2", "--intensity", "20", "--samples", "256"],
+    "draw_000.json": ["sweep", "--seed", "7", "--draws", "1"],
+}
+
+
+@pytest.mark.parametrize("name", SIDECARS)
+def test_run_sidecars_carry_params_stamp_and_steps(tmp_path, name):
+    """Every sidecar of a run carries the run's params, its stepping
+    telemetry and the schema stamp (timescales.json, which has no run, is
+    checked in test_timescales_stdout_and_json)."""
+    assert main([*SIDECARS[name], "--out", str(tmp_path)]) == 0
+    data = read_json(tmp_path / name)
+    for key in ("params", "schema_version", "tool_version", "created_utc",
+                "step", "steps", "step_error"):
+        assert key in data, key
+    assert data["schema_version"] == "1"
+    assert set(data["params"]) == {f.name for f in dataclasses.fields(SystemParams)}
 
 
 # ---------------------------------------------------------------------------
