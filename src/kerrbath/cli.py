@@ -323,12 +323,16 @@ def cmd_spectrum(opts: dict) -> int:
     if params.mu_bar <= 0:
         raise ConfigError("spectrum needs mu_bar > 0 (finite recurrence period)")
     mode = opts.get("mode", "closed")
-    periods = opts.get("periods", 1)
-    samples = opts.get("samples", 2048)
-    if periods < 1 or samples < 64:
-        raise ConfigError("need periods >= 1 and samples >= 64")
     window = opts.get("window", "none")
     window_arg = None if window == "none" else window
+    # p periods put the comb lines 2p bins apart; a Hann line spans 4 bins,
+    # so the window resolves the comb from two periods on
+    min_periods = 1 if window_arg is None else 2
+    periods = opts.get("periods", min_periods)
+    samples = opts.get("samples", 2048)
+    if periods < min_periods or samples < 64:
+        raise ConfigError(f"need periods >= {min_periods} and samples >= 64"
+                          + ("" if window_arg is None else " with a hann window"))
     out = _out_dir(opts)
 
     # an even number of revival periods puts every comb line exactly on a

@@ -43,26 +43,25 @@ evolve rejects an initial state with max|rho0 - rho0^dag| > 1e-9. All
 operators are tridiagonal, so one right-hand side costs O(n_max^2).
 
 Every mode runs through one sample loop and one recorder; the stepping
-modes share one banded kernel, which holds its mode's whole generator and
-works in one of two frames. frame="rotating" removes the free rotation
-analytically: rho~ = e^{iHt} rho e^{-iHt} obeys an equation without the
-free term, in which the ladder diagonals (those of X and P, and of a in the
-Lindblad gain a rho~ a^dag) carry explicit phases e^{-i Omega_n t},
-Omega_n = E_{n+1} - E_n; the Lindblad decay is diagonal and carries none.
-The lab frame is the same kernel with unit phases, plus the diagonal free
-term. Closed mode is the co-moving run without a generator. Recorded
-observables and snapshots are always lab-frame values: the recorder dresses
-co-moving states with the level phases.
+modes share one banded kernel, which holds its mode's whole generator in
+the co-moving frame. The free rotation is removed analytically:
+rho~ = e^{iHt} rho e^{-iHt} obeys an equation without the free term, in
+which the ladder diagonals (those of X and P, and of a in the Lindblad gain
+a rho~ a^dag) carry explicit phases e^{-i Omega_n t}, Omega_n = E_{n+1} - E_n;
+the Lindblad decay is diagonal and carries none. Stepping that equation is
+Lawson's integrating-factor Runge-Kutta (J. D. Lawson, SIAM J. Numer. Anal.
+4, 372 (1967)). Closed mode is the co-moving run without a generator.
+Recorded observables and snapshots are always lab-frame values: the
+recorder dresses co-moving states with the level phases.
 
-Time stepping is classical RK4. dtau is the sample grid in every mode:
-samples and snapshots lie on it, and default_dtau(params, n_max, frame)
-gives it when unset. In the lab frame the RK4 step is the grid cell: the
-step rule caps it by the largest level-energy difference in the truncated
-space (corner coherences rotate at that rate and must stay inside the
-stability region) and by the envelope timescale tau_e. In the rotating
-frame only the band phases oscillate, at up to ~2 Omega_top, linear in n_max
-instead of quadratic, and the RK4 step spans a whole number q of grid cells
-between a floor and a ceiling. The floor q_floor is as many cells as fit in
+Time stepping is classical RK4 on the co-moving state. dtau is the sample
+grid in every mode: samples and snapshots lie on it, and
+default_dtau(params, n_max, frame) gives it when unset; frame picks only
+that default grid, and every run with a generator steps the same way. Only
+the band phases oscillate, at up to ~2 Omega_top, linear in n_max instead
+of the quadratic level spread E_top - E_0 that a lab-frame step would have
+to resolve, and the RK4 step spans a whole number q of grid cells between
+a floor and a ceiling. The floor q_floor is as many cells as fit in
 the smallest of three budgets: 0.5 rad of the fastest band phase per step, a
 step times the generator's norm bound of at most 0.25, and the transient
 table's spacing; the ceiling q_ceil is the same with 2 rad per step. Every
@@ -75,8 +74,7 @@ q <- clamp(floor(q min(2, max(0.2, 0.9 (tol/err)^(1/4)))), q_floor, q_ceil)
 with tol = _STEP_TOL; a step above q_floor with err > tol is rejected and
 retried with the new q. So a run never steps shorter than q_floor, and
 where the rate or the table binds, q_floor = q_ceil and the step is fixed.
-The lab frame steps one cell (q_floor = q_ceil = 1) and reports the
-estimate too. A grid that is not a multiple of q ends on a shorter step.
+A grid that is not a multiple of q ends on a shorter step.
 Samples inside a step come from the cubic Hermite interpolant
 of the step's end states and their derivatives (Hairer, Norsett & Wanner,
 Solving ODEs I, II.6). The end derivative is the next step's first stage,
@@ -86,13 +84,13 @@ eigenvalue are linear in the state, so the recorder interpolates the
 O(n_max) vectors they are read from instead of forming interior states. An
 interior sample's hermiticity defect is the larger end-state defect, which
 bounds the interpolant's: the state weights lie in [0, 1] and sum to 1, and
-the kernel's output is exactly Hermitian (the rotating Lindblad output to
+the bath kernel's output is exactly Hermitian (the Lindblad output to
 round-off, ~1e-19, which the bound then carries). The interpolant is not
 positivity-preserving, and its error grows as h^4: at the 2-rad ceiling
-(acceptance 02's lindblad-rwa run, 20 cells per step) an interpolated
-sample's minimum eigenvalue reaches -4.5e-10, while the step ends stay at
-round-off (-1.8e-16). Closed mode integrates no step; dtau only spaces its
-samples, 2001 of them when unset.
+(acceptance 02's lindblad-rwa run on the lab grid, 31 cells per step) an
+interpolated sample's minimum eigenvalue reaches -2.7e-10, while the step
+ends stay at round-off (-1.8e-16). Closed mode integrates no step; dtau
+only spaces its samples, 2001 of them when unset.
 """
 
 from __future__ import annotations
@@ -128,15 +126,15 @@ _CLOSED_BLOCK = 512
 # most grid cells one run may take; checked before the run allocates its buffers
 _MAX_STEPS = 20_000_000
 
-# rotating-frame step budgets: radians of the fastest coefficient phase per
-# step at the step floor and at the step ceiling, and the step times the bath
-# generator's norm bound
+# step budgets: radians of the fastest coefficient phase per step at the
+# step floor and at the step ceiling, and the step times the generator's
+# norm bound
 _PHASE_PER_STEP = 0.5
 _PHASE_PER_STEP_MAX = 2.0
 _RATE_PER_STEP = 0.25
 
-# local error tolerance of a rotating-frame step above its floor: the largest
-# accepted (h/6) max|f(t+h, y1) - k4|
+# local error tolerance of a step above its floor: the largest accepted
+# (h/6) max|f(t+h, y1) - k4|
 _STEP_TOL = 3e-10
 
 
@@ -156,9 +154,9 @@ class IntegratorConfig:
     and recorder: samples and snapshots lie on that grid. dtau None picks
     default_dtau(params, n_max, frame), except in closed mode: that is the
     co-moving run without a generator, whose state never changes, so dtau
-    only spaces its exact samples and defaults to tau_end/2000. The RK4 step
-    is one cell in the lab frame; a rotating-frame run with a generator
-    steps over whole cells, as many as its local error estimate allows
+    only spaces its exact samples and defaults to tau_end/2000. frame picks
+    only that default grid. Every run with a generator steps the co-moving
+    state over whole cells, as many as its local error estimate allows
     between a floor set by its step budgets and a ceiling set by the same
     budgets at 2 rad of phase per step instead of 0.5 (see the module
     docstring), so a given dtau sets the sample density, not the step.
@@ -195,10 +193,11 @@ class IntegratorConfig:
 class Trajectory:
     """Sampled observables of one propagation run.
 
-    All stored quantities are lab-frame regardless of the integration frame;
-    frame only records which kernel produced them. dtau is the spacing of
-    the run's sample grid and step the largest RK4 step taken, a whole
-    number of dtau; steps counts the accepted RK4 steps, and step_error is
+    All stored quantities are lab-frame values, whatever the frame; frame
+    records the config's, which picks only the default grid (every run
+    with a generator steps co-moving). dtau is the spacing of the run's
+    sample grid and step the largest RK4 step taken, a whole number of
+    dtau; steps counts the accepted RK4 steps, and step_error is
     the largest accepted local error estimate (h/6) max|f(t+h, y1) - k4|
     (see the module docstring). With no step taken (closed mode, which
     integrates nothing, or tau_end = 0) steps is 0 and step and step_error
@@ -207,9 +206,9 @@ class Trajectory:
     coherence envelope of that pair (see IntegratorConfig), 1 at tau=0 for
     the pure off-diagonal lobe and rotation-invariant thereafter.
     herm_defect is max|rho - rho^dag| of the state at a step end (or of the
-    static state in closed mode); at a sample inside a rotating-frame step
-    it is the larger of the two end-state defects, which bounds the defect
-    of the interpolated state there (see the module docstring).
+    static state in closed mode); at a sample inside a step it is the
+    larger of the two end-state defects, which bounds the defect of the
+    interpolated state there (see the module docstring).
     """
 
     taus: np.ndarray
@@ -254,44 +253,38 @@ class _Ladder:
 
 
 class _BandedRHS:
-    """O(n^2) right-hand side of one mode's whole generator.
+    """O(n^2) right-hand side of one mode's whole generator in the co-moving
+    frame.
 
     The bath enters as [X, M] with M = P rho + rho Q; P is tridiagonal with
     zero main diagonal, Q = -P^dag, and X is the Hermitian ladder band. For
     Hermitian rho (a precondition, not checked per call) this is
     M = A - A^dag with A = P rho and [X, M] = B + B^dag with B = X M, so
     each evaluation forms the two one-sided products and mirrors them; only
-    the P bands are stored. lindblad-rwa has the decay -gamma (n + m)/2 and
-    the gain gamma a rho a^dag, the product of the upper and lower X bands
-    on the shifted block. In the rotating frame each evaluation multiplies
-    every upper band by e^{-i Omega_n t} and every lower band by the
-    conjugate, and rebuilds the gain from them; the lab frame is the case of
-    unit phases, plus the diagonal free term. The constructor installs the
+    the P bands are stored. lindblad-rwa has the decay -gamma (n + m)/2
+    (l_free) and the gain gamma a rho a^dag, the product of the upper and
+    lower X bands on the shifted block. Each evaluation multiplies every
+    upper band by e^{-i Omega_n t} and every lower band by the conjugate,
+    and rebuilds the gain from them. The constructor installs the
     asymptotic bath coefficients, or a transient table of table_points
     nodes; phases and table coefficients are redone only when the time
     differs from the last one set up (RK4 stages 2 and 3 share it). rate
-    bounds the generator's norm without the free term.
+    bounds the generator's norm.
     """
 
     def __init__(self, params: SystemParams, ladder: _Ladder, mode: str,
-                 rotating: bool = False,
                  table_points: int = IntegratorConfig.transient_table_points):
         n_max = ladder.energies.size
         self.ladder = ladder
-        self.rotating = rotating
         # work buffers: every evaluation writes into these and allocates no
         # n_max^2 temporary
         self._a, self._m, self._t = (np.empty((n_max, n_max), dtype=complex) for _ in range(3))
         self._coef = None  # P bands (pu, pl) as installed
         self._tau = None  # time the bands were last set up for
-        self.bands = None  # the bands the body uses, modulated if rotating
+        self.bands = None  # the modulated P bands, once coefficients are installed
         self.table = self.l_free = self.gain = None
-        if rotating:
-            self._mod = tuple(np.zeros(n_max - 1, dtype=complex) for _ in range(4))
-            self.xu, self.xl = self._mod[2:]
-        else:
-            self.xu = self.xl = ladder.sqrt_n
-            self.l_free = -1j * np.subtract.outer(ladder.energies, ladder.energies)
+        self._mod = tuple(np.zeros(n_max - 1, dtype=complex) for _ in range(4))
+        self.xu, self.xl = self._mod[2:]
         coef_sets = []
         if params.gamma > 0 and mode == "born-markov-asymptotic":
             c = asymptotic_coefficients(params, n_max)
@@ -306,15 +299,13 @@ class _BandedRHS:
         self.gamma = params.gamma
         if params.gamma > 0 and mode == "lindblad-rwa":
             n = np.arange(n_max, dtype=float)
-            decay = 0.5 * params.gamma * (n[:, None] + n[None, :])
-            self.l_free = -decay if rotating else self.l_free - decay
+            self.l_free = -0.5 * params.gamma * (n[:, None] + n[None, :])
             # the gain gamma xu[i] xl[j] fills columns j < n_max - 1 of an
             # (n_max - 1, n_max) array whose last column stays zero. With
             # k = i n_max + j, gain.flat[k] rho.flat[k + n_max + 1] is then
             # gain[i, j] rho[i+1, j+1]: the shifted block is one contiguous
             # product, and _block keeps i, j < n_max - 1 of it when adding
             self.gain = np.zeros((n_max - 1, n_max), dtype=complex)
-            self.gain[:, :-1] = params.gamma * (self.xu[:, None] * self.xl[None, :])
             self._gain_flat = self.gain.reshape(-1)[:n_max * n_max - n_max - 1]
             self._t_flat = self._t.reshape(-1)[:self._gain_flat.size]
             self._block = np.zeros((n_max, n_max), dtype=bool)
@@ -333,7 +324,7 @@ class _BandedRHS:
     def set_coefficients(self, a1, a2, b1, b2) -> None:
         """Install level-resolved bath coefficients (arrays over levels)."""
         self._coef = self.p_bands(a1, a2, b1, b2)
-        self.bands = self._mod[:2] if self.rotating else self._coef
+        self.bands = self._mod[:2]
         self._tau = None
 
     def _set_time(self, tau: float) -> None:
@@ -343,8 +334,6 @@ class _BandedRHS:
         if self.table is not None:
             self.set_coefficients(*self.table.at(tau))
         self._tau = tau
-        if not self.rotating:
-            return
         ph = np.exp(-1j * self.ladder.gaps * tau)
         conj = ph.conj()
         pu_t, pl_t, xu_t, xl_t = self._mod
@@ -366,13 +355,11 @@ class _BandedRHS:
         a, m, t = self._a, self._m, self._t
         if self.l_free is not None:
             np.multiply(self.l_free, rho, out=out)
-            if self.gain is not None:
-                # t[i, j] = gain[i, j] rho[i+1, j+1] on the block i, j < n_max - 1
-                np.multiply(self._gain_flat, rho.reshape(-1)[rho.shape[0] + 1:], out=self._t_flat)
-                np.add(out, t, out=out, where=self._block)
-        elif self.bands is None:
-            out[:] = 0.0
+            # t[i, j] = gain[i, j] rho[i+1, j+1] on the block i, j < n_max - 1
+            np.multiply(self._gain_flat, rho.reshape(-1)[rho.shape[0] + 1:], out=self._t_flat)
+            return np.add(out, t, out=out, where=self._block)
         if self.bands is None:
+            out[:] = 0.0
             return out
         pu, pl = self.bands
         xu, xl = self.xu, self.xl
@@ -391,11 +378,7 @@ class _BandedRHS:
         a[1:, :] += t[1:, :]
         np.copyto(t, a.T)
         np.conjugate(t, out=t)
-        if self.l_free is None:
-            return np.add(a, t, out=out)
-        out += a
-        out += t
-        return out
+        return np.add(a, t, out=out)
 
 
 def coefficient_settle_time(params: SystemParams) -> float:
@@ -436,18 +419,18 @@ def _omega_top(params: SystemParams, n_max: int) -> float:
 
 
 def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
-    """The default sample grid of a frame, which is also the lab-frame step.
+    """The default sample grid of a frame. It fixes the sample density
+    only: every run with a generator steps the co-moving state over whole
+    cells of it (see the module docstring), and cubic Hermite dense output
+    fills the samples between step ends.
 
-    Lab frame: the RK4 step is one grid cell. The fastest coherence in the
-    truncated space rotates at the full level spread E_top - E_0; one radian
-    per step keeps it well inside the RK4 stability region, and tau_e/200
-    resolves the envelope collapse.
+    Lab frame: one radian per sample of the fastest lab-frame coherence,
+    which rotates at the full level spread E_top - E_0, and at least 200
+    samples per tau_e, which resolves the envelope collapse.
 
-    Rotating frame: 0.05/Omega_top, with Omega_top = E_top - E_{top-1},
-    fixes the sample density only (0.1 rad of the fastest coefficient phase,
-    at twice Omega_top, per sample). The RK4 step spans several such cells
-    (see the module docstring); cubic Hermite dense output fills the samples
-    between step ends.
+    Rotating frame: 0.05/Omega_top, with Omega_top = E_top - E_{top-1}
+    (0.1 rad of the fastest coefficient phase, at twice Omega_top, per
+    sample).
     """
     if frame not in FRAMES:
         raise ValueError(f"unknown frame {frame!r}")
@@ -459,9 +442,9 @@ def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
     return min(dt, tau_e / 200.0) if math.isfinite(tau_e) else dt
 
 
-def _rotating_step_cap(params: SystemParams, rhs: _BandedRHS, phase: float) -> float:
-    """Longest RK4 step of a rotating-frame run with a generator, for a
-    phase budget of phase radians per step.
+def _step_cap(params: SystemParams, rhs: _BandedRHS, phase: float) -> float:
+    """Longest RK4 step of a run with a generator, for a phase budget of
+    phase radians per step.
 
     The smallest of three budgets. Phase: the fastest band phase turns at
     2 Omega_top, by at most phase per step; _PHASE_PER_STEP gives the step
@@ -482,11 +465,11 @@ def _rotating_step_cap(params: SystemParams, rhs: _BandedRHS, phase: float) -> f
 
 def _step_bounds(params: SystemParams, rhs: _BandedRHS, dtau: float,
                  n_cells: int) -> tuple[int, int]:
-    """The floor and the ceiling of a rotating-frame run's grid cells per
-    RK4 step, each at least 1 and at most n_cells."""
+    """The floor and the ceiling of a run's grid cells per RK4 step, each
+    at least 1 and at most n_cells."""
     # the 1e-9 keeps an exact multiple that division leaves an ulp short
     return tuple(
-        max(1, min(int(_rotating_step_cap(params, rhs, phase) / dtau * (1.0 + 1e-9)), n_cells))
+        max(1, min(int(_step_cap(params, rhs, phase) / dtau * (1.0 + 1e-9)), n_cells))
         for phase in (_PHASE_PER_STEP, _PHASE_PER_STEP_MAX))
 
 
@@ -531,17 +514,15 @@ class _Recorder:
     into samples, so a step spanning several grid cells interpolates its
     end vectors; only min_eig and snapshots form the interior state.
 
-    For a co-moving state the lower ladder diagonal is dressed with
+    Every state is co-moving: the lower ladder diagonal is dressed with
     e^{-i Omega_n tau} before summing <a>; diagonal quantities and norms are
-    frame-invariant, and the coherence envelope needs no dressing because
-    the state is already the co-moving one (lab-frame states get the
-    inverse dressing e^{i(E_n - E_m) tau} for it, from the level phases).
+    frame-invariant, and the coherence envelope reads the co-moving state
+    as it is.
     """
 
     def __init__(self, ladder: _Ladder, n_samples: int, config: IntegratorConfig,
-                 co_moving: bool, hint: str):
+                 hint: str):
         self.ladder = ladder
-        self.co_moving = co_moving
         self.hint = hint
         self.a = np.empty(n_samples, dtype=complex)
         self.n = np.empty(n_samples)
@@ -572,16 +553,14 @@ class _Recorder:
             self.size += 2 * n_max - 1
             self.overlap = np.empty(n_samples)
 
-    def vector(self, state: np.ndarray, tau: float) -> np.ndarray:
-        """The linear-observable vector of a state (or of a derivative of a
-        co-moving state) at tau."""
+    def vector(self, state: np.ndarray) -> np.ndarray:
+        """The linear-observable vector of a co-moving state or of its
+        derivative."""
         n_max = state.shape[0]
         v = np.empty(self.size, dtype=complex)
         v[:n_max - 1] = np.diagonal(state, -1)
         v[n_max - 1:2 * n_max - 1] = np.diagonal(state)
         if self.overlap is not None:
-            if not self.co_moving:  # the envelope reads the co-moving state
-                state = self.ladder.to_lab(state, -tau)
             np.multiply(self.wmat, state, out=self._band)
             np.sum(self._pad, axis=0, out=v[2 * n_max - 1:])
         return v
@@ -605,9 +584,7 @@ class _Recorder:
         rows = slice(k, k + taus.size)
         n_max = self.levels.size
         lower, diag = vecs[:, :n_max - 1], vecs[:, n_max - 1:2 * n_max - 1]
-        amp = self.ladder.sqrt_n
-        if self.co_moving:
-            amp = amp * np.exp(taus[:, None] * self.gap_rates)
+        amp = self.ladder.sqrt_n * np.exp(taus[:, None] * self.gap_rates)
         a = self.a[rows] = (amp * lower).sum(axis=1)
         pops = diag.real
         self.n[rows] = np.dot(pops, self.levels)
@@ -663,7 +640,6 @@ def evolve(
     if tau_end < 0:
         raise ValueError(f"tau_end must be non-negative, got {tau_end}")
     config = config or IntegratorConfig()
-    rotating = config.frame == "rotating"
     if rho0 is None:
         n_max = fock.fock_cutoff(params.intensity)
         rho0 = fock.coherent_state_density(params.alpha, n_max)
@@ -696,27 +672,21 @@ def evolve(
     stride = config.stride or max(1, n_cells // 4000)
 
     ladder = _Ladder(params, n_max)
-    co_moving = rotating or mode == "closed"
     rhs = None  # closed mode: the co-moving state never changes
-    q_floor = q_ceil = 1  # bounds on the grid cells per RK4 step
+    hint = "closed mode keeps rho0, so check its trace"
     if mode != "closed":
-        rhs = _BandedRHS(params, ladder, mode, rotating, config.transient_table_points)
-        if rotating:
-            q_floor, q_ceil = _step_bounds(params, rhs, dtau, n_cells)
-
-    def to_lab(state, t):
-        return ladder.to_lab(state, t) if co_moving else state.copy()
+        rhs = _BandedRHS(params, ladder, mode, config.transient_table_points)
+        q_floor, q_ceil = _step_bounds(params, rhs, dtau, n_cells)
+        # with a one-cell ceiling every step is dtau itself
+        hint = ("reduce dtau or enlarge the basis" if q_ceil == 1 else "enlarge the basis "
+                f"(the step, {q_floor * dtau:g} to {q_ceil * dtau:g}, follows "
+                "the error estimate and the step caps, not dtau)")
 
     sample_cells = list(range(0, n_cells + 1, stride))
     if sample_cells[-1] != n_cells:
         sample_cells.append(n_cells)
     taus = np.array(sample_cells) * dtau
-    hint = ("reduce dtau or enlarge the basis" if q_ceil == 1 else "enlarge the basis "
-            f"(the rotating-frame step, {q_floor * dtau:g} to {q_ceil * dtau:g}, follows "
-            "the error estimate and the step caps, not dtau)")
-    if rhs is None:
-        hint = "closed mode keeps rho0, so check its trace"
-    rec = _Recorder(ladder, len(sample_cells), config, co_moving, hint)
+    rec = _Recorder(ladder, len(sample_cells), config, hint)
     snap_at = {}  # grid point -> the snapshot requests it answers
     for ts in sorted(config.snapshot_taus):
         c = _snapshot_cell(ts, dtau, n_cells)
@@ -743,16 +713,15 @@ def evolve(
         j = bisect.bisect_right(sample_cells, c1, sample_idx)
         if j > sample_idx:
             cells_s = sample_cells[sample_idx:j]
-            t0, t1 = c0 * dtau, c1 * dtau
-            v1, g1, d1 = rec.vector(y1, t1), None, rec.defect(y1)
+            v1, g1, d1 = rec.vector(y1), None, rec.defect(y1)
             vecs, herm = v1[None], d1
             if cells_s[0] < c1:
-                g1 = rec.vector(f1, t1)
+                g1 = rec.vector(f1)
                 if ends[0] != c0:
-                    ends = (c0, rec.vector(y0, t0), None, rec.defect(y0))
+                    ends = (c0, rec.vector(y0), None, rec.defect(y0))
                 _, v0, g0, d0 = ends
                 if g0 is None:
-                    g0 = rec.vector(f0, t0)
+                    g0 = rec.vector(f0)
                 s = (np.array(cells_s)[:, None] - c0) / (c1 - c0)
                 vecs = np.empty((s.size, v1.size), dtype=complex)
                 _hermite(s, h, v0, v1, g0, g1, vecs, np.empty_like(vecs))
@@ -765,17 +734,18 @@ def evolve(
             sample_idx = j
         for c in cells:
             for ts in snap_at.get(c, ()):
-                snaps[ts] = to_lab(state_at(c), c * dtau)
+                snaps[ts] = ladder.to_lab(state_at(c), c * dtau)
 
     rho = rho0.copy()
     steps, largest, step_error = 0, 0, 0.0  # accepted steps, largest in cells, worst estimate
     if rhs is None:
         # the co-moving state is rho0 throughout: one vector serves every sample
-        static = (rec.vector(rho, 0.0)[None], rec.defect(rho),
+        static = (rec.vector(rho)[None], rec.defect(rho),
                   rec.lowest_eig(rho) if rec.min_eig is not None else None)
         for k in range(0, taus.size, _CLOSED_BLOCK):
             rec.store(k, taus[k:k + _CLOSED_BLOCK], *static)
-        snaps = {ts: to_lab(rho, c * dtau) for c, requests in snap_at.items() for ts in requests}
+        snaps = {ts: ladder.to_lab(rho, c * dtau)
+                 for c, requests in snap_at.items() for ts in requests}
     else:
         rho_prev = np.empty_like(rho)
         k1 = np.empty_like(rho)
@@ -847,5 +817,5 @@ def evolve(
         steps=steps,
         step_error=step_error if steps else None,
         snapshots=snaps,
-        final_rho=to_lab(rho, n_cells * dtau),
+        final_rho=ladder.to_lab(rho, n_cells * dtau),
     )

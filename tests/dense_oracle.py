@@ -1,9 +1,12 @@
 """Dense reference right-hand sides and observables, kept as a test oracle.
 
-The package propagates with a banded O(n_max^2) kernel. These are the same
-generators written naively as full matrix products, for small systems, so
-the tests can pin the banded kernel against them, plus the level energies,
-the lowering operator and the expectations read off a density matrix.
+The package propagates with a banded O(n_max^2) kernel in the co-moving
+frame. These are the same generators written naively as full matrix
+products, for small systems, so the tests can pin the banded kernel against
+them, plus the level energies, the lowering operator, the expectations read
+off a density matrix, and a fixed-step RK4 that integrates the dense
+generators in the lab frame, free term included, as an independent
+reference for the package's runs.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 
 import numpy as np
 
-from kerrbath import BathCoefficients, SystemParams, coherent_amplitudes
+from kerrbath import BathCoefficients, SystemParams, asymptotic_coefficients, coherent_amplitudes
 
 
 def energies(n_max: int, mu_bar: float) -> np.ndarray:
@@ -91,3 +94,33 @@ def lindblad_rhs(params: SystemParams, rho: np.ndarray) -> np.ndarray:
     s = np.sqrt(np.arange(1, n_max, dtype=float))
     out[:-1, :-1] += g * (s[:, None] * s[None, :]) * rho[1:, 1:]
     return out
+
+
+def lab_rk4(params: SystemParams, mode: str, rho0: np.ndarray, tau_end: float,
+            n_steps: int, every: int = 1) -> dict:
+    """Classical RK4 in the lab frame at the fixed step tau_end/n_steps, on
+    the dense generator of mode with its free term: born_markov_rhs with the
+    asymptotic coefficients, or lindblad_rhs for "lindblad-rwa". Returns
+    {k: state after k steps} for k = 0, every, 2 every, ... and n_steps."""
+    if mode == "born-markov-asymptotic":
+        coeffs = asymptotic_coefficients(params, rho0.shape[0])
+
+        def rhs(rho):
+            return born_markov_rhs(params, rho, coeffs)
+    elif mode == "lindblad-rwa":
+        def rhs(rho):
+            return lindblad_rhs(params, rho)
+    else:
+        raise ValueError(f"no dense lab-frame generator for mode {mode!r}")
+    h = tau_end / n_steps
+    rho = np.array(rho0, dtype=complex)
+    states = {0: rho.copy()}
+    for k in range(1, n_steps + 1):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * h * k1)
+        k3 = rhs(rho + 0.5 * h * k2)
+        k4 = rhs(rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if k % every == 0 or k == n_steps:
+            states[k] = rho
+    return states

@@ -212,8 +212,10 @@ def test_simulate_csv_contract(tmp_path, capsys):
     meta = read_json(tmp_path / "trajectory.json")
     assert meta["n_samples"] == 11
     assert meta["mode"] == "lindblad-rwa"
-    assert meta["step"] == meta["dtau"]  # the lab frame steps one grid cell
-    assert meta["steps"] == 100 and meta["step_error"] > 0.0
+    # the run steps the co-moving state over whole cells of the grid: here
+    # it climbs from its floor of 4 cells to its ceiling of 17
+    assert meta["step"] == 17 * meta["dtau"]
+    assert meta["steps"] < 100 / 4 and meta["step_error"] > 0.0
     assert meta["max_trace_deviation"] < 1e-10
 
 
@@ -321,18 +323,23 @@ def test_compare_healthy_and_breach(tmp_path, capsys):
 
 
 def test_compare_reports_the_step_error(tmp_path):
-    """At acceptance 02's parameters the lab-frame lindblad-rwa run's step
-    error shows in compare.json (measured: 8.2e-7 per step, against 5.1e-11
-    in the rotating frame)."""
+    """At acceptance 02's parameters both frames' lindblad-rwa runs step the
+    co-moving state, and compare.json reports their steps and local error
+    estimates (measured: 33 steps of 31 cells of the 955-cell lab grid and
+    32 of 20 cells of the rotating grid, each within the 3e-10 tolerance at
+    5.0e-11 and 5.1e-11). A one-cell lab-frame step took 955 steps with an
+    estimate of 8.2e-7."""
     args = ["compare", "--mu-bar", "0.1", "--intensity", "20", "--gamma", "1e-3",
             "--mode", "lindblad-rwa", "--tau-end", "2.5"]
     data = {}
     for frame in ("lab", "rotating"):
         assert main([*args, "--frame", frame, "--out", str(tmp_path / frame)]) == 0
         data[frame] = read_json(tmp_path / frame / "compare.json")
-    assert data["lab"]["steps"] == 955 and data["lab"]["step"] == pytest.approx(2.5 / 955)
-    assert data["rotating"]["steps"] < 955
-    assert data["lab"]["step_error"] > 1e3 * data["rotating"]["step_error"] > 0.0
+    assert data["lab"]["step"] == pytest.approx(31 * 2.5 / 955, rel=1e-12)
+    assert data["lab"]["steps"] < 955 / 7  # the floor of 7 cells
+    assert data["rotating"]["step"] == pytest.approx(20 * 2.5 / 615, rel=1e-12)
+    for frame in ("lab", "rotating"):
+        assert 0.0 < data[frame]["step_error"] <= 3e-10, frame
 
 
 def test_compare_rejects_modes_without_reference(capsys):
@@ -365,6 +372,29 @@ def test_spectrum_validation(capsys):
     assert main(["spectrum", "--intensity", "50", "--out", "/tmp/x"]) == 2
     assert "mu_bar" in capsys.readouterr().err
     assert main(["spectrum", *QUANTUM, "--samples", "16", "--out", "/tmp/x"]) == 2
+
+
+def test_spectrum_hann_resolves_the_comb_by_default(tmp_path, capsys):
+    """One period puts the comb lines two frequency bins apart, inside a
+    Hann line's four-bin main lobe, so the windowed spectrum is one smooth
+    hump that the lobe fit cannot use. With a hann window, spectrum takes
+    two periods by default, refuses fewer before any run, and fits the
+    width of the rectangular transform of one period (measured: 6e-6
+    relative apart)."""
+    args = ["spectrum", "--mode", "closed", "--mu-bar", "0.1", "--intensity", "50"]
+    assert main([*args, "--window", "hann", "--out", str(tmp_path / "hann")]) == 0
+    hann = read_json(tmp_path / "hann" / "spectrum.json")
+    assert hann["width_times_tau_e"] == pytest.approx(1.0, rel=0.05)
+    assert hann["duration"] == pytest.approx(2 * 2 * math.pi / 0.1, rel=1e-15)
+    assert main([*args, "--out", str(tmp_path / "none")]) == 0
+    none = read_json(tmp_path / "none" / "spectrum.json")
+    assert none["duration"] == pytest.approx(2 * math.pi / 0.1, rel=1e-15)
+    assert hann["width"] == pytest.approx(none["width"], rel=1e-4)
+    capsys.readouterr()
+    short = tmp_path / "short"
+    assert main([*args, "--window", "hann", "--periods", "1", "--out", str(short)]) == 2
+    assert "need periods >= 2" in capsys.readouterr().err
+    assert not short.exists()
 
 
 # ---------------------------------------------------------------------------
