@@ -339,14 +339,8 @@ def cmd_spectrum(opts: dict) -> int:
     # frequency bin, so the rectangular transform has no scalloping
     tau_r = math.pi / params.mu_bar
     duration = 2.0 * periods * tau_r
-    dt = duration / samples
-    frame = opts.get("frame", "lab")
-    cap = default_dtau(params, fock.fock_cutoff(params.intensity), frame)
-    sub = max(1, int(math.ceil(dt / cap)))
-    traj = evolve(
-        params, duration, mode=mode,
-        config=IntegratorConfig(dtau=dt / sub, stride=sub, frame=frame),
-    )
+    traj = evolve(params, duration, mode=mode,
+                  config=IntegratorConfig(dtau=duration / samples))
     # the last sample is the periodic endpoint, the first one again
     omegas, amps = analysis.discrete_spectrum(traj.taus[:-1], traj.x[:-1], window=window_arg)
     peak_om, peak_amp = analysis.comb_peaks(omegas, amps)

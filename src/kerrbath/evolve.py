@@ -60,22 +60,21 @@ default_dtau(params, n_max, frame) gives it when unset; frame picks only
 that default grid, and every run with a generator steps the same way. Only
 the band phases oscillate, at up to ~2 Omega_top, linear in n_max instead
 of the quadratic level spread E_top - E_0 that a lab-frame step would have
-to resolve, and the RK4 step spans a whole number q of grid cells between
-a floor and a ceiling. The floor q_floor is as many cells as fit in
-the smallest of three budgets: 0.5 rad of the fastest band phase per step, a
-step times the generator's norm bound of at most 0.25, and the transient
-table's spacing; the ceiling q_ceil is the same with 2 rad per step. Every
-step measures the FSAL error estimate err = (h/6) max|f(t+h, y1) - k4|
+to resolve. The step h is a length of time, not a number of grid cells,
+between a floor h_lo, the smallest of three budgets (0.5 rad of the fastest
+band phase per step, a step times the generator's norm bound of at most
+0.25, and the transient table's spacing), and a ceiling h_hi, the same with
+2 rad per step. Each is at least min(dtau, 0.05/Omega_top): one sample
+cell, but no more than one rotating default cell. Every step measures the FSAL error estimate err = (h/6) max|f(t+h, y1) - k4|
 (Hairer, Norsett & Wanner, Solving ODEs I, II.4): f(t+h, y1) is the next
 step's first stage, so the estimate costs a subtraction and a maximum. It
 scales as h^4 but is blind to aliasing of the band phases, which the
-ceiling bounds. The run starts at q_floor, and after each step
-q <- clamp(floor(q min(2, max(0.2, 0.9 (tol/err)^(1/4)))), q_floor, q_ceil)
-with tol = _STEP_TOL; a step above q_floor with err > tol is rejected and
-retried with the new q. So a run never steps shorter than q_floor, and
-where the rate or the table binds, q_floor = q_ceil and the step is fixed.
-A grid that is not a multiple of q ends on a shorter step.
-Samples inside a step come from the cubic Hermite interpolant
+ceiling bounds. The run starts at h_lo, and after each step
+h <- clamp(h min(2, max(0.2, 0.9 (tol/err)^(1/4))), h_lo, h_hi)
+with tol = _STEP_TOL; a step above h_lo with err > tol is rejected and
+retried with the new h. So a run never steps shorter than h_lo, and
+where the rate or the table binds, h_lo = h_hi and the step is fixed. A
+step ending within 1e-9 h of a grid point ends on it. Samples inside a step come from the cubic Hermite interpolant
 of the step's end states and their derivatives (Hairer, Norsett & Wanner,
 Solving ODEs I, II.6). The end derivative is the next step's first stage,
 and the interpolation weights are real, so trace and hermiticity carry over.
@@ -87,9 +86,9 @@ bounds the interpolant's: the state weights lie in [0, 1] and sum to 1, and
 the bath kernel's output is exactly Hermitian (the Lindblad output to
 round-off, ~1e-19, which the bound then carries). The interpolant is not
 positivity-preserving, and its error grows as h^4: at the 2-rad ceiling
-(acceptance 02's lindblad-rwa run on the lab grid, 31 cells per step) an
-interpolated sample's minimum eigenvalue reaches -2.7e-10, while the step
-ends stay at round-off (-1.8e-16). Closed mode integrates no step; dtau
+(acceptance 02's lindblad-rwa run) an interpolated sample's minimum
+eigenvalue reaches -4.5e-10, while the step ends stay at round-off
+(-2.5e-16). Closed mode integrates no step; dtau
 only spaces its samples, 2001 of them when unset.
 """
 
@@ -123,7 +122,7 @@ _HERM_TOL = 1e-9
 # closed-mode samples recorded at once, which bounds the dressing phases' memory
 _CLOSED_BLOCK = 512
 
-# most grid cells one run may take; checked before the run allocates its buffers
+# most grid points past tau = 0 in one run; checked before the run allocates its buffers
 _MAX_STEPS = 20_000_000
 
 # step budgets: radians of the fastest coefficient phase per step at the
@@ -156,10 +155,11 @@ class IntegratorConfig:
     co-moving run without a generator, whose state never changes, so dtau
     only spaces its exact samples and defaults to tau_end/2000. frame picks
     only that default grid. Every run with a generator steps the co-moving
-    state over whole cells, as many as its local error estimate allows
-    between a floor set by its step budgets and a ceiling set by the same
-    budgets at 2 rad of phase per step instead of 0.5 (see the module
-    docstring), so a given dtau sets the sample density, not the step.
+    state by as long a time step as its local error estimate allows between
+    a floor set by its step budgets and a ceiling set by the same budgets
+    at 2 rad of phase per step instead of 0.5, each at least min(dtau, one
+    rotating default cell) (see the module docstring), so a dtau of at
+    least that cell sets the sample density, not the step.
     stride None aims for about 4000 stored samples. overlap_pair (alpha,
     beta) records a coherence envelope for that superposition: with rho~ the
     co-moving state e^{iHt} rho e^{-iHt} and W_nm = conj(alpha_n) beta_m,
@@ -196,8 +196,8 @@ class Trajectory:
     All stored quantities are lab-frame values, whatever the frame; frame
     records the config's, which picks only the default grid (every run
     with a generator steps co-moving). dtau is the spacing of the run's
-    sample grid and step the largest RK4 step taken, a whole number of
-    dtau; steps counts the accepted RK4 steps, and step_error is
+    sample grid and step the largest RK4 step taken, in time, not in cells;
+    steps counts the accepted RK4 steps, and step_error is
     the largest accepted local error estimate (h/6) max|f(t+h, y1) - k4|
     (see the module docstring). With no step taken (closed mode, which
     integrates nothing, or tau_end = 0) steps is 0 and step and step_error
@@ -420,9 +420,9 @@ def _omega_top(params: SystemParams, n_max: int) -> float:
 
 def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
     """The default sample grid of a frame. It fixes the sample density
-    only: every run with a generator steps the co-moving state over whole
-    cells of it (see the module docstring), and cubic Hermite dense output
-    fills the samples between step ends.
+    only: every run with a generator steps the co-moving state by lengths
+    of time, not cells of it (see the module docstring), and cubic Hermite
+    dense output fills the samples between step ends.
 
     Lab frame: one radian per sample of the fastest lab-frame coherence,
     which rotates at the full level spread E_top - E_0, and at least 200
@@ -463,14 +463,13 @@ def _step_cap(params: SystemParams, rhs: _BandedRHS, phase: float) -> float:
     return cap
 
 
-def _step_bounds(params: SystemParams, rhs: _BandedRHS, dtau: float,
-                 n_cells: int) -> tuple[int, int]:
-    """The floor and the ceiling of a run's grid cells per RK4 step, each
-    at least 1 and at most n_cells."""
-    # the 1e-9 keeps an exact multiple that division leaves an ulp short
-    return tuple(
-        max(1, min(int(_step_cap(params, rhs, phase) / dtau * (1.0 + 1e-9)), n_cells))
-        for phase in (_PHASE_PER_STEP, _PHASE_PER_STEP_MAX))
+def _step_bounds(params: SystemParams, rhs: _BandedRHS, dtau: float) -> tuple[float, float]:
+    """The floor and the ceiling of a run's RK4 step in time: the step caps
+    at _PHASE_PER_STEP and _PHASE_PER_STEP_MAX, each raised to at least one
+    sample cell, but to no more than one cell of the rotating default grid."""
+    least = min(dtau, default_dtau(params, rhs.ladder.energies.size, "rotating"))
+    return tuple(max(_step_cap(params, rhs, phase), least)
+                 for phase in (_PHASE_PER_STEP, _PHASE_PER_STEP_MAX))
 
 
 def _snapshot_cell(ts: float, dtau: float, n_cells: int) -> int | None:
@@ -511,7 +510,7 @@ class _Recorder:
     (vector): the lower ladder diagonal (for <a>), the diagonal (for <n>,
     energy, trace and top population) and, with an overlap_pair, the
     2 n_max - 1 diagonal sums of W*rho~. store turns rows of such vectors
-    into samples, so a step spanning several grid cells interpolates its
+    into samples, so a step spanning several grid points interpolates its
     end vectors; only min_eig and snapshots form the interior state.
 
     Every state is co-moving: the lower ladder diagonal is dressed with
@@ -666,9 +665,10 @@ def evolve(
     n_cells = max(1, int(math.ceil(tau_end / dtau - 1e-12))) if tau_end > 0 else 0
     if n_cells > _MAX_STEPS:
         raise IntegrationError(
-            f"{n_cells} steps exceed the limit of {_MAX_STEPS}; raise dtau"
+            f"{n_cells} grid points after tau = 0 exceed the limit of {_MAX_STEPS}; raise dtau"
         )
     dtau = tau_end / n_cells if n_cells else dtau
+    t_end = n_cells * dtau
     stride = config.stride or max(1, n_cells // 4000)
 
     ladder = _Ladder(params, n_max)
@@ -676,11 +676,10 @@ def evolve(
     hint = "closed mode keeps rho0, so check its trace"
     if mode != "closed":
         rhs = _BandedRHS(params, ladder, mode, config.transient_table_points)
-        q_floor, q_ceil = _step_bounds(params, rhs, dtau, n_cells)
-        # with a one-cell ceiling every step is dtau itself
-        hint = ("reduce dtau or enlarge the basis" if q_ceil == 1 else "enlarge the basis "
-                f"(the step, {q_floor * dtau:g} to {q_ceil * dtau:g}, follows "
-                "the error estimate and the step caps, not dtau)")
+        h_lo, h_hi = _step_bounds(params, rhs, dtau)
+        cap = _step_cap(params, rhs, _PHASE_PER_STEP)  # a floor above it is min(dtau, a cell)
+        remedy = "enlarge the basis" if h_lo <= cap else f"reduce dtau to {cap:g} or below"
+        hint = f"{remedy} (the RK4 step runs from {h_lo:g} to {h_hi:g})"
 
     sample_cells = list(range(0, n_cells + 1, stride))
     if sample_cells[-1] != n_cells:
@@ -695,56 +694,58 @@ def evolve(
     events = sorted(set(sample_cells).union(snap_at))  # ends with n_cells
     snaps = {}
     sample_idx = 0
-    ends = None  # (grid point, vector, derivative vector or None, defect) last measured
+    ends = None  # (time, vector, derivative vector or None, defect) last measured
 
-    def record(cells, c0, c1, h, y0, y1, f0, f1) -> None:
+    def at(c):
+        return c * dtau
+
+    def record(cells, t0, t1, h, y0, y1, f0, f1) -> None:
         """Record the samples and snapshots at cells, the event grid points
-        in (c0, c1] of the step from (y0, f0) to (y1, f1); grid point 0
-        comes as c0 = c1 = 0. Samples inside the step interpolate the end
-        vectors and take the larger end defect."""
+        in (t0, t1] of the step h = t1 - t0 from (y0, f0) to (y1, f1); grid
+        point 0 comes as t0 = t1 = 0. Samples inside the step interpolate
+        the end vectors and take the larger end defect."""
         nonlocal sample_idx, ends
 
         def state_at(c):
-            if c == c1:
+            if at(c) == t1:
                 return y1
-            _hermite((c - c0) / (c1 - c0), h, y0, y1, f0, f1, tmp, k2)
+            _hermite((at(c) - t0) / h, h, y0, y1, f0, f1, tmp, k2)
             return tmp
 
-        j = bisect.bisect_right(sample_cells, c1, sample_idx)
+        j = bisect.bisect_right(sample_cells, t1, sample_idx, key=at)
         if j > sample_idx:
-            cells_s = sample_cells[sample_idx:j]
             v1, g1, d1 = rec.vector(y1), None, rec.defect(y1)
             vecs, herm = v1[None], d1
-            if cells_s[0] < c1:
+            if taus[sample_idx] < t1:
                 g1 = rec.vector(f1)
-                if ends[0] != c0:
-                    ends = (c0, rec.vector(y0), None, rec.defect(y0))
+                if ends[0] != t0:
+                    ends = (t0, rec.vector(y0), None, rec.defect(y0))
                 _, v0, g0, d0 = ends
                 if g0 is None:
                     g0 = rec.vector(f0)
-                s = (np.array(cells_s)[:, None] - c0) / (c1 - c0)
+                s = (taus[sample_idx:j, None] - t0) / h
                 vecs = np.empty((s.size, v1.size), dtype=complex)
                 _hermite(s, h, v0, v1, g0, g1, vecs, np.empty_like(vecs))
                 herm = np.where(s[:, 0] < 1.0, max(d0, d1), d1)
-            ends = (c1, v1, g1, d1)
+            ends = (t1, v1, g1, d1)
             min_eig = None
             if rec.min_eig is not None:
-                min_eig = [rec.lowest_eig(state_at(c)) for c in cells_s]
+                min_eig = [rec.lowest_eig(state_at(c)) for c in sample_cells[sample_idx:j]]
             rec.store(sample_idx, taus[sample_idx:j], vecs, herm, min_eig)
             sample_idx = j
         for c in cells:
             for ts in snap_at.get(c, ()):
-                snaps[ts] = ladder.to_lab(state_at(c), c * dtau)
+                snaps[ts] = ladder.to_lab(state_at(c), at(c))
 
     rho = rho0.copy()
-    steps, largest, step_error = 0, 0, 0.0  # accepted steps, largest in cells, worst estimate
+    steps, largest, step_error = 0, 0.0, 0.0  # accepted steps, the longest, worst estimate
     if rhs is None:
         # the co-moving state is rho0 throughout: one vector serves every sample
         static = (rec.vector(rho)[None], rec.defect(rho),
                   rec.lowest_eig(rho) if rec.min_eig is not None else None)
         for k in range(0, taus.size, _CLOSED_BLOCK):
             rec.store(k, taus[k:k + _CLOSED_BLOCK], *static)
-        snaps = {ts: ladder.to_lab(rho, c * dtau)
+        snaps = {ts: ladder.to_lab(rho, at(c))
                  for c, requests in snap_at.items() for ts in requests}
     else:
         rho_prev = np.empty_like(rho)
@@ -754,51 +755,54 @@ def evolve(
         k3 = np.empty_like(rho)
         k4 = np.empty_like(rho)
         tmp = np.empty_like(rho)
-        if n_cells:
-            rhs(0.0, rho, k1)
+        rhs(0.0, rho, k1)
         e = 1  # next event to record
-        record(events[:e], 0, 0, 0.0, None, rho, None, None)
-        c0 = 0
-        q = q_floor
-        while c0 < n_cells:
-            c1 = min(c0 + q, n_cells)
-            taken = c1 - c0
-            t = c0 * dtau
-            h = taken * dtau
-            np.multiply(k1, 0.5 * h, out=tmp)
+        record(events[:e], 0.0, 0.0, 0.0, None, rho, None, None)
+        t0, h = 0.0, h_lo
+        while t0 < t_end:
+            t1 = t0 + h
+            # an end within round-off of a grid point lands on it, so that
+            # the samples there are step ends, not interpolated an ulp short
+            c = round(t1 / dtau)
+            if abs(at(c) - t1) <= 1e-9 * h:
+                t1 = at(c)
+            t1 = min(t1, t_end)
+            dt = t1 - t0
+            np.multiply(k1, 0.5 * dt, out=tmp)
             tmp += rho
-            rhs(t + 0.5 * h, tmp, k2)
-            np.multiply(k2, 0.5 * h, out=tmp)
+            rhs(t0 + 0.5 * dt, tmp, k2)
+            np.multiply(k2, 0.5 * dt, out=tmp)
             tmp += rho
-            rhs(t + 0.5 * h, tmp, k3)
-            np.multiply(k3, h, out=tmp)
+            rhs(t0 + 0.5 * dt, tmp, k3)
+            np.multiply(k3, dt, out=tmp)
             tmp += rho
-            rhs(t + h, tmp, k4)
+            rhs(t1, tmp, k4)
             # the increment goes to k3, keeping k4 for the error estimate
             k2 += k3
             k2 *= 2.0
             np.add(k4, k1, out=k3)
             k3 += k2
-            k3 *= h / 6.0
+            k3 *= dt / 6.0
             np.add(rho, k3, out=rho_prev)
-            rhs(c1 * dtau, rho_prev, f1)
+            rhs(t1, rho_prev, f1)
             # FSAL estimate: the end derivative, the next k1, against k4
             np.subtract(f1, k4, out=tmp)
-            err = h / 6.0 * float(np.abs(tmp, out=rec.mag).max())
+            err = dt / 6.0 * float(np.abs(tmp, out=rec.mag).max())
             grow = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (_STEP_TOL / err) ** 0.25))
-            q = min(max(int(taken * grow), q_floor), q_ceil)
-            if taken > q_floor and not err <= _STEP_TOL:
-                continue  # rejected: retry from rho with the shorter q
+            # the nominal h, not dt, meets the floor: dt can sit an ulp above it
+            nominal, h = h, min(max(dt * grow, h_lo), h_hi)
+            if nominal > h_lo and not err <= _STEP_TOL:
+                continue  # rejected: retry from rho with the shorter h
             rho, rho_prev = rho_prev, rho
             steps += 1
-            largest = max(largest, taken)
+            largest = max(largest, dt)
             step_error = max(step_error, err)
-            e1 = bisect.bisect_right(events, c1, e)
+            e1 = bisect.bisect_right(events, t1, e, key=at)
             if e1 > e:
-                record(events[e:e1], c0, c1, h, rho_prev, rho, k1, f1)
+                record(events[e:e1], t0, t1, dt, rho_prev, rho, k1, f1)
             e = e1
             k1, f1 = f1, k1
-            c0 = c1
+            t0 = t1
 
     if float(np.max(rec.top)) > 1e-6:
         warnings.warn(
@@ -813,9 +817,9 @@ def evolve(
         n_max=n_max,
         dtau=dtau,
         frame=config.frame,
-        step=largest * dtau if steps else None,
+        step=largest if steps else None,
         steps=steps,
         step_error=step_error if steps else None,
         snapshots=snaps,
-        final_rho=ladder.to_lab(rho, n_cells * dtau),
+        final_rho=ladder.to_lab(rho, t_end),
     )

@@ -36,7 +36,7 @@ from kerrbath import (
     theta_cantilever,
 )
 from kerrbath.cli import draw_parameters, run_sweep_draw
-from kerrbath.evolve import coefficient_settle_time, default_dtau
+from kerrbath.evolve import coefficient_settle_time
 
 from analytic_oracle import decay_factor, fit_relaxation_decay, gaussian_residual
 
@@ -199,12 +199,10 @@ def test_06_spectral_width_invariance(lines):
         duration = 2.0 * math.pi / p.mu_bar
         samples = 4096
         dt = duration / samples
-        cap = default_dtau(p, fock_cutoff(p.intensity), "rotating")
-        sub = max(1, int(math.ceil(dt / cap)))
         traj = register(
             f"spectrum-g{gamma:g}", "born-markov-asymptotic", p,
             evolve(p, duration, mode="born-markov-asymptotic",
-                   config=IntegratorConfig(frame="rotating", dtau=dt / sub, stride=sub)),
+                   config=IntegratorConfig(dtau=dt)),
         )
         # Width from the phase-aligned quadrature Re X of the record's
         # transform. The record opens at the crest of the first bump (tau = 0;

@@ -212,10 +212,11 @@ def test_simulate_csv_contract(tmp_path, capsys):
     meta = read_json(tmp_path / "trajectory.json")
     assert meta["n_samples"] == 11
     assert meta["mode"] == "lindblad-rwa"
-    # the run steps the co-moving state over whole cells of the grid: here
-    # it climbs from its floor of 4 cells to its ceiling of 17
-    assert meta["step"] == 17 * meta["dtau"]
-    assert meta["steps"] < 100 / 4 and meta["step_error"] > 0.0
+    # the run steps the co-moving state by lengths of time, not grid cells:
+    # here it climbs from its floor of 0.25/Omega_top (4.39 cells) to its
+    # ceiling of 1/Omega_top, with Omega_top = 5.7 at n_max = 25
+    assert meta["step"] == pytest.approx(1.0 / 5.7, rel=1e-9)
+    assert meta["steps"] < 5.7 / 0.25 and meta["step_error"] > 0.0
     assert meta["max_trace_deviation"] < 1e-10
 
 
@@ -236,6 +237,18 @@ def test_simulate_bad_step_exit_2(tmp_path, capsys):
     # this run would take 1e9 steps, over the step limit, and exit 3
     assert main(base[:-2] + ["--mode", "lindblad-rwa", "--dtau", "1e-9"]) == 2
     assert "--out DIR is required" in capsys.readouterr().err
+
+
+def test_simulate_coarse_dtau_keeps_the_step(tmp_path):
+    """An explicit dtau sets the sample density, not the step: at dtau = 1
+    the run takes as many RK4 steps as on the default grid."""
+    args = ["simulate", "--mode", "born-markov-asymptotic", "--mu-bar", "0.1",
+            "--intensity", "20", "--gamma", "1e-3", "--tau-end", "5"]
+    assert main([*args, "--dtau", "1.0", "--out", str(tmp_path / "c")]) == 0
+    assert main([*args, "--out", str(tmp_path / "d")]) == 0
+    coarse, default = (read_json(tmp_path / d / "trajectory.json") for d in ("c", "d"))
+    assert coarse["n_samples"] == 6 and default["n_samples"] > 6
+    assert coarse["steps"] == default["steps"] and coarse["step"] < coarse["dtau"]
 
 
 def test_simulate_closed_honours_dtau_and_stride(tmp_path):
@@ -268,19 +281,22 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert m1 == m2
 
 
+# gamma = 100 puts the rate budget far below the step floor of one rotating
+# cell, so the fixed step is unstable and the state overflows to nan
+UNSTABLE = ["simulate", "--mu-bar", "0.1", "--intensity", "20", "--gamma", "100",
+            "--mode", "lindblad-rwa", "--tau-end", "50", "--dtau", "5"]
+
+
 def test_integrator_failure_exit_3(tmp_path, capsys):
-    code = main([
-        "simulate", "--mu-bar", "0.1", "--intensity", "20", "--gamma", "0.1",
-        "--mode", "lindblad-rwa", "--tau-end", "50", "--dtau", "5",
-        "--stride", "1", "--out", str(tmp_path),
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([*UNSTABLE, "--stride", "1", "--out", str(tmp_path)])
     assert code == 3
-    assert "integration failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "integration failed" in err and "reduce dtau" in err
 
 
 @pytest.mark.parametrize("argv,code", [
-    (["simulate", "--mu-bar", "0.1", "--intensity", "20", "--gamma", "0.1",
-      "--mode", "lindblad-rwa", "--tau-end", "50", "--dtau", "5"], 3),
+    (UNSTABLE, 3),
     # the fit finds too few bins on the dominant lobe
     (["spectrum", "--mu-bar", "0.1", "--intensity", "1", "--samples", "64"], 2),
 ], ids=["simulate-exit-3", "spectrum-exit-2"])
@@ -288,7 +304,8 @@ def test_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, code):
     """--out is made by the first file written, so a command that fails
     after its inputs were accepted leaves no directory behind."""
     out = tmp_path / "new" / "out"
-    assert main([*argv, "--out", str(out)]) == code
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([*argv, "--out", str(out)]) == code
     assert capsys.readouterr().err
     assert not (tmp_path / "new").exists()
 
@@ -325,20 +342,21 @@ def test_compare_healthy_and_breach(tmp_path, capsys):
 def test_compare_reports_the_step_error(tmp_path):
     """At acceptance 02's parameters both frames' lindblad-rwa runs step the
     co-moving state, and compare.json reports their steps and local error
-    estimates (measured: 33 steps of 31 cells of the 955-cell lab grid and
-    32 of 20 cells of the rotating grid, each within the 3e-10 tolerance at
-    5.0e-11 and 5.1e-11). A one-cell lab-frame step took 955 steps with an
-    estimate of 8.2e-7."""
+    estimates. The step does not depend on the grid: both runs take 32
+    steps that climb to the 2-rad ceiling 1/Omega_top (31.1 cells of the
+    955-cell lab grid, 20 of the 615-cell rotating one), within the 3e-10
+    tolerance (measured: 5.1e-11 on both). A one-cell lab-frame step took
+    955 steps with an estimate of 8.2e-7."""
     args = ["compare", "--mu-bar", "0.1", "--intensity", "20", "--gamma", "1e-3",
             "--mode", "lindblad-rwa", "--tau-end", "2.5"]
     data = {}
     for frame in ("lab", "rotating"):
         assert main([*args, "--frame", frame, "--out", str(tmp_path / frame)]) == 0
         data[frame] = read_json(tmp_path / frame / "compare.json")
-    assert data["lab"]["step"] == pytest.approx(31 * 2.5 / 955, rel=1e-12)
-    assert data["lab"]["steps"] < 955 / 7  # the floor of 7 cells
-    assert data["rotating"]["step"] == pytest.approx(20 * 2.5 / 615, rel=1e-12)
+    omega_top = 12.3  # at n_max = 58
+    assert data["lab"]["steps"] == data["rotating"]["steps"] < 2.5 * omega_top / 0.25
     for frame in ("lab", "rotating"):
+        assert data[frame]["step"] == pytest.approx(1.0 / omega_top, rel=1e-9), frame
         assert 0.0 < data[frame]["step_error"] <= 3e-10, frame
 
 

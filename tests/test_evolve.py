@@ -37,6 +37,10 @@ from kerrbath.evolve import _BandedRHS, _Ladder, _Recorder, _snapshot_cell, _ste
 # the module: the package re-exports the function evolve under its name
 EV = importlib.import_module("kerrbath.evolve")
 
+# a step end within this fraction of the step of a grid point lands on it,
+# so a step can exceed its nominal length by as much
+SNAP = 1e-9
+
 from dense_oracle import (born_markov_rhs, energies, expect_a, expect_n, free_rhs, lab_rk4,
                           lindblad_rhs)
 
@@ -214,22 +218,21 @@ def test_kernel_and_defect_allocate_no_state_sized_array():
 
 def test_rk4_fourth_order(monkeypatch):
     """Halving the co-moving step shrinks the closed-form error ~ 16x
-    (measured: 3.4e-13 and 2.1e-14). Both phase budgets are pinned between
-    one and two grid cells, so each run steps exactly one cell, dtau,
-    throughout. The basis has 40 levels: at fock_cutoff's 25 the coherent
-    state's cut tail keeps the run 1.7e-9 from the closed form at any step,
-    which hides the step error."""
+    (measured: 3.4e-13 and 2.1e-14). Both phase budgets are pinned to one
+    grid cell, so each run steps dtau throughout. The basis has 40 levels:
+    at fock_cutoff's 25 the coherent state's cut tail keeps the run 1.7e-9
+    from the closed form at any step, which hides the step error."""
     p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
     tau, n_max = 2.0, 40
     rho0 = coherent_state_density(p.alpha, n_max)
     omega_top = 1.0 + p.mu_bar * (2 * n_max - 3)
     errs = []
     for dtau in (0.08, 0.04):
-        monkeypatch.setattr(EV, "_PHASE_PER_STEP", 1.5 * dtau * 2.0 * omega_top)
-        monkeypatch.setattr(EV, "_PHASE_PER_STEP_MAX", 1.5 * dtau * 2.0 * omega_top)
+        monkeypatch.setattr(EV, "_PHASE_PER_STEP", dtau * 2.0 * omega_top)
+        monkeypatch.setattr(EV, "_PHASE_PER_STEP_MAX", dtau * 2.0 * omega_top)
         tr = evolve(p, tau, mode="lindblad-rwa", rho0=rho0,
                     config=IntegratorConfig(dtau=dtau, stride=10**9))
-        assert tr.step == tr.dtau and tr.steps == round(tau / dtau)
+        assert tr.step == pytest.approx(tr.dtau, rel=1e-12) and tr.steps == round(tau / dtau)
         exact = alpha_lindblad_rwa(p, tr.taus[-1:])[0]
         errs.append(abs(tr.a_expect[-1] - exact))
     ratio = errs[0] / errs[1]
@@ -253,10 +256,10 @@ def test_rotating_lindblad_matches_closed_form():
 
 def test_lab_grid_lindblad_stays_positive():
     """The default (lab) grid at acceptance 02's parameters: the run steps
-    the co-moving state over whole cells of that grid and stays positive
-    at every sample (measured: min eig -2.7e-10 at an interpolated sample
-    and -1.8e-16 at the end, in 33 steps of 31 cells). A lab-frame RK4
-    step of one cell of this grid ended at -5.5e-4."""
+    the co-moving state over several cells of that grid and stays positive
+    at every sample (measured: min eig -4.5e-10 at an interpolated sample
+    and -2.5e-16 at the end, in 32 steps of up to 31.1 cells). A lab-frame
+    RK4 step of one cell of this grid ended at -5.5e-4."""
     p = SystemParams(mu_bar=0.1, intensity=20.0, beta_bar=1.0, gamma=1e-3)
     tr = evolve(p, 2.5, mode="lindblad-rwa", config=IntegratorConfig(record_min_eig=True))
     assert tr.frame == "lab" and tr.taus.size == 956 and tr.step > tr.dtau
@@ -312,6 +315,24 @@ def test_rotating_and_lab_frames_agree():
     assert np.max(np.abs(rot.a_expect - a_ref)) < 1e-6 * math.sqrt(p.intensity)
     assert np.max(np.abs(rot.n_expect - n_ref)) < 1e-8 * p.intensity
     assert rot.frame == "rotating" and lab.frame == "lab"
+
+
+def test_sample_grid_does_not_change_the_trajectory():
+    """The step is a length of time, so a coarse sample grid does not
+    coarsen it: at dtau = 1, five grid cells, the run takes the same steps
+    as on the rotating default grid and agrees with it at tau = 0, ..., 5
+    (measured: 1.1e-14 in <n>, 1.8e-15 in <a>). A step of one whole cell,
+    1.0, was 0.12 off in <n> and 0.16 in <a>."""
+    p = SystemParams(mu_bar=0.1, intensity=20.0, gamma=1e-3)
+    mode = "born-markov-asymptotic"
+    coarse = evolve(p, 5.0, mode, config=IntegratorConfig(dtau=1.0))
+    fine = evolve(p, 5.0, mode, config=IntegratorConfig(frame="rotating"))
+    np.testing.assert_array_equal(coarse.taus, np.arange(6.0))
+    k = np.searchsorted(fine.taus, coarse.taus - 1e-9)
+    np.testing.assert_allclose(fine.taus[k], coarse.taus, rtol=0, atol=1e-12)
+    assert np.max(np.abs(coarse.n_expect - fine.n_expect[k])) < 1e-12
+    assert np.max(np.abs(coarse.a_expect - fine.a_expect[k])) < 1e-12
+    assert coarse.steps == fine.steps and coarse.step < coarse.dtau
 
 
 def test_transient_mode_runs_and_approaches_asymptotic_late():
@@ -504,22 +525,29 @@ def test_validation_errors():
 
 
 def test_max_steps_guard():
-    """1e8 steps exceed the 2e7 limit; the run raises before it allocates."""
+    """1e8 grid cells exceed the 2e7 limit; the run raises before it
+    allocates."""
     p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
-    with pytest.raises(IntegrationError, match="100000000 steps exceed the limit"):
+    with pytest.raises(IntegrationError,
+                       match="100000000 grid points after tau = 0 exceed the limit.*raise dtau"):
         evolve(p, 1.0, mode="lindblad-rwa", config=IntegratorConfig(dtau=1e-8))
 
 
 def test_unstable_step_raises():
-    p = SystemParams(mu_bar=0.1, intensity=20.0, gamma=0.1)
-    with pytest.raises(IntegrationError, match="unphysical.*reduce dtau"):
+    """Each message names the fix that applies. At gamma = 100 the rate
+    budget is far below one rotating cell, which floors the step, so the
+    step is unstable and a dtau at or below the rate budget is the fix. With
+    a floor at its phase budget, dtau does not set the step, and the fix is
+    a larger basis; closed mode keeps rho0."""
+    p = SystemParams(mu_bar=0.1, intensity=20.0, gamma=100.0)
+    rhs = _BandedRHS(p, _Ladder(p, fock_cutoff(p.intensity)), "lindblad-rwa")
+    cap = EV._step_cap(p, rhs, EV._PHASE_PER_STEP)
+    with (pytest.raises(IntegrationError, match=f"unphysical.*reduce dtau to {cap:g} or below"),
+          np.errstate(over="ignore", invalid="ignore")):  # the state overflows to nan
         evolve(p, 50.0, mode="lindblad-rwa", config=IntegratorConfig(dtau=5.0, stride=1))
-    # each message names the fix that applies: a rotating step spanning
-    # several cells does not follow dtau, and closed mode keeps rho0
     p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
     rho0 = 3.0 * coherent_state_density(p.alpha, fock_cutoff(p.intensity))
-    with pytest.raises(IntegrationError,
-                       match="unphysical.*enlarge the basis.*error estimate.*not dtau"):
+    with pytest.raises(IntegrationError, match="unphysical.*enlarge the basis.*RK4 step runs"):
         evolve(p, 0.5, mode="born-markov-asymptotic", rho0=rho0,
                config=IntegratorConfig(frame="rotating"))
     with pytest.raises(IntegrationError, match="unphysical.*check its trace"):
@@ -554,23 +582,27 @@ def test_default_step_rules():
         assert tr.dtau == pytest.approx(0.5 / math.ceil(0.5 / want))
 
 
-def test_rotating_step_spans_whole_grid_cells():
-    """A default rotating run at the quantum-corner parameters steps over
-    whole grid cells: its phase budgets are exactly 5 and 20 times
-    default_dtau, and the division must not drop either multiple by an ulp.
-    The bath run at gamma = 3e-4 is floor-bound (its estimate stays above
-    the tolerance at five cells) and steps five cells throughout; the
-    Lindblad run, whose estimate stays near 5e-13, reaches the ceiling of
-    twenty. A lab-grid run steps the same way, over whole cells of its
-    finer grid between its own floor and ceiling; a transient run, bound by
-    its table's spacing, steps one cell, and closed mode takes no step."""
+def test_rotating_step_follows_its_phase_budgets():
+    """A default rotating run at the quantum-corner parameters steps by
+    lengths of time, not whole grid cells, between its floor of 0.5 rad of
+    the fastest band phase per step and its ceiling of 2 rad, which its rate
+    budget may lower. The bath run at gamma = 3e-4, whose ceiling the rate
+    budget holds to 1.41 floors, takes 1.12 floors at most; the Lindblad
+    run, whose estimate stays near 5e-13, reaches the 2-rad ceiling. A
+    lab-grid run has the same bounds, which span several cells of its finer
+    grid; a transient run, bound by its table's spacing, is floored at one
+    cell of its grid and steps that, and closed mode takes no step."""
     p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
-    for mode, gamma, q in (("born-markov-asymptotic", 3e-4, 5), ("lindblad-rwa", 1e-4, 20)):
-        tr = evolve(dataclasses.replace(p, gamma=gamma), 2.5, mode=mode,
-                    config=IntegratorConfig(frame="rotating"))
-        assert tr.step == q * tr.dtau, mode
+    for mode, gamma in (("born-markov-asymptotic", 3e-4), ("lindblad-rwa", 1e-4)):
+        pg = dataclasses.replace(p, gamma=gamma)
+        tr = evolve(pg, 2.5, mode=mode, config=IntegratorConfig(frame="rotating"))
+        h_lo, h_hi = _step_bounds(pg, _BandedRHS(pg, _Ladder(pg, tr.n_max), mode), tr.dtau)
+        omega_top = 1.0 + p.mu_bar * (2 * tr.n_max - 3)
+        assert h_lo == 0.25 / omega_top and h_lo <= tr.step <= h_hi * (1.0 + SNAP), mode
         assert tr.dtau == 2.5 / math.ceil(2.5 / default_dtau(p, tr.n_max, "rotating"))
-    assert tr.steps < math.ceil(2.5 / (5 * tr.dtau))  # the Lindblad run left its floor
+        assert (h_hi < 1.0 / omega_top) == (mode == "born-markov-asymptotic"), mode
+    assert tr.step == pytest.approx(h_hi, rel=SNAP)
+    assert tr.steps < math.ceil(2.5 / h_lo)  # the Lindblad run left its floor
     small = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=1.0, gamma=1e-3)
     for mode, frame in (("born-markov-asymptotic", "lab"), ("lindblad-rwa", "lab"),
                         ("born-markov-transient", "rotating")):
@@ -578,103 +610,113 @@ def test_rotating_step_spans_whole_grid_cells():
         n_cells = tr.taus.size - 1
         assert tr.dtau == 0.2 / math.ceil(0.2 / default_dtau(small, tr.n_max, frame))
         rhs = _BandedRHS(small, _Ladder(small, tr.n_max), mode)
-        q_floor, q_ceil = _step_bounds(small, rhs, tr.dtau, n_cells)
-        q = round(tr.step / tr.dtau)
-        assert tr.step == q * tr.dtau and q_floor <= q <= q_ceil, (mode, frame)
-        assert tr.steps <= math.ceil(n_cells / q_floor) and tr.step_error > 0.0, (mode, frame)
-        assert (q_floor > 1) == (frame == "lab"), (mode, frame)
-    assert q_ceil == 1 and tr.steps == n_cells  # the table binds the transient run
+        h_lo, h_hi = _step_bounds(small, rhs, tr.dtau)
+        assert h_lo <= tr.step <= h_hi * (1.0 + SNAP), (mode, frame)
+        assert tr.steps <= math.ceil(0.2 / h_lo) and tr.step_error > 0.0, (mode, frame)
+        assert (h_lo > tr.dtau) == (frame == "lab"), (mode, frame)
+    # the table binds the transient run, whose floor is then one cell
+    assert h_lo == h_hi == tr.dtau and tr.steps == n_cells
     tr = evolve(small, 0.2, mode="closed")
     assert tr.step is None and tr.steps == 0 and tr.step_error is None
 
 
-def run_attempts(monkeypatch, params, tau_end, dtau=None):
-    """A rotating-frame born-markov-asymptotic run from the coherent start,
-    with its RK4 step attempts as (first cell, cells, estimate), read off
-    the kernel's calls: after the initial k1, each attempt evaluates at
-    t + h/2 twice, at t + h for k4 and again at t + h for the end derivative
-    f1, and the estimate (h/6) max|f1 - k4| is recomputed from the last two.
-    Also returns which attempts were accepted and the run's (floor, ceiling)
-    in grid cells."""
+def run_attempts(monkeypatch, params, tau_end, dtau=None, frame="rotating"):
+    """A born-markov-asymptotic run from the coherent start, with its RK4
+    step attempts as (start time, length, estimate), read off the kernel's
+    calls: after the initial k1, each attempt from t0 to t1 evaluates at
+    t0 + (t1 - t0)/2 twice, at t1 for k4 and again at t1 for the end
+    derivative f1, and the estimate ((t1 - t0)/6) max|f1 - k4| is
+    recomputed from the last two. An attempt starts where the last accepted
+    one ended, so each midpoint tells a retry (same start) from an accepted
+    predecessor (start at its end). Also returns which attempts were
+    accepted and the run's (floor, ceiling) in time."""
     mode = "born-markov-asymptotic"
     n_max = fock_cutoff(params.intensity)
-    dtau = dtau or default_dtau(params, n_max, "rotating")
+    dtau = dtau or default_dtau(params, n_max, frame)
     dtau = tau_end / math.ceil(tau_end / dtau - 1e-12)
-    bounds = _step_bounds(params, _BandedRHS(params, _Ladder(params, n_max), mode),
-                          dtau, round(tau_end / dtau))
-    calls, attempts, last = [], [], [None]
+    bounds = _step_bounds(params, _BandedRHS(params, _Ladder(params, n_max), mode), dtau)
+    calls, raw, last = [], [], [None]
     original = _BandedRHS.__call__
 
     def spy(self, tau, rho, out):
         original(self, tau, rho, out)
         calls.append(tau)
         if len(calls) % 4 == 1 and len(calls) > 1:  # f1, right after k4
-            mid = calls[-3]
-            cells = round(2.0 * (tau - mid) / dtau)
-            err = cells * dtau / 6.0 * float(np.abs(out - last[0]).max())
-            attempts.append((round((2.0 * mid - tau) / dtau), cells, err))
+            raw.append((calls[-3], tau, float(np.abs(out - last[0]).max())))
         last[0] = out.copy()
         return out
 
     with monkeypatch.context() as m:
         m.setattr(_BandedRHS, "__call__", spy)
-        tr = evolve(params, tau_end, mode=mode,
-                    config=IntegratorConfig(frame="rotating", dtau=dtau))
-    assert tr.dtau == dtau and len(calls) == 1 + 4 * len(attempts)
-    accepted = [a[0] + a[1] == b[0] for a, b in zip(attempts, attempts[1:])] + [True]
+        tr = evolve(params, tau_end, mode=mode, config=IntegratorConfig(frame=frame, dtau=dtau))
+    assert tr.dtau == dtau and len(calls) == 1 + 4 * len(raw)
+    attempts, accepted, t0 = [], [], 0.0
+    for k, (mid, t1, diff) in enumerate(raw):
+        attempts.append((t0, t1 - t0, (t1 - t0) / 6.0 * diff))
+        if k + 1 < len(raw):
+            mid_next, t1_next, _ = raw[k + 1]
+            start = 2.0 * mid_next - t1_next  # the next start, to round-off
+            accepted.append(abs(start - t1) < abs(start - t0))
+            t0 = t1 if accepted[-1] else t0
+    accepted.append(True)
     return tr, attempts, accepted, bounds
 
 
 def test_controller_stays_between_floor_and_ceiling(monkeypatch):
-    """Every attempt spans q_floor to q_ceil cells (the last may be
+    """Every attempt lasts from the floor to the ceiling (the last may be
     shorter); a rejected attempt lies above the floor with an estimate over
     the tolerance, and every accepted step above the floor is within it.
-    The trajectory reports the accepted steps, the largest of them and the
-    worst accepted estimate. Runs: the quantum-corner bump (floor 5,
-    ceiling 20), which steps up to 9 cells and retries 3 steps, and the
-    frames test's bath (floor 15, ceiling 60), which climbs to 23."""
+    The accepted steps tile the run, and the trajectory reports their
+    number, the longest and the worst accepted estimate. Runs: the
+    quantum-corner bump (floor 0.25/Omega_top, ceiling four floors), which
+    steps up to 1.72 floors and retries 4 steps, and the frames test's bath
+    (floor 15.1 cells of its grid, ceiling 60.2), which climbs to 1.56
+    floors."""
     qc = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
     frames = SystemParams(mu_bar=0.1, intensity=10.0, beta_bar=1.0, gamma=1e-3)
     rejected = []
     for p, tau_end, dtau in ((qc, 2.5, None), (frames, 3.0, 2e-3)):
-        tr, attempts, accepted, (q_floor, q_ceil) = run_attempts(monkeypatch, p, tau_end,
-                                                                 dtau=dtau)
-        assert q_floor < q_ceil
+        tr, attempts, accepted, (h_lo, h_hi) = run_attempts(monkeypatch, p, tau_end, dtau=dtau)
+        assert h_lo < h_hi
         rejected.append(accepted.count(False))
-        n_cells = tr.taus.size - 1
-        for (c0, cells, err), ok in zip(attempts, accepted):
-            assert cells <= q_ceil and (cells >= q_floor or c0 + cells == n_cells)
+        t_end = tr.taus[-1]
+        for (t0, h, err), ok in zip(attempts, accepted):
+            at_end = t0 + h == t_end
+            assert h <= h_hi * (1.0 + SNAP) and (h >= h_lo * (1.0 - SNAP) or at_end)
             if not ok:
-                assert cells > q_floor and err > EV._STEP_TOL
-            elif cells > q_floor:
+                assert (h > h_lo * (1.0 - SNAP) or at_end) and err > EV._STEP_TOL
+            elif h > h_lo * (1.0 + SNAP):
                 assert err <= EV._STEP_TOL
         kept = [a for a, ok in zip(attempts, accepted) if ok]
-        assert sum(cells for _, cells, _ in kept) == n_cells and tr.steps == len(kept)
-        assert tr.step == max(cells for _, cells, _ in kept) * tr.dtau
-        assert tr.step > q_floor * tr.dtau
+        assert kept[-1][0] + kept[-1][1] == t_end and tr.steps == len(kept)
+        assert all(a[0] + a[1] == b[0] for a, b in zip(kept, kept[1:]))
+        assert tr.step == max(h for _, h, _ in kept)
+        assert tr.step > h_lo * (1.0 + SNAP)
         assert tr.step_error == max(err for _, _, err in kept)
     assert rejected[0] > 0
 
 
 def test_floor_bound_run_keeps_the_fixed_step(monkeypatch):
-    """The quantum-corner bath at gamma = 3e-4 has floor 5 and ceiling 7
-    cells. Its estimate at the floor exceeds the tolerance on 219 of 225
-    steps and stays above 0.75^4 of it on all (measured: 0.41), where the
-    growth factor 0.9 (tol/err)^(1/4) is below 6/5. It then takes the
-    floor's step and step count throughout, with no retry, and its
-    trajectory is bit-identical to the run whose ceiling is pinned to the
-    floor."""
-    p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=3e-4, lambda_bar=100.0)
-    tr, attempts, accepted, (q_floor, q_ceil) = run_attempts(monkeypatch, p, 2.5)
-    assert (q_floor, q_ceil) == (5, 7) and all(accepted)
-    assert all(cells == q_floor for _, cells, _ in attempts)
-    assert all(err > 0.75**4 * EV._STEP_TOL for _, _, err in attempts)
+    """The frames test's bath at gamma = 3e-3 on the lab grid, to tau = 1:
+    floor 5.24 cells and ceiling 8.41, so its steps end between grid points
+    and the run is no whole number of floors long. Its estimate at the floor
+    stays above 0.9^4 of the tolerance on every step but the short last one
+    (measured: 0.89), where the growth factor 0.9 (tol/err)^(1/4) is below
+    1. It then takes the floor's step throughout, with no retry, ends on a
+    shorter step at tau_end, and its trajectory is bit-identical to the run
+    whose ceiling is pinned to the floor."""
+    p = SystemParams(mu_bar=0.1, intensity=10.0, beta_bar=1.0, gamma=3e-3)
+    tr, attempts, accepted, (h_lo, h_hi) = run_attempts(monkeypatch, p, 1.0, frame="lab")
+    assert h_lo < h_hi and all(accepted)
+    assert h_lo / tr.dtau == pytest.approx(5.24, abs=0.01)
+    assert all(h == pytest.approx(h_lo, rel=SNAP) for _, h, _ in attempts[:-1])
+    assert all(err > 0.9**4 * EV._STEP_TOL for _, _, err in attempts[:-1])
+    t0, h, _ = attempts[-1]
+    assert t0 + h == tr.taus[-1] == 1.0 and h < 0.5 * h_lo
     assert tr.step_error > EV._STEP_TOL
-    n_cells = tr.taus.size - 1
-    assert tr.steps == n_cells // q_floor and tr.step == q_floor * tr.dtau
+    assert tr.steps == math.ceil(1.0 / h_lo) and tr.step == pytest.approx(h_lo, rel=SNAP)
     monkeypatch.setattr(EV, "_PHASE_PER_STEP_MAX", EV._PHASE_PER_STEP)
-    pinned = evolve(p, 2.5, mode="born-markov-asymptotic",
-                    config=IntegratorConfig(frame="rotating"))
+    pinned = evolve(p, 1.0, mode="born-markov-asymptotic", config=IntegratorConfig())
     for name in ("a_expect", "n_expect", "trace", "herm_defect", "final_rho"):
         np.testing.assert_array_equal(getattr(tr, name), getattr(pinned, name), err_msg=name)
     assert (pinned.steps, pinned.step, pinned.step_error) == (tr.steps, tr.step, tr.step_error)
@@ -684,43 +726,46 @@ def test_weak_coupling_run_stays_below_the_ceiling(monkeypatch):
     """Acceptance 01's gamma = 1e-8 run: its estimate is near 1e-17, blind
     to the aliasing of the band phases, so it would ask for steps of
     hundreds of radians. The ceiling holds every step to 2 rad of the
-    fastest phase (20 cells), and the run steps there."""
+    fastest phase (four floors), and the run steps there."""
     p = SystemParams(mu_bar=0.1, intensity=20.0, beta_bar=1.0, gamma=1e-8)
-    tr, attempts, accepted, (q_floor, q_ceil) = run_attempts(monkeypatch, p, math.pi / p.mu_bar)
-    assert (q_floor, q_ceil) == (5, 20) and all(accepted)
-    assert max(cells for _, cells, _ in attempts) == q_ceil
-    assert tr.step == q_ceil * tr.dtau and tr.step_error < 1e-3 * EV._STEP_TOL
+    tr, attempts, accepted, (h_lo, h_hi) = run_attempts(monkeypatch, p, math.pi / p.mu_bar)
+    omega_top = 1.0 + p.mu_bar * (2 * tr.n_max - 3)
+    assert (h_lo, h_hi) == (0.25 / omega_top, 1.0 / omega_top) and all(accepted)
+    assert max(h for _, h, _ in attempts) == pytest.approx(h_hi, rel=SNAP)
+    assert tr.step == pytest.approx(h_hi, rel=SNAP) and tr.step_error < 1e-3 * EV._STEP_TOL
 
 
 def test_step_estimate_is_fourth_order(monkeypatch):
-    """On acceptance 03's cat, with the step pinned to 5, 10 and 20 cells
-    (0.5, 1 and 2 rad of the fastest phase), the worst estimate over the
+    """On acceptance 03's cat, with the step pinned to 0.5, 1 and 2 rad of
+    the fastest phase (5, 10 and 20 rotating cells), the worst estimate over the
     first unit of time grows at least 8x per doubling of the step (measured:
     15.7x and 14.9x), as a local error of order h^4 or higher must."""
     p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
     al = math.sqrt(p.intensity)
     rho0 = cat_state_density(al, -al, fock_cutoff(p.intensity))
     errs = []
-    for q, phase in ((5, 0.5), (10, 1.0), (20, 2.0)):
+    omega_top = 1.0 + p.mu_bar * (2 * fock_cutoff(p.intensity) - 3)
+    for phase in (0.5, 1.0, 2.0):
         monkeypatch.setattr(EV, "_PHASE_PER_STEP", phase)
         monkeypatch.setattr(EV, "_PHASE_PER_STEP_MAX", phase)
         tr = evolve(p, 1.0, mode="born-markov-asymptotic", rho0=rho0,
                     config=IntegratorConfig(frame="rotating"))
-        assert tr.step == q * tr.dtau
+        assert tr.step == pytest.approx(phase / (2.0 * omega_top), rel=SNAP)
         errs.append(tr.step_error)
     assert errs[1] >= 8.0 * errs[0] and errs[2] >= 8.0 * errs[1]
 
 
 def test_dense_output_between_rotating_steps(monkeypatch):
-    """A run stepping five cells per step against one whose grid is that
-    step: the two take the same steps, so they agree to round-off at the
-    shared step ends. The Hermite samples in between stay within 1e-7 of a
-    dense lab-frame RK4 at a quarter of the cell (measured: 1.6e-8 in <a>,
-    4.4e-8 in <n>; 5e-9 and 1.1e-8 at the step ends). The ceiling is pinned
-    to the floor, which makes both runs floor-bound: left free, the estimate
-    (2.3e-10 at most) would lengthen the fine run's steps, and a coupling
-    that keeps it above the tolerance (gamma = 3e-3) moves the interior
-    samples by 1.3e-7 in <n>, because the state itself changes faster."""
+    """Runs on grids of 1/175 and 1/35 take the same steps, the floor
+    0.25/Omega_top (5.27 and 1.05 cells), so they agree to round-off at
+    their shared samples. Those steps end between grid points, so the
+    samples come from the Hermite interpolant, and they stay within 1e-7 of
+    a dense lab-frame RK4 at a quarter of the fine cell (measured: 2.2e-8 in
+    <a>, 5.8e-8 in <n>). The ceiling is pinned to the floor, which makes
+    both runs floor-bound: left free, the estimate (2.3e-10 at most) would
+    lengthen the steps, and a coupling that keeps it above the tolerance
+    (gamma = 3e-3) moves the samples more, because the state itself
+    changes faster."""
     monkeypatch.setattr(EV, "_PHASE_PER_STEP_MAX", EV._PHASE_PER_STEP)
     p = SystemParams(mu_bar=0.1, intensity=10.0, beta_bar=1.0, gamma=1e-3)
     mode = "born-markov-asymptotic"
@@ -729,17 +774,17 @@ def test_dense_output_between_rotating_steps(monkeypatch):
     lab = lab_rk4(p, mode, coherent_state_density(p.alpha, fine.n_max), 1.0, 700, every=4)
     lab_a = np.array([expect_a(lab[k]) for k in sorted(lab)])
     lab_n = np.array([expect_n(lab[k]) for k in sorted(lab)])
-    assert fine.step == 5 * fine.dtau and coarse.step == coarse.dtau
-    assert fine.steps == coarse.steps == 35
+    omega_top = 1.0 + p.mu_bar * (2 * fine.n_max - 3)
+    assert fine.step == pytest.approx(0.25 / omega_top, rel=SNAP)
     assert fine.step == pytest.approx(coarse.step, rel=1e-15)
+    assert fine.steps == coarse.steps == math.ceil(omega_top / 0.25)
     np.testing.assert_allclose(fine.taus[::5], coarse.taus, rtol=1e-15)
     assert np.max(np.abs(fine.a_expect[::5] - coarse.a_expect)) < 1e-13
     assert np.max(np.abs(fine.n_expect[::5] - coarse.n_expect)) < 1e-13
     assert np.max(np.abs(fine.final_rho - coarse.final_rho)) < 1e-15
     np.testing.assert_allclose(fine.taus, np.array(sorted(lab)) / 700, rtol=1e-15)
-    interior = np.arange(fine.taus.size) % 5 != 0
-    assert np.max(np.abs(fine.a_expect - lab_a)[interior]) < 1e-7
-    assert np.max(np.abs(fine.n_expect - lab_n)[interior]) < 1e-7
+    assert np.max(np.abs(fine.a_expect - lab_a)) < 1e-7
+    assert np.max(np.abs(fine.n_expect - lab_n)) < 1e-7
     assert np.max(np.abs(fine.trace - 1.0)) < 1e-14
     assert np.max(fine.herm_defect) < 1e-15
 
@@ -747,15 +792,17 @@ def test_dense_output_between_rotating_steps(monkeypatch):
 def test_snapshot_inside_a_step_matches_its_sample():
     """A snapshot at a grid point inside a rotating-frame step is the same
     interpolated state the recorder samples there. The run is floor-bound,
-    so its steps end on every fifth grid point."""
+    so its steps end at multiples of the floor, 0.25/Omega_top (5.27
+    cells), and none ends on the grid point nearest 0.05."""
     p = SystemParams(mu_bar=0.1, intensity=10.0, beta_bar=1.0, gamma=3e-3)
     tr = evolve(p, 0.2, mode="born-markov-asymptotic",
                 config=IntegratorConfig(frame="rotating", dtau=1 / 175, stride=1,
                                         snapshot_taus=(0.05,)))
-    assert tr.step == 5 * tr.dtau and tr.steps == 7
+    h = 0.25 / (1.0 + p.mu_bar * (2 * tr.n_max - 3))
+    assert tr.step == pytest.approx(h, rel=SNAP) and tr.steps == math.ceil(0.2 / h) == 7
     (snap,) = tr.snapshots.values()
     k = int(np.argmin(np.abs(tr.taus - 0.05)))
-    assert k % 5 != 0  # inside a step
+    assert 0.1 < (tr.taus[k] / h) % 1.0 < 0.9  # inside a step
     levels = np.arange(tr.n_max)
     a = np.sum(np.sqrt(levels[1:]) * np.diagonal(snap, -1))
     assert abs(a - tr.a_expect[k]) < 1e-13
@@ -766,8 +813,9 @@ def test_snapshot_inside_a_step_matches_its_sample():
 
 def test_interior_samples_match_snapshot_states():
     """At the quantum-corner parameters with gamma = 3e-4, a floor-bound run
-    (q = 5), the recorder interpolates observable vectors, not states,
-    inside a step. Every interior sample
+    to tau = 0.1 whose floor is five cells of its grid, the recorder
+    interpolates observable vectors, not states, inside a step. Every
+    interior sample
     must agree with the quantities computed from the interpolated state,
     which a snapshot at the same grid point returns; its hermiticity defect
     is the larger end-state defect, which bounds the interpolant's, and its
@@ -785,7 +833,8 @@ def test_interior_samples_match_snapshot_states():
     tr = evolve(p, tau_end, mode="born-markov-asymptotic", rho0=rho0,
                 config=IntegratorConfig(frame="rotating", stride=1, overlap_pair=(al, be),
                                         record_min_eig=True, snapshot_taus=tuple(interior)))
-    assert tr.step == 5 * tr.dtau and tr.steps == n_cells // 5 and tr.taus.size == n_cells + 1
+    assert tr.step == pytest.approx(5 * tr.dtau, rel=SNAP) and tr.steps == n_cells // 5
+    assert tr.taus.size == n_cells + 1
     e = energies(n_max, p.mu_bar)
     levels = np.arange(n_max)
     w = np.outer(coherent_amplitudes(al, n_max).conj(), coherent_amplitudes(be, n_max))
