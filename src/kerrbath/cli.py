@@ -92,7 +92,6 @@ OPTIONS = {
     "theta": (float, None),
     "tau_end": (float, None),
     "dtau": (float, None),
-    "stride": (int, None),
     "frame": (FRAMES, None),
     "draws": (int, None),
     "samples": (int, None),
@@ -251,7 +250,7 @@ def _run(opts: dict, out_required: bool):
         raise ConfigError("tau_end is required (flag --tau-end or config)")
     if opts["tau_end"] < 0:
         raise ConfigError(f"tau_end must be non-negative, got {opts['tau_end']}")
-    config = IntegratorConfig(**{k: opts[k] for k in ("dtau", "stride", "frame") if k in opts})
+    config = IntegratorConfig(**{k: opts[k] for k in ("dtau", "frame") if k in opts})
     out = _out_dir(opts, out_required)
     traj = evolve(params, opts["tau_end"], mode=opts.get("mode", "closed"), config=config)
     return params, out, traj

@@ -55,9 +55,10 @@ Recorded observables and snapshots are always lab-frame values: the
 recorder dresses co-moving states with the level phases.
 
 Time stepping is classical RK4 on the co-moving state. dtau is the sample
-grid in every mode: samples and snapshots lie on it, and
-default_dtau(params, n_max, frame) gives it when unset; frame picks only
-that default grid, and every run with a generator steps the same way. Only
+spacing in every mode, and snapshots lie on samples. When unset,
+default_dtau(params, n_max, frame) gives it, coarsened by a whole factor on
+a long run (see IntegratorConfig); frame picks only that default grid, and
+every run with a generator steps the same way. Only
 the band phases oscillate, at up to ~2 Omega_top, linear in n_max instead
 of the quadratic level spread E_top - E_0 that a lab-frame step would have
 to resolve. The step h is a length of time, not a number of grid cells,
@@ -122,8 +123,11 @@ _HERM_TOL = 1e-9
 # closed-mode samples recorded at once, which bounds the dressing phases' memory
 _CLOSED_BLOCK = 512
 
-# most grid points past tau = 0 in one run; checked before the run allocates its buffers
-_MAX_STEPS = 20_000_000
+# samples past tau = 0: at most _MAX_SAMPLES in one run (each 72-88 B of
+# recorder arrays, checked before the run allocates them), and a default
+# grid of 2 _DEFAULT_SAMPLES cells or more coarsens by a whole factor
+_MAX_SAMPLES = 1_000_000
+_DEFAULT_SAMPLES = 4000
 
 # step budgets: radians of the fastest coefficient phase per step at the
 # step floor and at the step ceiling, and the step times the generator's
@@ -150,30 +154,30 @@ class IntegratorConfig:
     """Knobs for the propagation, shared by every mode and both frames.
 
     Every mode runs on one grid of dtau cells through the same sample loop
-    and recorder: samples and snapshots lie on that grid. dtau None picks
-    default_dtau(params, n_max, frame), except in closed mode: that is the
-    co-moving run without a generator, whose state never changes, so dtau
-    only spaces its exact samples and defaults to tau_end/2000. frame picks
-    only that default grid. Every run with a generator steps the co-moving
-    state by as long a time step as its local error estimate allows between
-    a floor set by its step budgets and a ceiling set by the same budgets
-    at 2 rad of phase per step instead of 0.5, each at least min(dtau, one
-    rotating default cell) (see the module docstring), so a dtau of at
-    least that cell sets the sample density, not the step.
-    stride None aims for about 4000 stored samples. overlap_pair (alpha,
-    beta) records a coherence envelope for that superposition: with rho~ the
-    co-moving state e^{iHt} rho e^{-iHt} and W_nm = conj(alpha_n) beta_m,
-    the envelope is sum_j |sum over the j-th diagonal of W*rho~|. It equals
-    1 for the pure lobe |alpha><beta|, is exactly invariant under rigid
-    phase-space rotation of the state (each diagonal only picks up a common
-    phase), and decays at the bath's off-diagonal damping rate, so slow
-    bath-induced frequency shifts do not masquerade as decoherence. frame is
-    "lab" or "rotating". The config is frozen, and a frame, dtau or stride
-    that no run can use raises ValueError on construction.
+    and recorder: every grid point is a sample, and snapshots lie on them.
+    dtau None picks default_dtau(params, n_max, frame), times the whole
+    factor n_cells // 4000 when that grid has n_cells >= 8000 cells, except
+    in closed mode: that is the co-moving run without a generator, whose
+    state never changes, so dtau only spaces its exact samples and defaults
+    to tau_end/2000. frame picks only that default grid. Every run with a
+    generator steps the co-moving state by as long a time step as its local
+    error estimate allows between a floor set by its step budgets and a
+    ceiling set by the same budgets at 2 rad of phase per step instead of
+    0.5, each at least min(dtau, one rotating default cell) (see the module
+    docstring), so a dtau of at least that cell sets the sample density, not
+    the step. overlap_pair (alpha, beta) records a coherence envelope for
+    that superposition: with rho~ the co-moving state e^{iHt} rho e^{-iHt}
+    and W_nm = conj(alpha_n) beta_m, the envelope is sum_j |sum over the
+    j-th diagonal of W*rho~|. It equals 1 for the pure lobe |alpha><beta|,
+    is exactly invariant under rigid phase-space rotation of the state (each
+    diagonal only picks up a common phase), and decays at the bath's
+    off-diagonal damping rate, so slow bath-induced frequency shifts do not
+    masquerade as decoherence. frame is "lab" or "rotating". The config is
+    frozen, and a frame or dtau that no run can use raises ValueError on
+    construction.
     """
 
     dtau: float | None = None
-    stride: int | None = None
     snapshot_taus: tuple[float, ...] = ()
     overlap_pair: tuple[complex, complex] | None = None
     record_min_eig: bool = False
@@ -185,8 +189,6 @@ class IntegratorConfig:
             raise ValueError(f"unknown frame {self.frame!r}")
         if self.dtau is not None and not (math.isfinite(self.dtau) and self.dtau > 0):
             raise ValueError(f"dtau must be positive and finite, got {self.dtau}")
-        if self.stride is not None and self.stride < 1:
-            raise ValueError(f"stride must be at least 1, got {self.stride}")
 
 
 @dataclass
@@ -195,9 +197,9 @@ class Trajectory:
 
     All stored quantities are lab-frame values, whatever the frame; frame
     records the config's, which picks only the default grid (every run
-    with a generator steps co-moving). dtau is the spacing of the run's
-    sample grid and step the largest RK4 step taken, in time, not in cells;
-    steps counts the accepted RK4 steps, and step_error is
+    with a generator steps co-moving). dtau is the run's sample spacing,
+    taus[k] = k dtau, and step the largest RK4 step taken, in time, not in
+    cells; steps counts the accepted RK4 steps, and step_error is
     the largest accepted local error estimate (h/6) max|f(t+h, y1) - k4|
     (see the module docstring). With no step taken (closed mode, which
     integrates nothing, or tau_end = 0) steps is 0 and step and step_error
@@ -419,10 +421,11 @@ def _omega_top(params: SystemParams, n_max: int) -> float:
 
 
 def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
-    """The default sample grid of a frame. It fixes the sample density
-    only: every run with a generator steps the co-moving state by lengths
-    of time, not cells of it (see the module docstring), and cubic Hermite
-    dense output fills the samples between step ends.
+    """The default sample grid of a frame, before a long run coarsens it
+    (see IntegratorConfig). It fixes the sample density only: every run
+    with a generator steps the co-moving state by lengths of time, not cells
+    of it (see the module docstring), and cubic Hermite dense output fills
+    the samples between step ends.
 
     Lab frame: one radian per sample of the fastest lab-frame coherence,
     which rotates at the full level spread E_top - E_0, and at least 200
@@ -630,9 +633,10 @@ def evolve(
     rho0 defaults to the coherent state of the model parameters in a basis
     sized by fock_cutoff; a given rho0 must be a finite square matrix with
     max|rho0 - rho0^dag| <= 1e-9, or ValueError is raised. The returned
-    trajectory samples every config.stride steps plus the final time; each
-    snapshot is the lab-frame state at the step nearest its requested time
-    (the earlier on a tie).
+    trajectory samples every point of the dtau grid, which ends on tau_end;
+    each snapshot is the lab-frame state at the sample nearest its
+    requested time (the earlier on a tie). A grid of more than 1e6 cells
+    raises IntegrationError before the run allocates.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -662,14 +666,17 @@ def evolve(
         dtau = tau_end / _CLOSED_STEPS
     else:
         dtau = default_dtau(params, n_max, config.frame)
-    n_cells = max(1, int(math.ceil(tau_end / dtau - 1e-12))) if tau_end > 0 else 0
-    if n_cells > _MAX_STEPS:
+    n_cells = max(1, math.ceil(tau_end / dtau - 1e-12)) if tau_end > 0 else 0
+    if config.dtau is None and mode != "closed":
+        # keep every f-th point, f = n_cells // 4000: 4000 to 6000 samples
+        n_cells = math.ceil(n_cells / max(1, n_cells // _DEFAULT_SAMPLES))
+    if n_cells > _MAX_SAMPLES:
         raise IntegrationError(
-            f"{n_cells} grid points after tau = 0 exceed the limit of {_MAX_STEPS}; raise dtau"
+            f"{n_cells} samples after tau = 0 exceed the limit of {_MAX_SAMPLES}; raise dtau"
         )
     dtau = tau_end / n_cells if n_cells else dtau
+    taus = np.arange(n_cells + 1) * dtau
     t_end = n_cells * dtau
-    stride = config.stride or max(1, n_cells // 4000)
 
     ladder = _Ladder(params, n_max)
     rhs = None  # closed mode: the co-moving state never changes
@@ -681,61 +688,51 @@ def evolve(
         remedy = "enlarge the basis" if h_lo <= cap else f"reduce dtau to {cap:g} or below"
         hint = f"{remedy} (the RK4 step runs from {h_lo:g} to {h_hi:g})"
 
-    sample_cells = list(range(0, n_cells + 1, stride))
-    if sample_cells[-1] != n_cells:
-        sample_cells.append(n_cells)
-    taus = np.array(sample_cells) * dtau
-    rec = _Recorder(ladder, len(sample_cells), config, hint)
-    snap_at = {}  # grid point -> the snapshot requests it answers
+    rec = _Recorder(ladder, taus.size, config, hint)
+    snap_at = {}  # sample -> the snapshot requests it answers
     for ts in sorted(config.snapshot_taus):
         c = _snapshot_cell(ts, dtau, n_cells)
         if c is not None:
             snap_at.setdefault(c, []).append(ts)
-    events = sorted(set(sample_cells).union(snap_at))  # ends with n_cells
     snaps = {}
-    sample_idx = 0
+    done = 0  # samples recorded
     ends = None  # (time, vector, derivative vector or None, defect) last measured
 
-    def at(c):
-        return c * dtau
-
-    def record(cells, t0, t1, h, y0, y1, f0, f1) -> None:
-        """Record the samples and snapshots at cells, the event grid points
-        in (t0, t1] of the step h = t1 - t0 from (y0, f0) to (y1, f1); grid
-        point 0 comes as t0 = t1 = 0. Samples inside the step interpolate
+    def record(j, t0, t1, h, y0, y1, f0, f1) -> None:
+        """Record samples done, ..., j - 1, those in (t0, t1] of the step
+        h = t1 - t0 from (y0, f0) to (y1, f1), and the snapshots on them;
+        sample 0 comes as t0 = t1 = 0. Samples inside the step interpolate
         the end vectors and take the larger end defect."""
-        nonlocal sample_idx, ends
+        nonlocal done, ends
 
         def state_at(c):
-            if at(c) == t1:
+            if taus[c] == t1:
                 return y1
-            _hermite((at(c) - t0) / h, h, y0, y1, f0, f1, tmp, k2)
+            _hermite((taus[c] - t0) / h, h, y0, y1, f0, f1, tmp, k2)
             return tmp
 
-        j = bisect.bisect_right(sample_cells, t1, sample_idx, key=at)
-        if j > sample_idx:
-            v1, g1, d1 = rec.vector(y1), None, rec.defect(y1)
-            vecs, herm = v1[None], d1
-            if taus[sample_idx] < t1:
-                g1 = rec.vector(f1)
-                if ends[0] != t0:
-                    ends = (t0, rec.vector(y0), None, rec.defect(y0))
-                _, v0, g0, d0 = ends
-                if g0 is None:
-                    g0 = rec.vector(f0)
-                s = (taus[sample_idx:j, None] - t0) / h
-                vecs = np.empty((s.size, v1.size), dtype=complex)
-                _hermite(s, h, v0, v1, g0, g1, vecs, np.empty_like(vecs))
-                herm = np.where(s[:, 0] < 1.0, max(d0, d1), d1)
-            ends = (t1, v1, g1, d1)
-            min_eig = None
-            if rec.min_eig is not None:
-                min_eig = [rec.lowest_eig(state_at(c)) for c in sample_cells[sample_idx:j]]
-            rec.store(sample_idx, taus[sample_idx:j], vecs, herm, min_eig)
-            sample_idx = j
-        for c in cells:
+        v1, g1, d1 = rec.vector(y1), None, rec.defect(y1)
+        vecs, herm = v1[None], d1
+        if taus[done] < t1:
+            g1 = rec.vector(f1)
+            if ends[0] != t0:
+                ends = (t0, rec.vector(y0), None, rec.defect(y0))
+            _, v0, g0, d0 = ends
+            if g0 is None:
+                g0 = rec.vector(f0)
+            s = (taus[done:j, None] - t0) / h
+            vecs = np.empty((s.size, v1.size), dtype=complex)
+            _hermite(s, h, v0, v1, g0, g1, vecs, np.empty_like(vecs))
+            herm = np.where(s[:, 0] < 1.0, max(d0, d1), d1)
+        ends = (t1, v1, g1, d1)
+        min_eig = None
+        if rec.min_eig is not None:
+            min_eig = [rec.lowest_eig(state_at(c)) for c in range(done, j)]
+        rec.store(done, taus[done:j], vecs, herm, min_eig)
+        for c in range(done, j):
             for ts in snap_at.get(c, ()):
-                snaps[ts] = ladder.to_lab(state_at(c), at(c))
+                snaps[ts] = ladder.to_lab(state_at(c), taus[c])
+        done = j
 
     rho = rho0.copy()
     steps, largest, step_error = 0, 0.0, 0.0  # accepted steps, the longest, worst estimate
@@ -745,7 +742,7 @@ def evolve(
                   rec.lowest_eig(rho) if rec.min_eig is not None else None)
         for k in range(0, taus.size, _CLOSED_BLOCK):
             rec.store(k, taus[k:k + _CLOSED_BLOCK], *static)
-        snaps = {ts: ladder.to_lab(rho, at(c))
+        snaps = {ts: ladder.to_lab(rho, taus[c])
                  for c, requests in snap_at.items() for ts in requests}
     else:
         rho_prev = np.empty_like(rho)
@@ -756,16 +753,15 @@ def evolve(
         k4 = np.empty_like(rho)
         tmp = np.empty_like(rho)
         rhs(0.0, rho, k1)
-        e = 1  # next event to record
-        record(events[:e], 0.0, 0.0, 0.0, None, rho, None, None)
+        record(1, 0.0, 0.0, 0.0, None, rho, None, None)
         t0, h = 0.0, h_lo
         while t0 < t_end:
             t1 = t0 + h
             # an end within round-off of a grid point lands on it, so that
             # the samples there are step ends, not interpolated an ulp short
             c = round(t1 / dtau)
-            if abs(at(c) - t1) <= 1e-9 * h:
-                t1 = at(c)
+            if abs(c * dtau - t1) <= 1e-9 * h:
+                t1 = c * dtau
             t1 = min(t1, t_end)
             dt = t1 - t0
             np.multiply(k1, 0.5 * dt, out=tmp)
@@ -788,6 +784,10 @@ def evolve(
             # FSAL estimate: the end derivative, the next k1, against k4
             np.subtract(f1, k4, out=tmp)
             err = dt / 6.0 * float(np.abs(tmp, out=rec.mag).max())
+            if not math.isfinite(err):
+                raise IntegrationError(
+                    f"state became unphysical at tau={t1:g} (non-finite RK4 step); {hint}"
+                )
             grow = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (_STEP_TOL / err) ** 0.25))
             # the nominal h, not dt, meets the floor: dt can sit an ulp above it
             nominal, h = h, min(max(dt * grow, h_lo), h_hi)
@@ -797,10 +797,9 @@ def evolve(
             steps += 1
             largest = max(largest, dt)
             step_error = max(step_error, err)
-            e1 = bisect.bisect_right(events, t1, e, key=at)
-            if e1 > e:
-                record(events[e:e1], t0, t1, dt, rho_prev, rho, k1, f1)
-            e = e1
+            j = bisect.bisect_right(taus, t1, done)
+            if j > done:
+                record(j, t0, t1, dt, rho_prev, rho, k1, f1)
             k1, f1 = f1, k1
             t0 = t1
 

@@ -378,14 +378,14 @@ def test_recurrence_and_cat_routes_agree():
     tau_r = math.pi / p.mu_bar
 
     run_a = evolve(p, 1.35 * tau_r, mode="born-markov-asymptotic",
-                   config=IntegratorConfig(frame="rotating", stride=5))
+                   config=IntegratorConfig(frame="rotating"))
     pt, ph = extract_envelope_peaks(run_a.taus, run_a.x)
     rec = fit_recurrence_decay(pt, ph, tau_r)
 
     al = math.sqrt(p.intensity)
     rho0 = cat_state_density(al, -al, fock_cutoff(p.intensity))
     run_b = evolve(p, 27.0, mode="born-markov-asymptotic", rho0=rho0,
-                   config=IntegratorConfig(frame="rotating", stride=5,
+                   config=IntegratorConfig(frame="rotating",
                                            overlap_pair=(al, -al)))
     cat = cat_offdiagonal_rate(run_b.taus, run_b.overlap, t_min=2.0)
 

@@ -76,7 +76,7 @@ def test_parse_config_errors():
         st.sampled_from(["mu_bar", "gamma", "tau_end", "tolerance"]),
         st.floats(allow_nan=False, allow_infinity=False),
     ),
-    st.dictionaries(st.sampled_from(["seed", "draws", "stride"]), st.integers()),
+    st.dictionaries(st.sampled_from(["seed", "draws", "samples"]), st.integers()),
     st.fixed_dictionaries(
         {}, optional={key: st.sampled_from(OPTIONS[key][0]) for key in ("mode", "frame", "window")}
     ),
@@ -115,7 +115,7 @@ def test_config_rejects_out_of_set_values(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("opts", [
     {"command": "simulate", "mode": "lindblad-rwa", "mu_bar": 0.1, "intensity": 5.0,
-     "gamma": 1e-3, "tau_end": 1.0, "dtau": 0.01, "stride": 10},
+     "gamma": 1e-3, "tau_end": 1.0, "dtau": 0.01},
     {"command": "simulate", "mode": "born-markov-asymptotic", "frame": "rotating",
      "mu_bar": 0.1, "intensity": 5.0, "gamma": 1e-3, "beta_bar": 0.5,
      "lambda_bar": 20.0, "theta": 0.3, "tau_end": 0.5},
@@ -195,12 +195,12 @@ def test_simulate_csv_contract(tmp_path, capsys):
     code = main([
         "simulate", "--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3",
         "--mode", "lindblad-rwa", "--tau-end", "1.0",
-        "--dtau", "0.01", "--stride", "10", "--out", str(tmp_path),
+        "--dtau", "0.01", "--out", str(tmp_path),
     ])
     assert code == 0
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + 11  # header + floor(100/10)+1 samples
+    assert len(lines) == 1 + 101  # header + one sample per grid point
     rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert rows[0, 0] == 0.0 and rows[-1, 0] == pytest.approx(1.0)
     # x column is sqrt(2) * re<a>, written independently
@@ -210,7 +210,7 @@ def test_simulate_csv_contract(tmp_path, capsys):
         for cell in ln.split(","):
             assert fmt(float(cell)) == cell
     meta = read_json(tmp_path / "trajectory.json")
-    assert meta["n_samples"] == 11
+    assert meta["n_samples"] == 101
     assert meta["mode"] == "lindblad-rwa"
     # the run steps the co-moving state by lengths of time, not grid cells:
     # here it climbs from its floor of 0.25/Omega_top (4.39 cells) to its
@@ -230,11 +230,8 @@ def test_simulate_bad_step_exit_2(tmp_path, capsys):
         for dtau in ("0", "-0.01", "nan", "inf"):
             assert main([*base, "--mode", mode, "--dtau", dtau]) == 2
             assert "dtau must be positive and finite" in capsys.readouterr().err
-        for stride in ("0", "-3"):
-            assert main([*base, "--mode", mode, "--dtau", "0.01", "--stride", stride]) == 2
-            assert "stride must be at least 1" in capsys.readouterr().err
     assert not out.exists()
-    # this run would take 1e9 steps, over the step limit, and exit 3
+    # this run would record 1e9 samples, over the sample limit, and exit 3
     assert main(base[:-2] + ["--mode", "lindblad-rwa", "--dtau", "1e-9"]) == 2
     assert "--out DIR is required" in capsys.readouterr().err
 
@@ -251,17 +248,33 @@ def test_simulate_coarse_dtau_keeps_the_step(tmp_path):
     assert coarse["steps"] == default["steps"] and coarse["step"] < coarse["dtau"]
 
 
-def test_simulate_closed_honours_dtau_and_stride(tmp_path):
+def test_simulate_closed_honours_dtau(tmp_path):
+    """Every grid point of an explicit dtau is a sample: 10000 cells give
+    10001 rows."""
     code = main(["simulate", "--mu-bar", "0.1", "--intensity", "5", "--mode", "closed",
-                 "--tau-end", "1.0", "--dtau", "0.01", "--stride", "10",
-                 "--out", str(tmp_path)])
+                 "--tau-end", "10", "--dtau", "0.001", "--out", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
-    assert len(lines) == 1 + 11
+    assert len(lines) == 1 + 10001
     meta = read_json(tmp_path / "trajectory.json")
-    assert meta["dtau"] == pytest.approx(0.01)
+    assert meta["dtau"] == pytest.approx(0.001) and meta["n_samples"] == 10001
     # closed mode integrates no step
     assert meta["step"] is None and meta["steps"] == 0 and meta["step_error"] is None
+
+
+def test_stride_is_not_an_option(tmp_path, capsys):
+    """dtau alone sets the samples: a --stride flag or a stride config key is
+    refused like any unknown name, before the output directory is made."""
+    out = tmp_path / "out"
+    base = ["simulate", "--mu-bar", "0.1", "--intensity", "5", "--tau-end", "1",
+            "--out", str(out)]
+    assert main([*base, "--stride", "10"]) == 2
+    assert "--stride" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("stride=10\n")
+    assert main([*base, "--config", str(cfg)]) == 2
+    assert "unknown key 'stride'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_requires_tau_end(capsys):
@@ -289,7 +302,7 @@ UNSTABLE = ["simulate", "--mu-bar", "0.1", "--intensity", "20", "--gamma", "100"
 
 def test_integrator_failure_exit_3(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
-        code = main([*UNSTABLE, "--stride", "1", "--out", str(tmp_path)])
+        code = main([*UNSTABLE, "--out", str(tmp_path)])
     assert code == 3
     err = capsys.readouterr().err
     assert "integration failed" in err and "reduce dtau" in err
@@ -384,6 +397,19 @@ def test_spectrum_closed_quantum(tmp_path, capsys):
     assert len(lines) == 1 + 2048 // 2 + 1
     assert "width*tau_e" in capsys.readouterr().out
     assert data["step"] is None and data["steps"] == 0 and data["step_error"] is None
+
+
+def test_spectrum_honours_samples(tmp_path):
+    """--samples 8192 transforms 8192 points over one recurrence period:
+    4097 frequency rows, up to the Nyquist frequency of that grid."""
+    code = main(["spectrum", "--mode", "closed", "--mu-bar", "0.1", "--intensity", "50",
+                 "--samples", "8192", "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert len(lines) == 1 + 8192 // 2 + 1
+    omegas = np.array([float(ln.split(",")[0]) for ln in lines[1:]])
+    assert omegas[-1] == pytest.approx(math.pi * 8192 / (2 * math.pi / 0.1), rel=1e-12)
+    assert read_json(tmp_path / "spectrum.json")["samples"] == 8192
 
 
 def test_spectrum_validation(capsys):
