@@ -17,9 +17,12 @@ Four evolution modes:
                             drive small negative eigenvalues that recover
                             within that window. Use "born-markov-transient"
                             for such starts when the early window matters.
-  "born-markov-transient"   same equation with time-dependent coefficients,
-                            tabulated over the settling window and linearly
-                            interpolated at every integrator stage.
+  "born-markov-transient"   same equation with time-dependent coefficients:
+                            their P bands are tabulated over the settling
+                            window and linearly interpolated at every
+                            integrator stage; from the window's end on the
+                            run holds the asymptotic coefficients and steps
+                            like an asymptotic run.
   "lindblad-rwa"            rotating-wave damping with lowering operator a,
                             the standard quantum-optical limit.
 
@@ -64,9 +67,12 @@ of the quadratic level spread E_top - E_0 that a lab-frame step would have
 to resolve. The step h is a length of time, not a number of grid cells,
 between a floor h_lo, the smallest of three budgets (0.5 rad of the fastest
 band phase per step, a step times the generator's norm bound of at most
-0.25, and the transient table's spacing), and a ceiling h_hi, the same with
-2 rad per step. Each is at least min(dtau, 0.05/Omega_top): one sample
-cell, but no more than one rotating default cell. Every step measures the FSAL error estimate err = (h/6) max|f(t+h, y1) - k4|
+0.25, and the transient table's spacing while the table lasts), and a
+ceiling h_hi, the same with 2 rad per step. Each is at least
+min(dtau, 0.05/Omega_top): one sample cell, but no more than one rotating
+default cell. From the table's end on, a transient run takes the
+asymptotic run's h_lo and h_hi. Every step measures the FSAL error
+estimate err = (h/6) max|f(t+h, y1) - k4|
 (Hairer, Norsett & Wanner, Solving ODEs I, II.4): f(t+h, y1) is the next
 step's first stage, so the estimate costs a subtraction and a maximum. It
 scales as h^4 but is blind to aliasing of the band phases, which the
@@ -74,7 +80,10 @@ ceiling bounds. The run starts at h_lo, and after each step
 h <- clamp(h min(2, max(0.2, 0.9 (tol/err)^(1/4))), h_lo, h_hi)
 with tol = _STEP_TOL; a step above h_lo with err > tol is rejected and
 retried with the new h. So a run never steps shorter than h_lo, and
-where the rate or the table binds, h_lo = h_hi and the step is fixed. A
+where the rate or the table binds, h_lo = h_hi and the step is fixed. The
+steps run under numpy's errstate for overflow and invalid values: a step
+whose estimate is not finite raises IntegrationError, with no numpy warning
+before it. A
 step ending within 1e-9 h of a grid point ends on it. Samples inside a step come from the cubic Hermite interpolant
 of the step's end states and their derivatives (Hairer, Norsett & Wanner,
 Solving ODEs I, II.6). The end derivative is the next step's first stage,
@@ -269,9 +278,10 @@ class _BandedRHS:
     upper band by e^{-i Omega_n t} and every lower band by the conjugate,
     and rebuilds the gain from them. The constructor installs the
     asymptotic bath coefficients, or a transient table of table_points
-    nodes; phases and table coefficients are redone only when the time
-    differs from the last one set up (RK4 stages 2 and 3 share it). rate
-    bounds the generator's norm.
+    nodes; phases and table bands are redone only when the time differs
+    from the last one set up (RK4 stages 2 and 3 share it). rate bounds the
+    generator's norm over the whole run, and late_rate from the table's end
+    on, where the asymptotic coefficients hold (rate when there is no table).
     """
 
     def __init__(self, params: SystemParams, ladder: _Ladder, mode: str,
@@ -287,17 +297,17 @@ class _BandedRHS:
         self.table = self.l_free = self.gain = None
         self._mod = tuple(np.zeros(n_max - 1, dtype=complex) for _ in range(4))
         self.xu, self.xl = self._mod[2:]
-        coef_sets = []
+        band_sets = late_sets = []
         if params.gamma > 0 and mode == "born-markov-asymptotic":
             c = asymptotic_coefficients(params, n_max)
-            coef_sets = [(c.a1, c.a2, c.b1, c.b2)]
-            self.set_coefficients(*coef_sets[0])
+            self.set_coefficients(c.a1, c.a2, c.b1, c.b2)
+            band_sets = late_sets = [self._coef]
         elif params.gamma > 0 and mode == "born-markov-transient":
-            self.table = _TransientTable(params, n_max, table_points)
-            coef_sets = [self.table.tables, self.table.inf]
-        p_max = max((np.abs(band).max(initial=0.0)
-                     for c in coef_sets for band in self.p_bands(*c)), default=0.0)
-        self.rate = float(16.0 * ladder.sqrt_n.max(initial=0.0) * p_max)
+            self.table = _TransientTable(params, ladder, table_points)
+            self.bands = self._mod[:2]
+            band_sets, late_sets = [self.table.bands, self.table.inf], [self.table.inf]
+        self.rate = _bath_rate(ladder.sqrt_n, band_sets)
+        self.late_rate = _bath_rate(ladder.sqrt_n, late_sets)
         self.gamma = params.gamma
         if params.gamma > 0 and mode == "lindblad-rwa":
             n = np.arange(n_max, dtype=float)
@@ -314,18 +324,11 @@ class _BandedRHS:
             self._block[:-1, :-1] = True
             # the decay and the gain each have norm at most gamma n_max
             self.rate += 2.0 * params.gamma * n_max
-
-    def p_bands(self, a1, a2, b1, b2):
-        """The P bands (upper, lower) of level-resolved coefficients; the
-        arrays run over levels on their last axis."""
-        s = self.ladder.sqrt_n
-        su_a = s * (a1[..., :-1] + 1j * a2[..., :-1])
-        su_b = s * (b1[..., :-1] + 1j * b2[..., :-1])
-        return 0.5 * (1j * su_a - su_b), 0.5 * (1j * su_a.conj() - su_b.conj())
+            self.late_rate = self.rate
 
     def set_coefficients(self, a1, a2, b1, b2) -> None:
         """Install level-resolved bath coefficients (arrays over levels)."""
-        self._coef = self.p_bands(a1, a2, b1, b2)
+        self._coef = _p_bands(self.ladder.sqrt_n, a1, a2, b1, b2)
         self.bands = self._mod[:2]
         self._tau = None
 
@@ -334,7 +337,7 @@ class _BandedRHS:
         if tau == self._tau:
             return
         if self.table is not None:
-            self.set_coefficients(*self.table.at(tau))
+            self._coef = self.table.at(tau)
         self._tau = tau
         ph = np.exp(-1j * self.ladder.gaps * tau)
         conj = ph.conj()
@@ -395,24 +398,55 @@ def coefficient_settle_time(params: SystemParams) -> float:
     return max(20.0 / params.lambda_bar, 4.0 * params.beta_bar, 2.0)
 
 
-class _TransientTable:
-    """Linear-in-time interpolation of the four coefficient arrays."""
+def _p_bands(sqrt_n, a1, a2, b1, b2):
+    """The P bands (upper, lower) of level-resolved coefficients, with the
+    ladder amplitudes s = sqrt_n; the arrays run over levels on their last
+    axis. Upper: (i s (a1 + i a2) - s (b1 + i b2))/2, lower: the same with
+    both products conjugated. Formed from real parts, which round as the
+    complex form does, so that a whole table's temporaries stay real."""
+    sa1, sa2, sb1, sb2 = (sqrt_n * c[..., :-1] for c in (a1, a2, b1, b2))
+    upper, lower = (np.empty(sa1.shape, dtype=complex) for _ in range(2))
+    np.multiply(0.5, -sa2 - sb1, out=upper.real)
+    np.multiply(0.5, sa1 - sb2, out=upper.imag)
+    np.multiply(0.5, sa2 - sb1, out=lower.real)
+    np.multiply(0.5, sa1 + sb2, out=lower.imag)
+    return upper, lower
 
-    def __init__(self, params: SystemParams, n_max: int, n_points: int):
+
+def _bath_rate(sqrt_n, band_sets) -> float:
+    """The bath term's norm bound 16 max sqrt(n) max|P band| over every
+    (upper, lower) pair of P bands in band_sets (see _step_cap)."""
+    p_max = max((np.abs(b).max(initial=0.0) for bands in band_sets for b in bands), default=0.0)
+    return float(16.0 * sqrt_n.max(initial=0.0) * p_max)
+
+
+class _TransientTable:
+    """The P bands of the transient coefficients on n_points nodes from 0
+    to the settle time t_end, two (n_points, n_max - 1) arrays, linear in
+    time between nodes, and the asymptotic bands inf from t_end on."""
+
+    def __init__(self, params: SystemParams, ladder: _Ladder, n_points: int):
+        n_max = ladder.energies.size
         self.t_end = coefficient_settle_time(params)
         self.taus = np.linspace(0.0, self.t_end, n_points)
-        self.tables = coefficient_tables(params, n_max, self.taus)
-        inf = asymptotic_coefficients(params, n_max)
-        self.inf = (inf.a1, inf.a2, inf.b1, inf.b2)
         self.dt = self.taus[1] - self.taus[0]
+        self.bands = _p_bands(ladder.sqrt_n, *coefficient_tables(params, n_max, self.taus))
+        inf = asymptotic_coefficients(params, n_max)
+        self.inf = _p_bands(ladder.sqrt_n, inf.a1, inf.a2, inf.b1, inf.b2)
+        self._at = tuple(np.empty(n_max - 1, dtype=complex) for _ in range(2))
 
     def at(self, tau: float):
+        """The P bands at tau: interpolated into buffers the table owns (and
+        rewrites on the next call) before t_end, inf from there on."""
         if tau >= self.t_end:
             return self.inf
         f = tau / self.dt
         i = min(int(f), self.taus.size - 2)
         w = f - i
-        return tuple(t[i] * (1.0 - w) + t[i + 1] * w for t in self.tables)
+        for band, out in zip(self.bands, self._at):
+            np.multiply(band[i], 1.0 - w, out=out)
+            out += band[i + 1] * w
+        return self._at
 
 
 def _omega_top(params: SystemParams, n_max: int) -> float:
@@ -445,33 +479,40 @@ def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
     return min(dt, tau_e / 200.0) if math.isfinite(tau_e) else dt
 
 
-def _step_cap(params: SystemParams, rhs: _BandedRHS, phase: float) -> float:
+def _step_cap(params: SystemParams, rhs: _BandedRHS, phase: float,
+              late: bool = False) -> float:
     """Longest RK4 step of a run with a generator, for a phase budget of
-    phase radians per step.
+    phase radians per step; late gives it from a transient table's end on.
 
     The smallest of three budgets. Phase: the fastest band phase turns at
     2 Omega_top, by at most phase per step; _PHASE_PER_STEP gives the step
     floor and _PHASE_PER_STEP_MAX the ceiling. Rate: h rhs.rate stays at
     most _RATE_PER_STEP. ||X|| <= 2 max sqrt(n) and ||P|| <= 2 max|P band|
     bound the bath term by 16 max sqrt(n) max|P band| ||rho|| over every
-    coefficient set the run can install, and lindblad-rwa's decay and gain
-    by 2 gamma n_max ||rho||. Table: a transient table's spacing caps h too.
-    Where the rate or the table binds, floor and ceiling coincide.
+    coefficient set the run can install (late: rhs.late_rate, over those
+    it installs from the table's end on), and lindblad-rwa's decay and gain
+    by 2 gamma n_max ||rho||. Table: a transient table's spacing caps h
+    too, but not late: from the table's end on the run holds the asymptotic
+    coefficients, and its cap is the asymptotic run's. Where the rate or
+    the table binds, floor and ceiling coincide.
     """
     cap = phase / (2.0 * _omega_top(params, rhs.ladder.energies.size))
-    if rhs.rate > 0.0:
-        cap = min(cap, _RATE_PER_STEP / rhs.rate)
-    if rhs.table is not None:
+    rate = rhs.late_rate if late else rhs.rate
+    if rate > 0.0:
+        cap = min(cap, _RATE_PER_STEP / rate)
+    if rhs.table is not None and not late:
         cap = min(cap, rhs.table.dt)
     return cap
 
 
-def _step_bounds(params: SystemParams, rhs: _BandedRHS, dtau: float) -> tuple[float, float]:
-    """The floor and the ceiling of a run's RK4 step in time: the step caps
-    at _PHASE_PER_STEP and _PHASE_PER_STEP_MAX, each raised to at least one
-    sample cell, but to no more than one cell of the rotating default grid."""
+def _step_bounds(params: SystemParams, rhs: _BandedRHS, dtau: float,
+                 late: bool = False) -> tuple[float, float]:
+    """The floor and the ceiling of a run's RK4 step in time (late: from a
+    transient table's end on): the step caps at _PHASE_PER_STEP and
+    _PHASE_PER_STEP_MAX, each raised to at least one sample cell, but to no
+    more than one cell of the rotating default grid."""
     least = min(dtau, default_dtau(params, rhs.ladder.energies.size, "rotating"))
-    return tuple(max(_step_cap(params, rhs, phase), least)
+    return tuple(max(_step_cap(params, rhs, phase, late), least)
                  for phase in (_PHASE_PER_STEP, _PHASE_PER_STEP_MAX))
 
 
@@ -754,54 +795,63 @@ def evolve(
         tmp = np.empty_like(rho)
         rhs(0.0, rho, k1)
         record(1, 0.0, 0.0, 0.0, None, rho, None, None)
-        t0, h = 0.0, h_lo
-        while t0 < t_end:
-            t1 = t0 + h
-            # an end within round-off of a grid point lands on it, so that
-            # the samples there are step ends, not interpolated an ulp short
-            c = round(t1 / dtau)
-            if abs(c * dtau - t1) <= 1e-9 * h:
-                t1 = c * dtau
-            t1 = min(t1, t_end)
-            dt = t1 - t0
-            np.multiply(k1, 0.5 * dt, out=tmp)
-            tmp += rho
-            rhs(t0 + 0.5 * dt, tmp, k2)
-            np.multiply(k2, 0.5 * dt, out=tmp)
-            tmp += rho
-            rhs(t0 + 0.5 * dt, tmp, k3)
-            np.multiply(k3, dt, out=tmp)
-            tmp += rho
-            rhs(t1, tmp, k4)
-            # the increment goes to k3, keeping k4 for the error estimate
-            k2 += k3
-            k2 *= 2.0
-            np.add(k4, k1, out=k3)
-            k3 += k2
-            k3 *= dt / 6.0
-            np.add(rho, k3, out=rho_prev)
-            rhs(t1, rho_prev, f1)
-            # FSAL estimate: the end derivative, the next k1, against k4
-            np.subtract(f1, k4, out=tmp)
-            err = dt / 6.0 * float(np.abs(tmp, out=rec.mag).max())
-            if not math.isfinite(err):
-                raise IntegrationError(
-                    f"state became unphysical at tau={t1:g} (non-finite RK4 step); {hint}"
-                )
-            grow = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (_STEP_TOL / err) ** 0.25))
-            # the nominal h, not dt, meets the floor: dt can sit an ulp above it
-            nominal, h = h, min(max(dt * grow, h_lo), h_hi)
-            if nominal > h_lo and not err <= _STEP_TOL:
-                continue  # rejected: retry from rho with the shorter h
-            rho, rho_prev = rho_prev, rho
-            steps += 1
-            largest = max(largest, dt)
-            step_error = max(step_error, err)
-            j = bisect.bisect_right(taus, t1, done)
-            if j > done:
-                record(j, t0, t1, dt, rho_prev, rho, k1, f1)
-            k1, f1 = f1, k1
-            t0 = t1
+        # numpy's overflow and invalid-value warnings are silenced: a step
+        # that leaves the finite range raises IntegrationError below instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the table's spacing caps the step only while the table lasts;
+            # from its end on the run steps like an asymptotic run
+            late_from = rhs.table.t_end if rhs.table is not None else math.inf
+            t0, h = 0.0, h_lo
+            while t0 < t_end:
+                if t0 >= late_from:
+                    h_lo, h_hi = _step_bounds(params, rhs, dtau, late=True)
+                    h, late_from = min(max(h, h_lo), h_hi), math.inf
+                t1 = t0 + h
+                # an end within round-off of a grid point lands on it, so that
+                # the samples there are step ends, not interpolated an ulp short
+                c = round(t1 / dtau)
+                if abs(c * dtau - t1) <= 1e-9 * h:
+                    t1 = c * dtau
+                t1 = min(t1, t_end)
+                dt = t1 - t0
+                np.multiply(k1, 0.5 * dt, out=tmp)
+                tmp += rho
+                rhs(t0 + 0.5 * dt, tmp, k2)
+                np.multiply(k2, 0.5 * dt, out=tmp)
+                tmp += rho
+                rhs(t0 + 0.5 * dt, tmp, k3)
+                np.multiply(k3, dt, out=tmp)
+                tmp += rho
+                rhs(t1, tmp, k4)
+                # the increment goes to k3, keeping k4 for the error estimate
+                k2 += k3
+                k2 *= 2.0
+                np.add(k4, k1, out=k3)
+                k3 += k2
+                k3 *= dt / 6.0
+                np.add(rho, k3, out=rho_prev)
+                rhs(t1, rho_prev, f1)
+                # FSAL estimate: the end derivative, the next k1, against k4
+                np.subtract(f1, k4, out=tmp)
+                err = dt / 6.0 * float(np.abs(tmp, out=rec.mag).max())
+                if not math.isfinite(err):
+                    raise IntegrationError(
+                        f"state became unphysical at tau={t1:g} (non-finite RK4 step); {hint}"
+                    )
+                grow = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (_STEP_TOL / err) ** 0.25))
+                # the nominal h, not dt, meets the floor: dt can sit an ulp above it
+                nominal, h = h, min(max(dt * grow, h_lo), h_hi)
+                if nominal > h_lo and not err <= _STEP_TOL:
+                    continue  # rejected: retry from rho with the shorter h
+                rho, rho_prev = rho_prev, rho
+                steps += 1
+                largest = max(largest, dt)
+                step_error = max(step_error, err)
+                j = bisect.bisect_right(taus, t1, done)
+                if j > done:
+                    record(j, t0, t1, dt, rho_prev, rho, k1, f1)
+                k1, f1 = f1, k1
+                t0 = t1
 
     if float(np.max(rec.top)) > 1e-6:
         warnings.warn(

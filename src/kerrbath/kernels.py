@@ -54,8 +54,13 @@ most _MATSUBARA_CAP terms, and err reports the bound on the remainder.
 psi is evaluated in numpy (_digamma): the recurrence psi(w) = psi(w+1) - 1/w
 up to Re w >= 10, then the asymptotic series through B_14 (DLMF 5.5.2,
 5.11.2). For real x and for Re psi(1 + iy) it agrees with scipy's digamma
-to 2e-15 relative to max(1, |psi|). A transient table evaluates the
-long-time parts once, not once per tau.
+to 2e-15 relative to max(1, |psi|).
+
+A coefficient table evaluates the long-time parts once and its finite-time
+rows together, in blocks of rows that share a Matsubara term count (see
+_tables); transient_coefficients is a one-row table. A row's arithmetic does
+not depend on the rows beside it, so each table row is bit for bit the
+coefficients at its tau alone.
 """
 
 from __future__ import annotations
@@ -72,8 +77,12 @@ from .model import SystemParams
 # _MATSUBARA_CAP terms; beyond that (tau ~ 40 beta/(2 pi cap) and smaller)
 # the truncation shows in err
 _DECAY_EXPONENT = 40.0
-_MATSUBARA_CHUNK = 4096
+_MATSUBARA_CHUNK = 512
 _MATSUBARA_CAP = 1 << 18
+
+# a coefficient table evaluates at most _BLOCK_ROWS rows at once, and at
+# most _MATSUBARA_CHUNK Matsubara terms over all of them
+_BLOCK_ROWS = 64
 
 # psi: the recurrence runs up to Re w >= _PSI_SHIFT, where the asymptotic
 # series with the Bernoulli numbers B_2 ... B_14 is below round-off
@@ -130,13 +139,15 @@ def asymptotic_b1_at(params: SystemParams, omega: float) -> float:
 def _check_quadrature(vals, errs, gamma: float, omegas, label: str) -> None:
     """Fail loudly when a reported error bound is not small against the
     natural coefficient scale (all coefficients are O(gamma)), or is not
-    below the value it bounds."""
+    below the value it bounds. vals and errs broadcast together, with the
+    levels omegas on their last axis."""
+    vals, errs = np.broadcast_arrays(vals, errs)
     scale = np.maximum(np.abs(vals), gamma / (2.0 * math.pi))
     bad = (errs > 0.01 * scale) | ((errs > 0.0) & (errs >= np.abs(vals)))
     if np.any(bad):
-        k = int(np.argmax(np.where(bad, errs / scale, -np.inf)))
+        k = np.unravel_index(int(np.argmax(np.where(bad, errs / scale, -np.inf))), bad.shape)
         raise QuadratureError(
-            f"{label} did not converge at omega={omegas[k]:g}: "
+            f"{label} did not converge at omega={omegas[k[-1]]:g}: "
             f"error bound {errs[k]:.3e} against value {vals[k]:.3e}"
         )
 
@@ -185,14 +196,27 @@ def _cot_minus_pole(u: float) -> float:
     return 1.0 / math.tan(u) - 1.0 / u
 
 
-def _decaying_parts(params: SystemParams, omegas: np.ndarray, tau: float):
-    """A(tau) - A(inf) and B(tau) - B(inf) per unit gamma at finite tau > 0.
+def _matsubara_terms(params: SystemParams, taus: np.ndarray) -> np.ndarray:
+    """Terms of the Matsubara sum kept at each tau > 0: up to nu_k tau >=
+    _DECAY_EXPONENT, at most _MATSUBARA_CAP, and past 1.5 x, x = beta Lambda/2pi."""
+    c = 2.0 * math.pi / params.beta_bar
+    n = np.ceil(_DECAY_EXPONENT / np.maximum(c * taus, _DECAY_EXPONENT / _MATSUBARA_CAP))
+    return np.maximum(n, math.ceil(1.5 * params.lambda_bar / c) + 1).astype(int)
 
-    Returns (dA, dB, bound): dA and dB are complex per level, bound bounds
-    |dB| lost to truncating the Matsubara sum. With x = beta Lambda/2pi and
-    k0 = round(x) >= 1, the cutoff term and the k0-th Matsubara term are
-    evaluated as one: with g(a) = e^{-(a - i O) tau}/(a - i O),
-    delta = x - k0 and cot(pi x) = cot(pi delta), their sum is
+
+def _decaying_parts(params: SystemParams, omegas: np.ndarray, taus: np.ndarray,
+                    n_terms: int):
+    """A(tau) - A(inf) and B(tau) - B(inf) per unit gamma at finite taus > 0.
+
+    taus are the rows, and n_terms is the Matsubara term count they share.
+    Returns (dA, dB, bound): dA and dB are complex, one row per tau and one
+    column per level, and bound bounds |dB| lost to truncating the Matsubara
+    sum at each tau. Each row's arithmetic does not depend on the other rows:
+    the k-sum runs in order over k, in chunks of _MATSUBARA_CHUNK terms.
+    With x = beta Lambda/2pi and k0 = round(x) >= 1, the cutoff term and
+    the k0-th Matsubara term are evaluated as one: with
+    g(a) = e^{-(a - i O) tau}/(a - i O), delta = x - k0 and
+    cot(pi x) = cot(pi delta), their sum is
 
         Lambda^2 [-(g(Lambda) - g(nu_k0)) / (2 pi delta)
                   - (cot(pi delta) - 1/(pi delta)) g(Lambda)/2
@@ -205,46 +229,41 @@ def _decaying_parts(params: SystemParams, omegas: np.ndarray, tau: float):
     c = 2.0 * math.pi / beta
     x = lam / c
     lam2 = lam * lam
-    phase = np.exp(1j * omegas * tau)
+    t = taus[:, None]
+    phase = np.exp(1j * omegas * t)
     z_lam = lam - 1j * omegas
-    g_lam = math.exp(-lam * tau) * phase / z_lam
+    g_lam = np.exp(-lam * t) * phase / z_lam
     d_a = -0.5 * lam2 * g_lam
 
     # Matsubara terms k != k0: nu_k g(nu_k) / (Lambda^2 - nu_k^2) with
     # g(nu_k) = e^{-nu_k tau} e^{i O tau} (nu_k + i O) / (nu_k^2 + O^2)
     k0 = round(x)
-    ctau = c * tau
-    if ctau * _MATSUBARA_CAP <= _DECAY_EXPONENT:
-        n_terms = _MATSUBARA_CAP
-    else:
-        n_terms = math.ceil(_DECAY_EXPONENT / ctau)
-    n_terms = max(n_terms, math.ceil(1.5 * x) + 1)
     o2 = omegas * omegas
-    re_sum = np.zeros_like(omegas)
-    im_sum = np.zeros_like(omegas)
+    re_sum = np.zeros(phase.shape)
+    im_sum = np.zeros(phase.shape)
     for start in range(1, n_terms + 1, _MATSUBARA_CHUNK):
         k = np.arange(start, min(start + _MATSUBARA_CHUNK, n_terms + 1), dtype=float)
         nu = c * k
         den = c * c * (x - k) * (x + k)
         den[k == k0] = np.inf
-        w = nu * np.exp(-nu * tau) / den
-        inv = 1.0 / (nu[:, None] ** 2 + o2[None, :])
-        re_sum += np.sum((w * nu)[:, None] * inv, axis=0)
-        im_sum += np.sum(w[:, None] * inv, axis=0)
+        w = nu[:, None] * np.exp(-nu[:, None] * taus) / den[:, None]
+        inv = 1.0 / (nu[:, None] ** 2 + o2)
+        re_sum += np.sum((w * nu[:, None])[:, :, None] * inv[:, None, :], axis=0)
+        im_sum += np.sum(w[:, :, None] * inv[:, None, :], axis=0)
     d_b = (2.0 * lam2 / beta) * phase * (re_sum + 1j * omegas * im_sum)
 
     if k0 >= 1:
         delta = x - k0
         nu0 = c * k0
         z0 = nu0 - 1j * omegas
-        g0 = math.exp(-nu0 * tau) * phase / z0
+        g0 = np.exp(-nu0 * t) * phase / z0
         # slope = (g(Lambda) - g(nu_k0)) / delta without cancellation:
         # -c g_a (1 + z_a tau expm1(u)/u) / z_b with u = -c |delta| tau <= 0,
         # where a is the slower-decaying of the two poles and b the other
         g_a, z_a, z_b = (g0, z0, z_lam) if delta >= 0.0 else (g_lam, z_lam, z0)
-        u = -c * abs(delta) * tau
-        expm1_ratio = math.expm1(u) / u if u != 0.0 else 1.0
-        slope = -c * g_a * (1.0 + z_a * tau * expm1_ratio) / z_b
+        u = -c * abs(delta) * t
+        expm1_ratio = np.divide(np.expm1(u), u, out=np.ones_like(u), where=u != 0.0)
+        slope = -c * g_a * (1.0 + z_a * t * expm1_ratio) / z_b
         d_b += lam2 * (
             -slope / (2.0 * math.pi)
             - 0.5 * _cot_minus_pole(math.pi * delta) * g_lam
@@ -257,77 +276,93 @@ def _decaying_parts(params: SystemParams, omegas: np.ndarray, tau: float):
     # |g(nu_k)| <= e^{-nu_k tau}/nu_k, so each term is below
     # (4 Lambda^2/(beta c^2)) q^k/k^2 with q = e^{-c tau}; sum_{k>K} q^k/k^2
     # is below both 1/K and q^{K+1}/((K+1)^2 (1 - q))
-    tail = 1.0 / n_terms
-    if ctau > 0.0:
-        tail = min(tail, math.exp(-ctau * (n_terms + 1))
-                   / ((n_terms + 1) ** 2 * -math.expm1(-ctau)))
+    ctau = c * taus
+    tail = np.minimum(1.0 / n_terms, np.exp(-ctau * (n_terms + 1))
+                      / ((n_terms + 1) ** 2 * -np.expm1(-ctau)))
     return d_a, d_b, 4.0 * lam2 / (beta * c * c) * tail
 
 
-def _coefficients(params: SystemParams, n_max: int, tau: float,
-                  parts=None) -> BathCoefficients:
-    """The four coefficients at elapsed time tau in [0, inf], asymptotic at
-    inf; gamma enters as the last factor, so they are exactly linear in it.
-    parts are the levels' _asymptotic_parts when the caller already has them."""
-    if tau < 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
+def _tables(params: SystemParams, n_max: int, taus: np.ndarray):
+    """The four coefficients at each of taus in [0, inf], asymptotic at inf,
+    as (a1, a2, b1, b2, err): four arrays of shape (taus.size, n_max) and
+    err, each row's bound on the truncated Matsubara sum (zero at tau = 0
+    and inf). gamma enters as the last factor, so they are exactly linear
+    in it; raises QuadratureError when a row's bound is not small against
+    its coefficients.
+
+    The long-time parts are evaluated once. The rows with 0 < tau < inf
+    go through _decaying_parts in blocks of rows that share a Matsubara term
+    count, at most _BLOCK_ROWS of them and at most _MATSUBARA_CHUNK terms
+    over all of them (a row with more has a block of its own, summed chunk
+    by chunk), so no temporary outgrows one _MATSUBARA_CHUNK x n_max block.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if not np.all(taus >= 0.0):
+        raise ValueError(f"tau must be non-negative, got {taus[~(taus >= 0.0)][0]}")
     omegas = omega_levels(params, n_max)
-    finite = math.isfinite(tau)
-    meta = dict(mode="transient", tau=tau) if finite else dict(mode="asymptotic")
-    if params.gamma == 0.0 or tau == 0.0:
-        z = np.zeros(n_max)
-        return BathCoefficients(omegas, z, z.copy(), z.copy(), z.copy(), err=z.copy(), **meta)
-    if parts is None:
-        parts = _asymptotic_parts(params, omegas)
-    a1, a2, b1, b2 = parts
-    err = np.zeros(n_max)
-    if finite:
-        d_a, d_b, bound = _decaying_parts(params, omegas, tau)
-        a1 = a1 + d_a.real
-        a2 = a2 + d_a.imag
-        b1 = b1 + d_b.real
-        b2 = b2 + d_b.imag
-        err += 2.0 * bound
+    shape = (taus.size, n_max)
+    tables = tuple(np.zeros(shape) for _ in range(4))
+    err = np.zeros(taus.size)
     g = params.gamma
-    a1, a2, b1, b2, err = a1 * g, a2 * g, b1 * g, b2 * g, err * g
-    scale = np.maximum.reduce([np.abs(a1), np.abs(a2), np.abs(b1), np.abs(b2)])
-    _check_quadrature(scale, err, g, omegas, "Matsubara sum")
-    return BathCoefficients(omegas, a1, a2, b1, b2, err=err, **meta)
+    if g == 0.0:
+        return (*tables, err)
+    parts = _asymptotic_parts(params, omegas)
+    at_inf = np.isinf(taus)
+    for table, part in zip(tables, parts):
+        table[at_inf] = part * g
+    rows = np.flatnonzero((taus > 0.0) & ~at_inf)
+    n_terms = _matsubara_terms(params, taus[rows])
+    for n in sorted(set(n_terms.tolist())):  # np.unique would import numpy.ma
+        group = rows[n_terms == n]
+        per = min(_BLOCK_ROWS, max(1, _MATSUBARA_CHUNK // n))
+        for lo in range(0, group.size, per):
+            block = group[lo:lo + per]
+            d_a, d_b, bound = _decaying_parts(params, omegas, taus[block], n)
+            for table, part, d in zip(tables, parts, (d_a.real, d_a.imag, d_b.real, d_b.imag)):
+                table[block] = (part + d) * g
+            err[block] = 2.0 * bound * g
+            scale = np.maximum.reduce([np.abs(table[block]) for table in tables])
+            _check_quadrature(scale, err[block, None], g, omegas, "Matsubara sum")
+    return (*tables, err)
 
 
 def asymptotic_coefficients(params: SystemParams, n_max: int) -> BathCoefficients:
     """Long-time coefficients for levels 0..n_max-1, all four exact (err = 0)."""
-    return _coefficients(params, n_max, math.inf)
+    omegas = omega_levels(params, n_max)
+    z = np.zeros(n_max)
+    if params.gamma == 0.0:
+        return BathCoefficients(omegas, z, z.copy(), z.copy(), z.copy(),
+                                mode="asymptotic", err=z.copy())
+    a1, a2, b1, b2 = (part * params.gamma for part in _asymptotic_parts(params, omegas))
+    return BathCoefficients(omegas, a1, a2, b1, b2, mode="asymptotic", err=z)
 
 
 def transient_coefficients(
     params: SystemParams, n_max: int, tau: float
 ) -> BathCoefficients:
-    """Finite-time coefficients for levels 0..n_max-1 at elapsed time tau.
+    """Finite-time coefficients for levels 0..n_max-1 at elapsed time tau,
+    a one-row coefficient table (tau = inf gives asymptotic_coefficients).
 
     Exact up to the truncated Matsubara sum, whose bound is err; raises
-    QuadratureError when that bound is not small against the coefficients.
+    QuadratureError when that bound is not small against the coefficients,
+    and ValueError for a negative or NaN tau.
     """
-    return _coefficients(params, n_max, float(tau))
+    tau = float(tau)
+    if tau == math.inf:
+        return asymptotic_coefficients(params, n_max)
+    a1, a2, b1, b2, err = _tables(params, n_max, np.array([tau]))
+    return BathCoefficients(omega_levels(params, n_max), a1[0], a2[0], b1[0], b2[0],
+                            mode="transient", tau=tau, err=np.full(n_max, err[0]))
 
 
 def coefficient_tables(
     params: SystemParams, n_max: int, taus: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Transient coefficients tabulated on a time grid.
+    """Transient coefficients tabulated on a time grid, in any order.
 
     Returns four arrays of shape (len(taus), n_max): a1, a2, b1, b2, each
-    row equal to transient_coefficients at its tau. The long-time parts are
-    evaluated once for the whole table.
+    row equal to transient_coefficients at its tau, bit for bit. The rows
+    are evaluated together, in blocks of equal Matsubara term count (see
+    _tables), and the long-time parts once for the whole table.
     """
-    taus = np.asarray(taus, dtype=float)
-    parts = _asymptotic_parts(params, omega_levels(params, n_max))
-    shape = (taus.size, n_max)
-    a1 = np.empty(shape)
-    a2 = np.empty(shape)
-    b1 = np.empty(shape)
-    b2 = np.empty(shape)
-    for k, t in enumerate(taus):
-        c = _coefficients(params, n_max, float(t), parts)
-        a1[k], a2[k], b1[k], b2[k] = c.a1, c.a2, c.b1, c.b2
-    return a1, a2, b1, b2
+    return _tables(params, n_max, taus)[:4]

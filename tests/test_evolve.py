@@ -27,6 +27,7 @@ from kerrbath import (
     alpha_lindblad_rwa,
     asymptotic_coefficients,
     cat_state_density,
+    coefficient_tables,
     coherent_amplitudes,
     coherent_state_density,
     default_dtau,
@@ -121,8 +122,9 @@ def test_rotating_frame_rhs_matches_dressed_dense():
     """d rho~/dt = U (L[U^dag rho~ U] + i[H, U^dag rho~ U]) U^dag with
     U = e^{iHt}, for the bath and for the Lindblad generator L.
 
-    The transient case installs the table's coefficients inside the
-    evaluation, at a time between two nodes in the middle of the table."""
+    The transient case installs the table's P bands inside the evaluation,
+    at a time between two nodes in the middle of the table; the dense
+    generator takes the coefficients interpolated linearly between them."""
     p = SystemParams(mu_bar=0.2, intensity=4.0, beta_bar=0.8, gamma=2e-3)
     cases = ((12, "born-markov-asymptotic"), (40, "born-markov-asymptotic"),
              (40, "born-markov-transient"), (12, "lindblad-rwa"), (40, "lindblad-rwa"))
@@ -134,7 +136,10 @@ def test_rotating_frame_rhs_matches_dressed_dense():
         t = 0.83
         if mode == "born-markov-transient":
             t = 0.5 * rhs.table.t_end + 0.37 * rhs.table.dt
-            a1, a2, b1, b2 = rhs.table.at(t)
+            i = int(t / rhs.table.dt)
+            w = t / rhs.table.dt - i
+            nodes = coefficient_tables(p, n_max, rhs.table.taus[i:i + 2])
+            a1, a2, b1, b2 = (c[0] * (1.0 - w) + c[1] * w for c in nodes)
             coeffs = dataclasses.replace(coeffs, a1=a1, a2=a2, b1=b1, b2=b2)
         got = rhs(t, rho_t, np.empty_like(rho_t))
         e = energies(n_max, p.mu_bar)
@@ -573,8 +578,7 @@ def test_unstable_step_raises():
     p = SystemParams(mu_bar=0.1, intensity=20.0, gamma=100.0)
     rhs = _BandedRHS(p, _Ladder(p, fock_cutoff(p.intensity)), "lindblad-rwa")
     cap = EV._step_cap(p, rhs, EV._PHASE_PER_STEP)
-    with (pytest.raises(IntegrationError, match=f"unphysical.*reduce dtau to {cap:g} or below")
-          as info, np.errstate(over="ignore", invalid="ignore")):  # the state overflows
+    with pytest.raises(IntegrationError, match=f"unphysical.*reduce dtau to {cap:g} or below") as info:
         evolve(p, 50.0, mode="lindblad-rwa", config=IntegratorConfig(dtau=5.0))
     # the first non-finite step stops the run, long before the first sample
     assert float(re.search(r"tau=(\S+) ", str(info.value)).group(1)) < 5.0
@@ -585,6 +589,18 @@ def test_unstable_step_raises():
                config=IntegratorConfig(frame="rotating"))
     with pytest.raises(IntegrationError, match="unphysical.*check its trace"):
         evolve(p, 1.0, mode="closed", rho0=rho0)
+
+
+def test_overflowing_run_reports_only_its_integration_error():
+    """The gamma = 100 Lindblad run overflows within a step. Its steps run
+    under numpy's errstate, so with RuntimeWarning an error the run still
+    ends in the IntegrationError of its non-finite check, not in an
+    overflow or invalid-value warning on the way."""
+    p = SystemParams(mu_bar=0.1, intensity=20.0, gamma=100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IntegrationError, match="non-finite RK4 step"):
+            evolve(p, 50.0, mode="lindblad-rwa", config=IntegratorConfig(dtau=5.0))
 
 
 def test_truncation_leak_warns():
@@ -651,6 +667,46 @@ def test_rotating_step_follows_its_phase_budgets():
     assert h_lo == h_hi == tr.dtau and tr.steps == n_cells
     tr = evolve(small, 0.2, mode="closed")
     assert tr.step is None and tr.steps == 0 and tr.step_error is None
+
+
+def test_transient_run_past_its_table_steps_like_an_asymptotic_run(monkeypatch):
+    """The table's spacing caps the step only while the table lasts. The
+    small bath's table (spacing 4/511) holds the run to one rotating cell up
+    to its end at tau = 4; from there the run has the asymptotic run's
+    bounds, and its steps grow past the table's cap. Every attempt is read
+    off the kernel's calls: after the initial k1, one from t0 to t1 evaluates
+    at t0 + (t1 - t0)/2 twice and at t1 twice."""
+    p = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=1.0, gamma=1e-3)
+    n_max, tau_end = fock_cutoff(p.intensity), 5.0
+    dtau = default_dtau(p, n_max, "rotating")
+    dtau = tau_end / math.ceil(tau_end / dtau)
+    ladder = _Ladder(p, n_max)
+    trans = _BandedRHS(p, ladder, "born-markov-transient")
+    asym = _BandedRHS(p, ladder, "born-markov-asymptotic")
+    early = _step_bounds(p, trans, dtau)
+    late = _step_bounds(p, trans, dtau, late=True)
+    assert late == _step_bounds(p, asym, dtau) and trans.late_rate == asym.rate
+    assert early[0] == early[1] == dtau and early[1] < late[0] < late[1]
+    calls = []
+    original = _BandedRHS.__call__
+
+    def spy(self, tau, rho, out):
+        calls.append(tau)
+        return original(self, tau, rho, out)
+
+    monkeypatch.setattr(_BandedRHS, "__call__", spy)
+    tr = evolve(p, tau_end, mode="born-markov-transient",
+                config=IntegratorConfig(frame="rotating", dtau=dtau))
+    t_table = trans.table.t_end
+    attempts = [(2.0 * mid - t1, 2.0 * (t1 - mid)) for mid, t1 in zip(calls[1::4], calls[3::4])]
+    assert len(calls) == 1 + 4 * len(attempts)
+    for t0, h in attempts:
+        if t0 < t_table * (1.0 - SNAP):
+            assert h <= early[1] * (1.0 + SNAP), t0
+        elif t0 + h < tau_end * (1.0 - SNAP):
+            assert late[0] * (1.0 - SNAP) <= h <= late[1] * (1.0 + SNAP), t0
+    assert tr.step > 2.0 * early[1]
+    assert tr.steps < math.ceil(t_table / dtau) + math.ceil((tau_end - t_table) / late[0]) + 2
 
 
 def run_attempts(monkeypatch, params, tau_end, dtau=None, frame="rotating"):
