@@ -80,8 +80,8 @@ def sweep_lambda_bar(omega_bar: float) -> float:
 #: values it accepts, and the flag's help text; --mu-bar sets mu_bar
 OPTIONS = {
     "out": (str, "output directory"),
-    "seed": (int, "random seed (sweep)"),
-    "workers": (int, "parallel draws (sweep)"),
+    "seed": (int, "random seed"),
+    "workers": (int, "parallel draws"),
     "mode": (MODES, "evolution mode"),
     "tolerance": (float, "compare failure threshold"),
     "mu_bar": (float, None),
@@ -99,6 +99,17 @@ OPTIONS = {
     "window": (("none", "hann"), None),
 }
 
+_PARAMS = ("mu_bar", "intensity", "beta_bar", "gamma", "lambda_bar", "theta")
+_RUN = (*_PARAMS, "mode", "tau_end", "dtau", "frame", "out")
+#: the options each command reads, as flags and as config-file keys
+COMMAND_OPTIONS = {
+    "timescales": (*_PARAMS, "out"),
+    "simulate": _RUN,
+    "compare": (*_RUN, "tolerance"),
+    "spectrum": (*_PARAMS, "mode", "samples", "periods", "window", "out"),
+    "sweep": ("seed", "draws", "workers", "lambda_bar", "out"),
+}
+
 
 class ConfigError(ValueError):
     """Malformed configuration file or option set."""
@@ -113,13 +124,13 @@ def fmt(value: float) -> str:
 # config files
 
 
-def parse_config(text: str) -> dict:
+def parse_config(text: str, command: str | None = None) -> dict:
     """Parse flat key=value lines into typed values.
 
-    Blank lines and #-comments are skipped; keys must come from OPTIONS and
-    values must parse as their declared type or be one of the accepted
-    values, exactly as the flags are checked. Later occurrences of a key
-    override earlier ones.
+    Blank lines and #-comments are skipped; keys must come from OPTIONS (and
+    be read by command, when given) and values must parse as their declared
+    type or be one of the accepted values, exactly as the flags are checked.
+    Later occurrences of a key override earlier ones.
     """
     out: dict = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -132,6 +143,8 @@ def parse_config(text: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in OPTIONS:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
+        if command and key not in COMMAND_OPTIONS[command]:
+            raise ConfigError(f"line {ln}: {command} does not read key {key!r}")
         kind = OPTIONS[key][0]
         bad = f"line {ln}: bad value for {key}: {value!r}"
         if isinstance(kind, tuple):
@@ -153,7 +166,7 @@ def _merged_options(args: argparse.Namespace) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        merged.update(parse_config(path.read_text()))
+        merged.update(parse_config(path.read_text(), args.command))
     merged.update((k, v) for k, v in vars(args).items() if k in OPTIONS and v is not None)
     return merged
 
@@ -244,12 +257,12 @@ def cmd_timescales(opts: dict) -> int:
 
 def _run(opts: dict, out_required: bool):
     """Params, --out and trajectory of a simulate or compare run, every input
-    checked before the run: tau_end is required and non-negative."""
+    checked before the run: tau_end is required, finite and non-negative."""
     params = _build_params(opts)
     if "tau_end" not in opts:
         raise ConfigError("tau_end is required (flag --tau-end or config)")
-    if opts["tau_end"] < 0:
-        raise ConfigError(f"tau_end must be non-negative, got {opts['tau_end']}")
+    if not (math.isfinite(opts["tau_end"]) and opts["tau_end"] >= 0):
+        raise ConfigError(f"tau_end must be finite and non-negative, got {opts['tau_end']}")
     config = IntegratorConfig(**{k: opts[k] for k in ("dtau", "frame") if k in opts})
     out = _out_dir(opts, out_required)
     traj = evolve(params, opts["tau_end"], mode=opts.get("mode", "closed"), config=config)
@@ -477,6 +490,8 @@ def cmd_sweep(opts: dict) -> int:
     workers = opts.get("workers", 1)
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
+    if "lambda_bar" in opts:  # an override is checked like a run's cutoff
+        _build_params({"lambda_bar": opts["lambda_bar"]})
     out = _out_dir(opts)
     manifest_path = out / "manifest.json"
 
@@ -487,6 +502,7 @@ def cmd_sweep(opts: dict) -> int:
         draws=draws,
         pair_rule=SWEEP_PAIR_RULE,
         lambda_bar_rule=SWEEP_LAMBDA_RULE,
+        lambda_bar_override=opts.get("lambda_bar"),
         ranges={k: list(v) for k, v in SWEEP_RANGES.items()},
         entries=[
             {
@@ -502,11 +518,12 @@ def cmd_sweep(opts: dict) -> int:
     )
     if manifest_path.exists():
         found = json.loads(manifest_path.read_text())
-        if any(found.get(k) != manifest[k] for k in ("seed", "draws", "ranges")):
-            raise ConfigError(
-                f"{manifest_path} belongs to a different sweep (seed/draws/"
-                "ranges differ); use a fresh --out directory"
-            )
+        differ = [f"{k} {found.get(k)!r} there, {manifest[k]!r} here"
+                  for k in ("seed", "draws", "ranges", "lambda_bar_override")
+                  if found.get(k) != manifest[k]]
+        if differ:
+            raise ConfigError(f"{manifest_path} belongs to a different sweep "
+                              f"({'; '.join(differ)}); use a fresh --out directory")
         manifest = found
     else:
         _write_json(manifest_path, manifest)
@@ -580,9 +597,10 @@ def cmd_regimes(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_options(parser: argparse.ArgumentParser, names) -> None:
     parser.add_argument("--config", help="flat key=value configuration file")
-    for name, (kind, help_text) in OPTIONS.items():
+    for name in names:
+        kind, help_text = OPTIONS[name]
         choices = kind if isinstance(kind, tuple) else None
         parser.add_argument(
             "--" + name.replace("_", "-"), dest=name, help=help_text,
@@ -606,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", cmd_sweep),
     ):
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_options(p, COMMAND_OPTIONS[name])
         p.set_defaults(func=lambda args, run=func: run(_merged_options(args)))
 
     reg = sub.add_parser("regimes")
@@ -627,7 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # a flag that the command does not read, named with the command
+            parser.error(f"{args.command} does not take {' '.join(extra)}")
         return args.func(args)
     except SystemExit as exc:  # argparse on a bad flag value, --help or --version
         return exc.code

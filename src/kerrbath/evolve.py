@@ -9,7 +9,8 @@ Four evolution modes:
                             lab-frame state.
   "born-markov-asymptotic"  second-order (Born-Markov) master equation with
                             the bath coefficients frozen at their long-time
-                            values. Started from a product state (the
+                            values: a transient run whose table has ended
+                            at tau = 0. Started from a product state (the
                             default coherent start is one) it does not
                             preserve positivity before the coefficient
                             settle time: the frozen generator is not
@@ -53,7 +54,8 @@ which the ladder diagonals (those of X and P, and of a in the Lindblad gain
 a rho~ a^dag) carry explicit phases e^{-i Omega_n t}, Omega_n = E_{n+1} - E_n;
 the Lindblad decay is diagonal and carries none. Stepping that equation is
 Lawson's integrating-factor Runge-Kutta (J. D. Lawson, SIAM J. Numer. Anal.
-4, 372 (1967)). Closed mode is the co-moving run without a generator.
+4, 372 (1967)). A run without a generator, closed mode or any mode at
+gamma = 0, takes the closed path: it builds no kernel and keeps rho0.
 Recorded observables and snapshots are always lab-frame values: the
 recorder dresses co-moving states with the level phases.
 
@@ -98,14 +100,15 @@ round-off, ~1e-19, which the bound then carries). The interpolant is not
 positivity-preserving, and its error grows as h^4: at the 2-rad ceiling
 (acceptance 02's lindblad-rwa run) an interpolated sample's minimum
 eigenvalue reaches -4.5e-10, while the step ends stay at round-off
-(-2.5e-16). Closed mode integrates no step; dtau
-only spaces its samples, 2001 of them when unset.
+(-2.5e-16). The closed path integrates no step; there dtau only spaces
+the samples, 2001 of them in closed mode when unset.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -166,24 +169,28 @@ class IntegratorConfig:
     and recorder: every grid point is a sample, and snapshots lie on them.
     dtau None picks default_dtau(params, n_max, frame), times the whole
     factor n_cells // 4000 when that grid has n_cells >= 8000 cells, except
-    in closed mode: that is the co-moving run without a generator, whose
-    state never changes, so dtau only spaces its exact samples and defaults
-    to tau_end/2000. frame picks only that default grid. Every run with a
-    generator steps the co-moving state by as long a time step as its local
-    error estimate allows between a floor set by its step budgets and a
-    ceiling set by the same budgets at 2 rad of phase per step instead of
-    0.5, each at least min(dtau, one rotating default cell) (see the module
-    docstring), so a dtau of at least that cell sets the sample density, not
-    the step. overlap_pair (alpha, beta) records a coherence envelope for
-    that superposition: with rho~ the co-moving state e^{iHt} rho e^{-iHt}
-    and W_nm = conj(alpha_n) beta_m, the envelope is sum_j |sum over the
-    j-th diagonal of W*rho~|. It equals 1 for the pure lobe |alpha><beta|,
-    is exactly invariant under rigid phase-space rotation of the state (each
+    in closed mode, whose dtau defaults to tau_end/2000. frame picks only
+    that default grid. A run without a generator (closed mode, or any mode
+    at gamma = 0) takes the closed path: its co-moving state never changes,
+    so it takes no step and every sample, on its mode's grid, is exact.
+    Every run with a generator steps the co-moving state by as long a time
+    step as its local error estimate allows between a floor set by its step
+    budgets and a ceiling set by the same budgets at 2 rad of phase per step
+    instead of 0.5, each at least min(dtau, one rotating default cell) (see
+    the module docstring), so a dtau of at least that cell sets the sample
+    density, not the step. transient_table_points is the number of nodes,
+    at least 2, of a born-markov-transient run's coefficient table (a table
+    of none is an asymptotic run's, which has ended at tau = 0).
+    overlap_pair (alpha, beta) records a coherence envelope for that
+    superposition: with rho~ the co-moving state e^{iHt} rho e^{-iHt} and
+    W_nm = conj(alpha_n) beta_m, the envelope is sum_j |sum over the j-th
+    diagonal of W*rho~|. It equals 1 for the pure lobe |alpha><beta|, is
+    exactly invariant under rigid phase-space rotation of the state (each
     diagonal only picks up a common phase), and decays at the bath's
     off-diagonal damping rate, so slow bath-induced frequency shifts do not
     masquerade as decoherence. frame is "lab" or "rotating". The config is
-    frozen, and a frame or dtau that no run can use raises ValueError on
-    construction.
+    frozen, and a frame, dtau or table size that no run can use raises
+    ValueError on construction.
     """
 
     dtau: float | None = None
@@ -198,6 +205,9 @@ class IntegratorConfig:
             raise ValueError(f"unknown frame {self.frame!r}")
         if self.dtau is not None and not (math.isfinite(self.dtau) and self.dtau > 0):
             raise ValueError(f"dtau must be positive and finite, got {self.dtau}")
+        points = self.transient_table_points
+        if not (isinstance(points, numbers.Integral) and points >= 2):
+            raise ValueError(f"transient_table_points must be an integer >= 2, got {points!r}")
 
 
 @dataclass
@@ -210,9 +220,9 @@ class Trajectory:
     taus[k] = k dtau, and step the largest RK4 step taken, in time, not in
     cells; steps counts the accepted RK4 steps, and step_error is
     the largest accepted local error estimate (h/6) max|f(t+h, y1) - k4|
-    (see the module docstring). With no step taken (closed mode, which
-    integrates nothing, or tau_end = 0) steps is 0 and step and step_error
-    are None. energy_expect is <n + mu n^2>, conserved exactly by
+    (see the module docstring). With no step taken (a run without a
+    generator, or tau_end = 0) steps is 0 and step and step_error are
+    None. energy_expect is <n + mu n^2>, conserved exactly by
     the closed flow. overlap, when an overlap_pair was requested, is the real
     coherence envelope of that pair (see IntegratorConfig), 1 at tau=0 for
     the pure off-diagonal lobe and rotation-invariant thereafter.
@@ -276,12 +286,12 @@ class _BandedRHS:
     (l_free) and the gain gamma a rho a^dag, the product of the upper and
     lower X bands on the shifted block. Each evaluation multiplies every
     upper band by e^{-i Omega_n t} and every lower band by the conjugate,
-    and rebuilds the gain from them. The constructor installs the
-    asymptotic bath coefficients, or a transient table of table_points
-    nodes; phases and table bands are redone only when the time differs
+    and rebuilds the gain from them. A bath mode reads its P bands off a
+    transient table (born-markov-asymptotic's has no nodes: it has ended at
+    tau = 0); phases and table bands are redone only when the time differs
     from the last one set up (RK4 stages 2 and 3 share it). rate bounds the
     generator's norm over the whole run, and late_rate from the table's end
-    on, where the asymptotic coefficients hold (rate when there is no table).
+    on. A run at gamma = 0 builds no kernel.
     """
 
     def __init__(self, params: SystemParams, ladder: _Ladder, mode: str,
@@ -291,25 +301,12 @@ class _BandedRHS:
         # work buffers: every evaluation writes into these and allocates no
         # n_max^2 temporary
         self._a, self._m, self._t = (np.empty((n_max, n_max), dtype=complex) for _ in range(3))
-        self._coef = None  # P bands (pu, pl) as installed
         self._tau = None  # time the bands were last set up for
-        self.bands = None  # the modulated P bands, once coefficients are installed
         self.table = self.l_free = self.gain = None
+        # the modulated P bands and X bands
         self._mod = tuple(np.zeros(n_max - 1, dtype=complex) for _ in range(4))
-        self.xu, self.xl = self._mod[2:]
-        band_sets = late_sets = []
-        if params.gamma > 0 and mode == "born-markov-asymptotic":
-            c = asymptotic_coefficients(params, n_max)
-            self.set_coefficients(c.a1, c.a2, c.b1, c.b2)
-            band_sets = late_sets = [self._coef]
-        elif params.gamma > 0 and mode == "born-markov-transient":
-            self.table = _TransientTable(params, ladder, table_points)
-            self.bands = self._mod[:2]
-            band_sets, late_sets = [self.table.bands, self.table.inf], [self.table.inf]
-        self.rate = _bath_rate(ladder.sqrt_n, band_sets)
-        self.late_rate = _bath_rate(ladder.sqrt_n, late_sets)
         self.gamma = params.gamma
-        if params.gamma > 0 and mode == "lindblad-rwa":
+        if mode == "lindblad-rwa":
             n = np.arange(n_max, dtype=float)
             self.l_free = -0.5 * params.gamma * (n[:, None] + n[None, :])
             # the gain gamma xu[i] xl[j] fills columns j < n_max - 1 of an
@@ -323,29 +320,26 @@ class _BandedRHS:
             self._block = np.zeros((n_max, n_max), dtype=bool)
             self._block[:-1, :-1] = True
             # the decay and the gain each have norm at most gamma n_max
-            self.rate += 2.0 * params.gamma * n_max
-            self.late_rate = self.rate
-
-    def set_coefficients(self, a1, a2, b1, b2) -> None:
-        """Install level-resolved bath coefficients (arrays over levels)."""
-        self._coef = _p_bands(self.ladder.sqrt_n, a1, a2, b1, b2)
-        self.bands = self._mod[:2]
-        self._tau = None
+            self.rate = self.late_rate = 2.0 * params.gamma * n_max
+        else:
+            # an asymptotic run's table has no nodes: it ends at tau = 0
+            points = table_points if mode == "born-markov-transient" else 0
+            self.table = _TransientTable(params, ladder, points)
+            self.rate = _bath_rate(ladder.sqrt_n, [self.table.bands, self.table.inf])
+            self.late_rate = _bath_rate(ladder.sqrt_n, [self.table.inf])
 
     def _set_time(self, tau: float) -> None:
         """Coefficients and interaction-picture phases at tau."""
         if tau == self._tau:
             return
-        if self.table is not None:
-            self._coef = self.table.at(tau)
         self._tau = tau
         ph = np.exp(-1j * self.ladder.gaps * tau)
         conj = ph.conj()
         pu_t, pl_t, xu_t, xl_t = self._mod
         np.multiply(self.ladder.sqrt_n, ph, out=xu_t)
         np.multiply(self.ladder.sqrt_n, conj, out=xl_t)
-        if self._coef is not None:
-            pu, pl = self._coef
+        if self.table is not None:
+            pu, pl = self.table.at(tau)
             np.multiply(pu, ph, out=pu_t)
             np.multiply(pl, conj, out=pl_t)
         if self.gain is not None:
@@ -363,11 +357,7 @@ class _BandedRHS:
             # t[i, j] = gain[i, j] rho[i+1, j+1] on the block i, j < n_max - 1
             np.multiply(self._gain_flat, rho.reshape(-1)[rho.shape[0] + 1:], out=self._t_flat)
             return np.add(out, t, out=out, where=self._block)
-        if self.bands is None:
-            out[:] = 0.0
-            return out
-        pu, pl = self.bands
-        xu, xl = self.xu, self.xl
+        pu, pl, xu, xl = self._mod
         # A = P rho, then M = A - A^dag; t holds the shifted product, then A^dag
         np.multiply(pu[:, None], rho[1:, :], out=a[:-1, :])
         a[-1, :] = 0.0
@@ -415,25 +405,28 @@ def _p_bands(sqrt_n, a1, a2, b1, b2):
 
 def _bath_rate(sqrt_n, band_sets) -> float:
     """The bath term's norm bound 16 max sqrt(n) max|P band| over every
-    (upper, lower) pair of P bands in band_sets (see _step_cap)."""
-    p_max = max((np.abs(b).max(initial=0.0) for bands in band_sets for b in bands), default=0.0)
+    (upper, lower) pair of P bands in band_sets (see _step_bounds)."""
+    p_max = max(np.abs(b).max(initial=0.0) for bands in band_sets for b in bands)
     return float(16.0 * sqrt_n.max(initial=0.0) * p_max)
 
 
 class _TransientTable:
     """The P bands of the transient coefficients on n_points nodes from 0
     to the settle time t_end, two (n_points, n_max - 1) arrays, linear in
-    time between nodes, and the asymptotic bands inf from t_end on."""
+    time between nodes, and the asymptotic bands inf from t_end on. With
+    no nodes the table has ended: t_end = 0 and the spacing dt is inf."""
 
     def __init__(self, params: SystemParams, ladder: _Ladder, n_points: int):
         n_max = ladder.energies.size
-        self.t_end = coefficient_settle_time(params)
-        self.taus = np.linspace(0.0, self.t_end, n_points)
-        self.dt = self.taus[1] - self.taus[0]
-        self.bands = _p_bands(ladder.sqrt_n, *coefficient_tables(params, n_max, self.taus))
+        self.t_end, self.dt, self.bands = 0.0, math.inf, ()
+        if n_points:
+            self.t_end = coefficient_settle_time(params)
+            self.taus = np.linspace(0.0, self.t_end, n_points)
+            self.dt = self.taus[1] - self.taus[0]
+            self.bands = _p_bands(ladder.sqrt_n, *coefficient_tables(params, n_max, self.taus))
+            self._at = tuple(np.empty(n_max - 1, dtype=complex) for _ in range(2))
         inf = asymptotic_coefficients(params, n_max)
         self.inf = _p_bands(ladder.sqrt_n, inf.a1, inf.a2, inf.b1, inf.b2)
-        self._at = tuple(np.empty(n_max - 1, dtype=complex) for _ in range(2))
 
     def at(self, tau: float):
         """The P bands at tau: interpolated into buffers the table owns (and
@@ -479,50 +472,32 @@ def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
     return min(dt, tau_e / 200.0) if math.isfinite(tau_e) else dt
 
 
-def _step_cap(params: SystemParams, rhs: _BandedRHS, phase: float,
-              late: bool = False) -> float:
-    """Longest RK4 step of a run with a generator, for a phase budget of
-    phase radians per step; late gives it from a transient table's end on.
-
-    The smallest of three budgets. Phase: the fastest band phase turns at
-    2 Omega_top, by at most phase per step; _PHASE_PER_STEP gives the step
-    floor and _PHASE_PER_STEP_MAX the ceiling. Rate: h rhs.rate stays at
-    most _RATE_PER_STEP. ||X|| <= 2 max sqrt(n) and ||P|| <= 2 max|P band|
-    bound the bath term by 16 max sqrt(n) max|P band| ||rho|| over every
-    coefficient set the run can install (late: rhs.late_rate, over those
-    it installs from the table's end on), and lindblad-rwa's decay and gain
-    by 2 gamma n_max ||rho||. Table: a transient table's spacing caps h
-    too, but not late: from the table's end on the run holds the asymptotic
-    coefficients, and its cap is the asymptotic run's. Where the rate or
-    the table binds, floor and ceiling coincide.
-    """
-    cap = phase / (2.0 * _omega_top(params, rhs.ladder.energies.size))
-    rate = rhs.late_rate if late else rhs.rate
-    if rate > 0.0:
-        cap = min(cap, _RATE_PER_STEP / rate)
-    if rhs.table is not None and not late:
-        cap = min(cap, rhs.table.dt)
-    return cap
-
-
 def _step_bounds(params: SystemParams, rhs: _BandedRHS, dtau: float,
-                 late: bool = False) -> tuple[float, float]:
+                 late: bool = False) -> tuple[float, float, float]:
     """The floor and the ceiling of a run's RK4 step in time (late: from a
-    transient table's end on): the step caps at _PHASE_PER_STEP and
-    _PHASE_PER_STEP_MAX, each raised to at least one sample cell, but to no
-    more than one cell of the rotating default grid."""
-    least = min(dtau, default_dtau(params, rhs.ladder.energies.size, "rotating"))
-    return tuple(max(_step_cap(params, rhs, phase, late), least)
-                 for phase in (_PHASE_PER_STEP, _PHASE_PER_STEP_MAX))
+    transient table's end on), and the floor's budget before it is raised.
 
-
-def _snapshot_cell(ts: float, dtau: float, n_cells: int) -> int | None:
-    """The grid point c <= n_cells nearest to ts (the earlier on a tie):
-    the first with c dtau >= ts - dtau/2. None past the grid's end."""
-    lim = ts - 0.5 * dtau
-    if not lim <= n_cells * dtau:
-        return None
-    return bisect.bisect_left(range(n_cells + 1), lim, key=lambda c: c * dtau)
+    Each bound is the smallest of three budgets, raised to at least
+    min(dtau, one rotating default cell). Phase: the fastest band phase
+    turns at 2 Omega_top, by _PHASE_PER_STEP per step at the floor and
+    _PHASE_PER_STEP_MAX at the ceiling. Rate: h rhs.rate <= _RATE_PER_STEP,
+    where ||X|| <= 2 max sqrt(n) and ||P|| <= 2 max|P band| bound the bath
+    term by 16 max sqrt(n) max|P band| ||rho|| over every coefficient set
+    the run installs (late: rhs.late_rate, from the table's end on), and
+    lindblad-rwa's decay and gain by 2 gamma n_max ||rho||. Table: a
+    transient table's spacing, but not late, where the bounds are an
+    asymptotic run's. Where the rate or the table binds, floor and ceiling
+    coincide.
+    """
+    n_max = rhs.ladder.energies.size
+    rate = rhs.late_rate if late else rhs.rate
+    budget = _RATE_PER_STEP / rate if rate > 0.0 else math.inf  # the rate's and the table's
+    if rhs.table is not None and not late:
+        budget = min(budget, rhs.table.dt)
+    turn = 2.0 * _omega_top(params, n_max)
+    least = min(dtau, default_dtau(params, n_max, "rotating"))
+    cap = min(_PHASE_PER_STEP / turn, budget)
+    return max(cap, least), max(min(_PHASE_PER_STEP_MAX / turn, budget), least), cap
 
 
 def _hermite(s, h: float, y0, y1, f0, f1, out, work) -> None:
@@ -681,8 +656,8 @@ def evolve(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if tau_end < 0:
-        raise ValueError(f"tau_end must be non-negative, got {tau_end}")
+    if not (math.isfinite(tau_end) and tau_end >= 0):
+        raise ValueError(f"tau_end must be finite and non-negative, got {tau_end}")
     config = config or IntegratorConfig()
     if rho0 is None:
         n_max = fock.fock_cutoff(params.intensity)
@@ -720,21 +695,20 @@ def evolve(
     t_end = n_cells * dtau
 
     ladder = _Ladder(params, n_max)
-    rhs = None  # closed mode: the co-moving state never changes
-    hint = "closed mode keeps rho0, so check its trace"
-    if mode != "closed":
+    rhs = None  # no generator: the co-moving state never changes
+    hint = "a run without a generator keeps rho0, so check its trace"
+    if mode != "closed" and params.gamma > 0:
         rhs = _BandedRHS(params, ladder, mode, config.transient_table_points)
-        h_lo, h_hi = _step_bounds(params, rhs, dtau)
-        cap = _step_cap(params, rhs, _PHASE_PER_STEP)  # a floor above it is min(dtau, a cell)
+        h_lo, h_hi, cap = _step_bounds(params, rhs, dtau)  # a floor above cap is min(dtau, a cell)
         remedy = "enlarge the basis" if h_lo <= cap else f"reduce dtau to {cap:g} or below"
         hint = f"{remedy} (the RK4 step runs from {h_lo:g} to {h_hi:g})"
 
     rec = _Recorder(ladder, taus.size, config, hint)
     snap_at = {}  # sample -> the snapshot requests it answers
     for ts in sorted(config.snapshot_taus):
-        c = _snapshot_cell(ts, dtau, n_cells)
-        if c is not None:
-            snap_at.setdefault(c, []).append(ts)
+        lim = ts - 0.5 * dtau  # the nearest sample is the first at or past lim
+        if lim <= t_end:
+            snap_at.setdefault(bisect.bisect_left(taus, lim), []).append(ts)
     snaps = {}
     done = 0  # samples recorded
     ends = None  # (time, vector, derivative vector or None, defect) last measured
@@ -798,13 +772,13 @@ def evolve(
         # numpy's overflow and invalid-value warnings are silenced: a step
         # that leaves the finite range raises IntegrationError below instead
         with np.errstate(over="ignore", invalid="ignore"):
-            # the table's spacing caps the step only while the table lasts;
-            # from its end on the run steps like an asymptotic run
+            # the table's spacing caps the step up to the table's end (tau = 0
+            # in an asymptotic run); from there the run steps like an asymptotic run
             late_from = rhs.table.t_end if rhs.table is not None else math.inf
             t0, h = 0.0, h_lo
             while t0 < t_end:
                 if t0 >= late_from:
-                    h_lo, h_hi = _step_bounds(params, rhs, dtau, late=True)
+                    h_lo, h_hi, _ = _step_bounds(params, rhs, dtau, late=True)
                     h, late_from = min(max(h, h_lo), h_hi), math.inf
                 t1 = t0 + h
                 # an end within round-off of a grid point lands on it, so that

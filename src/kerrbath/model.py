@@ -196,13 +196,18 @@ def theta_cantilever(mu_cl: float, quality: float, n_levels: float) -> float:
 def validate_params(params: SystemParams) -> list[Violation]:
     """Return every violated constraint, errors first.
 
-    Errors make the parameter set unusable; warnings flag parameter choices
-    for which results carry caveats (cutoff below the system frequency,
-    truncation size beyond the intended operating range).
+    Errors make the parameter set unusable (a nan in any field is one, and
+    so is an infinite intensity; beta_bar = inf is zero temperature);
+    warnings flag parameter choices for which results carry caveats (cutoff
+    below the system frequency, truncation size beyond the intended
+    operating range).
     """
     out: list[Violation] = []
-    if params.intensity <= 0:
-        out.append(Violation("error", f"intensity must be positive, got {params.intensity}"))
+    out += [Violation("error", f"{name} must be a number, got {value}")
+            for name, value in asdict(params).items() if math.isnan(value)]
+    if params.intensity <= 0 or params.intensity == math.inf:
+        out.append(Violation(
+            "error", f"intensity must be positive and finite, got {params.intensity}"))
     if params.mu_bar < 0:
         out.append(Violation("error", f"mu_bar must be non-negative, got {params.mu_bar}"))
     if params.gamma < 0:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from kerrbath import THETA_HI, THETA_LO, SystemParams, analysis
 from kerrbath.cli import (
+    COMMAND_OPTIONS,
     CSV_HEADER,
     OPTIONS,
     ConfigError,
@@ -98,14 +99,18 @@ OUT_OF_SET = [
 @pytest.mark.parametrize("key,value", OUT_OF_SET)
 def test_config_rejects_out_of_set_values(tmp_path, capsys, key, value):
     """A config file's value is checked like the flag's, before any run and
-    before the output directory is made; main returns 2 for either."""
+    before the output directory is made; main returns 2 for either. Each
+    command that reads the key is checked."""
     with pytest.raises(ConfigError, match=f"bad value for {key}"):
         parse_config(f"{key} = {value}\n")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
     out = tmp_path / "out"
-    for command in ("simulate", "compare", "spectrum"):
-        argv = [command, *QUANTUM, "--tau-end", "1", "--out", str(out)]
+    commands = [c for c in ("simulate", "compare", "spectrum") if key in COMMAND_OPTIONS[c]]
+    assert commands
+    for command in commands:
+        run = ["--tau-end", "1"] if "tau_end" in COMMAND_OPTIONS[command] else []
+        argv = [command, *QUANTUM, *run, "--out", str(out)]
         assert main([*argv, "--config", str(cfg)]) == 2
         assert f"bad value for {key}" in capsys.readouterr().err
         assert main([*argv, "--" + key, value]) == 2
@@ -125,7 +130,7 @@ def test_config_rejects_out_of_set_values(tmp_path, capsys, key, value):
                   "mu_bar": 0.1, "intensity": 20.0, "gamma": 1e-3, "tau_end": 2.5,
                   "tolerance": 1e-3}, id="compare-rotating"),
     {"command": "spectrum", "mode": "closed", "mu_bar": 0.1, "intensity": 50.0,
-     "samples": 1024, "periods": 2, "window": "none", "frame": "lab"},
+     "samples": 1024, "periods": 2, "window": "none", "theta": 0.2},
 ], ids=lambda opts: opts["command"])
 def test_config_file_matches_flags(tmp_path, opts):
     """A command given its options as a config file writes the same bytes as
@@ -162,6 +167,65 @@ def test_config_layering(tmp_path, capsys):
 
 def test_missing_config_file():
     assert main(["timescales", "--config", "/nonexistent/x.cfg"]) == 2
+
+
+def test_commands_refuse_options_they_do_not_read(tmp_path, capsys):
+    """Each command takes only the options it reads, as flags and as config
+    keys: 46 of the 5 x 18 pairs. Any other exits 2 before any run, and the
+    message names the option and the command. A sweep given --gamma ran its
+    drawn values instead."""
+    assert sum(len(names) for names in COMMAND_OPTIONS.values()) == 46
+    assert {len(names) for names in COMMAND_OPTIONS.values()} == {5, 7, 11, 12}
+    values = {"mode": "closed", "frame": "lab", "window": "none", "out": "o"}
+    cfg = tmp_path / "run.cfg"
+    for command, names in COMMAND_OPTIONS.items():
+        assert set(names) <= set(OPTIONS), command
+        for name in set(OPTIONS) - set(names):
+            value = values.get(name, "1")
+            flag = "--" + name.replace("_", "-")
+            assert main([command, flag, value]) == 2, (command, name)
+            assert f"{command} does not take {flag} {value}" in capsys.readouterr().err
+            cfg.write_text(f"{name} = {value}\n")
+            assert main([command, "--config", str(cfg)]) == 2, (command, name)
+            assert f"line 1: {command} does not read key {name!r}" in capsys.readouterr().err
+    out = tmp_path / "g"
+    argv = ["sweep", "--gamma", "0.5", "--draws", "1", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert "sweep does not take --gamma 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--mode", "lindblad-rwa", "--mu-bar", "0.1", "--intensity", "5",
+      "--gamma", "1e-3", "--tau-end", "nan"], "tau_end must be finite and non-negative, got nan"),
+    (["simulate", "--mode", "born-markov-asymptotic", "--mu-bar", "0.1", "--intensity", "5",
+      "--gamma", "1e-3", "--tau-end", "inf"], "tau_end must be finite and non-negative, got inf"),
+    (["compare", "--mu-bar", "0.1", "--intensity", "5", "--tau-end=-inf"],
+     "tau_end must be finite and non-negative, got -inf"),
+    (["timescales", "--mu-bar", "0.1", "--intensity", "inf"],
+     "intensity must be positive and finite, got inf"),
+    (["timescales", "--mu-bar", "nan", "--intensity", "5"], "mu_bar must be a number, got nan"),
+    (["spectrum", "--mu-bar", "0.1", "--intensity", "5", "--theta", "nan"],
+     "theta must be a number, got nan"),
+], ids=["tau-end-nan", "tau-end-inf", "tau-end-minus-inf", "intensity-inf", "mu-nan",
+        "theta-nan"])
+def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, message):
+    """A nan or an infinite time or intensity is refused before any run,
+    with a message that names the value, and leaves no output directory.
+    (tau_end = nan wrote one row at tau = 0; inf overflowed in the step
+    count; an infinite intensity divided by zero in timescales, and a nan
+    mu_bar printed nan times.)"""
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_temperature_timescales(capsys):
+    """beta_bar = inf is zero temperature, which timescales reports."""
+    assert main(["timescales", "--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3",
+                 "--beta-bar", "inf"]) == 0
+    assert "tau_d" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +394,8 @@ def test_out_that_is_or_lies_under_a_file_exits_2(tmp_path, capsys, monkeypatch,
     any run, with a message that names the path."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("keep\n")
-    assert main([command, *QUANTUM, "--tau-end", "1", "--out", out]) == 2
+    run = ["--tau-end", "1"] if "tau_end" in COMMAND_OPTIONS[command] else []
+    assert main([command, *QUANTUM, *run, "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--out {out}: afile is not a directory" in captured.err
@@ -547,6 +612,33 @@ def test_sweep_rejects_foreign_manifest(tmp_path, capsys):
     code = main(["sweep", "--seed", "8", "--draws", "0", "--out", str(tmp_path)])
     assert code == 2
     assert "different sweep" in capsys.readouterr().err
+
+
+def test_sweep_manifest_records_its_lambda_override(tmp_path, capsys):
+    """--lambda-bar overrides the sweep's cutoff rule for every draw, and
+    the manifest records it (null when the rule applies). A resume with
+    another override, or none, is a different sweep and exits 2, naming
+    the override; so does an override that is no cutoff."""
+    args = ["sweep", "--seed", "7", "--draws", "1", "--out", str(tmp_path)]
+    assert main([*args, "--lambda-bar", "50"]) == 0
+    manifest = read_json(tmp_path / "manifest.json")
+    assert manifest["lambda_bar_override"] == 50.0
+    assert read_json(tmp_path / "draw_000.json")["params"]["lambda_bar"] == 50.0
+    capsys.readouterr()
+    for other, shown in ((["--lambda-bar", "60"], "60.0"), ([], "None")):
+        assert main([*args, *other]) == 2
+        assert f"lambda_bar_override 50.0 there, {shown} here" in capsys.readouterr().err
+    assert main([*args, "--lambda-bar", "50"]) == 0
+    assert main(["sweep", "--seed", "7", "--draws", "0", "--out", str(tmp_path / "rule")]) == 0
+    assert read_json(tmp_path / "rule" / "manifest.json")["lambda_bar_override"] is None
+    # an override is checked like a run's cutoff: 0 would record 0 and run the rule
+    for bad, message in (("0", "lambda_bar must be positive, got 0.0"),
+                         ("nan", "lambda_bar must be a number, got nan")):
+        bad_out = tmp_path / f"bad-{bad}"
+        assert main(["sweep", "--seed", "7", "--draws", "1", "--lambda-bar", bad,
+                     "--out", str(bad_out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not bad_out.exists()
 
 
 def test_sweep_requires_seed_and_draws(capsys):

@@ -34,7 +34,7 @@ from kerrbath import (
     evolve,
     fock_cutoff,
 )
-from kerrbath.evolve import _BandedRHS, _Ladder, _Recorder, _snapshot_cell, _step_bounds
+from kerrbath.evolve import _BandedRHS, _Ladder, _Recorder, _step_bounds
 
 # the module: the package re-exports the function evolve under its name
 EV = importlib.import_module("kerrbath.evolve")
@@ -153,23 +153,36 @@ def test_rotating_frame_rhs_matches_dressed_dense():
         assert np.max(np.abs(got - want)) < 1e-14, (n_max, mode)
 
 
-def test_rotating_rhs_new_coefficients_at_same_time():
-    """Installing coefficients drops the bands set up for the current time,
-    so a repeat evaluation at that time sees the new ones."""
+def test_asymptotic_kernel_is_a_transient_kernel_past_its_table(monkeypatch):
+    """An asymptotic run's table has no nodes and has ended at tau = 0, so
+    its kernel is a transient kernel past its table's end: at the same time,
+    the two give the same output to the bit, and the same late rate bound.
+    Building it evaluates no coefficient table."""
     p = SystemParams(mu_bar=0.2, intensity=4.0, beta_bar=0.8, gamma=2e-3)
-    n_max, t = 20, 0.83
-    c = asymptotic_coefficients(p, n_max)
-    rho = random_density(np.random.default_rng(6), n_max)
+    n_max = 30
     ladder = _Ladder(p, n_max)
-    rhs = _BandedRHS(p, ladder, "born-markov-asymptotic")
-    first = rhs(t, rho, np.empty_like(rho)).copy()
-    assert np.array_equal(rhs(t, rho, np.empty_like(rho)), first)
-    rhs.set_coefficients(2.0 * c.a1, 2.0 * c.a2, 2.0 * c.b1, 2.0 * c.b2)
-    fresh = _BandedRHS(p, ladder, "born-markov-asymptotic")
-    fresh.set_coefficients(2.0 * c.a1, 2.0 * c.a2, 2.0 * c.b1, 2.0 * c.b2)
-    want = fresh(t, rho, np.empty_like(rho))
-    assert np.array_equal(rhs(t, rho, np.empty_like(rho)), want)
-    assert not np.allclose(want, first)
+    trans = _BandedRHS(p, ladder, "born-markov-transient", table_points=64)
+    with monkeypatch.context() as m:
+        m.setattr(EV, "coefficient_tables", None)  # a call would raise TypeError
+        asym = _BandedRHS(p, ladder, "born-markov-asymptotic")
+    assert (asym.table.t_end, asym.table.dt, asym.table.bands) == (0.0, math.inf, ())
+    assert asym.rate == asym.late_rate == trans.late_rate and trans.rate >= trans.late_rate
+    assert _step_bounds(p, asym, 0.01) == _step_bounds(p, trans, 0.01, late=True)
+    rho = random_density(np.random.default_rng(6), n_max)
+    t_end = trans.table.t_end
+    for t in (t_end, t_end + 0.37, 3.0 * t_end):
+        want = trans(t, rho, np.empty_like(rho))
+        assert np.array_equal(asym(t, rho, np.empty_like(rho)), want), t
+
+
+def test_table_size_is_checked_on_construction():
+    """A table of no nodes means one that has ended, so a transient table
+    needs two nodes at least: fewer, or a size that is no integer, is
+    refused when the config is built."""
+    for bad in (0, 1, -3, 2.5):
+        with pytest.raises(ValueError, match="transient_table_points must be an integer >= 2"):
+            IntegratorConfig(transient_table_points=bad)
+    assert IntegratorConfig(transient_table_points=np.int64(2)).transient_table_points == 2
 
 
 def test_rotating_rhs_output_is_exactly_hermitian():
@@ -475,25 +488,31 @@ def test_closed_sample_count_follows_dtau():
 
 
 def test_closed_run_is_the_generator_free_rotating_run():
-    """Closed mode and a gamma = 0 rotating-frame run share the co-moving
-    representation: the state stays rho0 and only the recorder's dressing
-    moves, so every recorded quantity agrees on a common grid."""
+    """A run at gamma = 0 has no generator, so in every mode it takes the
+    closed path: no kernel, no step, and every sample exact. On a common
+    grid it returns closed mode's arrays and snapshots to the bit."""
     p = SystemParams(mu_bar=0.1, intensity=8.0, beta_bar=1.0, gamma=0.0)
     al = math.sqrt(8.0)
     be = 1j * al
     rho0 = cat_state_density(al, be, fock_cutoff(8.0))
-    cfg = dict(dtau=0.013, overlap_pair=(al, be), snapshot_taus=(0.4, 1.0, 2.5))
-    closed = evolve(p, 3.0, mode="closed", rho0=rho0, config=IntegratorConfig(**cfg))
-    rot = evolve(p, 3.0, mode="born-markov-asymptotic", rho0=rho0,
-                 config=IntegratorConfig(**cfg, frame="rotating"))
-    np.testing.assert_array_equal(closed.taus, rot.taus)
-    assert closed.dtau == rot.dtau
-    assert np.max(np.abs(closed.a_expect - rot.a_expect)) < 1e-13
-    assert np.max(np.abs(closed.overlap - rot.overlap)) < 1e-13
-    assert set(closed.snapshots) == set(rot.snapshots) == {0.4, 1.0, 2.5}
-    for t in closed.snapshots:
-        assert np.max(np.abs(closed.snapshots[t] - rot.snapshots[t])) < 1e-13
-    assert np.max(np.abs(closed.final_rho - rot.final_rho)) < 1e-13
+    cfg = IntegratorConfig(dtau=0.013, overlap_pair=(al, be), snapshot_taus=(0.4, 1.0, 2.5),
+                           record_min_eig=True, frame="rotating")
+    closed = evolve(p, 3.0, mode="closed", rho0=rho0, config=cfg)
+    assert set(closed.snapshots) == {0.4, 1.0, 2.5}
+    for mode in ("born-markov-asymptotic", "born-markov-transient", "lindblad-rwa"):
+        run = evolve(p, 3.0, mode=mode, rho0=rho0, config=cfg)
+        assert (run.steps, run.step, run.step_error) == (0, None, None), mode
+        assert run.dtau == closed.dtau, mode
+        for name in ("taus", "a_expect", "n_expect", "energy_expect", "trace", "herm_defect",
+                     "top_population", "overlap", "min_eig", "final_rho"):
+            np.testing.assert_array_equal(getattr(run, name), getattr(closed, name),
+                                          err_msg=f"{mode} {name}")
+        assert set(run.snapshots) == set(closed.snapshots), mode
+        for t in closed.snapshots:
+            np.testing.assert_array_equal(run.snapshots[t], closed.snapshots[t])
+    # the sample grid still follows the mode: a default grid, not closed mode's
+    run = evolve(p, 3.0, mode="lindblad-rwa", rho0=rho0)
+    assert run.steps == 0 and run.dtau == 3.0 / math.ceil(3.0 / default_dtau(p, run.n_max))
 
 
 def test_closed_run_matches_per_sample_computation():
@@ -532,8 +551,11 @@ def test_validation_errors():
     p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
     with pytest.raises(ValueError, match="unknown mode"):
         evolve(p, 1.0, mode="euler")
-    with pytest.raises(ValueError, match="tau_end"):
-        evolve(p, -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        for mode in ("closed", "lindblad-rwa"):
+            msg = f"tau_end must be finite and non-negative, got {bad}"
+            with pytest.raises(ValueError, match=msg):
+                evolve(p, bad, mode=mode)
     with pytest.raises(ValueError, match="unknown frame"):
         evolve(p, 1.0, mode="lindblad-rwa", config=IntegratorConfig(frame="galilean"))
     for mode in ("closed", "lindblad-rwa"):
@@ -577,7 +599,7 @@ def test_unstable_step_raises():
     a larger basis; closed mode keeps rho0."""
     p = SystemParams(mu_bar=0.1, intensity=20.0, gamma=100.0)
     rhs = _BandedRHS(p, _Ladder(p, fock_cutoff(p.intensity)), "lindblad-rwa")
-    cap = EV._step_cap(p, rhs, EV._PHASE_PER_STEP)
+    cap = _step_bounds(p, rhs, 5.0)[2]
     with pytest.raises(IntegrationError, match=f"unphysical.*reduce dtau to {cap:g} or below") as info:
         evolve(p, 50.0, mode="lindblad-rwa", config=IntegratorConfig(dtau=5.0))
     # the first non-finite step stops the run, long before the first sample
@@ -645,7 +667,7 @@ def test_rotating_step_follows_its_phase_budgets():
     for mode, gamma in (("born-markov-asymptotic", 3e-4), ("lindblad-rwa", 1e-4)):
         pg = dataclasses.replace(p, gamma=gamma)
         tr = evolve(pg, 2.5, mode=mode, config=IntegratorConfig(frame="rotating"))
-        h_lo, h_hi = _step_bounds(pg, _BandedRHS(pg, _Ladder(pg, tr.n_max), mode), tr.dtau)
+        h_lo, h_hi, _ = _step_bounds(pg, _BandedRHS(pg, _Ladder(pg, tr.n_max), mode), tr.dtau)
         omega_top = 1.0 + p.mu_bar * (2 * tr.n_max - 3)
         assert h_lo == 0.25 / omega_top and h_lo <= tr.step <= h_hi * (1.0 + SNAP), mode
         assert tr.dtau == 2.5 / math.ceil(2.5 / default_dtau(p, tr.n_max, "rotating"))
@@ -659,7 +681,7 @@ def test_rotating_step_follows_its_phase_budgets():
         n_cells = tr.taus.size - 1
         assert tr.dtau == 0.2 / math.ceil(0.2 / default_dtau(small, tr.n_max, frame))
         rhs = _BandedRHS(small, _Ladder(small, tr.n_max), mode)
-        h_lo, h_hi = _step_bounds(small, rhs, tr.dtau)
+        h_lo, h_hi, _ = _step_bounds(small, rhs, tr.dtau)
         assert h_lo <= tr.step <= h_hi * (1.0 + SNAP), (mode, frame)
         assert tr.steps <= math.ceil(0.2 / h_lo) and tr.step_error > 0.0, (mode, frame)
         assert (h_lo > tr.dtau) == (frame == "lab"), (mode, frame)
@@ -723,7 +745,7 @@ def run_attempts(monkeypatch, params, tau_end, dtau=None, frame="rotating"):
     n_max = fock_cutoff(params.intensity)
     dtau = dtau or default_dtau(params, n_max, frame)
     dtau = tau_end / math.ceil(tau_end / dtau - 1e-12)
-    bounds = _step_bounds(params, _BandedRHS(params, _Ladder(params, n_max), mode), dtau)
+    bounds = _step_bounds(params, _BandedRHS(params, _Ladder(params, n_max), mode), dtau)[:2]
     calls, raw, last = [], [], [None]
     original = _BandedRHS.__call__
 
@@ -950,16 +972,31 @@ def test_interior_samples_match_snapshot_states():
 
 
 def test_snapshot_cell_matches_grid_scan():
-    """The snapshot's grid point is the first c of a scan over the grid with
-    c dtau >= ts - dtau/2: the nearest to ts, the earlier on a tie, and none
-    past the grid's end."""
-    assert _snapshot_cell(0.625, 0.25, 4) == 2  # tie between cells 2 and 3
+    """A snapshot is taken at the first sample c of a scan over the grid
+    with c dtau >= ts - dtau/2: the nearest to ts, the earlier on a tie,
+    and none past the grid's end. Read off closed runs, whose snapshot at
+    sample c is the lab-frame state at taus[c]."""
+    p = SystemParams(mu_bar=0.1, intensity=5.0)
+    n_max = fock_cutoff(p.intensity)
+    rho0 = coherent_state_density(p.alpha, n_max)
+    ladder = _Ladder(p, n_max)
+    tr = evolve(p, 1.0, mode="closed", rho0=rho0,
+                config=IntegratorConfig(dtau=0.25, snapshot_taus=(0.625,)))
+    np.testing.assert_array_equal(tr.snapshots[0.625], ladder.to_lab(rho0, tr.taus[2]))  # a tie
     for n_cells, tau_end in ((4, 1.0), (7, 1.0), (35, 0.2), (0, 0.0)):
         dtau = tau_end / n_cells if n_cells else 0.0
         grid = [k * dtau for k in range(-2, n_cells + 3)]
-        for ts in grid + [t + 0.5 * dtau for t in grid] + [0.3, math.inf]:
+        requests = grid + [t + 0.5 * dtau for t in grid] + [0.3, 1.99, math.inf, math.nan]
+        cfg = IntegratorConfig(dtau=dtau or None, snapshot_taus=tuple(requests))
+        tr = evolve(p, tau_end, mode="closed", rho0=rho0, config=cfg)
+        assert tr.taus.size == n_cells + 1
+        for ts in requests:
             scan = next((c for c in range(n_cells + 1) if c * dtau >= ts - 0.5 * dtau), None)
-            assert _snapshot_cell(ts, dtau, n_cells) == scan, (n_cells, ts)
+            if scan is None:
+                assert ts not in tr.snapshots, (n_cells, ts)
+            else:
+                want = ladder.to_lab(rho0, tr.taus[scan])
+                np.testing.assert_array_equal(tr.snapshots[ts], want, err_msg=f"{n_cells} {ts}")
 
 
 def test_trajectory_x_property():
