@@ -257,12 +257,10 @@ def cmd_timescales(opts: dict) -> int:
 
 def _run(opts: dict, out_required: bool):
     """Params, --out and trajectory of a simulate or compare run, every input
-    checked before the run: tau_end is required, finite and non-negative."""
+    checked before the run (tau_end is required, and evolve checks its value)."""
     params = _build_params(opts)
     if "tau_end" not in opts:
         raise ConfigError("tau_end is required (flag --tau-end or config)")
-    if not (math.isfinite(opts["tau_end"]) and opts["tau_end"] >= 0):
-        raise ConfigError(f"tau_end must be finite and non-negative, got {opts['tau_end']}")
     config = IntegratorConfig(**{k: opts[k] for k in ("dtau", "frame") if k in opts})
     out = _out_dir(opts, out_required)
     traj = evolve(params, opts["tau_end"], mode=opts.get("mode", "closed"), config=config)
@@ -298,6 +296,9 @@ def cmd_compare(opts: dict) -> int:
             f"compare needs a mode with a closed-form reference, got {mode!r} "
             "(expected closed or lindblad-rwa)"
         )
+    tolerance = opts.get("tolerance")
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ConfigError(f"tolerance must be finite and non-negative, got {tolerance}")
     params, out, traj = _run(opts, out_required=False)
     if mode == "closed":
         ref = closedform.alpha_closed(params, traj.taus)
@@ -310,7 +311,6 @@ def cmd_compare(opts: dict) -> int:
     print(f"max |d<a>|      = {fmt(max_dev)}")
     print(f"rms |d<a>|      = {fmt(rms_dev)}")
     print(f"max/sqrt(I0)    = {fmt(rel)}")
-    tolerance = opts.get("tolerance")
     if out is not None:
         _write_json(out / "compare.json", _sidecar(
             params, traj,

@@ -56,20 +56,20 @@ the Lindblad decay is diagonal and carries none. Stepping that equation is
 Lawson's integrating-factor Runge-Kutta (J. D. Lawson, SIAM J. Numer. Anal.
 4, 372 (1967)). A run without a generator, closed mode or any mode at
 gamma = 0, takes the closed path: it builds no kernel and keeps rho0.
-Recorded observables and snapshots are always lab-frame values: the
-recorder dresses co-moving states with the level phases.
+Recorded observables and final_rho, the state at tau_end and the one state a
+run returns, are lab-frame values: co-moving states are dressed with the
+level phases. evolve checks its inputs before any run (see evolve).
 
 Time stepping is classical RK4 on the co-moving state. dtau is the sample
-spacing in every mode, and snapshots lie on samples. When unset,
-default_dtau(params, n_max, frame) gives it, coarsened by a whole factor on
-a long run (see IntegratorConfig); frame picks only that default grid, and
-every run with a generator steps the same way. Only
-the band phases oscillate, at up to ~2 Omega_top, linear in n_max instead
-of the quadratic level spread E_top - E_0 that a lab-frame step would have
-to resolve. The step h is a length of time, not a number of grid cells,
-between a floor h_lo, the smallest of three budgets (0.5 rad of the fastest
-band phase per step, a step times the generator's norm bound of at most
-0.25, and the transient table's spacing while the table lasts), and a
+spacing in every mode. When unset, default_dtau(params, n_max, frame) gives
+it, coarsened by a whole factor on a long run (see IntegratorConfig); frame
+picks only that default grid, and every run with a generator steps the same
+way. Only the band phases oscillate, at up to ~2 Omega_top, linear in n_max
+instead of the quadratic level spread E_top - E_0 that a lab-frame step
+would have to resolve. The step h is a length of time, not a number of grid
+cells, between a floor h_lo, the smallest of three budgets (0.5 rad of the
+fastest band phase per step, a step times the generator's norm bound of at
+most 0.25, and the transient table's spacing while the table lasts), and a
 ceiling h_hi, the same with 2 rad per step. Each is at least
 min(dtau, 0.05/Omega_top): one sample cell, but no more than one rotating
 default cell. From the table's end on, a transient run takes the
@@ -85,8 +85,8 @@ retried with the new h. So a run never steps shorter than h_lo, and
 where the rate or the table binds, h_lo = h_hi and the step is fixed. The
 steps run under numpy's errstate for overflow and invalid values: a step
 whose estimate is not finite raises IntegrationError, with no numpy warning
-before it. A
-step ending within 1e-9 h of a grid point ends on it. Samples inside a step come from the cubic Hermite interpolant
+before it. A step ending within 1e-9 h of a grid point ends on it. Samples
+inside a step come from the cubic Hermite interpolant
 of the step's end states and their derivatives (Hairer, Norsett & Wanner,
 Solving ODEs I, II.6). The end derivative is the next step's first stage,
 and the interpolation weights are real, so trace and hermiticity carry over.
@@ -110,13 +110,13 @@ import bisect
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
 from .kernels import asymptotic_coefficients, coefficient_tables
-from .model import SystemParams, derive_timescales
+from .model import SystemParams, derive_timescales, validate_params
 
 MODES = (
     "closed",
@@ -166,15 +166,15 @@ class IntegratorConfig:
     """Knobs for the propagation, shared by every mode and both frames.
 
     Every mode runs on one grid of dtau cells through the same sample loop
-    and recorder: every grid point is a sample, and snapshots lie on them.
-    dtau None picks default_dtau(params, n_max, frame), times the whole
-    factor n_cells // 4000 when that grid has n_cells >= 8000 cells, except
-    in closed mode, whose dtau defaults to tau_end/2000. frame picks only
-    that default grid. A run without a generator (closed mode, or any mode
-    at gamma = 0) takes the closed path: its co-moving state never changes,
-    so it takes no step and every sample, on its mode's grid, is exact.
-    Every run with a generator steps the co-moving state by as long a time
-    step as its local error estimate allows between a floor set by its step
+    and recorder: every grid point is a sample. dtau None picks
+    default_dtau(params, n_max, frame), times the whole factor
+    n_cells // 4000 when that grid has n_cells >= 8000 cells, except in
+    closed mode, whose dtau defaults to tau_end/2000. frame picks only that
+    default grid. A run without a generator (closed mode, or any mode at
+    gamma = 0) takes the closed path: its co-moving state never changes, so
+    it takes no step and every sample, on its mode's grid, is exact. Every
+    run with a generator steps the co-moving state by as long a time step
+    as its local error estimate allows between a floor set by its step
     budgets and a ceiling set by the same budgets at 2 rad of phase per step
     instead of 0.5, each at least min(dtau, one rotating default cell) (see
     the module docstring), so a dtau of at least that cell sets the sample
@@ -194,7 +194,6 @@ class IntegratorConfig:
     """
 
     dtau: float | None = None
-    snapshot_taus: tuple[float, ...] = ()
     overlap_pair: tuple[complex, complex] | None = None
     record_min_eig: bool = False
     transient_table_points: int = 512
@@ -215,21 +214,21 @@ class Trajectory:
     """Sampled observables of one propagation run.
 
     All stored quantities are lab-frame values, whatever the frame; frame
-    records the config's, which picks only the default grid (every run
-    with a generator steps co-moving). dtau is the run's sample spacing,
+    records the config's, which picks only the default grid (every run with
+    a generator steps co-moving). dtau is the run's sample spacing,
     taus[k] = k dtau, and step the largest RK4 step taken, in time, not in
-    cells; steps counts the accepted RK4 steps, and step_error is
-    the largest accepted local error estimate (h/6) max|f(t+h, y1) - k4|
-    (see the module docstring). With no step taken (a run without a
-    generator, or tau_end = 0) steps is 0 and step and step_error are
-    None. energy_expect is <n + mu n^2>, conserved exactly by
-    the closed flow. overlap, when an overlap_pair was requested, is the real
-    coherence envelope of that pair (see IntegratorConfig), 1 at tau=0 for
-    the pure off-diagonal lobe and rotation-invariant thereafter.
-    herm_defect is max|rho - rho^dag| of the state at a step end (or of the
-    static state in closed mode); at a sample inside a step it is the
-    larger of the two end-state defects, which bounds the defect of the
-    interpolated state there (see the module docstring).
+    cells; steps counts the accepted RK4 steps, and step_error is the
+    largest accepted local error estimate (h/6) max|f(t+h, y1) - k4| (see
+    the module docstring). With no step taken (a run without a generator,
+    or tau_end = 0) steps is 0 and step and step_error are None.
+    energy_expect is <n + mu n^2>, conserved exactly by the closed flow.
+    overlap, when an overlap_pair was requested, is the real coherence
+    envelope of that pair (see IntegratorConfig), 1 at tau=0 for the pure
+    off-diagonal lobe and rotation-invariant thereafter. herm_defect is
+    max|rho - rho^dag| of the state at a step end (or of the static state
+    in closed mode); at a sample inside a step it is the larger of the two
+    end-state defects, which bounds the defect of the interpolated state
+    there (see the module docstring). final_rho is the state at tau_end.
     """
 
     taus: np.ndarray
@@ -248,7 +247,6 @@ class Trajectory:
     step_error: float | None = None
     overlap: np.ndarray | None = None
     min_eig: np.ndarray | None = None
-    snapshots: dict = field(default_factory=dict)
     final_rho: np.ndarray | None = None
 
     @property
@@ -266,11 +264,6 @@ class _Ladder:
         self.energies = n + params.mu_bar * n * n
         self.gaps = np.diff(self.energies)
         self.sqrt_n = np.sqrt(np.arange(1, n_max, dtype=float))
-
-    def to_lab(self, state: np.ndarray, tau: float) -> np.ndarray:
-        """The lab-frame state e^{-iH tau} state e^{iH tau} of a co-moving one."""
-        dress = np.exp(-1j * self.energies * tau)
-        return dress[:, None] * state * dress.conj()[None, :]
 
 
 class _BandedRHS:
@@ -530,7 +523,7 @@ class _Recorder:
     energy, trace and top population) and, with an overlap_pair, the
     2 n_max - 1 diagonal sums of W*rho~. store turns rows of such vectors
     into samples, so a step spanning several grid points interpolates its
-    end vectors; only min_eig and snapshots form the interior state.
+    end vectors; only min_eig forms the interior state.
 
     Every state is co-moving: the lower ladder diagonal is dressed with
     e^{-i Omega_n tau} before summing <a>; diagonal quantities and norms are
@@ -648,16 +641,24 @@ def evolve(
 
     rho0 defaults to the coherent state of the model parameters in a basis
     sized by fock_cutoff; a given rho0 must be a finite square matrix with
-    max|rho0 - rho0^dag| <= 1e-9, or ValueError is raised. The returned
-    trajectory samples every point of the dtau grid, which ends on tau_end;
-    each snapshot is the lab-frame state at the sample nearest its
-    requested time (the earlier on a tie). A grid of more than 1e6 cells
-    raises IntegrationError before the run allocates.
+    max|rho0 - rho0^dag| <= 1e-9, or ValueError is raised, as it is for a
+    tau_end that is not finite and non-negative, for validate_params' errors
+    (not its warnings) and for beta_bar = inf in a born-markov mode. The
+    trajectory samples every point of the dtau grid, which ends on tau_end,
+    and final_rho is the lab-frame state there. A grid of more than 1e6
+    cells raises IntegrationError before the run allocates.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if not (math.isfinite(tau_end) and tau_end >= 0):
         raise ValueError(f"tau_end must be finite and non-negative, got {tau_end}")
+    errors = [v.message for v in validate_params(params) if v.level == "error"]
+    if errors:
+        raise ValueError("; ".join(errors))
+    if mode.startswith("born-markov") and math.isinf(params.beta_bar):
+        # the psi terms, the Matsubara sum and the 4 beta settle time need a finite beta
+        raise ValueError("beta_bar must be finite in born-markov-asymptotic and "
+                         f"born-markov-transient, got {params.beta_bar}")
     config = config or IntegratorConfig()
     if rho0 is None:
         n_max = fock.fock_cutoff(params.intensity)
@@ -704,20 +705,14 @@ def evolve(
         hint = f"{remedy} (the RK4 step runs from {h_lo:g} to {h_hi:g})"
 
     rec = _Recorder(ladder, taus.size, config, hint)
-    snap_at = {}  # sample -> the snapshot requests it answers
-    for ts in sorted(config.snapshot_taus):
-        lim = ts - 0.5 * dtau  # the nearest sample is the first at or past lim
-        if lim <= t_end:
-            snap_at.setdefault(bisect.bisect_left(taus, lim), []).append(ts)
-    snaps = {}
     done = 0  # samples recorded
     ends = None  # (time, vector, derivative vector or None, defect) last measured
 
     def record(j, t0, t1, h, y0, y1, f0, f1) -> None:
         """Record samples done, ..., j - 1, those in (t0, t1] of the step
-        h = t1 - t0 from (y0, f0) to (y1, f1), and the snapshots on them;
-        sample 0 comes as t0 = t1 = 0. Samples inside the step interpolate
-        the end vectors and take the larger end defect."""
+        h = t1 - t0 from (y0, f0) to (y1, f1); sample 0 comes as t0 = t1 = 0.
+        Samples inside the step interpolate the end vectors and take the
+        larger end defect, and only their minimum eigenvalues form states."""
         nonlocal done, ends
 
         def state_at(c):
@@ -744,9 +739,6 @@ def evolve(
         if rec.min_eig is not None:
             min_eig = [rec.lowest_eig(state_at(c)) for c in range(done, j)]
         rec.store(done, taus[done:j], vecs, herm, min_eig)
-        for c in range(done, j):
-            for ts in snap_at.get(c, ()):
-                snaps[ts] = ladder.to_lab(state_at(c), taus[c])
         done = j
 
     rho = rho0.copy()
@@ -757,8 +749,6 @@ def evolve(
                   rec.lowest_eig(rho) if rec.min_eig is not None else None)
         for k in range(0, taus.size, _CLOSED_BLOCK):
             rec.store(k, taus[k:k + _CLOSED_BLOCK], *static)
-        snaps = {ts: ladder.to_lab(rho, taus[c])
-                 for c, requests in snap_at.items() for ts in requests}
     else:
         rho_prev = np.empty_like(rho)
         k1 = np.empty_like(rho)
@@ -834,6 +824,7 @@ def evolve(
             TruncationLeakWarning,
             stacklevel=2,
         )
+    dress = np.exp(-1j * ladder.energies * t_end)  # to the lab frame: e^{-iHt} rho e^{iHt}
     return rec.finish(
         taus,
         mode=mode,
@@ -843,6 +834,5 @@ def evolve(
         step=largest if steps else None,
         steps=steps,
         step_error=step_error if steps else None,
-        snapshots=snaps,
-        final_rho=ladder.to_lab(rho, t_end),
+        final_rho=dress[:, None] * rho * dress.conj()[None, :],
     )

@@ -207,14 +207,28 @@ def test_commands_refuse_options_they_do_not_read(tmp_path, capsys):
     (["timescales", "--mu-bar", "nan", "--intensity", "5"], "mu_bar must be a number, got nan"),
     (["spectrum", "--mu-bar", "0.1", "--intensity", "5", "--theta", "nan"],
      "theta must be a number, got nan"),
+    (["compare", "--mode", "closed", "--mu-bar", "0.1", "--intensity", "5", "--tau-end", "1",
+      "--tolerance", "nan"], "tolerance must be finite and non-negative, got nan"),
+    (["compare", "--mode", "closed", "--mu-bar", "0.1", "--intensity", "5", "--tau-end", "1",
+      "--tolerance", "-1"], "tolerance must be finite and non-negative, got -1.0"),
+    *[(["simulate", "--mode", mode, "--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3",
+        "--beta-bar", "inf", "--tau-end", "0.5"],
+       "beta_bar must be finite in born-markov-asymptotic and born-markov-transient, got inf")
+      for mode in ("born-markov-asymptotic", "born-markov-transient")],
 ], ids=["tau-end-nan", "tau-end-inf", "tau-end-minus-inf", "intensity-inf", "mu-nan",
-        "theta-nan"])
+        "theta-nan", "tolerance-nan", "tolerance-negative", "beta-inf-asymptotic",
+        "beta-inf-transient"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, message):
-    """A nan or an infinite time or intensity is refused before any run,
-    with a message that names the value, and leaves no output directory.
-    (tau_end = nan wrote one row at tau = 0; inf overflowed in the step
-    count; an infinite intensity divided by zero in timescales, and a nan
-    mu_bar printed nan times.)"""
+    """A nan or an infinite time or intensity, a compare tolerance that is
+    not finite and non-negative, and zero temperature in a born-markov mode
+    are refused before any run, with a message that names the value and no
+    numpy RuntimeWarning, and leave no output directory. (tau_end = nan
+    wrote one row at tau = 0; inf overflowed in the step count; an infinite
+    intensity divided by zero in timescales, and a nan mu_bar printed nan
+    times. A nan tolerance passed every run and wrote NaN into compare.json,
+    and -1 failed every run with exit 4. beta_bar = inf failed inside the
+    bath coefficients.)"""
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err

@@ -412,25 +412,22 @@ def test_positivity_along_born_markov_run():
 
 
 def test_snapshots_are_lab_frame():
-    """A co-moving run's snapshot is the lab-frame state: it matches the
-    dense lab-frame RK4 at the grid's step."""
+    """A co-moving run's final_rho, the one state it returns, is the
+    lab-frame state at tau_end: it matches the dense lab-frame RK4 at the
+    grid's step."""
     p = SystemParams(mu_bar=0.1, intensity=10.0, beta_bar=1.0, gamma=1e-3)
     mode = "born-markov-asymptotic"
-    cfg = dict(dtau=2e-3, snapshot_taus=(1.0,))
-    rot = evolve(p, 2.0, mode=mode, config=IntegratorConfig(**cfg, frame="rotating"))
-    assert set(rot.snapshots) == {1.0}
+    rot = evolve(p, 1.0, mode=mode, config=IntegratorConfig(dtau=2e-3, frame="rotating"))
     ref = lab_rk4(p, mode, coherent_state_density(p.alpha, rot.n_max), 1.0, 500, every=500)
-    assert np.max(np.abs(rot.snapshots[1.0] - ref[500])) < 1e-6
-    # closed-mode snapshot equals the exact phase rotation of rho0
+    assert np.max(np.abs(rot.final_rho - ref[500])) < 1e-6
+    # a closed run's final_rho equals the exact phase rotation of rho0
     pc = SystemParams(mu_bar=0.1, intensity=8.0)
     n_max = fock_cutoff(8.0)
     rho0 = coherent_state_density(math.sqrt(8.0), n_max)
-    tr = evolve(pc, 1.0, mode="closed", rho0=rho0,
-                config=IntegratorConfig(snapshot_taus=(0.5,)))
+    tr = evolve(pc, 0.5, mode="closed", rho0=rho0)
     e = energies(n_max, pc.mu_bar)
-    t_snap = min(tr.snapshots)  # grid point at/after the request
-    expect = np.exp(-1j * (e[:, None] - e[None, :]) * t_snap) * rho0
-    assert np.max(np.abs(tr.snapshots[t_snap] - expect)) < 1e-12
+    expect = np.exp(-1j * (e[:, None] - e[None, :]) * 0.5) * rho0
+    assert np.max(np.abs(tr.final_rho - expect)) < 1e-12
 
 
 def test_default_rho0_is_coherent_state():
@@ -490,15 +487,14 @@ def test_closed_sample_count_follows_dtau():
 def test_closed_run_is_the_generator_free_rotating_run():
     """A run at gamma = 0 has no generator, so in every mode it takes the
     closed path: no kernel, no step, and every sample exact. On a common
-    grid it returns closed mode's arrays and snapshots to the bit."""
+    grid it returns closed mode's arrays and final state to the bit."""
     p = SystemParams(mu_bar=0.1, intensity=8.0, beta_bar=1.0, gamma=0.0)
     al = math.sqrt(8.0)
     be = 1j * al
     rho0 = cat_state_density(al, be, fock_cutoff(8.0))
-    cfg = IntegratorConfig(dtau=0.013, overlap_pair=(al, be), snapshot_taus=(0.4, 1.0, 2.5),
-                           record_min_eig=True, frame="rotating")
+    cfg = IntegratorConfig(dtau=0.013, overlap_pair=(al, be), record_min_eig=True,
+                           frame="rotating")
     closed = evolve(p, 3.0, mode="closed", rho0=rho0, config=cfg)
-    assert set(closed.snapshots) == {0.4, 1.0, 2.5}
     for mode in ("born-markov-asymptotic", "born-markov-transient", "lindblad-rwa"):
         run = evolve(p, 3.0, mode=mode, rho0=rho0, config=cfg)
         assert (run.steps, run.step, run.step_error) == (0, None, None), mode
@@ -507,9 +503,6 @@ def test_closed_run_is_the_generator_free_rotating_run():
                      "top_population", "overlap", "min_eig", "final_rho"):
             np.testing.assert_array_equal(getattr(run, name), getattr(closed, name),
                                           err_msg=f"{mode} {name}")
-        assert set(run.snapshots) == set(closed.snapshots), mode
-        for t in closed.snapshots:
-            np.testing.assert_array_equal(run.snapshots[t], closed.snapshots[t])
     # the sample grid still follows the mode: a default grid, not closed mode's
     run = evolve(p, 3.0, mode="lindblad-rwa", rho0=rho0)
     assert run.steps == 0 and run.dtau == 3.0 / math.ceil(3.0 / default_dtau(p, run.n_max))
@@ -579,6 +572,34 @@ def test_validation_errors():
         for mode in ("closed", "born-markov-asymptotic"):
             with pytest.raises(ValueError, match=msg):
                 evolve(p, 1.0, mode=mode, rho0=rho0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("changes,mode,frame,message", [
+    (dict(gamma=math.nan), "lindblad-rwa", "lab", "gamma must be a number, got nan"),
+    (dict(gamma=-1e-3), "lindblad-rwa", "rotating", "gamma must be non-negative, got -0.001"),
+    (dict(beta_bar=math.inf), "born-markov-asymptotic", "rotating",
+     "beta_bar must be finite in born-markov-asymptotic and born-markov-transient, got inf"),
+    (dict(beta_bar=math.inf), "born-markov-transient", "rotating",
+     "beta_bar must be finite in born-markov-asymptotic and born-markov-transient, got inf"),
+], ids=["gamma-nan", "gamma-negative", "beta-inf-asymptotic", "beta-inf-transient"])
+def test_evolve_refuses_invalid_parameters(changes, mode, frame, message):
+    """evolve runs validate_params' errors before anything else, and the
+    born-markov modes refuse zero temperature, since their closed-form
+    coefficients need a finite beta_bar. (A nan or negative gamma ran an
+    isolated run; beta_bar = inf failed deep in the coefficients, after a
+    numpy RuntimeWarning in asymptotic mode.)"""
+    p = dataclasses.replace(SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3), **changes)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evolve(p, 1.0, mode=mode, config=IntegratorConfig(frame=frame))
+
+
+def test_zero_temperature_runs_outside_born_markov():
+    """beta_bar = inf is valid zero temperature wherever the generator does
+    not read beta_bar."""
+    p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3, beta_bar=math.inf)
+    assert evolve(p, 0.5, mode="lindblad-rwa").steps > 0
+    assert evolve(p, 0.5, mode="closed").steps == 0
 
 
 def test_sample_limit():
@@ -900,37 +921,59 @@ def test_dense_output_between_rotating_steps(monkeypatch):
     assert np.max(fine.herm_defect) < 1e-15
 
 
-def test_snapshot_inside_a_step_matches_its_sample():
-    """A snapshot at a grid point inside a rotating-frame step is the same
-    interpolated state the recorder samples there. The run is floor-bound,
-    so its steps end at multiples of the floor, 0.25/Omega_top (5.27
-    cells), and none ends on the grid point nearest 0.05."""
+def interior_states(monkeypatch) -> list:
+    """Copies of the co-moving states whose minimum eigenvalue a run with
+    record_min_eig forms, one per sample in sample order."""
+    states = []
+    lowest = EV._Recorder.lowest_eig
+
+    def spy(state):
+        states.append(state.copy())
+        return lowest(state)
+
+    monkeypatch.setattr(EV._Recorder, "lowest_eig", staticmethod(spy))
+    return states
+
+
+def lab_state(state, energy, tau):
+    """The lab-frame state e^{-iH tau} state e^{iH tau} of a co-moving one."""
+    dress = np.exp(-1j * energy * tau)
+    return dress[:, None] * state * dress.conj()[None, :]
+
+
+def test_snapshot_inside_a_step_matches_its_sample(monkeypatch):
+    """The state that record_min_eig forms at a grid point inside a
+    rotating-frame step is the same interpolated state the recorder samples
+    there. The run is floor-bound, so its steps end at multiples of the
+    floor, 0.25/Omega_top (5.27 cells), and none ends on the grid point
+    nearest 0.05."""
     p = SystemParams(mu_bar=0.1, intensity=10.0, beta_bar=1.0, gamma=3e-3)
+    states = interior_states(monkeypatch)
     tr = evolve(p, 0.2, mode="born-markov-asymptotic",
-                config=IntegratorConfig(frame="rotating", dtau=1 / 175,
-                                        snapshot_taus=(0.05,)))
+                config=IntegratorConfig(frame="rotating", dtau=1 / 175, record_min_eig=True))
     h = 0.25 / (1.0 + p.mu_bar * (2 * tr.n_max - 3))
     assert tr.step == pytest.approx(h, rel=SNAP) and tr.steps == math.ceil(0.2 / h) == 7
-    (snap,) = tr.snapshots.values()
+    assert len(states) == tr.taus.size
     k = int(np.argmin(np.abs(tr.taus - 0.05)))
     assert 0.1 < (tr.taus[k] / h) % 1.0 < 0.9  # inside a step
+    assert np.max(np.abs(states[k] - states[k].conj().T)) < 1e-15
+    snap = lab_state(states[k], energies(tr.n_max, p.mu_bar), tr.taus[k])
     levels = np.arange(tr.n_max)
     a = np.sum(np.sqrt(levels[1:]) * np.diagonal(snap, -1))
     assert abs(a - tr.a_expect[k]) < 1e-13
     assert abs(levels @ np.diagonal(snap).real - tr.n_expect[k]) < 1e-13
     assert abs(np.trace(snap) - tr.trace[k]) < 1e-15
-    assert np.max(np.abs(snap - snap.conj().T)) < 1e-15
 
 
-def test_interior_samples_match_snapshot_states():
+def test_interior_samples_match_snapshot_states(monkeypatch):
     """At the quantum-corner parameters with gamma = 3e-4, a floor-bound run
     to tau = 0.1 whose floor is five cells of its grid, the recorder
     interpolates observable vectors, not states, inside a step. Every
-    interior sample
-    must agree with the quantities computed from the interpolated state,
-    which a snapshot at the same grid point returns; its hermiticity defect
-    is the larger end-state defect, which bounds the interpolant's, and its
-    minimum eigenvalue is still the interpolated state's."""
+    interior sample must agree with the quantities computed from the
+    interpolated state, which record_min_eig forms at that grid point; its
+    hermiticity defect is the larger end-state defect, which bounds the
+    interpolant's, and its minimum eigenvalue is still the interpolated
+    state's."""
     p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=3e-4, lambda_bar=100.0)
     al = math.sqrt(p.intensity)
     be = 1j * al  # the sweep's quarter pair, so that <a> is not zero
@@ -940,22 +983,19 @@ def test_interior_samples_match_snapshot_states():
     dtau = default_dtau(p, n_max, "rotating")
     dtau = tau_end / math.ceil(tau_end / dtau)
     n_cells = round(tau_end / dtau)
-    interior = [c * dtau for c in range(n_cells + 1) if c % 5]
+    states = interior_states(monkeypatch)
     tr = evolve(p, tau_end, mode="born-markov-asymptotic", rho0=rho0,
                 config=IntegratorConfig(frame="rotating", overlap_pair=(al, be),
-                                        record_min_eig=True, snapshot_taus=tuple(interior)))
+                                        record_min_eig=True))
     assert tr.step == pytest.approx(5 * tr.dtau, rel=SNAP) and tr.steps == n_cells // 5
-    assert tr.taus.size == n_cells + 1
+    assert tr.taus.size == n_cells + 1 == len(states)
     e = energies(n_max, p.mu_bar)
     levels = np.arange(n_max)
     w = np.outer(coherent_amplitudes(al, n_max).conj(), coherent_amplitudes(be, n_max))
-    assert len(tr.snapshots) == len(interior)
-    for ts, snap in tr.snapshots.items():
-        k = int(np.argmin(np.abs(tr.taus - ts)))
-        assert k % 5 != 0
+    for k in (k for k in range(n_cells + 1) if k % 5):  # the samples inside a step
+        co_moving = states[k]
+        snap = lab_state(co_moving, e, tr.taus[k])
         pops = np.diagonal(snap).real
-        dress = np.exp(1j * e * tr.taus[k])
-        co_moving = dress[:, None] * snap * dress.conj()[None, :]
         overlap = sum(abs(np.trace(w * co_moving, offset=j)) for j in range(1 - n_max, n_max))
         want = (
             (tr.a_expect, np.sum(np.sqrt(levels[1:]) * np.diagonal(snap, -1))),
@@ -967,36 +1007,8 @@ def test_interior_samples_match_snapshot_states():
         )
         for got, value in want:
             assert abs(got[k] - value) < 1e-13 * max(1.0, abs(value))
-        assert tr.herm_defect[k] >= np.max(np.abs(snap - snap.conj().T)) - 1e-15
-        assert abs(tr.min_eig[k] - np.linalg.eigvalsh(snap)[0]) < 1e-13
-
-
-def test_snapshot_cell_matches_grid_scan():
-    """A snapshot is taken at the first sample c of a scan over the grid
-    with c dtau >= ts - dtau/2: the nearest to ts, the earlier on a tie,
-    and none past the grid's end. Read off closed runs, whose snapshot at
-    sample c is the lab-frame state at taus[c]."""
-    p = SystemParams(mu_bar=0.1, intensity=5.0)
-    n_max = fock_cutoff(p.intensity)
-    rho0 = coherent_state_density(p.alpha, n_max)
-    ladder = _Ladder(p, n_max)
-    tr = evolve(p, 1.0, mode="closed", rho0=rho0,
-                config=IntegratorConfig(dtau=0.25, snapshot_taus=(0.625,)))
-    np.testing.assert_array_equal(tr.snapshots[0.625], ladder.to_lab(rho0, tr.taus[2]))  # a tie
-    for n_cells, tau_end in ((4, 1.0), (7, 1.0), (35, 0.2), (0, 0.0)):
-        dtau = tau_end / n_cells if n_cells else 0.0
-        grid = [k * dtau for k in range(-2, n_cells + 3)]
-        requests = grid + [t + 0.5 * dtau for t in grid] + [0.3, 1.99, math.inf, math.nan]
-        cfg = IntegratorConfig(dtau=dtau or None, snapshot_taus=tuple(requests))
-        tr = evolve(p, tau_end, mode="closed", rho0=rho0, config=cfg)
-        assert tr.taus.size == n_cells + 1
-        for ts in requests:
-            scan = next((c for c in range(n_cells + 1) if c * dtau >= ts - 0.5 * dtau), None)
-            if scan is None:
-                assert ts not in tr.snapshots, (n_cells, ts)
-            else:
-                want = ladder.to_lab(rho0, tr.taus[scan])
-                np.testing.assert_array_equal(tr.snapshots[ts], want, err_msg=f"{n_cells} {ts}")
+        assert tr.herm_defect[k] >= np.max(np.abs(co_moving - co_moving.conj().T)) - 1e-15
+        assert abs(tr.min_eig[k] - np.linalg.eigvalsh(co_moving)[0]) < 1e-13
 
 
 def test_trajectory_x_property():

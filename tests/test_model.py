@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kerrbath import (
@@ -138,8 +138,13 @@ def test_classify_intermediate():
 
 @settings(max_examples=200, deadline=None)
 @given(param_draws, st.floats(0.1, 10.0))
+# theta = 10.0 before the rescaling and 10.000000000000002 after it: one ulp
+# across THETA_HI
+@example(SystemParams(mu_bar=0.25, intensity=1.0, gamma=0.09999999999999999), 3.0)
 def test_classification_invariant_under_theta_preserving_rescaling(p, scale):
-    """Scaling mu_bar and gamma together leaves theta, hence the label, fixed."""
+    """Scaling mu_bar and gamma together leaves theta fixed to round-off,
+    hence the label wherever theta is more than 1e-9 relative from both
+    thresholds; within round-off of one the label may flip on the last ulp."""
     rep = classify_regime(derive_timescales(p))
     q = SystemParams(
         mu_bar=p.mu_bar * scale,
@@ -149,7 +154,8 @@ def test_classification_invariant_under_theta_preserving_rescaling(p, scale):
     )
     rep2 = classify_regime(derive_timescales(q))
     assert rep2.theta == pytest.approx(rep.theta, rel=1e-9)
-    assert rep2.regime == rep.regime
+    if all(abs(rep.theta - t) > 1e-9 * t for t in (THETA_HI, THETA_LO)):
+        assert rep2.regime == rep.regime
 
 
 def test_theta_bec_single_atom():
