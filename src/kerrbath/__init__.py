@@ -53,10 +53,10 @@ from .analysis import (
     SpectrumFit,
     cat_offdiagonal_rate,
     overlap_rate_modulated,
-    comb_peaks,
     discrete_spectrum,
     extract_envelope_peaks,
     fit_ehrenfest_bump,
+    fit_position_spectrum,
     fit_spectral_width,
     predicted_overlap_rate,
     scale_tau_d_to_intensity,
@@ -102,10 +102,10 @@ __all__ = [
     "SpectrumFit",
     "cat_offdiagonal_rate",
     "overlap_rate_modulated",
-    "comb_peaks",
     "discrete_spectrum",
     "extract_envelope_peaks",
     "fit_ehrenfest_bump",
+    "fit_position_spectrum",
     "fit_spectral_width",
     "predicted_overlap_rate",
     "scale_tau_d_to_intensity",

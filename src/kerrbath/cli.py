@@ -354,9 +354,8 @@ def cmd_spectrum(opts: dict) -> int:
     traj = evolve(params, duration, mode=mode,
                   config=IntegratorConfig(dtau=duration / samples))
     # the last sample is the periodic endpoint, the first one again
-    omegas, amps = analysis.discrete_spectrum(traj.taus[:-1], traj.x[:-1], window=window_arg)
-    peak_om, peak_amp = analysis.comb_peaks(omegas, amps)
-    fit = analysis.fit_spectral_width(peak_om, peak_amp)
+    omegas, amps, fit = analysis.fit_position_spectrum(
+        traj.taus[:-1], traj.x[:-1], params.theta, window=window_arg)
     scales = derive_timescales(params)
 
     _write_csv(out / "spectrum.csv", "omega,amplitude", (omegas, amps))
@@ -371,6 +370,7 @@ def cmd_spectrum(opts: dict) -> int:
         tau_e_estimate=fit.tau_e_estimate,
         n_bins=fit.n_bins,
         residual_rms=fit.residual_rms,
+        route=fit.route,
         width_times_tau_e=fit.width * scales.tau_e,
         csv="spectrum.csv",
     ))

@@ -158,7 +158,7 @@ class IntegrationError(RuntimeError):
 
 
 class TruncationLeakWarning(UserWarning):
-    """Population reached the top of the truncated basis."""
+    """Population reached the top three levels of the truncated basis."""
 
 
 @dataclass(frozen=True)
@@ -411,6 +411,9 @@ class _TransientTable:
 
     def __init__(self, params: SystemParams, ladder: _Ladder, n_points: int):
         n_max = ladder.energies.size
+        # first, so that a beta_bar the coefficients refuse never reaches the nodes
+        inf = asymptotic_coefficients(params, n_max)
+        self.inf = _p_bands(ladder.sqrt_n, inf.a1, inf.a2, inf.b1, inf.b2)
         self.t_end, self.dt, self.bands = 0.0, math.inf, ()
         if n_points:
             self.t_end = coefficient_settle_time(params)
@@ -418,8 +421,6 @@ class _TransientTable:
             self.dt = self.taus[1] - self.taus[0]
             self.bands = _p_bands(ladder.sqrt_n, *coefficient_tables(params, n_max, self.taus))
             self._at = tuple(np.empty(n_max - 1, dtype=complex) for _ in range(2))
-        inf = asymptotic_coefficients(params, n_max)
-        self.inf = _p_bands(ladder.sqrt_n, inf.a1, inf.a2, inf.b1, inf.b2)
 
     def at(self, tau: float):
         """The P bands at tau: interpolated into buffers the table owns (and
@@ -819,8 +820,8 @@ def evolve(
 
     if float(np.max(rec.top)) > 1e-6:
         warnings.warn(
-            f"top-level population reached {float(np.max(rec.top)):.2e}; "
-            "results may be truncation-limited, enlarge the basis",
+            "the largest population of the top three levels reached "
+            f"{float(np.max(rec.top)):.2e}; results may be truncation-limited, enlarge the basis",
             TruncationLeakWarning,
             stacklevel=2,
         )

@@ -75,7 +75,8 @@ from .model import SystemParams
 # the k-sum stops at nu_k tau >= _DECAY_EXPONENT (e^-40 ~ 4e-18), is
 # evaluated in chunks of _MATSUBARA_CHUNK terms and never runs past
 # _MATSUBARA_CAP terms; beyond that (tau ~ 40 beta/(2 pi cap) and smaller)
-# the truncation shows in err
+# the truncation shows in err, and a beta Lambda whose floor of
+# 1.5 beta Lambda/2pi terms passes the cap is refused
 _DECAY_EXPONENT = 40.0
 _MATSUBARA_CHUNK = 512
 _MATSUBARA_CAP = 1 << 18
@@ -165,7 +166,8 @@ def _digamma(w):
     for k in range(int(steps.max(initial=0.0))):
         acc -= np.where(k < steps, 1.0 / (w + k), 0.0)
     w = w + steps
-    inv2 = 1.0 / (w * w)
+    with np.errstate(over="ignore"):  # w * w overflows past |w| ~ 1e154; 1/w^2 -> 0 is right
+        inv2 = 1.0 / (w * w)
     series = np.zeros_like(w)
     for k in range(len(_BERNOULLI), 0, -1):
         series = inv2 * (series + _BERNOULLI[k - 1] / (2 * k))
@@ -173,9 +175,17 @@ def _digamma(w):
 
 
 def _asymptotic_parts(params: SystemParams, omegas: np.ndarray):
-    """A1, A2, B1, B2 at tau -> inf per unit gamma."""
+    """A1, A2, B1, B2 at tau -> inf per unit gamma; ValueError when
+    beta Lambda/2pi or beta Omega_top/2pi overflows."""
     lam = params.lambda_bar
     beta = params.beta_bar
+    top = float(omegas[-1])
+    if not math.isfinite(beta * max(lam, top)):  # Python floats overflow to inf silently
+        raise ValueError(
+            f"beta_bar = {beta:g} overflows the digamma argument beta_bar * lambda_bar / 2pi "
+            f"or beta_bar * Omega_top / 2pi (lambda_bar = {lam:g}, Omega_top = {top:g}); "
+            "lower beta_bar"
+        )
     den = lam * lam + omegas * omegas
     a1 = 0.5 * lam**3 / den
     a2 = 0.5 * lam * lam * omegas / den
@@ -198,10 +208,19 @@ def _cot_minus_pole(u: float) -> float:
 
 def _matsubara_terms(params: SystemParams, taus: np.ndarray) -> np.ndarray:
     """Terms of the Matsubara sum kept at each tau > 0: up to nu_k tau >=
-    _DECAY_EXPONENT, at most _MATSUBARA_CAP, and past 1.5 x, x = beta Lambda/2pi."""
+    _DECAY_EXPONENT, at most _MATSUBARA_CAP, and past 1.5 x, x = beta Lambda/2pi.
+    Raises ValueError when 1.5 x alone asks for more than _MATSUBARA_CAP terms."""
     c = 2.0 * math.pi / params.beta_bar
+    floor = 1.5 * params.lambda_bar / c  # compared as a float: no beta_bar overflows it
+    if not floor <= _MATSUBARA_CAP - 1:
+        raise ValueError(
+            f"the transient coefficients need {floor + 1:.3g} Matsubara terms at "
+            f"beta_bar = {params.beta_bar:g} and lambda_bar = {params.lambda_bar:g}, "
+            f"more than the {_MATSUBARA_CAP} they sum; beta_bar * lambda_bar must be "
+            f"at most {(_MATSUBARA_CAP - 1) / 1.5 * 2.0 * math.pi:.6g}"
+        )
     n = np.ceil(_DECAY_EXPONENT / np.maximum(c * taus, _DECAY_EXPONENT / _MATSUBARA_CAP))
-    return np.maximum(n, math.ceil(1.5 * params.lambda_bar / c) + 1).astype(int)
+    return np.maximum(n, math.ceil(floor) + 1).astype(int)
 
 
 def _decaying_parts(params: SystemParams, omegas: np.ndarray, taus: np.ndarray,

@@ -23,13 +23,11 @@ from kerrbath import (
     alpha_lindblad_rwa,
     cat_offdiagonal_rate,
     cat_state_density,
-    comb_peaks,
     derive_timescales,
-    discrete_spectrum,
     evolve,
     extract_envelope_peaks,
     fit_ehrenfest_bump,
-    fit_spectral_width,
+    fit_position_spectrum,
     fock_cutoff,
     spectral_density,
     theta_bec,
@@ -196,30 +194,12 @@ def test_06_spectral_width_invariance(lines):
         p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=gamma,
                          lambda_bar=100.0)
         duration = 2.0 * math.pi / p.mu_bar
-        samples = 4096
-        dt = duration / samples
         traj = register(
             f"spectrum-g{gamma:g}", "born-markov-asymptotic", p,
             evolve(p, duration, mode="born-markov-asymptotic",
-                   config=IntegratorConfig(dtau=dt)),
+                   config=IntegratorConfig(dtau=duration / 4096)),
         )
-        # Width from the phase-aligned quadrature Re X of the record's
-        # transform. The record opens at the crest of the first bump (tau = 0;
-        # theta = 0 here), so for an even envelope Re X is half the two-sided
-        # Gaussian transform. |X| is that too only while the half-bumps at
-        # tau = 0 and tau = 2 tau_r join cyclically; damping (gamma >= 1e-4)
-        # breaks the join and |X| then carries the Dawson wings of a
-        # one-sided bump: |X| widths 1.414, 1.848, 2.458, 2.386 against Re X
-        # widths 1.409, 1.432, 1.419, 1.363. The comb resolves while the
-        # recurrences survive; after that the raw bins carry the lobe.
-        omegas, _ = discrete_spectrum(traj.taus[:-1], traj.x[:-1])
-        quad = np.fft.rfft(traj.x[:-1]).real / samples
-        try:
-            fit = fit_spectral_width(*comb_peaks(omegas, quad))
-            route = "comb"
-        except ValueError:
-            fit = fit_spectral_width(omegas, quad)
-            route = "bins"
+        _, _, fit = fit_position_spectrum(traj.taus[:-1], traj.x[:-1], p.theta)
         # Center against the orbit frequency of the intensity the bump has.
         # The bath relaxes <n> at ~J(omega_bar) ~ 11 gamma, not at 2/gamma
         # (at gamma = 1e-2, <n> falls from 50 to 43.3 by tau = 1), and A1
@@ -233,18 +213,14 @@ def test_06_spectral_width_invariance(lines):
         # The gamma = 1e-4 center (10.82 against 10.98, the tightest margin)
         # is low because the record spans 2 tau_r and so also holds the
         # revival bump at tau_r, whose carrier the bath has already pulled
-        # down. On a gamma = 0 record Im X vanishes, Re X and |X| coincide
-        # and both comb routes give 11.028 (each bump alone 11.029). On the
-        # gamma = 1e-4 record, split at tau_r/2 and 3 tau_r/2: the first
-        # bump alone gives Re X center 10.980 (= its reference); the revival
-        # bump alone gives 10.43 (its |<a>|-weighted <n> is 48.3 against
-        # 49.95) and carries 0.38 of the first bump's |<a>| mass. Both are
-        # phase-aligned on the comb, so the whole record's Re X is their
-        # mix, (10.98 + 0.38 * 10.43)/1.38 = 10.83, against the fitted
-        # 10.82. |X| gave 10.92 by two opposite biases: the one-sided first
-        # bump alone has |X| center 11.16 (width 2.34: Im X runs from
-        # +0.75 Re X at omega = 9.1 to -1.19 Re X at 13.0 on the line
-        # bins), and the revival bump pulls that down.
+        # down. On a gamma = 0 record the fit gives 11.028 (each bump alone
+        # 11.029). On the gamma = 1e-4 record, split at tau_r/2 and 3 tau_r/2,
+        # the first bump alone gives center 10.980 (= its reference); the
+        # revival bump alone gives 10.43 (its |<a>|-weighted <n> is 48.3
+        # against 49.95) and carries 0.38 of the first bump's |<a>| mass.
+        # Both are phase-aligned on the comb, so the whole record's center is
+        # their mix, (10.98 + 0.38 * 10.43)/1.38 = 10.83, against the fitted
+        # 10.82.
         bump = traj.taus < 0.25 * duration
         weight = np.abs(traj.a_expect[bump])
         n_bump = float(np.sum(weight * traj.n_expect[bump]) / np.sum(weight))
@@ -255,7 +231,7 @@ def test_06_spectral_width_invariance(lines):
         ok = ok and ok_here
         details.append(
             f"g={gamma:g}: width {fit.width:.3f}, center {fit.center:.2f} "
-            f"vs {center_ref:.2f} ({route})")
+            f"vs {center_ref:.2f} ({fit.route})")
     note(lines, 6, "spectral width invariance", ok,
          "; ".join(details) + " (phase-aligned; want width 1.414 +- 15%, "
          "center 1 + 2 mu <n>_bump - A1 +- 0.2)")

@@ -16,12 +16,12 @@ from kerrbath import (
     asymptotic_b1_at,
     cat_offdiagonal_rate,
     cat_state_density,
-    comb_peaks,
     derive_timescales,
     discrete_spectrum,
     evolve,
     extract_envelope_peaks,
     fit_ehrenfest_bump,
+    fit_position_spectrum,
     fit_spectral_width,
     fock_cutoff,
     overlap_rate_modulated,
@@ -258,7 +258,7 @@ def test_comb_spacing_matches_level_gaps():
     n = 8192
     t = np.arange(n) * (2.0 * tau_r / n)  # whole-period window: on-bin lines
     omegas, amps = discrete_spectrum(t, x_closed(p, t))
-    ct, ch = comb_peaks(omegas, amps)
+    ct, ch = extract_envelope_peaks(omegas, amps, floor_frac=0.0)
     keep = ch > 0.05 * ch.max()
     gaps = np.diff(ct[keep])
     np.testing.assert_allclose(gaps, 2.0 * p.mu_bar, rtol=1e-6)
@@ -271,11 +271,52 @@ def test_spectral_width_recovers_tau_e(mu_bar, intensity):
     tau_r = math.pi / mu_bar
     n = 16384
     t = np.arange(n) * (2.0 * tau_r / n)
-    omegas, amps = discrete_spectrum(t, x_closed(p, t))
-    fit = fit_spectral_width(*comb_peaks(omegas, amps))
+    _, _, fit = fit_position_spectrum(t, x_closed(p, t), p.theta)
+    assert fit.route == "comb"
     assert fit.width == pytest.approx(1.0 / tau_e, rel=0.10)
     assert fit.tau_e_estimate == pytest.approx(tau_e, rel=0.10)
     assert fit.center == pytest.approx(1.0 + 2.0 * mu_bar * intensity, abs=0.2)
+
+
+def _closed_record(theta, samples=2048):
+    """A closed run over one recurrence period 2 tau_r, without its
+    periodic endpoint."""
+    p = SystemParams(mu_bar=0.1, intensity=50.0, theta=theta)
+    duration = 2.0 * math.pi / p.mu_bar
+    t = evolve(p, duration, config=IntegratorConfig(dtau=duration / samples))
+    return t.taus[:-1], t.x[:-1]
+
+
+def test_comb_lines_carry_the_start_phase():
+    """For x = sqrt(2) sum_n w_n cos(Omega_n tau + theta) each line bin
+    carries e^{+i theta}, so e^{-i theta} aligns it onto the real axis (the
+    opposite sign leaves |Im| = |X| at theta = pi/4). The width fit sees the
+    aligned quadrature: at pi/4 it gives the theta = 0 width."""
+    theta = math.pi / 4.0
+    taus, x = _closed_record(theta)
+    spec = np.fft.rfft(x)
+    k = int(np.argmax(np.abs(spec)))
+    assert abs((spec[k] * np.exp(-1j * theta)).imag) <= 1e-9 * abs(spec[k])
+    _, _, fit = fit_position_spectrum(taus, x, theta)
+    _, _, ref = fit_position_spectrum(*_closed_record(0.0), 0.0)
+    assert fit.route == "comb"
+    assert fit.width == pytest.approx(ref.width, rel=1e-9)
+
+
+def test_closed_width_does_not_depend_on_theta():
+    """The aligned width is the same for every start phase; the unaligned
+    Re X has no comb to fit at theta = pi/2. The amplitudes are |X|/N, as
+    discrete_spectrum gives them, bit for bit."""
+    widths = []
+    for theta in (0.0, 0.7, math.pi / 2.0, 2.5):
+        taus, x = _closed_record(theta)
+        omegas, amps, fit = fit_position_spectrum(taus, x, theta)
+        ref_omegas, ref_amps = discrete_spectrum(taus, x)
+        np.testing.assert_array_equal(omegas, ref_omegas)
+        np.testing.assert_array_equal(amps, ref_amps)
+        assert fit.route == "comb"
+        widths.append(fit.width)
+    np.testing.assert_allclose(widths, widths[0], rtol=1e-9)
 
 
 def test_spectral_width_multimodal_warns():

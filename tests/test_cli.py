@@ -195,6 +195,9 @@ def test_commands_refuse_options_they_do_not_read(tmp_path, capsys):
     assert not out.exists()
 
 
+BETA_RUN = ["--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3", "--tau-end", "0.5"]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["simulate", "--mode", "lindblad-rwa", "--mu-bar", "0.1", "--intensity", "5",
       "--gamma", "1e-3", "--tau-end", "nan"], "tau_end must be finite and non-negative, got nan"),
@@ -215,24 +218,49 @@ def test_commands_refuse_options_they_do_not_read(tmp_path, capsys):
         "--beta-bar", "inf", "--tau-end", "0.5"],
        "beta_bar must be finite in born-markov-asymptotic and born-markov-transient, got inf")
       for mode in ("born-markov-asymptotic", "born-markov-transient")],
+    *[(["simulate", "--mode", f"born-markov-{mode}", *BETA_RUN, "--beta-bar", beta], message)
+      for mode, beta, message in [
+          ("transient", "1e6", "need 2.39e+06 Matsubara terms at beta_bar = 1e+06 and "
+           "lambda_bar = 10, more than the 262144 they sum; beta_bar * lambda_bar must be "
+           "at most 1.09806e+06"),
+          ("transient", "1e20", "need 2.39e+20 Matsubara terms at beta_bar = 1e+20"),
+          ("transient", "1e305", "need 2.39e+305 Matsubara terms at beta_bar = 1e+305"),
+          ("transient", "1.7e308", "beta_bar = 1.7e+308 overflows"),
+          ("asymptotic", "1.7e308", "beta_bar = 1.7e+308 overflows")]],
 ], ids=["tau-end-nan", "tau-end-inf", "tau-end-minus-inf", "intensity-inf", "mu-nan",
         "theta-nan", "tolerance-nan", "tolerance-negative", "beta-inf-asymptotic",
-        "beta-inf-transient"])
+        "beta-inf-transient", "beta-1e6-transient", "beta-1e20-transient",
+        "beta-1e305-transient", "beta-1.7e308-transient", "beta-1.7e308-asymptotic"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, message):
     """A nan or an infinite time or intensity, a compare tolerance that is
-    not finite and non-negative, and zero temperature in a born-markov mode
-    are refused before any run, with a message that names the value and no
-    numpy RuntimeWarning, and leave no output directory. (tau_end = nan
-    wrote one row at tau = 0; inf overflowed in the step count; an infinite
-    intensity divided by zero in timescales, and a nan mu_bar printed nan
-    times. A nan tolerance passed every run and wrote NaN into compare.json,
-    and -1 failed every run with exit 4. beta_bar = inf failed inside the
-    bath coefficients.)"""
+    not finite and non-negative, zero temperature in a born-markov mode, and
+    a finite beta_bar past the born-markov limits are refused before any
+    run, with a message that names the value and no numpy RuntimeWarning,
+    and leave no output directory. (tau_end = nan wrote one row at tau = 0;
+    inf overflowed in the step count; an infinite intensity divided by zero
+    in timescales, and a nan mu_bar printed nan times. A nan tolerance
+    passed every run and wrote NaN into compare.json, and -1 failed every
+    run with exit 4. beta_bar = inf failed inside the bath coefficients. A
+    transient run at beta_bar = 1e6 ran for over a minute on 2.4e6
+    Matsubara terms a row, 1e20 and 1e305 warned and wrote a garbage table,
+    and 1.7e308 exited 2 on a nan.)"""
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("beta", ["1e200", "1e305"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_finite_beta_bar_runs_in_asymptotic_mode(tmp_path, beta):
+    """The asymptotic coefficients stay finite up to where beta_bar overflows
+    the digamma arguments, and their run prints no numpy warning (w * w
+    overflowed in the digamma series, whose 1/w^2 -> 0 is the right limit)."""
+    argv = ["simulate", "--mode", "born-markov-asymptotic", *BETA_RUN, "--beta-bar", beta]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    cols = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(cols))
 
 
 def test_zero_temperature_timescales(capsys):
@@ -477,6 +505,7 @@ def test_spectrum_closed_quantum(tmp_path, capsys):
     assert len(lines) == 1 + 2048 // 2 + 1
     assert "width*tau_e" in capsys.readouterr().out
     assert data["step"] is None and data["steps"] == 0 and data["step_error"] is None
+    assert data["route"] == "comb"
 
 
 def test_spectrum_honours_samples(tmp_path):
@@ -519,6 +548,20 @@ def test_spectrum_hann_resolves_the_comb_by_default(tmp_path, capsys):
     assert main([*args, "--window", "hann", "--periods", "1", "--out", str(short)]) == 2
     assert "need periods >= 2" in capsys.readouterr().err
     assert not short.exists()
+
+
+def test_spectrum_damped_run_fits_the_aligned_bins(tmp_path):
+    """At gamma = 1e-2 the recurrences are gone within the record, so the
+    comb no longer resolves the lobe and the width comes from every bin of
+    the phase-aligned transform. The first bump still sets it: width * tau_e
+    0.947. (The fit on the comb peaks of |X| found one point on the lobe and
+    exited 2.)"""
+    argv = ["spectrum", "--mode", "born-markov-asymptotic", "--mu-bar", "0.1", "--intensity",
+            "10", "--gamma", "1e-2", "--lambda-bar", "100", "--samples", "1024"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    data = read_json(tmp_path / "spectrum.json")
+    assert data["route"] == "bins"
+    assert data["width_times_tau_e"] == pytest.approx(1.0, rel=0.15)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,39 @@ def test_high_temperature_limit():
     np.testing.assert_allclose(c.b1, expect, rtol=1e-6)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_temperature_limit_at_large_finite_beta():
+    """At beta_bar = 1e305 the asymptotic coefficients are the zero-temperature
+    ones, B1 = A2 and B2 = gamma Lambda^2 Omega ln(Omega/Lambda) / (pi
+    (Lambda^2 + Omega^2)), with no numpy warning on the way (the digamma
+    series squares arguments of order 1e304)."""
+    p = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=1e305, gamma=1e-3)
+    c = asymptotic_coefficients(p, 25)
+    np.testing.assert_array_equal(c.b1, c.a2)
+    lam2 = p.lambda_bar**2
+    expect = p.gamma * lam2 * c.omegas * np.log(c.omegas / p.lambda_bar) / (
+        math.pi * (lam2 + c.omegas**2))
+    np.testing.assert_allclose(c.b2, expect, rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extreme_beta_is_refused():
+    """A finite-tau row keeps ceil(1.5 beta Lambda/2pi) + 1 Matsubara terms
+    at least. Above the cap of 2^18 the coefficients refuse it, compared in
+    floating point, and so does a beta whose digamma arguments overflow."""
+    bound = (2**18 - 1) / 1.5 * 2.0 * math.pi  # largest beta_bar * lambda_bar
+    p = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=bound / 10.0, gamma=1e-3)
+    assert np.all(np.isfinite(transient_coefficients(p, 4, 1.0).b2))
+    for beta in (bound / 10.0 * (1 + 1e-12), 1e6, 1e305, 1.7e308):
+        p = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=beta, gamma=1e-3)
+        with pytest.raises(ValueError, match="Matsubara terms|overflows"):
+            transient_coefficients(p, 4, 1.0)
+        with pytest.raises(ValueError, match="Matsubara terms|overflows"):
+            coefficient_tables(p, 4, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="beta_bar = 1.7e\\+308 overflows"):
+        asymptotic_coefficients(p, 4)
+
+
 def test_gamma_zero_gives_zeros():
     p = SystemParams(mu_bar=0.1, intensity=20.0, gamma=0.0)
     for c in (asymptotic_coefficients(p, 4), transient_coefficients(p, 4, 1.5)):

@@ -11,9 +11,9 @@ PUBLIC = [
     "__version__", "alpha_closed", "alpha_lindblad_rwa", "asymptotic_b1_at",
     "asymptotic_coefficients", "cat_offdiagonal_rate", "cat_state_density",
     "classify_regime", "coefficient_tables", "coherent_amplitudes",
-    "coherent_state_density", "comb_peaks", "default_dtau", "derive_timescales",
+    "coherent_state_density", "default_dtau", "derive_timescales",
     "discrete_spectrum", "evolve", "extract_envelope_peaks", "fit_ehrenfest_bump",
-    "fit_spectral_width", "fock_cutoff", "omega_levels", "overlap_rate_modulated",
+    "fit_position_spectrum", "fit_spectral_width", "fock_cutoff", "omega_levels", "overlap_rate_modulated",
     "predicted_overlap_rate", "scale_tau_d_to_intensity", "spectral_density",
     "theta_bec", "theta_cantilever", "transient_coefficients", "validate_params",
 ]
