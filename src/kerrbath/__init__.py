@@ -53,11 +53,9 @@ from .analysis import (
     SpectrumFit,
     cat_offdiagonal_rate,
     overlap_rate_modulated,
-    discrete_spectrum,
     extract_envelope_peaks,
     fit_ehrenfest_bump,
     fit_position_spectrum,
-    fit_spectral_width,
     predicted_overlap_rate,
     scale_tau_d_to_intensity,
 )
@@ -102,11 +100,9 @@ __all__ = [
     "SpectrumFit",
     "cat_offdiagonal_rate",
     "overlap_rate_modulated",
-    "discrete_spectrum",
     "extract_envelope_peaks",
     "fit_ehrenfest_bump",
     "fit_position_spectrum",
-    "fit_spectral_width",
     "predicted_overlap_rate",
     "scale_tau_d_to_intensity",
 ]

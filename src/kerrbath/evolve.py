@@ -102,6 +102,15 @@ positivity-preserving, and its error grows as h^4: at the 2-rad ceiling
 eigenvalue reaches -4.5e-10, while the step ends stay at round-off
 (-2.5e-16). The closed path integrates no step; there dtau only spaces
 the samples, 2001 of them in closed mode when unset.
+
+A stepping run holds five n_max^2 complex state buffers: rho, the run's one
+copy of rho0, stepped in place; k1; and three that a step's stages take in
+turn (see the step loop in evolve). The bath kernel adds two work arrays
+and uses its output as scratch, the Lindblad kernel one (beside its decay
+and gain); the recorder forms hermiticity defects and min_eig's interior
+states in buffers that are idle while a step records, and final_rho is
+dressed in place. At n_max = 109 (16 n_max^2 B = 190 kB per array) a run
+from the coherent start peaks at 8.4 such arrays under tracemalloc, 1.6 MB.
 """
 
 from __future__ import annotations
@@ -283,17 +292,22 @@ class _BandedRHS:
     transient table (born-markov-asymptotic's has no nodes: it has ended at
     tau = 0); phases and table bands are redone only when the time differs
     from the last one set up (RK4 stages 2 and 3 share it). rate bounds the
-    generator's norm over the whole run, and late_rate from the table's end
-    on. A run at gamma = 0 builds no kernel.
+    generator's norm over a run to tau_end, and late_rate from the table's
+    end on; the table holds the rows that such a run reads. A call writes
+    its output into out and uses out as scratch before that, so out must
+    not share memory with rho; the kernel's own work arrays (_a, and _m in
+    a bath mode) are idle between calls. A run at gamma = 0 builds no
+    kernel.
     """
 
     def __init__(self, params: SystemParams, ladder: _Ladder, mode: str,
-                 table_points: int = IntegratorConfig.transient_table_points):
+                 table_points: int = IntegratorConfig.transient_table_points,
+                 tau_end: float = math.inf):
         n_max = ladder.energies.size
         self.ladder = ladder
-        # work buffers: every evaluation writes into these and allocates no
-        # n_max^2 temporary
-        self._a, self._m, self._t = (np.empty((n_max, n_max), dtype=complex) for _ in range(3))
+        # work buffers: every evaluation writes into these and into out, and
+        # allocates no n_max^2 temporary; between evaluations they are idle
+        self._a = np.empty((n_max, n_max), dtype=complex)
         self._tau = None  # time the bands were last set up for
         self.table = self.l_free = self.gain = None
         # the modulated P bands and X bands
@@ -309,16 +323,21 @@ class _BandedRHS:
             # product, and _block keeps i, j < n_max - 1 of it when adding
             self.gain = np.zeros((n_max - 1, n_max), dtype=complex)
             self._gain_flat = self.gain.reshape(-1)[:n_max * n_max - n_max - 1]
-            self._t_flat = self._t.reshape(-1)[:self._gain_flat.size]
+            self._a_flat = self._a.reshape(-1)[:self._gain_flat.size]
             self._block = np.zeros((n_max, n_max), dtype=bool)
             self._block[:-1, :-1] = True
             # the decay and the gain each have norm at most gamma n_max
             self.rate = self.late_rate = 2.0 * params.gamma * n_max
         else:
+            self._m = np.empty((n_max, n_max), dtype=complex)
             # an asymptotic run's table has no nodes: it ends at tau = 0
             points = table_points if mode == "born-markov-transient" else 0
-            self.table = _TransientTable(params, ladder, points)
-            self.rate = _bath_rate(ladder.sqrt_n, [self.table.bands, self.table.inf])
+            self.table = _TransientTable(params, ladder, points, tau_end)
+            # the rows and, if the run reaches the table's end, the asymptotic bands
+            installed = [self.table.bands]
+            if tau_end >= self.table.t_end:
+                installed.append(self.table.inf)
+            self.rate = _bath_rate(ladder.sqrt_n, installed)
             self.late_rate = _bath_rate(ladder.sqrt_n, [self.table.inf])
 
     def _set_time(self, tau: float) -> None:
@@ -342,31 +361,33 @@ class _BandedRHS:
             self.gain *= self.gamma
 
     def __call__(self, tau: float, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the right-hand side at time tau for Hermitian rho into out."""
+        """Write the right-hand side at time tau for Hermitian rho into out,
+        which is also scratch: it must not share memory with rho."""
         self._set_time(tau)
-        a, m, t = self._a, self._m, self._t
+        a = self._a
         if self.l_free is not None:
             np.multiply(self.l_free, rho, out=out)
-            # t[i, j] = gain[i, j] rho[i+1, j+1] on the block i, j < n_max - 1
-            np.multiply(self._gain_flat, rho.reshape(-1)[rho.shape[0] + 1:], out=self._t_flat)
-            return np.add(out, t, out=out, where=self._block)
+            # a[i, j] = gain[i, j] rho[i+1, j+1] on the block i, j < n_max - 1
+            np.multiply(self._gain_flat, rho.reshape(-1)[rho.shape[0] + 1:], out=self._a_flat)
+            return np.add(out, a, out=out, where=self._block)
+        m = self._m
         pu, pl, xu, xl = self._mod
-        # A = P rho, then M = A - A^dag; t holds the shifted product, then A^dag
+        # A = P rho, then M = A - A^dag; out holds the shifted product, then A^dag
         np.multiply(pu[:, None], rho[1:, :], out=a[:-1, :])
         a[-1, :] = 0.0
-        np.multiply(pl[:, None], rho[:-1, :], out=t[1:, :])
-        a[1:, :] += t[1:, :]
-        np.copyto(t, a.T)
-        np.conjugate(t, out=t)
-        np.subtract(a, t, out=m)
+        np.multiply(pl[:, None], rho[:-1, :], out=out[1:, :])
+        a[1:, :] += out[1:, :]
+        np.copyto(out, a.T)
+        np.conjugate(out, out=out)
+        np.subtract(a, out, out=m)
         # B = X M into a, then [X, M] = B + B^dag
         np.multiply(xu[:, None], m[1:, :], out=a[:-1, :])
         a[-1, :] = 0.0
-        np.multiply(xl[:, None], m[:-1, :], out=t[1:, :])
-        a[1:, :] += t[1:, :]
-        np.copyto(t, a.T)
-        np.conjugate(t, out=t)
-        return np.add(a, t, out=out)
+        np.multiply(xl[:, None], m[:-1, :], out=out[1:, :])
+        a[1:, :] += out[1:, :]
+        np.copyto(out, a.T)
+        np.conjugate(out, out=out)
+        return np.add(a, out, out=out)
 
 
 def coefficient_settle_time(params: SystemParams) -> float:
@@ -405,11 +426,14 @@ def _bath_rate(sqrt_n, band_sets) -> float:
 
 class _TransientTable:
     """The P bands of the transient coefficients on n_points nodes from 0
-    to the settle time t_end, two (n_points, n_max - 1) arrays, linear in
-    time between nodes, and the asymptotic bands inf from t_end on. With
-    no nodes the table has ended: t_end = 0 and the spacing dt is inf."""
+    to the settle time t_end, linear in time between nodes, and the
+    asymptotic bands inf from t_end on. Only the rows that at() reads up to
+    tau_end are evaluated, two (rows, n_max - 1) arrays with at least two
+    rows; each is the row of the whole table, bit for bit. With no nodes
+    the table has ended: t_end = 0 and the spacing dt is inf."""
 
-    def __init__(self, params: SystemParams, ladder: _Ladder, n_points: int):
+    def __init__(self, params: SystemParams, ladder: _Ladder, n_points: int,
+                 tau_end: float = math.inf):
         n_max = ladder.energies.size
         # first, so that a beta_bar the coefficients refuse never reaches the nodes
         inf = asymptotic_coefficients(params, n_max)
@@ -417,8 +441,13 @@ class _TransientTable:
         self.t_end, self.dt, self.bands = 0.0, math.inf, ()
         if n_points:
             self.t_end = coefficient_settle_time(params)
-            self.taus = np.linspace(0.0, self.t_end, n_points)
-            self.dt = self.taus[1] - self.taus[0]
+            taus = np.linspace(0.0, self.t_end, n_points)
+            self.dt = taus[1] - taus[0]
+            rows = n_points
+            if tau_end < self.t_end:
+                # at(tau_end) interpolates rows int(tau_end / dt) and the next
+                rows = min(n_points, int(tau_end / self.dt) + 2)
+            self.taus = taus[:rows]
             self.bands = _p_bands(ladder.sqrt_n, *coefficient_tables(params, n_max, self.taus))
             self._at = tuple(np.empty(n_max - 1, dtype=complex) for _ in range(2))
 
@@ -544,7 +573,6 @@ class _Recorder:
         self.top = np.empty(n_samples)
         self.min_eig = np.empty(n_samples) if config.record_min_eig else None
         n_max = ladder.energies.size
-        self._diff = np.empty((n_max, n_max), dtype=complex)
         self.mag = np.empty((n_max, n_max))  # real scratch, also for the step estimate
         self.levels = np.arange(n_max, dtype=float)
         self.gap_rates = -1j * ladder.gaps
@@ -577,10 +605,10 @@ class _Recorder:
             np.sum(self._pad, axis=0, out=v[2 * n_max - 1:])
         return v
 
-    def defect(self, state: np.ndarray) -> float:
-        """The hermiticity defect max|state - state^dag|, formed in the
-        recorder's buffers."""
-        return _herm_defect(state, self._diff, self.mag)
+    def defect(self, state: np.ndarray, diff: np.ndarray) -> float:
+        """The hermiticity defect max|state - state^dag|, formed in diff,
+        complex scratch of the state's shape, and the recorder's mag."""
+        return _herm_defect(state, diff, self.mag)
 
     @staticmethod
     def lowest_eig(state: np.ndarray) -> float:
@@ -647,7 +675,9 @@ def evolve(
     (not its warnings) and for beta_bar = inf in a born-markov mode. The
     trajectory samples every point of the dtau grid, which ends on tau_end,
     and final_rho is the lab-frame state there. A grid of more than 1e6
-    cells raises IntegrationError before the run allocates.
+    cells raises IntegrationError before the run allocates. The run steps
+    in its own copy of rho0, one of five state-sized buffers (see the module
+    docstring), and never writes the caller's array.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -665,7 +695,8 @@ def evolve(
         n_max = fock.fock_cutoff(params.intensity)
         rho0 = fock.coherent_state_density(params.alpha, n_max)
     else:
-        rho0 = np.array(rho0, dtype=complex)
+        # C order: the Lindblad kernel reads the state through flat views
+        rho0 = np.array(rho0, dtype=complex, order="C")
         if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or rho0.size == 0:
             raise ValueError(f"rho0 must be a non-empty square matrix, got shape {rho0.shape}")
         if not np.all(np.isfinite(rho0)):
@@ -700,7 +731,7 @@ def evolve(
     rhs = None  # no generator: the co-moving state never changes
     hint = "a run without a generator keeps rho0, so check its trace"
     if mode != "closed" and params.gamma > 0:
-        rhs = _BandedRHS(params, ladder, mode, config.transient_table_points)
+        rhs = _BandedRHS(params, ladder, mode, config.transient_table_points, t_end)
         h_lo, h_hi, cap = _step_bounds(params, rhs, dtau)  # a floor above cap is min(dtau, a cell)
         remedy = "enlarge the basis" if h_lo <= cap else f"reduce dtau to {cap:g} or below"
         hint = f"{remedy} (the RK4 step runs from {h_lo:g} to {h_hi:g})"
@@ -708,26 +739,29 @@ def evolve(
     rec = _Recorder(ladder, taus.size, config, hint)
     done = 0  # samples recorded
     ends = None  # (time, vector, derivative vector or None, defect) last measured
+    # the run steps in its own copy of rho0
+    rho = rho0
 
     def record(j, t0, t1, h, y0, y1, f0, f1) -> None:
         """Record samples done, ..., j - 1, those in (t0, t1] of the step
         h = t1 - t0 from (y0, f0) to (y1, f1); sample 0 comes as t0 = t1 = 0.
         Samples inside the step interpolate the end vectors and take the
-        larger end defect, and only their minimum eigenvalues form states."""
+        larger end defect, and only their minimum eigenvalues form states.
+        The scratch, y and the kernel's _a, is idle while a step records."""
         nonlocal done, ends
 
         def state_at(c):
             if taus[c] == t1:
                 return y1
-            _hermite((taus[c] - t0) / h, h, y0, y1, f0, f1, tmp, k2)
-            return tmp
+            _hermite((taus[c] - t0) / h, h, y0, y1, f0, f1, y, rhs._a)
+            return y
 
-        v1, g1, d1 = rec.vector(y1), None, rec.defect(y1)
+        v1, g1, d1 = rec.vector(y1), None, rec.defect(y1, y)
         vecs, herm = v1[None], d1
         if taus[done] < t1:
             g1 = rec.vector(f1)
             if ends[0] != t0:
-                ends = (t0, rec.vector(y0), None, rec.defect(y0))
+                ends = (t0, rec.vector(y0), None, rec.defect(y0, y))
             _, v0, g0, d0 = ends
             if g0 is None:
                 g0 = rec.vector(f0)
@@ -742,22 +776,20 @@ def evolve(
         rec.store(done, taus[done:j], vecs, herm, min_eig)
         done = j
 
-    rho = rho0.copy()
     steps, largest, step_error = 0, 0.0, 0.0  # accepted steps, the longest, worst estimate
     if rhs is None:
         # the co-moving state is rho0 throughout: one vector serves every sample
-        static = (rec.vector(rho)[None], rec.defect(rho),
+        static = (rec.vector(rho)[None], rec.defect(rho, np.empty_like(rho)),
                   rec.lowest_eig(rho) if rec.min_eig is not None else None)
         for k in range(0, taus.size, _CLOSED_BLOCK):
             rec.store(k, taus[k:k + _CLOSED_BLOCK], *static)
     else:
-        rho_prev = np.empty_like(rho)
-        k1 = np.empty_like(rho)
-        f1 = np.empty_like(rho)  # derivative at the step's end: the next k1
-        k2 = np.empty_like(rho)
-        k3 = np.empty_like(rho)
-        k4 = np.empty_like(rho)
-        tmp = np.empty_like(rho)
+        # five state buffers: rho and k1, the derivative at rho, stay across
+        # an attempt; tmp holds each stage's input, then the increment, then
+        # the end derivative f1; x holds k2, then k2 + k3, then the end
+        # state y1; y holds k3, then k4, then f1 - k4. An accepted step
+        # swaps y1 into rho and f1 into k1
+        k1, tmp, x, y = (np.empty_like(rho) for _ in range(4))
         rhs(0.0, rho, k1)
         record(1, 0.0, 0.0, 0.0, None, rho, None, None)
         # numpy's overflow and invalid-value warnings are silenced: a step
@@ -781,24 +813,25 @@ def evolve(
                 dt = t1 - t0
                 np.multiply(k1, 0.5 * dt, out=tmp)
                 tmp += rho
-                rhs(t0 + 0.5 * dt, tmp, k2)
-                np.multiply(k2, 0.5 * dt, out=tmp)
+                rhs(t0 + 0.5 * dt, tmp, x)
+                np.multiply(x, 0.5 * dt, out=tmp)
                 tmp += rho
-                rhs(t0 + 0.5 * dt, tmp, k3)
-                np.multiply(k3, dt, out=tmp)
+                rhs(t0 + 0.5 * dt, tmp, y)
+                np.multiply(y, dt, out=tmp)
                 tmp += rho
-                rhs(t1, tmp, k4)
-                # the increment goes to k3, keeping k4 for the error estimate
-                k2 += k3
-                k2 *= 2.0
-                np.add(k4, k1, out=k3)
-                k3 += k2
-                k3 *= dt / 6.0
-                np.add(rho, k3, out=rho_prev)
-                rhs(t1, rho_prev, f1)
+                x += y
+                x *= 2.0
+                rhs(t1, tmp, y)
+                # the increment (k1 + 2 k2 + 2 k3 + k4) dt/6 goes to tmp,
+                # keeping k4 for the error estimate
+                np.add(y, k1, out=tmp)
+                tmp += x
+                tmp *= dt / 6.0
+                np.add(rho, tmp, out=x)
+                rhs(t1, x, tmp)
                 # FSAL estimate: the end derivative, the next k1, against k4
-                np.subtract(f1, k4, out=tmp)
-                err = dt / 6.0 * float(np.abs(tmp, out=rec.mag).max())
+                np.subtract(tmp, y, out=y)
+                err = dt / 6.0 * float(np.abs(y, out=rec.mag).max())
                 if not math.isfinite(err):
                     raise IntegrationError(
                         f"state became unphysical at tau={t1:g} (non-finite RK4 step); {hint}"
@@ -808,14 +841,14 @@ def evolve(
                 nominal, h = h, min(max(dt * grow, h_lo), h_hi)
                 if nominal > h_lo and not err <= _STEP_TOL:
                     continue  # rejected: retry from rho with the shorter h
-                rho, rho_prev = rho_prev, rho
+                rho, x = x, rho
+                k1, tmp = tmp, k1
                 steps += 1
                 largest = max(largest, dt)
                 step_error = max(step_error, err)
                 j = bisect.bisect_right(taus, t1, done)
                 if j > done:
-                    record(j, t0, t1, dt, rho_prev, rho, k1, f1)
-                k1, f1 = f1, k1
+                    record(j, t0, t1, dt, x, rho, tmp, k1)
                 t0 = t1
 
     if float(np.max(rec.top)) > 1e-6:
@@ -826,6 +859,8 @@ def evolve(
             stacklevel=2,
         )
     dress = np.exp(-1j * ladder.energies * t_end)  # to the lab frame: e^{-iHt} rho e^{iHt}
+    np.multiply(dress[:, None], rho, out=rho)
+    np.multiply(rho, dress.conj()[None, :], out=rho)
     return rec.finish(
         taus,
         mode=mode,
@@ -835,5 +870,5 @@ def evolve(
         step=largest if steps else None,
         steps=steps,
         step_error=step_error if steps else None,
-        final_rho=dress[:, None] * rho * dress.conj()[None, :],
+        final_rho=rho,
     )

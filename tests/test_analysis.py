@@ -17,17 +17,17 @@ from kerrbath import (
     cat_offdiagonal_rate,
     cat_state_density,
     derive_timescales,
-    discrete_spectrum,
     evolve,
     extract_envelope_peaks,
     fit_ehrenfest_bump,
     fit_position_spectrum,
-    fit_spectral_width,
     fock_cutoff,
     overlap_rate_modulated,
     predicted_overlap_rate,
     scale_tau_d_to_intensity,
 )
+
+from kerrbath.analysis import discrete_spectrum, fit_spectral_width
 
 from analytic_oracle import (
     fit_recurrence_decay,

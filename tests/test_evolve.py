@@ -124,11 +124,13 @@ def test_rotating_frame_rhs_matches_dressed_dense():
 
     The transient case installs the table's P bands inside the evaluation,
     at a time between two nodes in the middle of the table; the dense
-    generator takes the coefficients interpolated linearly between them."""
+    generator takes the coefficients interpolated linearly between them.
+    out is the kernel's scratch as well as its output, so it is filled with
+    NaN before the call: a value the kernel reads before writing it would
+    spoil the result."""
     p = SystemParams(mu_bar=0.2, intensity=4.0, beta_bar=0.8, gamma=2e-3)
-    cases = ((12, "born-markov-asymptotic"), (40, "born-markov-asymptotic"),
-             (40, "born-markov-transient"), (12, "lindblad-rwa"), (40, "lindblad-rwa"))
-    for n_max, mode in cases:
+    modes = ("born-markov-asymptotic", "born-markov-transient", "lindblad-rwa")
+    for n_max, mode in ((n_max, mode) for mode in modes for n_max in (12, 40)):
         coeffs = asymptotic_coefficients(p, n_max)
         rng = np.random.default_rng(5)
         rho_t = random_density(rng, n_max)
@@ -141,7 +143,9 @@ def test_rotating_frame_rhs_matches_dressed_dense():
             nodes = coefficient_tables(p, n_max, rhs.table.taus[i:i + 2])
             a1, a2, b1, b2 = (c[0] * (1.0 - w) + c[1] * w for c in nodes)
             coeffs = dataclasses.replace(coeffs, a1=a1, a2=a2, b1=b1, b2=b2)
-        got = rhs(t, rho_t, np.empty_like(rho_t))
+        out = np.full_like(rho_t, np.nan)
+        got = rhs(t, rho_t, out)
+        assert got is out
         e = energies(n_max, p.mu_bar)
         u = np.exp(1j * e * t)
         rho_lab = u.conj()[:, None] * rho_t * u[None, :]
@@ -173,6 +177,47 @@ def test_asymptotic_kernel_is_a_transient_kernel_past_its_table(monkeypatch):
     for t in (t_end, t_end + 0.37, 3.0 * t_end):
         want = trans(t, rho, np.empty_like(rho))
         assert np.array_equal(asym(t, rho, np.empty_like(rho)), want), t
+
+
+def test_transient_table_holds_the_rows_its_run_reads(monkeypatch):
+    """A transient table keeps the whole table's nodes and settle time, but
+    evaluates only the rows that its run reads: up to the node after int(tau_end/dt),
+    two at least, and all of them for a run that reaches the table's end.
+    Each row is the whole table's, bit for bit, so the interpolated bands
+    are too. The rate bound covers those rows, and the asymptotic bands
+    only for a run that installs them. A run builds its table this way:
+    at beta_bar = 1e5 a run to tau = 0.5 evaluates two rows, not 512."""
+    p = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=1.0, gamma=1e-3)
+    ladder = _Ladder(p, 25)
+    full = _BandedRHS(p, ladder, "born-markov-transient")
+    t_table, dt = full.table.t_end, full.table.dt
+    assert (t_table, full.table.taus.size) == (4.0, 512)
+    for tau_end, rows in ((0.0, 2), (0.5 * dt, 2), (dt, 3), (3.0, 385),
+                          (t_table - 1e-9, 512), (t_table, 512), (5.0, 512)):
+        rhs = _BandedRHS(p, ladder, "born-markov-transient", tau_end=tau_end)
+        table = rhs.table
+        assert (table.taus.size, table.t_end, table.dt) == (rows, t_table, dt), tau_end
+        np.testing.assert_array_equal(table.taus, full.table.taus[:rows])
+        for band, whole in zip(table.bands, full.table.bands):
+            np.testing.assert_array_equal(band, whole[:rows])
+        for t in np.linspace(0.0, tau_end, 7):
+            for got, want in zip(tuple(table.at(t)), full.table.at(t)):
+                np.testing.assert_array_equal(got, want)
+        installed = [table.bands] + ([table.inf] if tau_end >= t_table else [])
+        assert rhs.rate == EV._bath_rate(ladder.sqrt_n, installed), tau_end
+        assert rhs.rate <= full.rate and rhs.late_rate == full.late_rate
+    assert rhs.rate == full.rate
+    calls = []
+    tables = EV.coefficient_tables
+
+    def spy(params, n_max, taus):
+        calls.append(taus.size)
+        return tables(params, n_max, taus)
+
+    monkeypatch.setattr(EV, "coefficient_tables", spy)
+    far = dataclasses.replace(p, beta_bar=1e5)
+    tr = evolve(far, 0.5, mode="born-markov-transient")
+    assert calls == [2] and np.max(np.abs(tr.trace - 1.0)) < 1e-12
 
 
 def test_table_size_is_checked_on_construction():
@@ -208,8 +253,9 @@ def test_rotating_rhs_output_is_exactly_hermitian():
 
 def test_kernel_and_defect_allocate_no_state_sized_array():
     """The kernel and the recorder's hermiticity defect work in buffers the
-    run owns. At n_max = 109, after a warm-up call, 20 evaluations in each
-    mode, and 20 defects, peak below one n_max^2 complex array:
+    run owns (the defect in scratch it is given). At n_max = 109, after a
+    warm-up call, 20 evaluations in each mode, and 20 defects, peak below
+    one n_max^2 complex array:
     per-call temporaries of that size made the stepping speed depend on the
     allocator's state."""
     p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
@@ -232,7 +278,38 @@ def test_kernel_and_defect_allocate_no_state_sized_array():
         rhs = _BandedRHS(p, ladder, mode)
         assert peak(lambda k: rhs(0.01 * k, rho, out)) < rho.nbytes, mode
     rec = _Recorder(ladder, 1, IntegratorConfig(), "")
-    assert peak(lambda k: rec.defect(rho)) < rho.nbytes
+    assert peak(lambda k: rec.defect(rho, out)) < rho.nbytes
+
+
+def test_run_holds_five_state_buffers():
+    """A stepping run holds five state-sized buffers (rho, k1, the stage
+    input and two more that the stages share), the kernel's one or two
+    work arrays and the recorder's real scratch, and it dresses final_rho
+    in place. At the quantum-corner parameters, n_max = 109 to tau = 0.2,
+    the tracemalloc peak of evolve in units of one n_max^2 complex array
+    (measured: 8.4 from the coherent start, 12.0 for the cat with its
+    overlap pair, whose weights and padded band add three, and 9.7 in
+    lindblad-rwa, whose decay and gain add one and a half); eight state
+    buffers would read 16.4, 19.4 and 17.9."""
+    p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
+    n_max = fock_cutoff(p.intensity)
+    assert n_max == 109
+    al = math.sqrt(p.intensity)
+    cat = cat_state_density(al, -al, n_max)
+    unit = 16 * n_max * n_max
+    cases = (("born-markov-asymptotic", None, IntegratorConfig(frame="rotating"), 10),
+             ("born-markov-asymptotic", cat,
+              IntegratorConfig(frame="rotating", overlap_pair=(al, -al)), 13),
+             ("lindblad-rwa", None, IntegratorConfig(frame="rotating"), 13))
+    evolve(p, 0.05, mode="born-markov-asymptotic")  # one-off allocations are not the run's
+    for mode, rho0, config, bound in cases:
+        tracemalloc.start()
+        try:
+            evolve(p, 0.2, mode=mode, rho0=rho0, config=config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * unit, (mode, peak / unit)
 
 
 def test_rk4_fourth_order(monkeypatch):
