@@ -67,41 +67,38 @@ picks only that default grid, and every run with a generator steps the same
 way. Only the band phases oscillate, at up to ~2 Omega_top, linear in n_max
 instead of the quadratic level spread E_top - E_0 that a lab-frame step
 would have to resolve. The step h is a length of time, not a number of grid
-cells, between a floor h_lo, the smallest of three budgets (0.5 rad of the
-fastest band phase per step, a step times the generator's norm bound of at
-most 0.25, and the transient table's spacing while the table lasts), and a
-ceiling h_hi, the same with 2 rad per step. Each is at least
-min(dtau, 0.05/Omega_top): one sample cell, but no more than one rotating
-default cell. From the table's end on, a transient run takes the
-asymptotic run's h_lo and h_hi. Every step measures the FSAL error
-estimate err = (h/6) max|f(t+h, y1) - k4|
+cells, between the floor h_lo and the ceiling h_hi of the coefficient set
+in force (see _step_bounds): a transient table's rows up to its end, the
+asymptotic bands from there on (from tau = 0 in an asymptotic run), or
+lindblad-rwa's one set; each step start clamps h to that set's range. Every
+step measures the FSAL error estimate err = (h/6) max|f(t+h, y1) - k4|
 (Hairer, Norsett & Wanner, Solving ODEs I, II.4): f(t+h, y1) is the next
 step's first stage, so the estimate costs a subtraction and a maximum. It
 scales as h^4 but is blind to aliasing of the band phases, which the
 ceiling bounds. The run starts at h_lo, and after each step
 h <- clamp(h min(2, max(0.2, 0.9 (tol/err)^(1/4))), h_lo, h_hi)
 with tol = _STEP_TOL; a step above h_lo with err > tol is rejected and
-retried with the new h. So a run never steps shorter than h_lo, and
-where the rate or the table binds, h_lo = h_hi and the step is fixed. The
-steps run under numpy's errstate for overflow and invalid values: a step
-whose estimate is not finite raises IntegrationError, with no numpy warning
-before it. A step ending within 1e-9 h of a grid point ends on it. Samples
-inside a step come from the cubic Hermite interpolant
-of the step's end states and their derivatives (Hairer, Norsett & Wanner,
-Solving ODEs I, II.6). The end derivative is the next step's first stage,
-and the interpolation weights are real, so trace and hermiticity carry over.
-The recorded quantities other than the hermiticity defect and the minimum
-eigenvalue are linear in the state, so the recorder interpolates the
-O(n_max) vectors they are read from instead of forming interior states. An
-interior sample's hermiticity defect is the larger end-state defect, which
-bounds the interpolant's: the state weights lie in [0, 1] and sum to 1, and
-the bath kernel's output is exactly Hermitian (the Lindblad output to
-round-off, ~1e-19, which the bound then carries). The interpolant is not
-positivity-preserving, and its error grows as h^4: at the 2-rad ceiling
-(acceptance 02's lindblad-rwa run) an interpolated sample's minimum
-eigenvalue reaches -4.5e-10, while the step ends stay at round-off
-(-2.5e-16). The closed path integrates no step; there dtau only spaces
-the samples, 2001 of them in closed mode when unset.
+retried with the new h. So a run never steps shorter than h_lo, and where
+the rate or the table binds, h_lo = h_hi and the step is fixed. The steps
+run under numpy's errstate for overflow and invalid values: a step whose
+estimate is not finite raises IntegrationError, naming the fix for the set
+in force (see _remedy), with no numpy warning before it. A step ending
+within 1e-9 h of a grid point ends on it. Samples inside a step come from
+the cubic Hermite interpolant of the step's end states and their
+derivatives (Hairer, Norsett & Wanner, Solving ODEs I, II.6). The end
+derivative is the next step's first stage, and the interpolation weights
+are real, so trace and hermiticity carry over. The recorded quantities
+other than the hermiticity defect and the minimum eigenvalue are linear in
+the state, so the recorder interpolates the O(n_max) vectors they are read
+from instead of forming interior states. An interior sample's hermiticity
+defect is the larger end-state defect, which bounds the interpolant's: the
+state weights lie in [0, 1] and sum to 1, and the bath kernel's output is
+exactly Hermitian (the Lindblad output to round-off, ~1e-19, which the
+bound then carries). The interpolant is not positivity-preserving, and its
+error grows as h^4: at the 2-rad ceiling (acceptance 02's lindblad-rwa run)
+an interpolated sample's minimum eigenvalue reaches -4.5e-10, while the
+step ends stay at round-off (-2.5e-16). The closed path integrates no step;
+there dtau only spaces the samples, 2001 of them in closed mode when unset.
 
 A stepping run holds five n_max^2 complex state buffers: rho, the run's one
 copy of rho0, stepped in place; k1; and three that a step's stages take in
@@ -183,23 +180,21 @@ class IntegratorConfig:
     gamma = 0) takes the closed path: its co-moving state never changes, so
     it takes no step and every sample, on its mode's grid, is exact. Every
     run with a generator steps the co-moving state by as long a time step
-    as its local error estimate allows between a floor set by its step
-    budgets and a ceiling set by the same budgets at 2 rad of phase per step
-    instead of 0.5, each at least min(dtau, one rotating default cell) (see
-    the module docstring), so a dtau of at least that cell sets the sample
-    density, not the step. transient_table_points is the number of nodes,
-    at least 2, of a born-markov-transient run's coefficient table (a table
-    of none is an asymptotic run's, which has ended at tau = 0).
-    overlap_pair (alpha, beta) records a coherence envelope for that
-    superposition: with rho~ the co-moving state e^{iHt} rho e^{-iHt} and
-    W_nm = conj(alpha_n) beta_m, the envelope is sum_j |sum over the j-th
-    diagonal of W*rho~|. It equals 1 for the pure lobe |alpha><beta|, is
-    exactly invariant under rigid phase-space rotation of the state (each
-    diagonal only picks up a common phase), and decays at the bath's
-    off-diagonal damping rate, so slow bath-induced frequency shifts do not
-    masquerade as decoherence. frame is "lab" or "rotating". The config is
-    frozen, and a frame, dtau or table size that no run can use raises
-    ValueError on construction.
+    as its local error estimate allows between a floor and a ceiling of at
+    least min(dtau, one rotating default cell) (see _step_bounds), so a
+    dtau of at least that cell sets the sample density, not the step.
+    transient_table_points is the number of nodes, at least 2, of a
+    born-markov-transient run's coefficient table (a table of none is an
+    asymptotic run's, which has ended at tau = 0). overlap_pair (alpha,
+    beta) records a coherence envelope for that superposition: with rho~
+    the co-moving state e^{iHt} rho e^{-iHt} and W_nm = conj(alpha_n)
+    beta_m, the envelope is sum_j |sum over the j-th diagonal of W*rho~|.
+    It equals 1 for the pure lobe |alpha><beta|, is exactly invariant under
+    rigid phase-space rotation of the state (each diagonal only picks up a
+    common phase), and decays at the bath's off-diagonal damping rate, so
+    slow bath-induced frequency shifts do not masquerade as decoherence.
+    frame is "lab" or "rotating". The config is frozen, and a frame, dtau or
+    table size that no run can use raises ValueError on construction.
     """
 
     dtau: float | None = None
@@ -291,13 +286,13 @@ class _BandedRHS:
     and rebuilds the gain from them. A bath mode reads its P bands off a
     transient table (born-markov-asymptotic's has no nodes: it has ended at
     tau = 0); phases and table bands are redone only when the time differs
-    from the last one set up (RK4 stages 2 and 3 share it). rate bounds the
-    generator's norm over a run to tau_end, and late_rate from the table's
-    end on; the table holds the rows that such a run reads. A call writes
-    its output into out and uses out as scratch before that, so out must
-    not share memory with rho; the kernel's own work arrays (_a, and _m in
-    a bath mode) are idle between calls. A run at gamma = 0 builds no
-    kernel.
+    from the last one set up (RK4 stages 2 and 3 share it), and the table
+    holds the rows a run to tau_end reads. sets holds each coefficient
+    set's generator norm bound and row spacing, in force from its time in
+    starts (see the module docstring). A call writes its output into out
+    and uses out as scratch before that, so out must not share memory with
+    rho; the kernel's own work arrays (_a, and _m in a bath mode) are idle
+    between calls. A run at gamma = 0 builds no kernel.
     """
 
     def __init__(self, params: SystemParams, ladder: _Ladder, mode: str,
@@ -327,18 +322,19 @@ class _BandedRHS:
             self._block = np.zeros((n_max, n_max), dtype=bool)
             self._block[:-1, :-1] = True
             # the decay and the gain each have norm at most gamma n_max
-            self.rate = self.late_rate = 2.0 * params.gamma * n_max
+            self.starts, self.sets = (0.0,), ((2.0 * params.gamma * n_max, math.inf),)
         else:
             self._m = np.empty((n_max, n_max), dtype=complex)
             # an asymptotic run's table has no nodes: it ends at tau = 0
             points = table_points if mode == "born-markov-transient" else 0
-            self.table = _TransientTable(params, ladder, points, tau_end)
-            # the rows and, if the run reaches the table's end, the asymptotic bands
-            installed = [self.table.bands]
-            if tau_end >= self.table.t_end:
-                installed.append(self.table.inf)
-            self.rate = _bath_rate(ladder.sqrt_n, installed)
-            self.late_rate = _bath_rate(ladder.sqrt_n, [self.table.inf])
+            table = self.table = _TransientTable(params, ladder, points, tau_end)
+            self.starts = (0.0, table.t_end)
+            self.sets = ((_bath_rate(ladder.sqrt_n, table.bands), table.dt),
+                         (_bath_rate(ladder.sqrt_n, table.inf), math.inf))
+
+    def in_force(self, tau: float) -> int:
+        """The index in sets of the coefficient set in force at tau."""
+        return bisect.bisect_right(self.starts, tau) - 1
 
     def _set_time(self, tau: float) -> None:
         """Coefficients and interaction-picture phases at tau."""
@@ -417,10 +413,10 @@ def _p_bands(sqrt_n, a1, a2, b1, b2):
     return upper, lower
 
 
-def _bath_rate(sqrt_n, band_sets) -> float:
-    """The bath term's norm bound 16 max sqrt(n) max|P band| over every
-    (upper, lower) pair of P bands in band_sets (see _step_bounds)."""
-    p_max = max(np.abs(b).max(initial=0.0) for bands in band_sets for b in bands)
+def _bath_rate(sqrt_n, bands) -> float:
+    """The bath term's norm bound 16 max sqrt(n) max|P band| over a
+    coefficient set's P bands, 0 for none (see _step_bounds)."""
+    p_max = max((np.abs(b).max(initial=0.0) for b in bands), default=0.0)
     return float(16.0 * sqrt_n.max(initial=0.0) * p_max)
 
 
@@ -443,10 +439,8 @@ class _TransientTable:
             self.t_end = coefficient_settle_time(params)
             taus = np.linspace(0.0, self.t_end, n_points)
             self.dt = taus[1] - taus[0]
-            rows = n_points
-            if tau_end < self.t_end:
-                # at(tau_end) interpolates rows int(tau_end / dt) and the next
-                rows = min(n_points, int(tau_end / self.dt) + 2)
+            # at(tau_end) interpolates rows int(tau_end / dt) and the next
+            rows = min(n_points, int(tau_end / self.dt) + 2) if tau_end < self.t_end else n_points
             self.taus = taus[:rows]
             self.bands = _p_bands(ladder.sqrt_n, *coefficient_tables(params, n_max, self.taus))
             self._at = tuple(np.empty(n_max - 1, dtype=complex) for _ in range(2))
@@ -496,31 +490,42 @@ def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
 
 
 def _step_bounds(params: SystemParams, rhs: _BandedRHS, dtau: float,
-                 late: bool = False) -> tuple[float, float, float]:
-    """The floor and the ceiling of a run's RK4 step in time (late: from a
-    transient table's end on), and the floor's budget before it is raised.
+                 tau: float = 0.0) -> tuple[float, float, float]:
+    """The floor and the ceiling of a run's RK4 step in time under the
+    coefficient set in force at tau, and the floor's budget before it is
+    raised.
 
-    Each bound is the smallest of three budgets, raised to at least
-    min(dtau, one rotating default cell). Phase: the fastest band phase
-    turns at 2 Omega_top, by _PHASE_PER_STEP per step at the floor and
-    _PHASE_PER_STEP_MAX at the ceiling. Rate: h rhs.rate <= _RATE_PER_STEP,
-    where ||X|| <= 2 max sqrt(n) and ||P|| <= 2 max|P band| bound the bath
-    term by 16 max sqrt(n) max|P band| ||rho|| over every coefficient set
-    the run installs (late: rhs.late_rate, from the table's end on), and
-    lindblad-rwa's decay and gain by 2 gamma n_max ||rho||. Table: a
-    transient table's spacing, but not late, where the bounds are an
-    asymptotic run's. Where the rate or the table binds, floor and ceiling
-    coincide.
+    Each bound is the smallest of three budgets of the set, raised to at
+    least min(dtau, one rotating default cell). Phase: the fastest band
+    phase turns at 2 Omega_top, by _PHASE_PER_STEP per step at the floor and
+    _PHASE_PER_STEP_MAX at the ceiling. Rate: h rate <= _RATE_PER_STEP for
+    the set's norm bound rate: ||X|| <= 2 max sqrt(n) and ||P|| <= 2 max|P
+    band| bound the bath term by 16 max sqrt(n) max|P band| ||rho||, and
+    lindblad-rwa's decay and gain by 2 gamma n_max ||rho||. Table: the
+    spacing of a table's rows. Where the rate or the table binds, floor and
+    ceiling coincide.
     """
     n_max = rhs.ladder.energies.size
-    rate = rhs.late_rate if late else rhs.rate
-    budget = _RATE_PER_STEP / rate if rate > 0.0 else math.inf  # the rate's and the table's
-    if rhs.table is not None and not late:
-        budget = min(budget, rhs.table.dt)
+    rate, spacing = rhs.sets[rhs.in_force(tau)]
+    budget = min(_RATE_PER_STEP / rate if rate > 0.0 else math.inf, spacing)
     turn = 2.0 * _omega_top(params, n_max)
     least = min(dtau, default_dtau(params, n_max, "rotating"))
     cap = min(_PHASE_PER_STEP / turn, budget)
     return max(cap, least), max(min(_PHASE_PER_STEP_MAX / turn, budget), least), cap
+
+
+def _remedy(rhs: _BandedRHS, h_lo: float, h_hi: float, cap: float, t_end: float) -> str:
+    """The fix that a run to t_end names when it fails under a coefficient
+    set with step range (h_lo, h_hi) and floor budget cap."""
+    if h_lo <= cap:  # the floor is the set's own budget
+        fix = "enlarge the basis"
+    elif t_end <= _MAX_SAMPLES * cap:  # one sample cell raised the floor above it
+        fix = f"reduce dtau to {cap:g} or below"
+    else:  # the sample limit refuses that dtau: change what sets the rate
+        fix = "lower gamma" if rhs.table is None else "lower gamma or raise beta_bar"
+        if cap > 0.0:  # an overflowing rate leaves no dtau
+            fix += f", or run to tau_end <= {_MAX_SAMPLES * cap:g} with dtau <= {cap:g}"
+    return f"{fix} (the RK4 step runs from {h_lo:g} to {h_hi:g})"
 
 
 def _hermite(s, h: float, y0, y1, f0, f1, out, work) -> None:
@@ -612,8 +617,9 @@ class _Recorder:
 
     @staticmethod
     def lowest_eig(state: np.ndarray) -> float:
-        """The lowest eigenvalue of the state's Hermitian part."""
-        return float(np.linalg.eigvalsh(0.5 * (state + state.conj().T))[0])
+        """The lowest eigenvalue of the state, which is Hermitian to
+        round-off: eigvalsh reads its lower triangle and forms no copy."""
+        return float(np.linalg.eigvalsh(state)[0])
 
     def store(self, k: int, taus: np.ndarray, vecs: np.ndarray, herm,
               min_eig=None) -> None:
@@ -732,15 +738,15 @@ def evolve(
     hint = "a run without a generator keeps rho0, so check its trace"
     if mode != "closed" and params.gamma > 0:
         rhs = _BandedRHS(params, ladder, mode, config.transient_table_points, t_end)
-        h_lo, h_hi, cap = _step_bounds(params, rhs, dtau)  # a floor above cap is min(dtau, a cell)
-        remedy = "enlarge the basis" if h_lo <= cap else f"reduce dtau to {cap:g} or below"
-        hint = f"{remedy} (the RK4 step runs from {h_lo:g} to {h_hi:g})"
+        # each coefficient set's step range, and the fix that a failure under it names
+        bounds = (_step_bounds(params, rhs, dtau, t) for t in rhs.starts)
+        ranges = [(lo, hi, _remedy(rhs, lo, hi, cap, t_end)) for lo, hi, cap in bounds]
+        hint = ranges[0][2]
 
     rec = _Recorder(ladder, taus.size, config, hint)
     done = 0  # samples recorded
     ends = None  # (time, vector, derivative vector or None, defect) last measured
-    # the run steps in its own copy of rho0
-    rho = rho0
+    rho = rho0  # the run steps in its own copy of rho0
 
     def record(j, t0, t1, h, y0, y1, f0, f1) -> None:
         """Record samples done, ..., j - 1, those in (t0, t1] of the step
@@ -795,14 +801,11 @@ def evolve(
         # numpy's overflow and invalid-value warnings are silenced: a step
         # that leaves the finite range raises IntegrationError below instead
         with np.errstate(over="ignore", invalid="ignore"):
-            # the table's spacing caps the step up to the table's end (tau = 0
-            # in an asymptotic run); from there the run steps like an asymptotic run
-            late_from = rhs.table.t_end if rhs.table is not None else math.inf
-            t0, h = 0.0, h_lo
+            t0, h = 0.0, 0.0
             while t0 < t_end:
-                if t0 >= late_from:
-                    h_lo, h_hi, _ = _step_bounds(params, rhs, dtau, late=True)
-                    h, late_from = min(max(h, h_lo), h_hi), math.inf
+                # h within the step range of the coefficient set in force at t0
+                h_lo, h_hi, rec.hint = ranges[rhs.in_force(t0)]
+                h = min(max(h, h_lo), h_hi)
                 t1 = t0 + h
                 # an end within round-off of a grid point lands on it, so that
                 # the samples there are step ends, not interpolated an ulp short
@@ -834,7 +837,7 @@ def evolve(
                 err = dt / 6.0 * float(np.abs(y, out=rec.mag).max())
                 if not math.isfinite(err):
                     raise IntegrationError(
-                        f"state became unphysical at tau={t1:g} (non-finite RK4 step); {hint}"
+                        f"state became unphysical at tau={t1:g} (non-finite RK4 step); {rec.hint}"
                     )
                 grow = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (_STEP_TOL / err) ** 0.25))
                 # the nominal h, not dt, meets the floor: dt can sit an ulp above it
@@ -851,13 +854,11 @@ def evolve(
                     record(j, t0, t1, dt, x, rho, tmp, k1)
                 t0 = t1
 
-    if float(np.max(rec.top)) > 1e-6:
-        warnings.warn(
-            "the largest population of the top three levels reached "
-            f"{float(np.max(rec.top)):.2e}; results may be truncation-limited, enlarge the basis",
-            TruncationLeakWarning,
-            stacklevel=2,
-        )
+    top = float(np.max(rec.top))
+    if top > 1e-6:
+        warnings.warn(f"the largest population of the top three levels reached {top:.2e}; "
+                      "results may be truncation-limited, enlarge the basis",
+                      TruncationLeakWarning, stacklevel=2)
     dress = np.exp(-1j * ladder.energies * t_end)  # to the lab frame: e^{-iHt} rho e^{iHt}
     np.multiply(dress[:, None], rho, out=rho)
     np.multiply(rho, dress.conj()[None, :], out=rho)

@@ -58,8 +58,9 @@ to 2e-15 relative to max(1, |psi|).
 
 A coefficient table evaluates the long-time parts once and its finite-time
 rows together, in blocks of rows that share a Matsubara term count (see
-_tables); transient_coefficients is a one-row table. A row's arithmetic does
-not depend on the rows beside it, so each table row is bit for bit the
+_tables); transient_coefficients is a one-row table, and
+asymptotic_coefficients its tau = inf row. A row's arithmetic does not
+depend on the rows beside it, so each table row is bit for bit the
 coefficients at its tau alone.
 """
 
@@ -330,7 +331,8 @@ def _tables(params: SystemParams, n_max: int, taus: np.ndarray):
     for table, part in zip(tables, parts):
         table[at_inf] = part * g
     rows = np.flatnonzero((taus > 0.0) & ~at_inf)
-    n_terms = _matsubara_terms(params, taus[rows])
+    # only finite rows sum Matsubara terms, so rows at 0 and inf take any beta_bar
+    n_terms = _matsubara_terms(params, taus[rows]) if rows.size else rows
     for n in sorted(set(n_terms.tolist())):  # np.unique would import numpy.ma
         group = rows[n_terms == n]
         per = min(_BLOCK_ROWS, max(1, _MATSUBARA_CHUNK // n))
@@ -346,14 +348,9 @@ def _tables(params: SystemParams, n_max: int, taus: np.ndarray):
 
 
 def asymptotic_coefficients(params: SystemParams, n_max: int) -> BathCoefficients:
-    """Long-time coefficients for levels 0..n_max-1, all four exact (err = 0)."""
-    omegas = omega_levels(params, n_max)
-    z = np.zeros(n_max)
-    if params.gamma == 0.0:
-        return BathCoefficients(omegas, z, z.copy(), z.copy(), z.copy(),
-                                mode="asymptotic", err=z.copy())
-    a1, a2, b1, b2 = (part * params.gamma for part in _asymptotic_parts(params, omegas))
-    return BathCoefficients(omegas, a1, a2, b1, b2, mode="asymptotic", err=z)
+    """Long-time coefficients for levels 0..n_max-1, all four exact (err =
+    0): the tau = inf row of a coefficient table."""
+    return transient_coefficients(params, n_max, math.inf)
 
 
 def transient_coefficients(
@@ -367,11 +364,11 @@ def transient_coefficients(
     and ValueError for a negative or NaN tau.
     """
     tau = float(tau)
-    if tau == math.inf:
-        return asymptotic_coefficients(params, n_max)
     a1, a2, b1, b2, err = _tables(params, n_max, np.array([tau]))
+    at_inf = tau == math.inf
     return BathCoefficients(omega_levels(params, n_max), a1[0], a2[0], b1[0], b2[0],
-                            mode="transient", tau=tau, err=np.full(n_max, err[0]))
+                            mode="asymptotic" if at_inf else "transient",
+                            tau=None if at_inf else tau, err=np.full(n_max, err[0]))
 
 
 def coefficient_tables(

@@ -409,11 +409,21 @@ UNSTABLE = ["simulate", "--mu-bar", "0.1", "--intensity", "20", "--gamma", "100"
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_integrator_failure_exit_3(tmp_path, capsys):
     """The run's non-finite check is its only report: numpy's overflow and
-    invalid-value warnings, errors here, are not raised on the way."""
-    code = main([*UNSTABLE, "--out", str(tmp_path)])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "integration failed" in err and "reduce dtau" in err
+    invalid-value warnings, errors here, are not raised on the way. The
+    message names a fix that can be followed: the dtau that the step needs
+    (2.2e-5 at gamma = 100, 1.5e-300 at beta_bar = 1e-300) would exceed the
+    limit of 1e6 samples to tau_end, so it names the parameters that set the
+    rate, or the tau_end that the limit allows at that dtau."""
+    hot = ["simulate", "--mode", "born-markov-asymptotic", "--mu-bar", "0.1", "--intensity", "5",
+           "--gamma", "1e-3", "--beta-bar", "1e-300", "--tau-end", "0.5"]
+    for k, (argv, fix) in enumerate((
+            (UNSTABLE, "lower gamma, or run to tau_end <= 21.5517 with dtau <= 2.15517e-05"),
+            (hot, "lower gamma or raise beta_bar, or run to tau_end <= 1.49875e-294 "
+                  "with dtau <= 1.49875e-300"))):
+        code = main([*argv, "--out", str(tmp_path / str(k))])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "integration failed" in err and fix in err and "reduce dtau" not in err
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -160,8 +160,9 @@ def test_rotating_frame_rhs_matches_dressed_dense():
 def test_asymptotic_kernel_is_a_transient_kernel_past_its_table(monkeypatch):
     """An asymptotic run's table has no nodes and has ended at tau = 0, so
     its kernel is a transient kernel past its table's end: at the same time,
-    the two give the same output to the bit, and the same late rate bound.
-    Building it evaluates no coefficient table."""
+    the two give the same output to the bit, and the long-time set, in force
+    from there on, has the same bound and step range in both. Building it
+    evaluates no coefficient table."""
     p = SystemParams(mu_bar=0.2, intensity=4.0, beta_bar=0.8, gamma=2e-3)
     n_max = 30
     ladder = _Ladder(p, n_max)
@@ -170,10 +171,12 @@ def test_asymptotic_kernel_is_a_transient_kernel_past_its_table(monkeypatch):
         m.setattr(EV, "coefficient_tables", None)  # a call would raise TypeError
         asym = _BandedRHS(p, ladder, "born-markov-asymptotic")
     assert (asym.table.t_end, asym.table.dt, asym.table.bands) == (0.0, math.inf, ())
-    assert asym.rate == asym.late_rate == trans.late_rate and trans.rate >= trans.late_rate
-    assert _step_bounds(p, asym, 0.01) == _step_bounds(p, trans, 0.01, late=True)
-    rho = random_density(np.random.default_rng(6), n_max)
     t_end = trans.table.t_end
+    assert (asym.starts, trans.starts) == ((0.0, 0.0), (0.0, t_end))
+    assert asym.in_force(0.0) == trans.in_force(t_end) == 1 == trans.in_force(3.0 * t_end)
+    assert asym.sets[1] == trans.sets[1] and asym.sets[1][1] == math.inf
+    assert _step_bounds(p, asym, 0.01) == _step_bounds(p, trans, 0.01, t_end)
+    rho = random_density(np.random.default_rng(6), n_max)
     for t in (t_end, t_end + 0.37, 3.0 * t_end):
         want = trans(t, rho, np.empty_like(rho))
         assert np.array_equal(asym(t, rho, np.empty_like(rho)), want), t
@@ -184,8 +187,8 @@ def test_transient_table_holds_the_rows_its_run_reads(monkeypatch):
     evaluates only the rows that its run reads: up to the node after int(tau_end/dt),
     two at least, and all of them for a run that reaches the table's end.
     Each row is the whole table's, bit for bit, so the interpolated bands
-    are too. The rate bound covers those rows, and the asymptotic bands
-    only for a run that installs them. A run builds its table this way:
+    are too. The rows' norm bound covers those rows, and the asymptotic
+    bands keep a bound of their own. A run builds its table this way:
     at beta_bar = 1e5 a run to tau = 0.5 evaluates two rows, not 512."""
     p = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=1.0, gamma=1e-3)
     ladder = _Ladder(p, 25)
@@ -203,10 +206,9 @@ def test_transient_table_holds_the_rows_its_run_reads(monkeypatch):
         for t in np.linspace(0.0, tau_end, 7):
             for got, want in zip(tuple(table.at(t)), full.table.at(t)):
                 np.testing.assert_array_equal(got, want)
-        installed = [table.bands] + ([table.inf] if tau_end >= t_table else [])
-        assert rhs.rate == EV._bath_rate(ladder.sqrt_n, installed), tau_end
-        assert rhs.rate <= full.rate and rhs.late_rate == full.late_rate
-    assert rhs.rate == full.rate
+        assert rhs.sets[0] == (EV._bath_rate(ladder.sqrt_n, table.bands), dt), tau_end
+        assert rhs.sets[0][0] <= full.sets[0][0] and rhs.sets[1] == full.sets[1], tau_end
+    assert rhs.sets == full.sets
     calls = []
     tables = EV.coefficient_tables
 
@@ -287,10 +289,12 @@ def test_run_holds_five_state_buffers():
     work arrays and the recorder's real scratch, and it dresses final_rho
     in place. At the quantum-corner parameters, n_max = 109 to tau = 0.2,
     the tracemalloc peak of evolve in units of one n_max^2 complex array
-    (measured: 8.4 from the coherent start, 12.0 for the cat with its
+    (measured: 8.4 from the coherent start, also with record_min_eig,
+    whose eigvalsh reads the state in place, 12.0 for the cat with its
     overlap pair, whose weights and padded band add three, and 9.7 in
     lindblad-rwa, whose decay and gain add one and a half); eight state
-    buffers would read 16.4, 19.4 and 17.9."""
+    buffers would read 16.4, 19.4 and 17.9, and a Hermitian part formed per
+    min_eig sample 10.6."""
     p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
     n_max = fock_cutoff(p.intensity)
     assert n_max == 109
@@ -298,6 +302,8 @@ def test_run_holds_five_state_buffers():
     cat = cat_state_density(al, -al, n_max)
     unit = 16 * n_max * n_max
     cases = (("born-markov-asymptotic", None, IntegratorConfig(frame="rotating"), 10),
+             ("born-markov-asymptotic", None,
+              IntegratorConfig(frame="rotating", record_min_eig=True), 10),
              ("born-markov-asymptotic", cat,
               IntegratorConfig(frame="rotating", overlap_pair=(al, -al)), 13),
              ("lindblad-rwa", None, IntegratorConfig(frame="rotating"), 13))
@@ -692,16 +698,32 @@ def test_sample_limit():
 def test_unstable_step_raises():
     """Each message names the fix that applies. At gamma = 100 the rate
     budget is far below one rotating cell, which floors the step, so the
-    step is unstable and a dtau at or below the rate budget is the fix. With
-    a floor at its phase budget, dtau does not set the step, and the fix is
-    a larger basis; closed mode keeps rho0."""
+    step is unstable and a dtau at or below the rate budget is the fix,
+    where the sample limit allows that dtau to tau_end: to tau = 5 it does.
+    To tau = 50 it does not, and neither does it at beta_bar = 1e-300,
+    whose rate budget is 1.5e-300; there the fix is the parameters that set
+    the rate, or a run short enough for that dtau. With a floor at its
+    phase budget, dtau does not set the step, and the fix is a larger
+    basis; closed mode keeps rho0."""
     p = SystemParams(mu_bar=0.1, intensity=20.0, gamma=100.0)
     rhs = _BandedRHS(p, _Ladder(p, fock_cutoff(p.intensity)), "lindblad-rwa")
     cap = _step_bounds(p, rhs, 5.0)[2]
+    assert 5.0 <= 1e6 * cap < 50.0
     with pytest.raises(IntegrationError, match=f"unphysical.*reduce dtau to {cap:g} or below") as info:
-        evolve(p, 50.0, mode="lindblad-rwa", config=IntegratorConfig(dtau=5.0))
+        evolve(p, 5.0, mode="lindblad-rwa", config=IntegratorConfig(dtau=5.0))
     # the first non-finite step stops the run, long before the first sample
     assert float(re.search(r"tau=(\S+) ", str(info.value)).group(1)) < 5.0
+    fix = f"lower gamma, or run to tau_end <= {1e6 * cap:g} with dtau <= {cap:g} ("
+    with pytest.raises(IntegrationError, match=re.escape(fix)):
+        evolve(p, 50.0, mode="lindblad-rwa", config=IntegratorConfig(dtau=5.0))
+    hot = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3, beta_bar=1e-300)
+    rhs = _BandedRHS(hot, _Ladder(hot, fock_cutoff(hot.intensity)), "born-markov-asymptotic")
+    cap = _step_bounds(hot, rhs, 1.0)[2]
+    assert 1e6 * cap < 0.5
+    fix = f"lower gamma or raise beta_bar, or run to tau_end <= {1e6 * cap:g} with dtau <= {cap:g}"
+    with pytest.raises(IntegrationError, match=re.escape(fix)) as info:
+        evolve(hot, 0.5, mode="born-markov-asymptotic")
+    assert "reduce dtau" not in str(info.value)
     p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
     rho0 = 3.0 * coherent_state_density(p.alpha, fock_cutoff(p.intensity))
     with pytest.raises(IntegrationError, match="unphysical.*enlarge the basis.*RK4 step runs"):
@@ -803,9 +825,11 @@ def test_transient_run_past_its_table_steps_like_an_asymptotic_run(monkeypatch):
     ladder = _Ladder(p, n_max)
     trans = _BandedRHS(p, ladder, "born-markov-transient")
     asym = _BandedRHS(p, ladder, "born-markov-asymptotic")
+    t_table = trans.table.t_end
     early = _step_bounds(p, trans, dtau)
-    late = _step_bounds(p, trans, dtau, late=True)
-    assert late == _step_bounds(p, asym, dtau) and trans.late_rate == asym.rate
+    late = _step_bounds(p, trans, dtau, t_table)
+    assert early == _step_bounds(p, trans, dtau, np.nextafter(t_table, 0.0))
+    assert late == _step_bounds(p, asym, dtau) and trans.sets[1] == asym.sets[1]
     assert early[0] == early[1] == dtau and early[1] < late[0] < late[1]
     calls = []
     original = _BandedRHS.__call__
@@ -817,7 +841,6 @@ def test_transient_run_past_its_table_steps_like_an_asymptotic_run(monkeypatch):
     monkeypatch.setattr(_BandedRHS, "__call__", spy)
     tr = evolve(p, tau_end, mode="born-markov-transient",
                 config=IntegratorConfig(frame="rotating", dtau=dtau))
-    t_table = trans.table.t_end
     attempts = [(2.0 * mid - t1, 2.0 * (t1 - mid)) for mid, t1 in zip(calls[1::4], calls[3::4])]
     assert len(calls) == 1 + 4 * len(attempts)
     for t0, h in attempts:
