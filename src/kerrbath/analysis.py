@@ -168,25 +168,12 @@ def _transform(taus, x, window: str | None):
     return 2.0 * math.pi * np.fft.rfftfreq(sig.size, d=dt), np.fft.rfft(sig), sig.size
 
 
-def discrete_spectrum(taus, x, window: str | None = None):
-    """One-sided amplitude spectrum of a uniformly sampled real signal.
-
-    Returns (omegas, amplitudes) with omegas in angular frequency and
-    amplitudes |X_k|/N, so an isolated line of the signal
-    2 Re[A e^{i w t}] shows up with height about |A|. window=None keeps the
-    plain rectangular transform; "hann" tapers the ends to push spectral
-    leakage below slowly decaying sidelobes.
-    """
-    omegas, spec, n = _transform(taus, x, window)
-    return omegas, np.abs(spec) / n
-
-
 def fit_position_spectrum(taus, x, theta: float, window: str | None = None):
     """The position spectrum of a run and the Gaussian width of its envelope.
 
     x is the position recorded over whole recurrence periods from tau = 0,
     the crest of the first bump, where the start has phase theta. Returns
-    (omegas, amps, fit): amps is |X_k|/N as in discrete_spectrum, and fit is
+    (omegas, amps, fit): amps is |X_k|/N, the one-sided amplitude, and fit is
     fit_spectral_width on the aligned quadrature Re(X_k e^{-i theta})/N.
     Each line bin of x = sqrt(2) sum_n w_n cos(Omega_n tau + theta) carries
     e^{+i theta}, so that quadrature is half the two-sided transform of an

@@ -9,8 +9,8 @@ Four evolution modes:
                             lab-frame state.
   "born-markov-asymptotic"  second-order (Born-Markov) master equation with
                             the bath coefficients frozen at their long-time
-                            values: a transient run whose table has ended
-                            at tau = 0. Started from a product state (the
+                            values, the set a transient run holds from its
+                            settle time on. Started from a product state (the
                             default coherent start is one) it does not
                             preserve positivity before the coefficient
                             settle time: the frozen generator is not
@@ -184,8 +184,8 @@ class IntegratorConfig:
     least min(dtau, one rotating default cell) (see _step_bounds), so a
     dtau of at least that cell sets the sample density, not the step.
     transient_table_points is the number of nodes, at least 2, of a
-    born-markov-transient run's coefficient table (a table of none is an
-    asymptotic run's, which has ended at tau = 0). overlap_pair (alpha,
+    born-markov-transient run's coefficient table, linear in time between
+    nodes; an asymptotic run has no table. overlap_pair (alpha,
     beta) records a coherence envelope for that superposition: with rho~
     the co-moving state e^{iHt} rho e^{-iHt} and W_nm = conj(alpha_n)
     beta_m, the envelope is sum_j |sum over the j-th diagonal of W*rho~|.
@@ -277,22 +277,24 @@ class _BandedRHS:
     The bath enters as [X, M] with M = P rho + rho Q; P is tridiagonal with
     zero main diagonal, Q = -P^dag, and X is the Hermitian ladder band. For
     Hermitian rho (a precondition, not checked per call) this is
-    M = A - A^dag with A = P rho and [X, M] = B + B^dag with B = X M, so
-    each evaluation forms the two one-sided products and mirrors them; only
-    the P bands are stored. lindblad-rwa has the decay -gamma (n + m)/2
-    (l_free) and the gain gamma a rho a^dag, the product of the upper and
-    lower X bands on the shifted block. Each evaluation multiplies every
-    upper band by e^{-i Omega_n t} and every lower band by the conjugate,
-    and rebuilds the gain from them. A bath mode reads its P bands off a
-    transient table (born-markov-asymptotic's has no nodes: it has ended at
-    tau = 0); phases and table bands are redone only when the time differs
-    from the last one set up (RK4 stages 2 and 3 share it), and the table
-    holds the rows a run to tau_end reads. sets holds each coefficient
-    set's generator norm bound and row spacing, in force from its time in
-    starts (see the module docstring). A call writes its output into out
-    and uses out as scratch before that, so out must not share memory with
-    rho; the kernel's own work arrays (_a, and _m in a bath mode) are idle
-    between calls. A run at gamma = 0 builds no kernel.
+    M = A - A^dag with A = P rho and [X, M] = B + B^dag with B = X M: each
+    evaluation forms the two one-sided products (_band_product) and mirrors
+    them. lindblad-rwa has the decay -gamma (n + m)/2 (l_free) and the gain
+    gamma a rho a^dag, the product of the upper and lower X bands on the
+    shifted block. Each evaluation multiplies every upper band by
+    e^{-i Omega_n t} and every lower band by the conjugate, and rebuilds the
+    gain from them, when the time differs from the last one set up (RK4
+    stages 2 and 3 share it). sets holds each coefficient set, in force from
+    its time in starts, as (norm bound, row spacing, rows): rows are its P
+    bands (upper, lower), two (rows, n_max - 1) arrays, linear in time
+    between rows (see p_bands). born-markov-asymptotic has one set, the
+    asymptotic bands as a single row; born-markov-transient has the rows of
+    its table (nodes evenly spaced from 0 to the settle time) that a run to
+    tau_end reads, two at least and each the whole table's row bit for bit,
+    then that single row from the settle time on; lindblad-rwa has one set
+    with no rows. A call writes its output into out and uses out as scratch
+    before that, so out must not share memory with rho; the work arrays
+    (_a, and _m in a bath mode) are idle between calls.
     """
 
     def __init__(self, params: SystemParams, ladder: _Ladder, mode: str,
@@ -304,10 +306,11 @@ class _BandedRHS:
         # allocates no n_max^2 temporary; between evaluations they are idle
         self._a = np.empty((n_max, n_max), dtype=complex)
         self._tau = None  # time the bands were last set up for
-        self.table = self.l_free = self.gain = None
+        self.l_free = self.gain = None
         # the modulated P bands and X bands
         self._mod = tuple(np.zeros(n_max - 1, dtype=complex) for _ in range(4))
         self.gamma = params.gamma
+        self.starts = (0.0,)
         if mode == "lindblad-rwa":
             n = np.arange(n_max, dtype=float)
             self.l_free = -0.5 * params.gamma * (n[:, None] + n[None, :])
@@ -322,19 +325,44 @@ class _BandedRHS:
             self._block = np.zeros((n_max, n_max), dtype=bool)
             self._block[:-1, :-1] = True
             # the decay and the gain each have norm at most gamma n_max
-            self.starts, self.sets = (0.0,), ((2.0 * params.gamma * n_max, math.inf),)
-        else:
-            self._m = np.empty((n_max, n_max), dtype=complex)
-            # an asymptotic run's table has no nodes: it ends at tau = 0
-            points = table_points if mode == "born-markov-transient" else 0
-            table = self.table = _TransientTable(params, ladder, points, tau_end)
-            self.starts = (0.0, table.t_end)
-            self.sets = ((_bath_rate(ladder.sqrt_n, table.bands), table.dt),
-                         (_bath_rate(ladder.sqrt_n, table.inf), math.inf))
+            self.sets = ((2.0 * params.gamma * n_max, math.inf, ()),)
+            return
+        self._m = np.empty((n_max, n_max), dtype=complex)
+        self._at = tuple(np.empty(n_max - 1, dtype=complex) for _ in range(2))
+        # first, so that a beta_bar the coefficients refuse never reaches a table
+        inf = asymptotic_coefficients(params, n_max)
+        row = _p_bands(ladder.sqrt_n, *(c[None] for c in (inf.a1, inf.a2, inf.b1, inf.b2)))
+        sets = [(math.inf, row)]  # (row spacing, P bands) of each set
+        if mode == "born-markov-transient":
+            t_end = coefficient_settle_time(params)
+            taus = np.linspace(0.0, t_end, table_points)
+            dt = taus[1] - taus[0]
+            # p_bands(tau_end) interpolates rows int(tau_end / dt) and the next
+            rows = min(table_points, int(tau_end / dt) + 2) if tau_end < t_end else table_points
+            table = coefficient_tables(params, n_max, taus[:rows])
+            sets.insert(0, (dt, _p_bands(ladder.sqrt_n, *table)))
+            self.starts = (0.0, t_end)
+        self.sets = tuple((_bath_rate(ladder.sqrt_n, b), spacing, b) for spacing, b in sets)
 
     def in_force(self, tau: float) -> int:
         """The index in sets of the coefficient set in force at tau."""
         return bisect.bisect_right(self.starts, tau) - 1
+
+    def p_bands(self, tau: float):
+        """The P bands at tau of the coefficient set in force: its single
+        row, or its rows interpolated linearly into buffers the kernel owns
+        (and rewrites on the next call)."""
+        k = self.in_force(tau)
+        _, spacing, (upper, lower) = self.sets[k]
+        if len(upper) == 1:
+            return upper[0], lower[0]
+        f = (tau - self.starts[k]) / spacing
+        i = min(int(f), len(upper) - 2)
+        w = f - i
+        for band, out in zip((upper, lower), self._at):
+            np.multiply(band[i], 1.0 - w, out=out)
+            out += band[i + 1] * w
+        return self._at
 
     def _set_time(self, tau: float) -> None:
         """Coefficients and interaction-picture phases at tau."""
@@ -346,11 +374,11 @@ class _BandedRHS:
         pu_t, pl_t, xu_t, xl_t = self._mod
         np.multiply(self.ladder.sqrt_n, ph, out=xu_t)
         np.multiply(self.ladder.sqrt_n, conj, out=xl_t)
-        if self.table is not None:
-            pu, pl = self.table.at(tau)
+        if self.gain is None:
+            pu, pl = self.p_bands(tau)
             np.multiply(pu, ph, out=pu_t)
             np.multiply(pl, conj, out=pl_t)
-        if self.gain is not None:
+        else:
             # copied first, so that numpy buffers one broadcast operand, not two
             np.copyto(self.gain[:, :-1], xl_t)
             np.multiply(xu_t[:, None], self.gain, out=self.gain)
@@ -368,22 +396,24 @@ class _BandedRHS:
             return np.add(out, a, out=out, where=self._block)
         m = self._m
         pu, pl, xu, xl = self._mod
-        # A = P rho, then M = A - A^dag; out holds the shifted product, then A^dag
-        np.multiply(pu[:, None], rho[1:, :], out=a[:-1, :])
-        a[-1, :] = 0.0
-        np.multiply(pl[:, None], rho[:-1, :], out=out[1:, :])
-        a[1:, :] += out[1:, :]
-        np.copyto(out, a.T)
-        np.conjugate(out, out=out)
+        # A = P rho into a and A^dag into out, then M = A - A^dag
+        _band_product(pu, pl, rho, a, out)
         np.subtract(a, out, out=m)
-        # B = X M into a, then [X, M] = B + B^dag
-        np.multiply(xu[:, None], m[1:, :], out=a[:-1, :])
-        a[-1, :] = 0.0
-        np.multiply(xl[:, None], m[:-1, :], out=out[1:, :])
-        a[1:, :] += out[1:, :]
-        np.copyto(out, a.T)
-        np.conjugate(out, out=out)
+        # B = X M into a and B^dag into out, then [X, M] = B + B^dag
+        _band_product(xu, xl, m, a, out)
         return np.add(a, out, out=out)
+
+
+def _band_product(upper, lower, rho, a, out) -> None:
+    """The product Y rho of the tridiagonal Y with zero main diagonal and
+    bands upper and lower, into a, and its adjoint (Y rho)^dag into out,
+    which is scratch before that."""
+    np.multiply(upper[:, None], rho[1:, :], out=a[:-1, :])
+    a[-1, :] = 0.0
+    np.multiply(lower[:, None], rho[:-1, :], out=out[1:, :])
+    a[1:, :] += out[1:, :]
+    np.copyto(out, a.T)
+    np.conjugate(out, out=out)
 
 
 def coefficient_settle_time(params: SystemParams) -> float:
@@ -415,48 +445,9 @@ def _p_bands(sqrt_n, a1, a2, b1, b2):
 
 def _bath_rate(sqrt_n, bands) -> float:
     """The bath term's norm bound 16 max sqrt(n) max|P band| over a
-    coefficient set's P bands, 0 for none (see _step_bounds)."""
-    p_max = max((np.abs(b).max(initial=0.0) for b in bands), default=0.0)
+    coefficient set's P bands (see _step_bounds)."""
+    p_max = max(np.abs(b).max(initial=0.0) for b in bands)
     return float(16.0 * sqrt_n.max(initial=0.0) * p_max)
-
-
-class _TransientTable:
-    """The P bands of the transient coefficients on n_points nodes from 0
-    to the settle time t_end, linear in time between nodes, and the
-    asymptotic bands inf from t_end on. Only the rows that at() reads up to
-    tau_end are evaluated, two (rows, n_max - 1) arrays with at least two
-    rows; each is the row of the whole table, bit for bit. With no nodes
-    the table has ended: t_end = 0 and the spacing dt is inf."""
-
-    def __init__(self, params: SystemParams, ladder: _Ladder, n_points: int,
-                 tau_end: float = math.inf):
-        n_max = ladder.energies.size
-        # first, so that a beta_bar the coefficients refuse never reaches the nodes
-        inf = asymptotic_coefficients(params, n_max)
-        self.inf = _p_bands(ladder.sqrt_n, inf.a1, inf.a2, inf.b1, inf.b2)
-        self.t_end, self.dt, self.bands = 0.0, math.inf, ()
-        if n_points:
-            self.t_end = coefficient_settle_time(params)
-            taus = np.linspace(0.0, self.t_end, n_points)
-            self.dt = taus[1] - taus[0]
-            # at(tau_end) interpolates rows int(tau_end / dt) and the next
-            rows = min(n_points, int(tau_end / self.dt) + 2) if tau_end < self.t_end else n_points
-            self.taus = taus[:rows]
-            self.bands = _p_bands(ladder.sqrt_n, *coefficient_tables(params, n_max, self.taus))
-            self._at = tuple(np.empty(n_max - 1, dtype=complex) for _ in range(2))
-
-    def at(self, tau: float):
-        """The P bands at tau: interpolated into buffers the table owns (and
-        rewrites on the next call) before t_end, inf from there on."""
-        if tau >= self.t_end:
-            return self.inf
-        f = tau / self.dt
-        i = min(int(f), self.taus.size - 2)
-        w = f - i
-        for band, out in zip(self.bands, self._at):
-            np.multiply(band[i], 1.0 - w, out=out)
-            out += band[i + 1] * w
-        return self._at
 
 
 def _omega_top(params: SystemParams, n_max: int) -> float:
@@ -506,7 +497,7 @@ def _step_bounds(params: SystemParams, rhs: _BandedRHS, dtau: float,
     ceiling coincide.
     """
     n_max = rhs.ladder.energies.size
-    rate, spacing = rhs.sets[rhs.in_force(tau)]
+    rate, spacing, _ = rhs.sets[rhs.in_force(tau)]
     budget = min(_RATE_PER_STEP / rate if rate > 0.0 else math.inf, spacing)
     turn = 2.0 * _omega_top(params, n_max)
     least = min(dtau, default_dtau(params, n_max, "rotating"))
@@ -522,7 +513,7 @@ def _remedy(rhs: _BandedRHS, h_lo: float, h_hi: float, cap: float, t_end: float)
     elif t_end <= _MAX_SAMPLES * cap:  # one sample cell raised the floor above it
         fix = f"reduce dtau to {cap:g} or below"
     else:  # the sample limit refuses that dtau: change what sets the rate
-        fix = "lower gamma" if rhs.table is None else "lower gamma or raise beta_bar"
+        fix = "lower gamma" if rhs.gain is not None else "lower gamma or raise beta_bar"
         if cap > 0.0:  # an overflowing rate leaves no dtau
             fix += f", or run to tau_end <= {_MAX_SAMPLES * cap:g} with dtau <= {cap:g}"
     return f"{fix} (the RK4 step runs from {h_lo:g} to {h_hi:g})"
@@ -678,12 +669,14 @@ def evolve(
     sized by fock_cutoff; a given rho0 must be a finite square matrix with
     max|rho0 - rho0^dag| <= 1e-9, or ValueError is raised, as it is for a
     tau_end that is not finite and non-negative, for validate_params' errors
-    (not its warnings) and for beta_bar = inf in a born-markov mode. The
-    trajectory samples every point of the dtau grid, which ends on tau_end,
-    and final_rho is the lab-frame state there. A grid of more than 1e6
-    cells raises IntegrationError before the run allocates. The run steps
-    in its own copy of rho0, one of five state-sized buffers (see the module
-    docstring), and never writes the caller's array.
+    (not its warnings), for a mu_bar that overflows the top level energy
+    E_top or its phase E_top tau_end, and for beta_bar = inf in a
+    born-markov mode. The trajectory samples every point of the dtau grid,
+    which ends on tau_end, and final_rho is the lab-frame state there. A
+    grid of more than 1e6 cells raises IntegrationError before the run
+    allocates. The run steps in its own copy of rho0, one of five
+    state-sized buffers (see the module docstring), and never writes the
+    caller's array.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -714,6 +707,10 @@ def evolve(
                 f"rho0 must be Hermitian: max|rho0 - rho0^dag| = {herm:.3g} > {_HERM_TOL:g}"
             )
         n_max = rho0.shape[0]
+    top = n_max - 1  # Python floats overflow to inf silently
+    if math.isinf((top + params.mu_bar * top * top) * max(tau_end, 1.0)):
+        raise ValueError(f"mu_bar = {params.mu_bar:g} overflows the top level energy E_top = "
+                         f"n + mu_bar n^2 at n = {top} or its phase E_top tau_end; lower mu_bar")
 
     if config.dtau is not None:
         dtau = config.dtau

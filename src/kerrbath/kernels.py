@@ -67,6 +67,7 @@ coefficients at its tau alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +178,8 @@ def _digamma(w):
 
 def _asymptotic_parts(params: SystemParams, omegas: np.ndarray):
     """A1, A2, B1, B2 at tau -> inf per unit gamma; ValueError when
-    beta Lambda/2pi or beta Omega_top/2pi overflows."""
+    beta Lambda/2pi or beta Omega_top/2pi overflows, when the Matsubara
+    frequency 2pi/beta does, or when a part is not finite."""
     lam = params.lambda_bar
     beta = params.beta_bar
     top = float(omegas[-1])
@@ -187,15 +189,24 @@ def _asymptotic_parts(params: SystemParams, omegas: np.ndarray):
             f"or beta_bar * Omega_top / 2pi (lambda_bar = {lam:g}, Omega_top = {top:g}); "
             "lower beta_bar"
         )
-    den = lam * lam + omegas * omegas
-    a1 = 0.5 * lam**3 / den
-    a2 = 0.5 * lam * lam * omegas / den
-    b1 = a2 / np.tanh(0.5 * beta * omegas)
-    x = beta * lam / (2.0 * math.pi)
-    y = beta * omegas / (2.0 * math.pi)
-    b2 = lam * lam * omegas / (math.pi * den) * (
-        _digamma(1.0 + 1j * y).real - _digamma(x) - 0.5 / x
-    )
+    if not math.isfinite(2.0 * math.pi / beta):
+        raise ValueError(f"beta_bar = {beta:g} overflows the Matsubara frequency 2pi/beta_bar; "
+                         f"beta_bar must be at least {2.0 * math.pi / sys.float_info.max:.2g}")
+    # a part past the float range comes out inf or nan, with no numpy warning,
+    # and is refused below; a numpy float's cube gives inf where lam**3 raises
+    with np.errstate(all="ignore"):
+        den = lam * lam + omegas * omegas
+        a1 = 0.5 * np.float64(lam) ** 3 / den
+        a2 = 0.5 * lam * lam * omegas / den
+        b1 = a2 / np.tanh(0.5 * beta * omegas)
+        x = beta * lam / (2.0 * math.pi)
+        y = beta * omegas / (2.0 * math.pi)
+        b2 = lam * lam * omegas / (math.pi * den) * (
+            _digamma(1.0 + 1j * y).real - _digamma(x) - 0.5 / x
+        )
+    if not all(np.isfinite(part).all() for part in (a1, a2, b1, b2)):
+        raise ValueError(f"the long-time bath coefficients are not finite at lambda_bar = "
+                         f"{lam:g} and beta_bar = {beta:g}; bring both nearer 1")
     return a1, a2, b1, b2
 
 

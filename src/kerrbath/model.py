@@ -101,7 +101,8 @@ def derive_timescales(params: SystemParams) -> Timescales:
     """Compute the five timescales of the model.
 
     mu_bar = 0 gives infinite tau_e and tau_r (a harmonic oscillator never
-    spreads or revives); gamma = 0 gives infinite tau_d and tau_gamma.
+    spreads or revives); gamma = 0 gives infinite tau_d and tau_gamma. A
+    mu_bar for which 1/tau_e overflows raises ValueError.
     theta is tau_gamma/tau_e, nan only when both are infinite.
 
     tau_d drops the Ohmic cutoff factor Lambda^2/(Lambda^2 + Omega^2) that
@@ -112,9 +113,12 @@ def derive_timescales(params: SystemParams) -> Timescales:
         raise ValueError(f"intensity must be positive, got {i0}")
     if mu < 0 or g < 0:
         raise ValueError("mu_bar and gamma must be non-negative")
+    spread = 2.0 * mu * math.sqrt(i0)  # 1/tau_e; Python floats overflow to inf silently
+    if math.isinf(spread):
+        raise ValueError(f"mu_bar = {mu:g} overflows 1/tau_e = 2 mu_bar sqrt(I0); lower mu_bar")
 
     tau_cl = 2.0 * math.pi / (1.0 + 2.0 * mu * i0)
-    tau_e = 1.0 / (2.0 * mu * math.sqrt(i0)) if mu > 0 else math.inf
+    tau_e = 1.0 / spread if mu > 0 else math.inf
     tau_r = math.pi / mu if mu > 0 else math.inf
     tau_gamma = 2.0 / g if g > 0 else math.inf
 

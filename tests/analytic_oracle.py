@@ -3,9 +3,10 @@
 The package keeps the closed forms and fits its programs call. These are
 the rest of the analytic side of the model, kept as test oracles: the
 isolated position signal and its envelopes, the damped decay exponent, the
-exact line spectrum and its smooth large-I0 shape, the cutoff-renormalized
-frequency, and the fits of recurrence heights, classical ring-downs and a
-fixed-width Gaussian envelope.
+discrete amplitude spectrum, the exact line spectrum and its smooth
+large-I0 shape, the cutoff-renormalized frequency, and the fits of
+recurrence heights, classical ring-downs and a fixed-width Gaussian
+envelope.
 """
 
 from __future__ import annotations
@@ -144,6 +145,23 @@ def reconstruct_lines(omegas: np.ndarray, amplitudes: np.ndarray, taus) -> np.nd
     t = np.asarray(taus, dtype=float)
     phases = np.exp(1j * np.outer(t, omegas))
     return 2.0 * (phases @ amplitudes).real
+
+
+def discrete_spectrum(taus, x, window: str | None = None):
+    """One-sided amplitude spectrum of a uniformly sampled real signal.
+
+    Returns (omegas, amplitudes) with omegas in angular frequency and
+    amplitudes |X_k|/N, so an isolated line of the signal
+    2 Re[A e^{i w t}] shows up with height about |A|. window=None keeps the
+    plain rectangular transform; "hann" tapers the ends to push spectral
+    leakage below slowly decaying sidelobes. The spacing is not checked:
+    fit_position_spectrum checks its samples.
+    """
+    sig = np.asarray(x, dtype=float)
+    if window == "hann":
+        sig = sig * np.hanning(sig.size)
+    dt = float(np.diff(np.asarray(taus, dtype=float)).mean())
+    return 2.0 * math.pi * np.fft.rfftfreq(sig.size, d=dt), np.abs(np.fft.rfft(sig)) / sig.size
 
 
 def gaussian_spectrum(params: SystemParams, omegas) -> np.ndarray:

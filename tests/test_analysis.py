@@ -27,9 +27,10 @@ from kerrbath import (
     scale_tau_d_to_intensity,
 )
 
-from kerrbath.analysis import discrete_spectrum, fit_spectral_width
+from kerrbath.analysis import fit_spectral_width
 
 from analytic_oracle import (
+    discrete_spectrum,
     fit_recurrence_decay,
     fit_relaxation_decay,
     gaussian_residual,
@@ -227,15 +228,16 @@ def test_discrete_spectrum_constant_input():
 
 
 def test_discrete_spectrum_validation():
+    """fit_position_spectrum checks the samples it transforms."""
     t = np.arange(16) * 0.1
     with pytest.raises(ValueError, match="uniform"):
-        discrete_spectrum(t**1.5 + t, np.ones(16))
+        fit_position_spectrum(t**1.5 + t, np.ones(16), 0.0)
     with pytest.raises(ValueError, match="at least 8"):
-        discrete_spectrum(t[:4], np.ones(4))
+        fit_position_spectrum(t[:4], np.ones(4), 0.0)
     with pytest.raises(ValueError, match="unknown window"):
-        discrete_spectrum(t, np.ones(16), window="hamming")
+        fit_position_spectrum(t, np.ones(16), 0.0, window="hamming")
     with pytest.raises(ValueError, match="same length"):
-        discrete_spectrum(t, np.ones(15))
+        fit_position_spectrum(t, np.ones(15), 0.0)
 
 
 def test_hann_window_cuts_leakage():

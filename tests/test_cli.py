@@ -226,11 +226,26 @@ BETA_RUN = ["--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3", "--tau-end
           ("transient", "1e20", "need 2.39e+20 Matsubara terms at beta_bar = 1e+20"),
           ("transient", "1e305", "need 2.39e+305 Matsubara terms at beta_bar = 1e+305"),
           ("transient", "1.7e308", "beta_bar = 1.7e+308 overflows"),
-          ("asymptotic", "1.7e308", "beta_bar = 1.7e+308 overflows")]],
+          ("asymptotic", "1.7e308", "beta_bar = 1.7e+308 overflows"),
+          *[(mode, beta, f"beta_bar = {beta} overflows the Matsubara frequency 2pi/beta_bar; "
+             "beta_bar must be at least 3.5e-308")
+            for beta in ("1e-310", "1e-308") for mode in ("asymptotic", "transient")]]],
+    *[(["simulate", "--mode", mode, "--mu-bar", "1e306", "--intensity", "5", "--gamma", "1e-3",
+        "--tau-end", "1"], "mu_bar = 1e+306 overflows the top level energy E_top")
+      for mode in ("lindblad-rwa", "born-markov-asymptotic", "closed")],
+    (["timescales", "--mu-bar", "1e308", "--intensity", "5", "--gamma", "1e-3"],
+     "mu_bar = 1e+308 overflows 1/tau_e = 2 mu_bar sqrt(I0)"),
+    *[(["simulate", "--mode", "born-markov-asymptotic", *BETA_RUN, "--lambda-bar", lam],
+       f"the long-time bath coefficients are not finite at lambda_bar = {lam}")
+      for lam in ("1e+103", "1e-310")],
 ], ids=["tau-end-nan", "tau-end-inf", "tau-end-minus-inf", "intensity-inf", "mu-nan",
         "theta-nan", "tolerance-nan", "tolerance-negative", "beta-inf-asymptotic",
         "beta-inf-transient", "beta-1e6-transient", "beta-1e20-transient",
-        "beta-1e305-transient", "beta-1.7e308-transient", "beta-1.7e308-asymptotic"])
+        "beta-1e305-transient", "beta-1.7e308-transient", "beta-1.7e308-asymptotic",
+        "beta-1e-310-asymptotic", "beta-1e-310-transient", "beta-1e-308-asymptotic",
+        "beta-1e-308-transient", "mu-1e306-lindblad-rwa", "mu-1e306-asymptotic",
+        "mu-1e306-closed", "mu-1e308-timescales", "lambda-1e103-asymptotic",
+        "lambda-1e-310-asymptotic"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, message):
     """A nan or an infinite time or intensity, a compare tolerance that is
@@ -244,7 +259,12 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, message):
     run with exit 4. beta_bar = inf failed inside the bath coefficients. A
     transient run at beta_bar = 1e6 ran for over a minute on 2.4e6
     Matsubara terms a row, 1e20 and 1e305 warned and wrote a garbage table,
-    and 1.7e308 exited 2 on a nan.)"""
+    and 1.7e308 exited 2 on a nan. At beta_bar = 1e-310 and 1e-308, where
+    2pi/beta_bar overflows, the asymptotic run warned and exited 3 and the
+    transient run divided by zero. A mu_bar that overflows E_top divided by
+    zero in the default grid or, in closed mode, warned and exited 3, and
+    one that overflows 1/tau_e divided by zero in timescales. lambda_bar =
+    1e103 overflowed in lambda_bar^3, and 1e-310 warned and exited 3.)"""
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err

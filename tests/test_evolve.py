@@ -137,10 +137,12 @@ def test_rotating_frame_rhs_matches_dressed_dense():
         rhs = _BandedRHS(p, _Ladder(p, n_max), mode)
         t = 0.83
         if mode == "born-markov-transient":
-            t = 0.5 * rhs.table.t_end + 0.37 * rhs.table.dt
-            i = int(t / rhs.table.dt)
-            w = t / rhs.table.dt - i
-            nodes = coefficient_tables(p, n_max, rhs.table.taus[i:i + 2])
+            t_table, dt = rhs.starts[1], rhs.sets[0][1]
+            t = 0.5 * t_table + 0.37 * dt
+            i = int(t / dt)
+            w = t / dt - i
+            taus = np.linspace(0.0, t_table, IntegratorConfig.transient_table_points)
+            nodes = coefficient_tables(p, n_max, taus[i:i + 2])
             a1, a2, b1, b2 = (c[0] * (1.0 - w) + c[1] * w for c in nodes)
             coeffs = dataclasses.replace(coeffs, a1=a1, a2=a2, b1=b1, b2=b2)
         out = np.full_like(rho_t, np.nan)
@@ -158,10 +160,10 @@ def test_rotating_frame_rhs_matches_dressed_dense():
 
 
 def test_asymptotic_kernel_is_a_transient_kernel_past_its_table(monkeypatch):
-    """An asymptotic run's table has no nodes and has ended at tau = 0, so
-    its kernel is a transient kernel past its table's end: at the same time,
-    the two give the same output to the bit, and the long-time set, in force
-    from there on, has the same bound and step range in both. Building it
+    """An asymptotic run's one coefficient set is the long-time set that a
+    transient run holds past its table's end, a single row of P bands: at
+    the same time, the two kernels give the same output to the bit, and
+    that set has the same bound and step range in both. Building it
     evaluates no coefficient table."""
     p = SystemParams(mu_bar=0.2, intensity=4.0, beta_bar=0.8, gamma=2e-3)
     n_max = 30
@@ -170,11 +172,13 @@ def test_asymptotic_kernel_is_a_transient_kernel_past_its_table(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(EV, "coefficient_tables", None)  # a call would raise TypeError
         asym = _BandedRHS(p, ladder, "born-markov-asymptotic")
-    assert (asym.table.t_end, asym.table.dt, asym.table.bands) == (0.0, math.inf, ())
-    t_end = trans.table.t_end
-    assert (asym.starts, trans.starts) == ((0.0, 0.0), (0.0, t_end))
-    assert asym.in_force(0.0) == trans.in_force(t_end) == 1 == trans.in_force(3.0 * t_end)
-    assert asym.sets[1] == trans.sets[1] and asym.sets[1][1] == math.inf
+    t_end = trans.starts[1]
+    assert (asym.starts, trans.starts) == ((0.0,), (0.0, t_end))
+    assert asym.in_force(0.0) == 0 and trans.in_force(t_end) == 1 == trans.in_force(3.0 * t_end)
+    (rate, spacing, rows), (rate_t, spacing_t, rows_t) = asym.sets[0], trans.sets[1]
+    assert len(asym.sets) == 1 and rate == rate_t and spacing == spacing_t == math.inf
+    for band, band_t in zip(rows, rows_t, strict=True):
+        assert band.shape == (1, n_max - 1) and np.array_equal(band, band_t)
     assert _step_bounds(p, asym, 0.01) == _step_bounds(p, trans, 0.01, t_end)
     rho = random_density(np.random.default_rng(6), n_max)
     for t in (t_end, t_end + 0.37, 3.0 * t_end):
@@ -193,22 +197,23 @@ def test_transient_table_holds_the_rows_its_run_reads(monkeypatch):
     p = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=1.0, gamma=1e-3)
     ladder = _Ladder(p, 25)
     full = _BandedRHS(p, ladder, "born-markov-transient")
-    t_table, dt = full.table.t_end, full.table.dt
-    assert (t_table, full.table.taus.size) == (4.0, 512)
+    t_table, dt = full.starts[1], full.sets[0][1]
+    assert (t_table, len(full.sets[0][2][0])) == (4.0, 512)
     for tau_end, rows in ((0.0, 2), (0.5 * dt, 2), (dt, 3), (3.0, 385),
                           (t_table - 1e-9, 512), (t_table, 512), (5.0, 512)):
         rhs = _BandedRHS(p, ladder, "born-markov-transient", tau_end=tau_end)
-        table = rhs.table
-        assert (table.taus.size, table.t_end, table.dt) == (rows, t_table, dt), tau_end
-        np.testing.assert_array_equal(table.taus, full.table.taus[:rows])
-        for band, whole in zip(table.bands, full.table.bands):
+        rate, spacing, bands = rhs.sets[0]
+        assert (len(bands[0]), rhs.starts[1], spacing) == (rows, t_table, dt), tau_end
+        for band, whole in zip(bands, full.sets[0][2], strict=True):
             np.testing.assert_array_equal(band, whole[:rows])
         for t in np.linspace(0.0, tau_end, 7):
-            for got, want in zip(tuple(table.at(t)), full.table.at(t)):
+            for got, want in zip(tuple(rhs.p_bands(t)), full.p_bands(t), strict=True):
                 np.testing.assert_array_equal(got, want)
-        assert rhs.sets[0] == (EV._bath_rate(ladder.sqrt_n, table.bands), dt), tau_end
-        assert rhs.sets[0][0] <= full.sets[0][0] and rhs.sets[1] == full.sets[1], tau_end
-    assert rhs.sets == full.sets
+        assert rate == EV._bath_rate(ladder.sqrt_n, bands) <= full.sets[0][0], tau_end
+        assert rhs.sets[1][:2] == full.sets[1][:2], tau_end
+        for band, whole in zip(rhs.sets[1][2], full.sets[1][2], strict=True):
+            np.testing.assert_array_equal(band, whole)
+    assert rhs.sets[0][:2] == full.sets[0][:2]
     calls = []
     tables = EV.coefficient_tables
 
@@ -223,9 +228,9 @@ def test_transient_table_holds_the_rows_its_run_reads(monkeypatch):
 
 
 def test_table_size_is_checked_on_construction():
-    """A table of no nodes means one that has ended, so a transient table
-    needs two nodes at least: fewer, or a size that is no integer, is
-    refused when the config is built."""
+    """A transient table interpolates between nodes, so it needs two nodes
+    at least: fewer, or a size that is no integer, is refused when the
+    config is built."""
     for bad in (0, 1, -3, 2.5):
         with pytest.raises(ValueError, match="transient_table_points must be an integer >= 2"):
             IntegratorConfig(transient_table_points=bad)
@@ -247,7 +252,7 @@ def test_rotating_rhs_output_is_exactly_hermitian():
     m = rng.normal(size=(n_max, n_max)) + 1j * rng.normal(size=(n_max, n_max))
     skewed = rho + 0.5e-12 * (m - m.conj().T)
     assert np.max(np.abs(skewed - skewed.conj().T)) > 1e-12
-    for rhs, t in ((asym, 0.83), (trans, 0.37 * trans.table.t_end)):
+    for rhs, t in ((asym, 0.83), (trans, 0.37 * trans.starts[1])):
         for state in (rho, skewed):
             out = rhs(t, state, np.empty_like(state))
             assert np.array_equal(out, out.conj().T)
@@ -825,11 +830,13 @@ def test_transient_run_past_its_table_steps_like_an_asymptotic_run(monkeypatch):
     ladder = _Ladder(p, n_max)
     trans = _BandedRHS(p, ladder, "born-markov-transient")
     asym = _BandedRHS(p, ladder, "born-markov-asymptotic")
-    t_table = trans.table.t_end
+    t_table = trans.starts[1]
     early = _step_bounds(p, trans, dtau)
     late = _step_bounds(p, trans, dtau, t_table)
     assert early == _step_bounds(p, trans, dtau, np.nextafter(t_table, 0.0))
-    assert late == _step_bounds(p, asym, dtau) and trans.sets[1] == asym.sets[1]
+    assert late == _step_bounds(p, asym, dtau) and trans.sets[1][:2] == asym.sets[0][:2]
+    for band, band_a in zip(trans.sets[1][2], asym.sets[0][2], strict=True):
+        assert np.array_equal(band, band_a)
     assert early[0] == early[1] == dtau and early[1] < late[0] < late[1]
     calls = []
     original = _BandedRHS.__call__
