@@ -102,12 +102,14 @@ there dtau only spaces the samples, 2001 of them in closed mode when unset.
 
 A stepping run holds five n_max^2 complex state buffers: rho, the run's one
 copy of rho0, stepped in place; k1; and three that a step's stages take in
-turn (see the step loop in evolve). The bath kernel adds two work arrays
-and uses its output as scratch, the Lindblad kernel one (beside its decay
-and gain); the recorder forms hermiticity defects and min_eig's interior
-states in buffers that are idle while a step records, and final_rho is
-dressed in place. At n_max = 109 (16 n_max^2 B = 190 kB per array) a run
-from the coherent start peaks at 8.4 such arrays under tracemalloc, 1.6 MB.
+turn (see the step loop in evolve). One complex scratch block beside them
+holds, one at a time, the kernel's work arrays (2 n_max^2 - n_max elements
+in a bath mode, n_max^2 in lindblad-rwa), which are idle between calls,
+and the recorder's zero-padded overlap band, the real magnitudes of the
+step estimate and the defects, and min_eig's interpolation work; final_rho
+is dressed in place. At n_max = 109 (16 n_max^2 B = 190 kB per array) a
+run peaks under tracemalloc at 7.9 such arrays from the coherent start
+(1.5 MB), 9.5 for a cat with an overlap_pair and 9.2 in lindblad-rwa.
 """
 
 from __future__ import annotations
@@ -146,6 +148,12 @@ _CLOSED_BLOCK = 512
 # grid of 2 _DEFAULT_SAMPLES cells or more coarsens by a whole factor
 _MAX_SAMPLES = 1_000_000
 _DEFAULT_SAMPLES = 4000
+
+# RK4 steps that a run may take at most, counted at each coefficient set's
+# step ceiling, the fewest the run can take, before it allocates its state
+# buffers. No run that can end is refused: at the cheapest step, about
+# 75 us at n_max = 5 on a 2-vCPU machine, 1e12 steps take over two years
+_MAX_STEPS = 10**12
 
 # step budgets: radians of the fastest coefficient phase per step at the
 # step floor and at the step ceiling, and the step times the generator's
@@ -293,18 +301,23 @@ class _BandedRHS:
     tau_end reads, two at least and each the whole table's row bit for bit,
     then that single row from the settle time on; lindblad-rwa has one set
     with no rows. A call writes its output into out and uses out as scratch
-    before that, so out must not share memory with rho; the work arrays
-    (_a, and _m in a bath mode) are idle between calls.
+    before that, so out must not share memory with rho. Its work arrays, _a
+    (n_max^2) and, in a bath mode, _m (the second band product's lower
+    rows), are views of scratch, a complex array of at least work(mode,
+    n_max) elements (a new one when None). They are idle between calls, so
+    evolve's recorder shares the block.
     """
 
     def __init__(self, params: SystemParams, ladder: _Ladder, mode: str,
                  table_points: int = IntegratorConfig.transient_table_points,
-                 tau_end: float = math.inf):
+                 tau_end: float = math.inf, scratch: np.ndarray | None = None):
         n_max = ladder.energies.size
         self.ladder = ladder
-        # work buffers: every evaluation writes into these and into out, and
-        # allocates no n_max^2 temporary; between evaluations they are idle
-        self._a = np.empty((n_max, n_max), dtype=complex)
+        # work arrays: every evaluation writes into these and into out, and
+        # allocates no n_max^2 temporary
+        if scratch is None:
+            scratch = np.empty(self.work(mode, n_max), dtype=complex)
+        self._a = scratch[:n_max * n_max].reshape(n_max, n_max)
         self._tau = None  # time the bands were last set up for
         self.l_free = self.gain = None
         # the modulated P bands and X bands
@@ -321,13 +334,13 @@ class _BandedRHS:
             # product, and _block keeps i, j < n_max - 1 of it when adding
             self.gain = np.zeros((n_max - 1, n_max), dtype=complex)
             self._gain_flat = self.gain.reshape(-1)[:n_max * n_max - n_max - 1]
-            self._a_flat = self._a.reshape(-1)[:self._gain_flat.size]
+            self._a_flat = scratch[:self._gain_flat.size]
             self._block = np.zeros((n_max, n_max), dtype=bool)
             self._block[:-1, :-1] = True
             # the decay and the gain each have norm at most gamma n_max
             self.sets = ((2.0 * params.gamma * n_max, math.inf, ()),)
             return
-        self._m = np.empty((n_max, n_max), dtype=complex)
+        self._m = scratch[n_max * n_max:(2 * n_max - 1) * n_max].reshape(n_max - 1, n_max)
         self._at = tuple(np.empty(n_max - 1, dtype=complex) for _ in range(2))
         # first, so that a beta_bar the coefficients refuse never reaches a table
         inf = asymptotic_coefficients(params, n_max)
@@ -343,6 +356,11 @@ class _BandedRHS:
             sets.insert(0, (dt, _p_bands(ladder.sqrt_n, *table)))
             self.starts = (0.0, t_end)
         self.sets = tuple((_bath_rate(ladder.sqrt_n, b), spacing, b) for spacing, b in sets)
+
+    @staticmethod
+    def work(mode: str, n_max: int) -> int:
+        """Complex elements of a mode's work arrays."""
+        return n_max * n_max if mode == "lindblad-rwa" else (2 * n_max - 1) * n_max
 
     def in_force(self, tau: float) -> int:
         """The index in sets of the coefficient set in force at tau."""
@@ -394,24 +412,31 @@ class _BandedRHS:
             # a[i, j] = gain[i, j] rho[i+1, j+1] on the block i, j < n_max - 1
             np.multiply(self._gain_flat, rho.reshape(-1)[rho.shape[0] + 1:], out=self._a_flat)
             return np.add(out, a, out=out, where=self._block)
-        m = self._m
         pu, pl, xu, xl = self._mod
-        # A = P rho into a and A^dag into out, then M = A - A^dag
-        _band_product(pu, pl, rho, a, out)
-        np.subtract(a, out, out=m)
-        # B = X M into a and B^dag into out, then [X, M] = B + B^dag
-        _band_product(xu, xl, m, a, out)
+        # A = P rho into a (out's rows as scratch) and A^dag into out, then
+        # M = A - A^dag in place in out
+        _band_product(pu, pl, rho, a, out[1:, :])
+        _adjoint(a, out)
+        np.subtract(a, out, out=out)
+        # B = X M into a (_m as scratch) and B^dag into out, then
+        # [X, M] = B + B^dag
+        _band_product(xu, xl, out, a, self._m)
+        _adjoint(a, out)
         return np.add(a, out, out=out)
 
 
-def _band_product(upper, lower, rho, a, out) -> None:
+def _band_product(upper, lower, rho, a, low) -> None:
     """The product Y rho of the tridiagonal Y with zero main diagonal and
-    bands upper and lower, into a, and its adjoint (Y rho)^dag into out,
-    which is scratch before that."""
+    bands upper and lower, into a; low, an (n_max - 1, n_max) array that
+    shares no memory with rho or a, takes the lower band's rows first."""
     np.multiply(upper[:, None], rho[1:, :], out=a[:-1, :])
     a[-1, :] = 0.0
-    np.multiply(lower[:, None], rho[:-1, :], out=out[1:, :])
-    a[1:, :] += out[1:, :]
+    np.multiply(lower[:, None], rho[:-1, :], out=low)
+    a[1:, :] += low
+
+
+def _adjoint(a, out) -> None:
+    """a^dag into out."""
     np.copyto(out, a.T)
     np.conjugate(out, out=out)
 
@@ -554,11 +579,13 @@ class _Recorder:
     Every state is co-moving: the lower ladder diagonal is dressed with
     e^{-i Omega_n tau} before summing <a>; diagonal quantities and norms are
     frame-invariant, and the coherence envelope reads the co-moving state
-    as it is.
+    as it is. With an overlap_pair, the zero-padded band is a view of
+    scratch, a complex array of at least n_max (2 n_max - 1) elements that
+    others may write between calls, so vector zeroes it before each use.
     """
 
     def __init__(self, ladder: _Ladder, n_samples: int, config: IntegratorConfig,
-                 hint: str):
+                 hint: str, scratch: np.ndarray):
         self.ladder = ladder
         self.hint = hint
         self.a = np.empty(n_samples, dtype=complex)
@@ -569,7 +596,6 @@ class _Recorder:
         self.top = np.empty(n_samples)
         self.min_eig = np.empty(n_samples) if config.record_min_eig else None
         n_max = ladder.energies.size
-        self.mag = np.empty((n_max, n_max))  # real scratch, also for the step estimate
         self.levels = np.arange(n_max, dtype=float)
         self.gap_rates = -1j * ladder.gaps
         self.size = 2 * n_max - 1
@@ -581,7 +607,7 @@ class _Recorder:
             self.wmat = va[:, None] * vb[None, :]
             # row r of the band view starts at column n_max - 1 - r of the
             # zero-padded buffer, so column j sums diagonal j - (n_max - 1)
-            self._pad = np.zeros((n_max, 2 * n_max - 1), dtype=complex)
+            self._pad = scratch[:n_max * (2 * n_max - 1)].reshape(n_max, 2 * n_max - 1)
             item = self._pad.itemsize
             self._band = np.lib.stride_tricks.as_strided(
                 self._pad.ravel()[n_max - 1:], shape=(n_max, n_max),
@@ -597,14 +623,10 @@ class _Recorder:
         v[:n_max - 1] = np.diagonal(state, -1)
         v[n_max - 1:2 * n_max - 1] = np.diagonal(state)
         if self.overlap is not None:
+            self._pad.fill(0.0)
             np.multiply(self.wmat, state, out=self._band)
             np.sum(self._pad, axis=0, out=v[2 * n_max - 1:])
         return v
-
-    def defect(self, state: np.ndarray, diff: np.ndarray) -> float:
-        """The hermiticity defect max|state - state^dag|, formed in diff,
-        complex scratch of the state's shape, and the recorder's mag."""
-        return _herm_defect(state, diff, self.mag)
 
     @staticmethod
     def lowest_eig(state: np.ndarray) -> float:
@@ -673,10 +695,12 @@ def evolve(
     E_top or its phase E_top tau_end, and for beta_bar = inf in a
     born-markov mode. The trajectory samples every point of the dtau grid,
     which ends on tau_end, and final_rho is the lab-frame state there. A
-    grid of more than 1e6 cells raises IntegrationError before the run
-    allocates. The run steps in its own copy of rho0, one of five
-    state-sized buffers (see the module docstring), and never writes the
-    caller's array.
+    grid of more than 1e6 cells or of no finite cell count, and a run that
+    would take more than 1e12 RK4 steps even at its coefficient sets' step
+    ceilings, raise IntegrationError before the run allocates its state
+    buffers. The run steps in its own copy of rho0, one of five state-sized
+    buffers beside one scratch block (see the module docstring), and never
+    writes the caller's array.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -700,13 +724,13 @@ def evolve(
             raise ValueError(f"rho0 must be a non-empty square matrix, got shape {rho0.shape}")
         if not np.all(np.isfinite(rho0)):
             raise ValueError("rho0 must be finite")
-        # the kernel builds half of each commutator and mirrors the rest
-        herm = _herm_defect(rho0, np.empty_like(rho0), np.empty(rho0.shape))
-        if herm > _HERM_TOL:
-            raise ValueError(
-                f"rho0 must be Hermitian: max|rho0 - rho0^dag| = {herm:.3g} > {_HERM_TOL:g}"
-            )
         n_max = rho0.shape[0]
+    # the kernel builds half of each commutator and mirrors the rest
+    herm0 = _herm_defect(rho0, np.empty_like(rho0), np.empty(rho0.shape))
+    if herm0 > _HERM_TOL:
+        raise ValueError(
+            f"rho0 must be Hermitian: max|rho0 - rho0^dag| = {herm0:.3g} > {_HERM_TOL:g}"
+        )
     top = n_max - 1  # Python floats overflow to inf silently
     if math.isinf((top + params.mu_bar * top * top) * max(tau_end, 1.0)):
         raise ValueError(f"mu_bar = {params.mu_bar:g} overflows the top level energy E_top = "
@@ -718,7 +742,13 @@ def evolve(
         dtau = tau_end / _CLOSED_STEPS
     else:
         dtau = default_dtau(params, n_max, config.frame)
-    n_cells = max(1, math.ceil(tau_end / dtau - 1e-12)) if tau_end > 0 else 0
+    cells = tau_end / dtau if tau_end > 0 else 0.0
+    if not math.isfinite(cells):
+        # a default dtau follows the level spread, which mu_bar sets
+        fix = "raise dtau" if config.dtau is not None else "lower mu_bar"
+        raise IntegrationError(f"tau_end / dtau = {tau_end:g} / {dtau:g} is not a finite number "
+                               f"of samples, above the limit of {_MAX_SAMPLES}; {fix}")
+    n_cells = max(1, math.ceil(cells - 1e-12)) if tau_end > 0 else 0
     if config.dtau is None and mode != "closed":
         # keep every f-th point, f = n_cells // 4000: 4000 to 6000 samples
         n_cells = math.ceil(n_cells / max(1, n_cells // _DEFAULT_SAMPLES))
@@ -733,14 +763,31 @@ def evolve(
     ladder = _Ladder(params, n_max)
     rhs = None  # no generator: the co-moving state never changes
     hint = "a run without a generator keeps rho0, so check its trace"
-    if mode != "closed" and params.gamma > 0:
-        rhs = _BandedRHS(params, ladder, mode, config.transient_table_points, t_end)
+    stepping = mode != "closed" and params.gamma > 0
+    # the run's one scratch block, as large as the kernel's work arrays or
+    # the recorder's padded overlap band: the work arrays are idle while the
+    # recorder or the step estimate uses the block
+    size = _BandedRHS.work(mode, n_max) if stepping else 0
+    if config.overlap_pair is not None:
+        size = max(size, n_max * (2 * n_max - 1))
+    scratch = np.empty(size, dtype=complex)
+    if stepping:
+        rhs = _BandedRHS(params, ladder, mode, config.transient_table_points, t_end, scratch)
         # each coefficient set's step range, and the fix that a failure under it names
         bounds = (_step_bounds(params, rhs, dtau, t) for t in rhs.starts)
         ranges = [(lo, hi, _remedy(rhs, lo, hi, cap, t_end)) for lo, hi, cap in bounds]
         hint = ranges[0][2]
+        # the fewest steps: none is longer than its set's ceiling, bar round-off
+        spans = zip(rhs.starts, rhs.starts[1:] + (t_end,), ranges)
+        least = sum((min(b, t_end) - a) / hi for a, b, (_, hi, _) in spans if a < t_end)
+        if not least <= _MAX_STEPS:
+            raise IntegrationError(
+                f"a run to tau = {t_end:g} takes at least {least:.3g} RK4 steps of at most "
+                f"{ranges[0][1]:g} from tau = 0, more than the limit of {_MAX_STEPS:g}; "
+                "lower mu_bar or gamma, or shorten the run"
+            )
 
-    rec = _Recorder(ladder, taus.size, config, hint)
+    rec = _Recorder(ladder, taus.size, config, hint, scratch)
     done = 0  # samples recorded
     ends = None  # (time, vector, derivative vector or None, defect) last measured
     rho = rho0  # the run steps in its own copy of rho0
@@ -749,22 +796,22 @@ def evolve(
         """Record samples done, ..., j - 1, those in (t0, t1] of the step
         h = t1 - t0 from (y0, f0) to (y1, f1); sample 0 comes as t0 = t1 = 0.
         Samples inside the step interpolate the end vectors and take the
-        larger end defect, and only their minimum eigenvalues form states.
-        The scratch, y and the kernel's _a, is idle while a step records."""
+        larger end defect, and only their minimum eigenvalues form states,
+        in y with the scratch block's work view, idle while a step records."""
         nonlocal done, ends
 
         def state_at(c):
             if taus[c] == t1:
                 return y1
-            _hermite((taus[c] - t0) / h, h, y0, y1, f0, f1, y, rhs._a)
+            _hermite((taus[c] - t0) / h, h, y0, y1, f0, f1, y, work)
             return y
 
-        v1, g1, d1 = rec.vector(y1), None, rec.defect(y1, y)
+        v1, g1, d1 = rec.vector(y1), None, _herm_defect(y1, y, mag)
         vecs, herm = v1[None], d1
         if taus[done] < t1:
             g1 = rec.vector(f1)
             if ends[0] != t0:
-                ends = (t0, rec.vector(y0), None, rec.defect(y0, y))
+                ends = (t0, rec.vector(y0), None, _herm_defect(y0, y, mag))
             _, v0, g0, d0 = ends
             if g0 is None:
                 g0 = rec.vector(f0)
@@ -782,17 +829,21 @@ def evolve(
     steps, largest, step_error = 0, 0.0, 0.0  # accepted steps, the longest, worst estimate
     if rhs is None:
         # the co-moving state is rho0 throughout: one vector serves every sample
-        static = (rec.vector(rho)[None], rec.defect(rho, np.empty_like(rho)),
+        static = (rec.vector(rho)[None], herm0,
                   rec.lowest_eig(rho) if rec.min_eig is not None else None)
         for k in range(0, taus.size, _CLOSED_BLOCK):
             rec.store(k, taus[k:k + _CLOSED_BLOCK], *static)
     else:
         # five state buffers: rho and k1, the derivative at rho, stay across
         # an attempt; tmp holds each stage's input, then the increment, then
-        # the end derivative f1; x holds k2, then k2 + k3, then the end
-        # state y1; y holds k3, then k4, then f1 - k4. An accepted step
-        # swaps y1 into rho and f1 into k1
+        # the end state y1; x holds k2, then k2 + k3, then the end
+        # derivative f1; y holds k3, then k4, then f1 - k4. An accepted step
+        # rotates y1 into rho and f1 into k1, and the old pair into tmp and x
         k1, tmp, x, y = (np.empty_like(rho) for _ in range(4))
+        # views of the scratch block: the real magnitudes of the step
+        # estimate and the defects, and min_eig's interpolation work
+        mag = scratch.view(float)[:n_max * n_max].reshape(n_max, n_max)
+        work = scratch[:n_max * n_max].reshape(n_max, n_max)
         rhs(0.0, rho, k1)
         record(1, 0.0, 0.0, 0.0, None, rho, None, None)
         # numpy's overflow and invalid-value warnings are silenced: a step
@@ -823,15 +874,15 @@ def evolve(
                 x *= 2.0
                 rhs(t1, tmp, y)
                 # the increment (k1 + 2 k2 + 2 k3 + k4) dt/6 goes to tmp,
-                # keeping k4 for the error estimate
+                # keeping k4 for the error estimate, and y1 = rho + it too
                 np.add(y, k1, out=tmp)
                 tmp += x
                 tmp *= dt / 6.0
-                np.add(rho, tmp, out=x)
-                rhs(t1, x, tmp)
+                tmp += rho
+                rhs(t1, tmp, x)
                 # FSAL estimate: the end derivative, the next k1, against k4
-                np.subtract(tmp, y, out=y)
-                err = dt / 6.0 * float(np.abs(y, out=rec.mag).max())
+                np.subtract(x, y, out=y)
+                err = dt / 6.0 * float(np.abs(y, out=mag).max())
                 if not math.isfinite(err):
                     raise IntegrationError(
                         f"state became unphysical at tau={t1:g} (non-finite RK4 step); {rec.hint}"
@@ -841,14 +892,13 @@ def evolve(
                 nominal, h = h, min(max(dt * grow, h_lo), h_hi)
                 if nominal > h_lo and not err <= _STEP_TOL:
                     continue  # rejected: retry from rho with the shorter h
-                rho, x = x, rho
-                k1, tmp = tmp, k1
+                rho, k1, tmp, x = tmp, x, rho, k1
                 steps += 1
                 largest = max(largest, dt)
                 step_error = max(step_error, err)
                 j = bisect.bisect_right(taus, t1, done)
                 if j > done:
-                    record(j, t0, t1, dt, x, rho, tmp, k1)
+                    record(j, t0, t1, dt, tmp, rho, x, k1)
                 t0 = t1
 
     top = float(np.max(rec.top))

@@ -221,7 +221,9 @@ def _cot_minus_pole(u: float) -> float:
 def _matsubara_terms(params: SystemParams, taus: np.ndarray) -> np.ndarray:
     """Terms of the Matsubara sum kept at each tau > 0: up to nu_k tau >=
     _DECAY_EXPONENT, at most _MATSUBARA_CAP, and past 1.5 x, x = beta Lambda/2pi.
-    Raises ValueError when 1.5 x alone asks for more than _MATSUBARA_CAP terms."""
+    Raises ValueError when 1.5 x alone asks for more than _MATSUBARA_CAP terms,
+    or when the square of the last frequency kept, nu_k = 2pi k/beta,
+    overflows."""
     c = 2.0 * math.pi / params.beta_bar
     floor = 1.5 * params.lambda_bar / c  # compared as a float: no beta_bar overflows it
     if not floor <= _MATSUBARA_CAP - 1:
@@ -232,7 +234,14 @@ def _matsubara_terms(params: SystemParams, taus: np.ndarray) -> np.ndarray:
             f"at most {(_MATSUBARA_CAP - 1) / 1.5 * 2.0 * math.pi:.6g}"
         )
     n = np.ceil(_DECAY_EXPONENT / np.maximum(c * taus, _DECAY_EXPONENT / _MATSUBARA_CAP))
-    return np.maximum(n, math.ceil(floor) + 1).astype(int)
+    n = np.maximum(n, math.ceil(floor) + 1).astype(int)
+    top = c * float(n.max())  # a Python float: its square overflows to inf silently
+    if not math.isfinite(top * top):
+        least = 2.0 * math.pi * float(n.max()) / math.sqrt(sys.float_info.max)
+        raise ValueError(f"beta_bar = {params.beta_bar:g} overflows the squared Matsubara "
+                         f"frequency (2pi k/beta_bar)^2 of the transient coefficients; "
+                         f"beta_bar must be at least {least:.2g} here")
+    return n
 
 
 def _decaying_parts(params: SystemParams, omegas: np.ndarray, taus: np.ndarray,

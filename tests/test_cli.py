@@ -229,7 +229,10 @@ BETA_RUN = ["--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3", "--tau-end
           ("asymptotic", "1.7e308", "beta_bar = 1.7e+308 overflows"),
           *[(mode, beta, f"beta_bar = {beta} overflows the Matsubara frequency 2pi/beta_bar; "
              "beta_bar must be at least 3.5e-308")
-            for beta in ("1e-310", "1e-308") for mode in ("asymptotic", "transient")]]],
+            for beta in ("1e-310", "1e-308") for mode in ("asymptotic", "transient")],
+          *[("transient", beta, f"beta_bar = {beta} overflows the squared Matsubara frequency "
+             "(2pi k/beta_bar)^2 of the transient coefficients; beta_bar must be at least 9.4e-154")
+            for beta in ("3.5e-308", "1e-250", "1e-160")]]],
     *[(["simulate", "--mode", mode, "--mu-bar", "1e306", "--intensity", "5", "--gamma", "1e-3",
         "--tau-end", "1"], "mu_bar = 1e+306 overflows the top level energy E_top")
       for mode in ("lindblad-rwa", "born-markov-asymptotic", "closed")],
@@ -243,7 +246,8 @@ BETA_RUN = ["--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3", "--tau-end
         "beta-inf-transient", "beta-1e6-transient", "beta-1e20-transient",
         "beta-1e305-transient", "beta-1.7e308-transient", "beta-1.7e308-asymptotic",
         "beta-1e-310-asymptotic", "beta-1e-310-transient", "beta-1e-308-asymptotic",
-        "beta-1e-308-transient", "mu-1e306-lindblad-rwa", "mu-1e306-asymptotic",
+        "beta-1e-308-transient", "beta-3.5e-308-transient", "beta-1e-250-transient",
+        "beta-1e-160-transient", "mu-1e306-lindblad-rwa", "mu-1e306-asymptotic",
         "mu-1e306-closed", "mu-1e308-timescales", "lambda-1e103-asymptotic",
         "lambda-1e-310-asymptotic"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -261,7 +265,9 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, message):
     Matsubara terms a row, 1e20 and 1e305 warned and wrote a garbage table,
     and 1.7e308 exited 2 on a nan. At beta_bar = 1e-310 and 1e-308, where
     2pi/beta_bar overflows, the asymptotic run warned and exited 3 and the
-    transient run divided by zero. A mu_bar that overflows E_top divided by
+    transient run divided by zero; from 3.5e-308 to about 1e-154 the
+    transient run overflowed in the squared Matsubara frequencies, warned
+    and exited 3. A mu_bar that overflows E_top divided by
     zero in the default grid or, in closed mode, warned and exited 3, and
     one that overflows 1/tau_e divided by zero in timescales. lambda_bar =
     1e103 overflowed in lambda_bar^3, and 1e-310 warned and exited 3.)"""
@@ -444,6 +450,31 @@ def test_integrator_failure_exit_3(tmp_path, capsys):
         assert code == 3
         err = capsys.readouterr().err
         assert "integration failed" in err and fix in err and "reduce dtau" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--mu-bar", "1e300", "--intensity", "5"],
+     "takes at least 4.7e+301 RK4 steps of at most 2.12766e-302 from tau = 0, "
+     "more than the limit of 1e+12"),
+    (["--mu-bar", "1e306", "--intensity", "0.1"], "more than the limit of 1e+12"),
+    (["--mu-bar", "1e306", "--intensity", "1"],
+     "tau_end / dtau = 1 / 2.5e-309 is not a finite number of samples, above the limit of "
+     "1000000; lower mu_bar"),
+], ids=["mu-1e300-steps", "mu-1e306-steps", "mu-1e306-cells"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_too_long_to_step_exits_3(tmp_path, capsys, argv, message):
+    """A run whose step ceiling or sample grid the level spread shrinks past
+    every limit is refused before it steps, with exit 3 and a message that
+    names the limit. (At mu_bar = 1e300 the ceiling of 2.1e-302 asked for
+    4.7e301 steps at least, and the run never ended, as at mu_bar = 1e306
+    and I0 = 0.1; at I0 = 1 the default dtau underflowed to 2.5e-309 and
+    the cell count raised OverflowError.)"""
+    out = tmp_path / "out"
+    argv = ["simulate", "--mode", "lindblad-rwa", *argv, "--gamma", "1e-3", "--tau-end", "1"]
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "integration failed" in err and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -34,7 +34,7 @@ from kerrbath import (
     evolve,
     fock_cutoff,
 )
-from kerrbath.evolve import _BandedRHS, _Ladder, _Recorder, _step_bounds
+from kerrbath.evolve import _BandedRHS, _herm_defect, _Ladder, _step_bounds
 
 # the module: the package re-exports the function evolve under its name
 EV = importlib.import_module("kerrbath.evolve")
@@ -258,12 +258,28 @@ def test_rotating_rhs_output_is_exactly_hermitian():
             assert np.array_equal(out, out.conj().T)
 
 
+def test_exactly_hermitian_bath_run_stays_exactly_hermitian():
+    """A bath run from an exactly Hermitian rho0 stays exactly Hermitian:
+    the kernel's output is, and the RK4 sums have real weights. So every
+    sample records a measured herm_defect of 0.0, at both ends too. A rho0
+    with a 1e-12 asymmetry keeps it: every sample records its measured
+    defect."""
+    p = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=1.0, gamma=1e-3)
+    rho0 = coherent_state_density(p.alpha, fock_cutoff(p.intensity))
+    skewed = rho0.copy()
+    skewed[3, 5] += 1e-12
+    for mode in ("born-markov-asymptotic", "born-markov-transient"):
+        tr = evolve(p, 1.0, mode=mode, rho0=rho0)
+        assert tr.steps > 10 and not np.any(tr.herm_defect), mode
+        tr = evolve(p, 1.0, mode=mode, rho0=skewed)
+        assert np.all(tr.herm_defect > 5e-13), mode
+
+
 def test_kernel_and_defect_allocate_no_state_sized_array():
-    """The kernel and the recorder's hermiticity defect work in buffers the
-    run owns (the defect in scratch it is given). At n_max = 109, after a
-    warm-up call, 20 evaluations in each mode, and 20 defects, peak below
-    one n_max^2 complex array:
-    per-call temporaries of that size made the stepping speed depend on the
+    """The kernel and the hermiticity defect work in buffers the run owns
+    (the kernel in its scratch block, the defect in scratch it is given).
+    At n_max = 109, after a warm-up call, 20 evaluations in each mode, and
+    20 defects, peak below one n_max^2 complex array: per-call temporaries of that size made the stepping speed depend on the
     allocator's state."""
     p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
     n_max = 109
@@ -284,34 +300,37 @@ def test_kernel_and_defect_allocate_no_state_sized_array():
     for mode in ("born-markov-asymptotic", "lindblad-rwa"):
         rhs = _BandedRHS(p, ladder, mode)
         assert peak(lambda k: rhs(0.01 * k, rho, out)) < rho.nbytes, mode
-    rec = _Recorder(ladder, 1, IntegratorConfig(), "")
-    assert peak(lambda k: rec.defect(rho, out)) < rho.nbytes
+    mag = np.empty(rho.shape)
+    assert peak(lambda k: _herm_defect(rho, out, mag)) < rho.nbytes
 
 
 def test_run_holds_five_state_buffers():
     """A stepping run holds five state-sized buffers (rho, k1, the stage
-    input and two more that the stages share), the kernel's one or two
-    work arrays and the recorder's real scratch, and it dresses final_rho
-    in place. At the quantum-corner parameters, n_max = 109 to tau = 0.2,
-    the tracemalloc peak of evolve in units of one n_max^2 complex array
-    (measured: 8.4 from the coherent start, also with record_min_eig,
-    whose eigvalsh reads the state in place, 12.0 for the cat with its
-    overlap pair, whose weights and padded band add three, and 9.7 in
-    lindblad-rwa, whose decay and gain add one and a half); eight state
-    buffers would read 16.4, 19.4 and 17.9, and a Hermitian part formed per
-    min_eig sample 10.6."""
+    input and two more that the stages share) and one scratch block, which
+    the kernel's work arrays, the recorder's padded overlap band, min_eig's
+    interpolation work and the real magnitudes of the step estimate and the
+    defects share, and it dresses final_rho in place. At the quantum-corner
+    parameters, n_max = 109 to tau = 0.2, the tracemalloc peak of evolve in
+    units of one n_max^2 complex array (measured: 7.9 from the coherent
+    start, also with record_min_eig, whose eigvalsh reads the state in
+    place, 9.5 for the cat with its overlap pair, whose weights and the
+    numpy buffer of their product add 1.6, and 9.2 in lindblad-rwa, whose
+    decay and gain add one and a half); with the
+    kernel's, the recorder's and the estimate's scratch apart they read 8.4,
+    12.0 and 9.7, with eight state buffers 16.4, 19.4 and 17.9, and with a
+    Hermitian part formed per min_eig sample 10.6."""
     p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
     n_max = fock_cutoff(p.intensity)
     assert n_max == 109
     al = math.sqrt(p.intensity)
     cat = cat_state_density(al, -al, n_max)
     unit = 16 * n_max * n_max
-    cases = (("born-markov-asymptotic", None, IntegratorConfig(frame="rotating"), 10),
+    cases = (("born-markov-asymptotic", None, IntegratorConfig(frame="rotating"), 8.1),
              ("born-markov-asymptotic", None,
-              IntegratorConfig(frame="rotating", record_min_eig=True), 10),
+              IntegratorConfig(frame="rotating", record_min_eig=True), 8.1),
              ("born-markov-asymptotic", cat,
-              IntegratorConfig(frame="rotating", overlap_pair=(al, -al)), 13),
-             ("lindblad-rwa", None, IntegratorConfig(frame="rotating"), 13))
+              IntegratorConfig(frame="rotating", overlap_pair=(al, -al)), 9.6),
+             ("lindblad-rwa", None, IntegratorConfig(frame="rotating"), 9.4))
     evolve(p, 0.05, mode="born-markov-asymptotic")  # one-off allocations are not the run's
     for mode, rho0, config, bound in cases:
         tracemalloc.start()
@@ -698,6 +717,43 @@ def test_sample_limit():
         with pytest.raises(IntegrationError,
                            match="100000000 samples after tau = 0 exceed the limit of 1000000; raise dtau"):
             evolve(p, 1.0, mode=mode, config=IntegratorConfig(dtau=1e-8))
+
+
+def test_step_limit_counts_the_fewest_steps(monkeypatch):
+    """A run is refused when it would take more RK4 steps than the limit
+    even at its step ceiling, the fewest it can take, and is otherwise let
+    run. With the limit lowered to a run's ceiling count the run goes ahead
+    and takes at least that many steps; one less refuses it. At the
+    quantum-corner parameters (n_max = 109) a run to tau_gamma = 2/gamma =
+    2e4 takes at least 4.5e5 steps and is not refused: a limit of 1e6 steps
+    counted at the 0.011 floor (1.8e6) refused it, though it ends in
+    minutes."""
+    p = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=1.0, gamma=1e-3)
+    config = IntegratorConfig(dtau=0.5, frame="rotating")
+    rhs = _BandedRHS(p, _Ladder(p, fock_cutoff(p.intensity)), "born-markov-asymptotic")
+    least = 4.0 / _step_bounds(p, rhs, 0.5)[1]
+    monkeypatch.setattr(EV, "_MAX_STEPS", math.ceil(least))
+    assert evolve(p, 4.0, mode="born-markov-asymptotic", config=config).steps >= least
+    monkeypatch.setattr(EV, "_MAX_STEPS", math.ceil(least) - 1)
+    with pytest.raises(IntegrationError, match=f"takes at least {least:.3g} RK4 steps"):
+        evolve(p, 4.0, mode="born-markov-asymptotic", config=config)
+    monkeypatch.undo()
+
+    class Past(Exception):
+        pass
+
+    def stop(*args):
+        raise Past  # the run got past its refusals
+
+    corner = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
+    tau_gamma = 2.0 / corner.gamma
+    rhs = _BandedRHS(corner, _Ladder(corner, 109), "born-markov-asymptotic")
+    h_lo, h_hi, _ = _step_bounds(corner, rhs, 5.0)  # dtau is 5 once coarsened
+    assert tau_gamma / h_lo > 1e6 and 4e5 < tau_gamma / h_hi < 5e5
+    monkeypatch.setattr(EV, "_Recorder", stop)
+    with pytest.raises(Past):
+        evolve(corner, tau_gamma, mode="born-markov-asymptotic",
+               config=IntegratorConfig(frame="rotating"))
 
 
 def test_unstable_step_raises():
