@@ -45,12 +45,12 @@ from .evolve import (
 from .kernels import QuadratureError
 from .model import (
     SystemParams,
+    _require_valid,
     classify_regime,
     derive_timescales,
     theta_bec,
     theta_cantilever,
     theta_regime,
-    validate_params,
 )
 
 CSV_HEADER = "tau,x,re_a,im_a,n,trace,herm_defect"
@@ -175,11 +175,7 @@ def _build_params(opts: dict) -> SystemParams:
     """SystemParams from the options, mu_bar 0 and intensity 1 by default."""
     given = {f.name: opts[f.name] for f in dataclasses.fields(SystemParams) if f.name in opts}
     params = SystemParams(**{"mu_bar": 0.0, "intensity": 1.0, **given})
-    violations = validate_params(params)
-    errors = [v.message for v in violations if v.level == "error"]
-    if errors:
-        raise ConfigError("; ".join(errors))
-    for v in violations:  # warnings only
+    for v in _require_valid(params):
         print(f"warning: {v.message}", file=sys.stderr)
     return params
 

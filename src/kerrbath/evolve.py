@@ -58,7 +58,8 @@ Lawson's integrating-factor Runge-Kutta (J. D. Lawson, SIAM J. Numer. Anal.
 gamma = 0, takes the closed path: it builds no kernel and keeps rho0.
 Recorded observables and final_rho, the state at tau_end and the one state a
 run returns, are lab-frame values: co-moving states are dressed with the
-level phases. evolve checks its inputs before any run (see evolve).
+level phases. evolve checks its inputs before any run (see evolve); sample 0
+of every run, and every closed-path sample, takes that check's rho0 defect.
 
 Time stepping is classical RK4 on the co-moving state. dtau is the sample
 spacing in every mode. When unset, default_dtau(params, n_max, frame) gives
@@ -124,7 +125,7 @@ import numpy as np
 
 from . import fock
 from .kernels import asymptotic_coefficients, coefficient_tables
-from .model import SystemParams, derive_timescales, validate_params
+from .model import SystemParams, _require_valid, derive_timescales
 
 MODES = (
     "closed",
@@ -140,7 +141,7 @@ _CLOSED_STEPS = 2000
 # largest max|rho0 - rho0^dag| accepted, the conservation audit's bound
 _HERM_TOL = 1e-9
 
-# closed-mode samples recorded at once, which bounds the dressing phases' memory
+# samples of rho0 recorded at once, which bounds the dressing phases' memory
 _CLOSED_BLOCK = 512
 
 # samples past tau = 0: at most _MAX_SAMPLES in one run (each 72-88 B of
@@ -268,13 +269,15 @@ class Trajectory:
 
 
 class _Ladder:
-    """Level energies E_n = n + mu n^2, gaps Omega_n = E_{n+1} - E_n and
-    ladder amplitudes sqrt(n+1), computed once per run."""
+    """Level index n, energies E_n = n + mu n^2, gaps Omega_n = E_{n+1} - E_n
+    with their phase rates -i Omega_n, and ladder amplitudes sqrt(n+1),
+    computed once per run."""
 
     def __init__(self, params: SystemParams, n_max: int):
-        n = np.arange(n_max, dtype=float)
+        n = self.levels = np.arange(n_max, dtype=float)
         self.energies = n + params.mu_bar * n * n
         self.gaps = np.diff(self.energies)
+        self.rates = -1j * self.gaps
         self.sqrt_n = np.sqrt(np.arange(1, n_max, dtype=float))
 
 
@@ -325,7 +328,7 @@ class _BandedRHS:
         self.gamma = params.gamma
         self.starts = (0.0,)
         if mode == "lindblad-rwa":
-            n = np.arange(n_max, dtype=float)
+            n = ladder.levels
             self.l_free = -0.5 * params.gamma * (n[:, None] + n[None, :])
             # the gain gamma xu[i] xl[j] fills columns j < n_max - 1 of an
             # (n_max - 1, n_max) array whose last column stays zero. With
@@ -387,7 +390,7 @@ class _BandedRHS:
         if tau == self._tau:
             return
         self._tau = tau
-        ph = np.exp(-1j * self.ladder.gaps * tau)
+        ph = np.exp(self.ladder.rates * tau)
         conj = ph.conj()
         pu_t, pl_t, xu_t, xl_t = self._mod
         np.multiply(self.ladder.sqrt_n, ph, out=xu_t)
@@ -560,8 +563,7 @@ def _hermite(s, h: float, y0, y1, f0, f1, out, work) -> None:
 def _herm_defect(state: np.ndarray, diff: np.ndarray, mag: np.ndarray) -> float:
     """max|state - state^dag|, formed in diff (complex) and mag (real),
     scratch arrays of the state's shape."""
-    np.copyto(diff, state.T)
-    np.conjugate(diff, out=diff)
+    _adjoint(state, diff)
     np.subtract(state, diff, out=diff)
     return float(np.abs(diff, out=mag).max())
 
@@ -574,7 +576,8 @@ class _Recorder:
     energy, trace and top population) and, with an overlap_pair, the
     2 n_max - 1 diagonal sums of W*rho~. store turns rows of such vectors
     into samples, so a step spanning several grid points interpolates its
-    end vectors; only min_eig forms the interior state.
+    end vectors; only min_eig forms the interior state. Sample 0, and every
+    closed-path sample, is one vector of rho0 and evolve's input-check defect.
 
     Every state is co-moving: the lower ladder diagonal is dressed with
     e^{-i Omega_n tau} before summing <a>; diagonal quantities and norms are
@@ -595,9 +598,7 @@ class _Recorder:
         self.herm = np.empty(n_samples)
         self.top = np.empty(n_samples)
         self.min_eig = np.empty(n_samples) if config.record_min_eig else None
-        n_max = ladder.energies.size
-        self.levels = np.arange(n_max, dtype=float)
-        self.gap_rates = -1j * ladder.gaps
+        n_max = ladder.levels.size
         self.size = 2 * n_max - 1
         self.overlap = None
         if config.overlap_pair is not None:
@@ -605,13 +606,12 @@ class _Recorder:
             va = fock.coherent_amplitudes(al, n_max).conj()
             vb = fock.coherent_amplitudes(be, n_max)
             self.wmat = va[:, None] * vb[None, :]
-            # row r of the band view starts at column n_max - 1 - r of the
+            # row r of the band view, rows 2 n_max - 2 elements apart (any
+            # spacing serves one row), starts at column n_max - 1 - r of the
             # zero-padded buffer, so column j sums diagonal j - (n_max - 1)
             self._pad = scratch[:n_max * (2 * n_max - 1)].reshape(n_max, 2 * n_max - 1)
-            item = self._pad.itemsize
-            self._band = np.lib.stride_tricks.as_strided(
-                self._pad.ravel()[n_max - 1:], shape=(n_max, n_max),
-                strides=((2 * n_max - 2) * item, item))
+            row = max(2 * n_max - 2, 1)
+            self._band = scratch[n_max - 1:n_max - 1 + n_max * row].reshape(n_max, row)[:, :n_max]
             self.size += 2 * n_max - 1
             self.overlap = np.empty(n_samples)
 
@@ -641,12 +641,12 @@ class _Recorder:
         state), with hermiticity defects herm and, when recorded, minimum
         eigenvalues min_eig (each one value or one per sample)."""
         rows = slice(k, k + taus.size)
-        n_max = self.levels.size
+        n_max = self.ladder.levels.size
         lower, diag = vecs[:, :n_max - 1], vecs[:, n_max - 1:2 * n_max - 1]
-        amp = self.ladder.sqrt_n * np.exp(taus[:, None] * self.gap_rates)
+        amp = self.ladder.sqrt_n * np.exp(taus[:, None] * self.ladder.rates)
         a = self.a[rows] = (amp * lower).sum(axis=1)
         pops = diag.real
-        self.n[rows] = np.dot(pops, self.levels)
+        self.n[rows] = np.dot(pops, self.ladder.levels)
         self.energy[rows] = np.dot(pops, self.ladder.energies)
         tr = self.tr[rows] = diag.sum(axis=1)
         self.herm[rows] = herm
@@ -706,9 +706,7 @@ def evolve(
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if not (math.isfinite(tau_end) and tau_end >= 0):
         raise ValueError(f"tau_end must be finite and non-negative, got {tau_end}")
-    errors = [v.message for v in validate_params(params) if v.level == "error"]
-    if errors:
-        raise ValueError("; ".join(errors))
+    _require_valid(params)
     if mode.startswith("born-markov") and math.isinf(params.beta_bar):
         # the psi terms, the Matsubara sum and the 4 beta settle time need a finite beta
         raise ValueError("beta_bar must be finite in born-markov-asymptotic and "
@@ -788,16 +786,22 @@ def evolve(
             )
 
     rec = _Recorder(ladder, taus.size, config, hint, scratch)
-    done = 0  # samples recorded
-    ends = None  # (time, vector, derivative vector or None, defect) last measured
     rho = rho0  # the run steps in its own copy of rho0
+    # sample 0 of rho0, with the input check's defect, and so every sample
+    # of a run without a generator, whose co-moving state is rho0 throughout
+    v0 = rec.vector(rho)
+    eig0 = rec.lowest_eig(rho) if rec.min_eig is not None else None
+    done = taus.size if rhs is None else 1  # samples recorded
+    for k in range(0, done, _CLOSED_BLOCK):
+        rec.store(k, taus[k:min(k + _CLOSED_BLOCK, done)], v0[None], herm0, eig0)
+    ends = (0.0, v0, None, herm0)  # time, vector, derivative vector, defect last measured
 
     def record(j, t0, t1, h, y0, y1, f0, f1) -> None:
         """Record samples done, ..., j - 1, those in (t0, t1] of the step
-        h = t1 - t0 from (y0, f0) to (y1, f1); sample 0 comes as t0 = t1 = 0.
-        Samples inside the step interpolate the end vectors and take the
-        larger end defect, and only their minimum eigenvalues form states,
-        in y with the scratch block's work view, idle while a step records."""
+        h = t1 - t0 from (y0, f0) to (y1, f1). Samples inside the step
+        interpolate the end vectors and take the larger end defect, and only
+        their minimum eigenvalues form states, in y with the scratch block's
+        work view, idle while a step records."""
         nonlocal done, ends
 
         def state_at(c):
@@ -827,13 +831,7 @@ def evolve(
         done = j
 
     steps, largest, step_error = 0, 0.0, 0.0  # accepted steps, the longest, worst estimate
-    if rhs is None:
-        # the co-moving state is rho0 throughout: one vector serves every sample
-        static = (rec.vector(rho)[None], herm0,
-                  rec.lowest_eig(rho) if rec.min_eig is not None else None)
-        for k in range(0, taus.size, _CLOSED_BLOCK):
-            rec.store(k, taus[k:k + _CLOSED_BLOCK], *static)
-    else:
+    if rhs is not None:
         # five state buffers: rho and k1, the derivative at rho, stay across
         # an attempt; tmp holds each stage's input, then the increment, then
         # the end state y1; x holds k2, then k2 + k3, then the end
@@ -845,7 +843,6 @@ def evolve(
         mag = scratch.view(float)[:n_max * n_max].reshape(n_max, n_max)
         work = scratch[:n_max * n_max].reshape(n_max, n_max)
         rhs(0.0, rho, k1)
-        record(1, 0.0, 0.0, 0.0, None, rho, None, None)
         # numpy's overflow and invalid-value warnings are silenced: a step
         # that leaves the finite range raises IntegrationError below instead
         with np.errstate(over="ignore", invalid="ignore"):

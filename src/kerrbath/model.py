@@ -101,18 +101,16 @@ def derive_timescales(params: SystemParams) -> Timescales:
     """Compute the five timescales of the model.
 
     mu_bar = 0 gives infinite tau_e and tau_r (a harmonic oscillator never
-    spreads or revives); gamma = 0 gives infinite tau_d and tau_gamma. A
-    mu_bar for which 1/tau_e overflows raises ValueError.
-    theta is tau_gamma/tau_e, nan only when both are infinite.
+    spreads or revives); gamma = 0 gives infinite tau_d and tau_gamma.
+    Parameters with validate_params' errors, and a mu_bar for which 1/tau_e
+    overflows, raise ValueError. theta is tau_gamma/tau_e, nan only when both
+    are infinite.
 
     tau_d drops the Ohmic cutoff factor Lambda^2/(Lambda^2 + Omega^2) that
     the bath coefficient B1(inf) carries.
     """
+    _require_valid(params)
     mu, i0, g = params.mu_bar, params.intensity, params.gamma
-    if i0 <= 0:
-        raise ValueError(f"intensity must be positive, got {i0}")
-    if mu < 0 or g < 0:
-        raise ValueError("mu_bar and gamma must be non-negative")
     spread = 2.0 * mu * math.sqrt(i0)  # 1/tau_e; Python floats overflow to inf silently
     if math.isinf(spread):
         raise ValueError(f"mu_bar = {mu:g} overflows 1/tau_e = 2 mu_bar sqrt(I0); lower mu_bar")
@@ -139,7 +137,9 @@ def derive_timescales(params: SystemParams) -> Timescales:
 
 def theta_regime(theta: float) -> str:
     """The verdict on a survival ratio: quantum-surviving above THETA_HI,
-    classical below THETA_LO, intermediate otherwise."""
+    classical below THETA_LO, intermediate otherwise; ValueError for nan."""
+    if math.isnan(theta):
+        raise ValueError(f"theta must be a number, got {theta}")
     if theta > THETA_HI:
         return "quantum-surviving"
     if theta < THETA_LO:
@@ -175,10 +175,12 @@ def theta_bec(
     The mean-field interaction plays the role of the anharmonicity:
     mu_cl = N*sqrt(a^2 m omega / 2 pi hbar) with epsilon = 1/N, so
     Theta = 2*mu_cl*sqrt(epsilon)*tau_gamma = a*sqrt(2 m omega N/(pi hbar))*tau_gamma.
-    SI inputs (m, kg, rad/s); tau_gamma in units of 1/omega.
+    SI inputs (m, kg, rad/s); tau_gamma in units of 1/omega. Every input
+    must be finite and all but the scattering length positive (ValueError).
     """
-    if n_atoms <= 0:
-        raise ValueError("n_atoms must be positive")
+    _check_inputs({"scattering_length": scattering_length},
+                  {"atom_mass": atom_mass, "trap_omega": trap_omega, "n_atoms": n_atoms,
+                   "tau_gamma": tau_gamma})
     return (
         scattering_length
         * math.sqrt(2.0 * atom_mass * trap_omega * n_atoms / (math.pi * HBAR))
@@ -190,38 +192,42 @@ def theta_cantilever(mu_cl: float, quality: float, n_levels: float) -> float:
     """Quantum-survival ratio for a driven nanomechanical mode.
 
     tau_gamma = 2Q and epsilon = 1/n for a mode excited to n quanta, so
-    Theta = 2*mu_cl*sqrt(epsilon)*tau_gamma = 4*mu_cl*Q/sqrt(n).
+    Theta = 2*mu_cl*sqrt(epsilon)*tau_gamma = 4*mu_cl*Q/sqrt(n). Every
+    input must be finite and quality and n_levels positive (ValueError).
     """
-    if n_levels <= 0 or quality <= 0:
-        raise ValueError("quality and n_levels must be positive")
+    _check_inputs({"mu_cl": mu_cl}, {"quality": quality, "n_levels": n_levels})
     return 4.0 * mu_cl * quality / math.sqrt(n_levels)
 
 
-def validate_params(params: SystemParams) -> list[Violation]:
-    """Return every violated constraint, errors first.
+#: the sign each field of SystemParams must have (theta may have either)
+_SIGNS = {"mu_bar": "non-negative", "intensity": "positive", "beta_bar": "positive",
+          "gamma": "non-negative", "lambda_bar": "positive"}
 
-    Errors make the parameter set unusable (a nan in any field is one, and
-    so is an infinite intensity; beta_bar = inf is zero temperature);
-    warnings flag parameter choices for which results carry caveats (cutoff
-    below the system frequency, truncation size beyond the intended
-    operating range).
+
+def validate_params(params: SystemParams) -> list[Violation]:
+    """Return every error of a parameter set, or, when it has none, every
+    warning.
+
+    One rule makes the errors: every field is a finite number of its sign
+    (_SIGNS), except beta_bar = +inf, which is zero temperature. Warnings
+    flag parameter choices for which results carry caveats (cutoff below
+    the system frequency, truncation size beyond the intended operating
+    range).
     """
     out: list[Violation] = []
-    out += [Violation("error", f"{name} must be a number, got {value}")
-            for name, value in asdict(params).items() if math.isnan(value)]
-    if params.intensity <= 0 or params.intensity == math.inf:
-        out.append(Violation(
-            "error", f"intensity must be positive and finite, got {params.intensity}"))
-    if params.mu_bar < 0:
-        out.append(Violation("error", f"mu_bar must be non-negative, got {params.mu_bar}"))
-    if params.gamma < 0:
-        out.append(Violation("error", f"gamma must be non-negative, got {params.gamma}"))
-    if params.beta_bar <= 0:
-        out.append(Violation("error", f"beta_bar must be positive, got {params.beta_bar}"))
-    if params.lambda_bar <= 0:
-        out.append(Violation("error", f"lambda_bar must be positive, got {params.lambda_bar}"))
+    for name, value in asdict(params).items():
+        sign = _SIGNS.get(name)
+        if math.isnan(value):
+            need = "a number"
+        elif sign and not (value > 0 or value == 0 and sign == "non-negative"):
+            need = sign
+        elif math.isinf(value) and name != "beta_bar":
+            need = f"{sign} and finite" if sign else "finite"
+        else:
+            continue
+        out.append(Violation("error", f"{name} must be {need}, got {value}"))
 
-    if params.intensity > 0 and params.lambda_bar > 0:
+    if not out:
         if params.gamma > 0 and params.lambda_bar <= params.omega_bar:
             out.append(
                 Violation(
@@ -239,5 +245,21 @@ def validate_params(params: SystemParams) -> list[Violation]:
                     "intended operating range; expect long runtimes",
                 )
             )
-    out.sort(key=lambda v: v.level)  # errors before warnings
     return out
+
+
+def _require_valid(params: SystemParams) -> list[Violation]:
+    """The warnings of params; ValueError naming every error, if it has any."""
+    out = validate_params(params)
+    if out and out[0].level == "error":
+        raise ValueError("; ".join(v.message for v in out))
+    return out
+
+
+def _check_inputs(finite: dict, positive: dict) -> None:
+    """ValueError naming the first input that is not a finite number, or is
+    one of positive and not above zero."""
+    for name, value in {**finite, **positive}.items():
+        if not math.isfinite(value) or name in positive and value <= 0:
+            need = "positive and finite" if name in positive else "finite"
+            raise ValueError(f"{name} must be {need}, got {value}")

@@ -241,6 +241,18 @@ BETA_RUN = ["--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3", "--tau-end
     *[(["simulate", "--mode", "born-markov-asymptotic", *BETA_RUN, "--lambda-bar", lam],
        f"the long-time bath coefficients are not finite at lambda_bar = {lam}")
       for lam in ("1e+103", "1e-310")],
+    *[(["simulate", "--mode", mode, *BETA_RUN, "--gamma", "inf"],
+       "gamma must be non-negative and finite, got inf")
+      for mode in ("lindblad-rwa", "born-markov-transient")],
+    (["simulate", "--mode", "closed", *BETA_RUN, "--theta", "inf"], "theta must be finite, got inf"),
+    (["simulate", "--mode", "born-markov-asymptotic", *BETA_RUN, "--lambda-bar", "inf"],
+     "lambda_bar must be positive and finite, got inf"),
+    (["simulate", "--mode", "born-markov-asymptotic", *BETA_RUN, "--mu-bar", "inf"],
+     "mu_bar must be non-negative and finite, got inf"),
+    (["timescales", "--mu-bar", "0.1", "--intensity", "5", "--gamma", "inf"],
+     "gamma must be non-negative and finite, got inf"),
+    (["sweep", "--draws", "1", "--seed", "1", "--lambda-bar", "inf"],
+     "lambda_bar must be positive and finite, got inf"),
 ], ids=["tau-end-nan", "tau-end-inf", "tau-end-minus-inf", "intensity-inf", "mu-nan",
         "theta-nan", "tolerance-nan", "tolerance-negative", "beta-inf-asymptotic",
         "beta-inf-transient", "beta-1e6-transient", "beta-1e20-transient",
@@ -249,7 +261,9 @@ BETA_RUN = ["--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3", "--tau-end
         "beta-1e-308-transient", "beta-3.5e-308-transient", "beta-1e-250-transient",
         "beta-1e-160-transient", "mu-1e306-lindblad-rwa", "mu-1e306-asymptotic",
         "mu-1e306-closed", "mu-1e308-timescales", "lambda-1e103-asymptotic",
-        "lambda-1e-310-asymptotic"])
+        "lambda-1e-310-asymptotic", "gamma-inf-lindblad-rwa", "gamma-inf-transient",
+        "theta-inf", "lambda-inf-asymptotic", "mu-inf-asymptotic", "gamma-inf-timescales",
+        "lambda-inf-sweep"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, message):
     """A nan or an infinite time or intensity, a compare tolerance that is
@@ -270,11 +284,27 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, message):
     and exited 3. A mu_bar that overflows E_top divided by
     zero in the default grid or, in closed mode, warned and exited 3, and
     one that overflows 1/tau_e divided by zero in timescales. lambda_bar =
-    1e103 overflowed in lambda_bar^3, and 1e-310 warned and exited 3.)"""
+    1e103 overflowed in lambda_bar^3, and 1e-310 warned and exited 3.
+    validate_params refuses every infinite field but beta_bar = +inf: gamma
+    = inf warned and exited 3, or in timescales printed tau_d = 0; theta =
+    inf exited 2 on "math domain error"; lambda_bar = inf was blamed on
+    beta_bar, and a sweep ran its draws, each failing; mu_bar = inf printed
+    a cutoff warning before its error.)"""
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinite_mu_bar_prints_no_warning(tmp_path, capsys):
+    """An infinite mu_bar is refused alone: its omega_bar = inf no longer
+    prints a cutoff warning before the error."""
+    argv = ["simulate", "--mode", "born-markov-asymptotic", *BETA_RUN, "--mu-bar", "inf"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "mu_bar must be non-negative and finite, got inf" in err
+    assert "warning" not in err
 
 
 @pytest.mark.parametrize("beta", ["1e200", "1e305"])
@@ -841,6 +871,35 @@ def test_regimes_invalid_exit_2(capsys):
     code = main(["regimes", "cantilever", "--mu-cl", "1", "--quality", "-3",
                  "--n-levels", "16"])
     assert code == 2
+
+
+BEC = {"--atoms": "1e4", "--scattering-length": "5e-9", "--mass": "1.5e-25",
+       "--trap-omega": "628.3", "--tau-gamma": "628.3"}
+CANTILEVER = {"--mu-cl": "0.194", "--quality": "1e6", "--n-levels": "6e11"}
+
+
+@pytest.mark.parametrize("system,flag,value,message", [
+    ("cantilever", "--mu-cl", "nan", "mu_cl must be finite, got nan"),
+    ("cantilever", "--quality", "nan", "quality must be positive and finite, got nan"),
+    ("cantilever", "--n-levels", "nan", "n_levels must be positive and finite, got nan"),
+    ("cantilever", "--quality", "inf", "quality must be positive and finite, got inf"),
+    ("bec", "--atoms", "nan", "n_atoms must be positive and finite, got nan"),
+    ("bec", "--mass", "-1", "atom_mass must be positive and finite, got -1.0"),
+    ("bec", "--tau-gamma", "0", "tau_gamma must be positive and finite, got 0.0"),
+    ("bec", "--scattering-length", "inf", "scattering_length must be finite, got inf"),
+], ids=["mu-cl-nan", "quality-nan", "n-levels-nan", "quality-inf", "atoms-nan", "mass-negative",
+        "tau-gamma-zero", "scattering-length-inf"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_regimes_refuses_bad_inputs(capsys, system, flag, value, message):
+    """A non-finite input, or a non-positive one where the formula needs a
+    positive one, exits 2 with a message that names it. (A nan exited 0 with
+    theta = nan and regime intermediate, a negative mass exited 2 on "math
+    domain error", and tau_gamma = 0 gave theta = 0, classical.)"""
+    flags = {**(BEC if system == "bec" else CANTILEVER), flag: value}
+    assert main(["regimes", system, *(x for item in flags.items() for x in item)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "theta" not in captured.out
 
 
 # ---------------------------------------------------------------------------

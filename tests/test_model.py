@@ -1,6 +1,8 @@
 """Timescales, regime classification and experimental-scale estimates."""
 
+import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,7 @@ from kerrbath import (
     theta_cantilever,
     validate_params,
 )
-from kerrbath.model import THETA_HI, THETA_LO
+from kerrbath.model import THETA_HI, THETA_LO, theta_regime
 
 param_draws = st.builds(
     SystemParams,
@@ -215,3 +217,67 @@ def test_validate_params_clean():
     p = SystemParams(mu_bar=0.1, intensity=50.0, gamma=1e-4, lambda_bar=100.0)
     assert validate_params(p) == []
     assert isinstance(Violation("warning", "x"), Violation)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_validate_params_one_rule():
+    """Every field must be a finite number of its sign, except beta_bar = +inf
+    (zero temperature); an error set carries no warnings. (gamma, theta,
+    lambda_bar and mu_bar = inf passed, and mu_bar = inf warned that the
+    cutoff lies below omega_bar = inf.)"""
+    base = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
+    for name in ("mu_bar", "intensity", "gamma", "lambda_bar", "theta"):
+        out = validate_params(dataclasses.replace(base, **{name: math.inf}))
+        assert [v.level for v in out] == ["error"]
+        assert out[0].message.startswith(f"{name} must be ")
+        assert out[0].message.endswith("finite, got inf")
+    assert validate_params(dataclasses.replace(base, beta_bar=math.inf)) == []
+    out = validate_params(dataclasses.replace(base, beta_bar=-math.inf))
+    assert [v.message for v in out] == ["beta_bar must be positive, got -inf"]
+
+
+@pytest.mark.parametrize("changes,message", [
+    (dict(gamma=math.inf), "gamma must be non-negative and finite, got inf"),
+    (dict(lambda_bar=math.inf), "lambda_bar must be positive and finite, got inf"),
+    (dict(theta=math.nan), "theta must be a number, got nan"),
+    (dict(beta_bar=0.0), "beta_bar must be positive, got 0.0"),
+], ids=["gamma-inf", "lambda-inf", "theta-nan", "beta-zero"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_derive_timescales_refuses_validate_params_errors(changes, message):
+    """derive_timescales refuses what validate_params calls an error.
+    (gamma = inf gave tau_d = 0 and the classical verdict; the others
+    returned timescales of an unusable set.)"""
+    p = dataclasses.replace(SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3), **changes)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        derive_timescales(p)
+
+
+BEC_ARGS = dict(scattering_length=5e-9, atom_mass=1.5e-25, trap_omega=628.3, n_atoms=1e4,
+                tau_gamma=628.3)
+CANTILEVER_ARGS = dict(mu_cl=0.194, quality=1e6, n_levels=6e11)
+
+
+@pytest.mark.parametrize("name,value", [
+    *[(name, value) for name in ("atom_mass", "trap_omega", "tau_gamma")
+      for value in (math.nan, math.inf, 0.0, -1.0)],
+    *[(name, value) for name in ("n_atoms", "scattering_length", "quality", "n_levels")
+      for value in (math.nan, math.inf)],
+    ("mu_cl", math.nan), ("mu_cl", -math.inf),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_theta_estimates_refuse_bad_inputs(name, value):
+    """The laboratory estimates name an input that is not a finite number,
+    or not positive where the formula needs it (the scattering length and
+    mu_cl may have either sign). (A nan gave theta = nan, a negative mass
+    "math domain error", and an infinite or zero input an infinite or zero
+    theta.)"""
+    func, args = (theta_bec, BEC_ARGS) if name in BEC_ARGS else (theta_cantilever, CANTILEVER_ARGS)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        func(**{**args, name: value})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_theta_regime_refuses_nan():
+    """nan is no verdict (it was called intermediate)."""
+    with pytest.raises(ValueError, match="theta must be a number, got nan"):
+        theta_regime(math.nan)
