@@ -45,6 +45,7 @@ from .evolve import (
 from .kernels import QuadratureError
 from .model import (
     SystemParams,
+    _cantilever_threshold,
     _require_valid,
     classify_regime,
     derive_timescales,
@@ -343,16 +344,15 @@ def cmd_spectrum(opts: dict) -> int:
                           + ("" if window_arg is None else " with a hann window"))
     out = _out_dir(opts)
 
+    scales = derive_timescales(params)
     # an even number of revival periods puts every comb line exactly on a
     # frequency bin, so the rectangular transform has no scalloping
-    tau_r = math.pi / params.mu_bar
-    duration = 2.0 * periods * tau_r
+    duration = 2.0 * periods * scales.tau_r
     traj = evolve(params, duration, mode=mode,
                   config=IntegratorConfig(dtau=duration / samples))
     # the last sample is the periodic endpoint, the first one again
     omegas, amps, fit = analysis.fit_position_spectrum(
         traj.taus[:-1], traj.x[:-1], params.theta, window=window_arg)
-    scales = derive_timescales(params)
 
     _write_csv(out / "spectrum.csv", "omega,amplitude", (omegas, amps))
     _write_json(out / "spectrum.json", _sidecar(
@@ -582,7 +582,7 @@ def cmd_regimes(args: argparse.Namespace) -> int:
         theta = theta_cantilever(
             mu_cl=args.mu_cl, quality=args.quality, n_levels=args.n_levels
         )
-        threshold = math.sqrt(args.n_levels) / (4.0 * args.quality)
+        threshold = _cantilever_threshold(args.quality, args.n_levels)
         print(f"theta = {fmt(theta)}")
         print(f"mu_cl threshold (theta = 1) = {fmt(threshold)}")
     print(f"regime = {theta_regime(theta)}")

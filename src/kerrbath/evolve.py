@@ -125,7 +125,7 @@ import numpy as np
 
 from . import fock
 from .kernels import asymptotic_coefficients, coefficient_tables
-from .model import SystemParams, _require_valid, derive_timescales
+from .model import SystemParams, _require_valid, derived_scales
 
 MODES = (
     "closed",
@@ -453,7 +453,7 @@ def coefficient_settle_time(params: SystemParams) -> float:
     a born-markov-asymptotic run from a product state is past its initial
     slip from here on.
     """
-    return max(20.0 / params.lambda_bar, 4.0 * params.beta_bar, 2.0)
+    return derived_scales(params, matsubara=0)["settle"]
 
 
 def _p_bands(sqrt_n, a1, a2, b1, b2):
@@ -502,10 +502,9 @@ def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
         raise ValueError(f"unknown frame {frame!r}")
     if frame == "rotating":
         return 0.05 / _omega_top(params, n_max)
-    top = n_max - 1
-    dt = 1.0 / max(top + params.mu_bar * top * top, 1.0)
-    tau_e = derive_timescales(params).tau_e
-    return min(dt, tau_e / 200.0) if math.isfinite(tau_e) else dt
+    scales = derived_scales(params, n_max)
+    dt = 1.0 / max(scales["e_top"], 1.0)
+    return min(dt, scales["tau_e"] / 200.0) if math.isfinite(scales["tau_e"]) else dt
 
 
 def _step_bounds(params: SystemParams, rhs: _BandedRHS, dtau: float,
@@ -690,10 +689,9 @@ def evolve(
     rho0 defaults to the coherent state of the model parameters in a basis
     sized by fock_cutoff; a given rho0 must be a finite square matrix with
     max|rho0 - rho0^dag| <= 1e-9, or ValueError is raised, as it is for a
-    tau_end that is not finite and non-negative, for validate_params' errors
-    (not its warnings), for a mu_bar that overflows the top level energy
-    E_top or its phase E_top tau_end, and for beta_bar = inf in a
-    born-markov mode. The trajectory samples every point of the dtau grid,
+    tau_end that is not finite and non-negative, for parameters outside the
+    numeric domain of the run (see derived_scales), and for beta_bar = inf
+    in a born-markov mode. The trajectory samples every point of the dtau grid,
     which ends on tau_end, and final_rho is the lab-frame state there. A
     grid of more than 1e6 cells or of no finite cell count, and a run that
     would take more than 1e12 RK4 steps even at its coefficient sets' step
@@ -729,10 +727,7 @@ def evolve(
         raise ValueError(
             f"rho0 must be Hermitian: max|rho0 - rho0^dag| = {herm0:.3g} > {_HERM_TOL:g}"
         )
-    top = n_max - 1  # Python floats overflow to inf silently
-    if math.isinf((top + params.mu_bar * top * top) * max(tau_end, 1.0)):
-        raise ValueError(f"mu_bar = {params.mu_bar:g} overflows the top level energy E_top = "
-                         f"n + mu_bar n^2 at n = {top} or its phase E_top tau_end; lower mu_bar")
+    derived_scales(params, n_max, tau_end)
 
     if config.dtau is not None:
         dtau = config.dtau
@@ -740,7 +735,7 @@ def evolve(
         dtau = tau_end / _CLOSED_STEPS
     else:
         dtau = default_dtau(params, n_max, config.frame)
-    cells = tau_end / dtau if tau_end > 0 else 0.0
+    cells = tau_end / dtau if dtau > 0 else 0.0  # a closed run to 1e-320 has dtau = 0
     if not math.isfinite(cells):
         # a default dtau follows the level spread, which mu_bar sets
         fix = "raise dtau" if config.dtau is not None else "lower mu_bar"

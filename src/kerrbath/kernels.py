@@ -67,12 +67,11 @@ coefficients at its tau alone.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams
+from .model import SystemParams, derived_scales
 
 # the k-sum stops at nu_k tau >= _DECAY_EXPONENT (e^-40 ~ 4e-18), is
 # evaluated in chunks of _MATSUBARA_CHUNK terms and never runs past
@@ -170,45 +169,26 @@ def _digamma(w):
     for k in range(steps):
         acc -= 1.0 / (w + k)
     w = w + steps
-    with np.errstate(over="ignore"):  # w * w overflows past |w| ~ 1e154; 1/w^2 -> 0 is right
-        inv2 = 1.0 / (w * w)
+    inv2 = 1.0 / (w * w)  # past |w| ~ 1e154 this is 0, as it should be
     series = np.zeros_like(w)
     for k in range(len(_BERNOULLI), 0, -1):
         series = inv2 * (series + _BERNOULLI[k - 1] / (2 * k))
     return acc + np.log(w) - 0.5 / w - series
 
 
-def _asymptotic_parts(params: SystemParams, omegas: np.ndarray):
-    """A1, A2, B1, B2 at tau -> inf per unit gamma; ValueError when
-    beta Lambda/2pi or beta Omega_top/2pi overflows, when the Matsubara
-    frequency 2pi/beta does, or when a part is not finite."""
+def _asymptotic_parts(params: SystemParams, omegas: np.ndarray, scales):
+    """A1, A2, B1, B2 at tau -> inf per unit gamma, with the scales that
+    derived_scales formed for the bath."""
     lam = params.lambda_bar
     beta = params.beta_bar
-    top = float(omegas[-1])
-    if not math.isfinite(beta * max(lam, top)):  # Python floats overflow to inf silently
-        raise ValueError(
-            f"beta_bar = {beta:g} overflows the digamma argument beta_bar * lambda_bar / 2pi "
-            f"or beta_bar * Omega_top / 2pi (lambda_bar = {lam:g}, Omega_top = {top:g}); "
-            "lower beta_bar"
-        )
-    if not math.isfinite(2.0 * math.pi / beta):
-        raise ValueError(f"beta_bar = {beta:g} overflows the Matsubara frequency 2pi/beta_bar; "
-                         f"beta_bar must be at least {2.0 * math.pi / sys.float_info.max:.2g}")
-    # a part past the float range comes out inf or nan, with no numpy warning,
-    # and is refused below; a numpy float's cube gives inf where lam**3 raises
-    with np.errstate(all="ignore"):
-        den = lam * lam + omegas * omegas
-        a1 = 0.5 * np.float64(lam) ** 3 / den
-        a2 = 0.5 * lam * lam * omegas / den
-        b1 = a2 / np.tanh(0.5 * beta * omegas)
-        x = beta * lam / (2.0 * math.pi)
-        y = beta * omegas / (2.0 * math.pi)
-        b2 = lam * lam * omegas / (math.pi * den) * (
-            _digamma(1.0 + 1j * y).real - _digamma(x) - 0.5 / x
-        )
-    if not all(np.isfinite(part).all() for part in (a1, a2, b1, b2)):
-        raise ValueError(f"the long-time bath coefficients are not finite at lambda_bar = "
-                         f"{lam:g} and beta_bar = {beta:g}; bring both nearer 1")
+    den = lam * lam + omegas * omegas
+    a1 = 0.5 * scales["lambda_cube"] / den
+    a2 = 0.5 * lam * lam * omegas / den
+    b1 = a2 / np.tanh(0.5 * beta * omegas)
+    y = beta * omegas / (2.0 * math.pi)
+    b2 = lam * lam * omegas / (math.pi * den) * (
+        _digamma(1.0 + 1j * y).real - _digamma(scales["x"]) - 0.5 / scales["x"]
+    )
     return a1, a2, b1, b2
 
 
@@ -223,11 +203,10 @@ def _cot_minus_pole(u: float) -> float:
 def _matsubara_terms(params: SystemParams, taus: np.ndarray) -> np.ndarray:
     """Terms of the Matsubara sum kept at each tau > 0: up to nu_k tau >=
     _DECAY_EXPONENT, at most _MATSUBARA_CAP, and past 1.5 x, x = beta Lambda/2pi.
-    Raises ValueError when 1.5 x alone asks for more than _MATSUBARA_CAP terms,
-    or when the square of the last frequency kept, nu_k = 2pi k/beta,
-    overflows."""
+    Raises ValueError when 1.5 x alone asks for more than _MATSUBARA_CAP
+    terms, and for terms outside the numeric domain (see derived_scales)."""
     c = 2.0 * math.pi / params.beta_bar
-    floor = 1.5 * params.lambda_bar / c  # compared as a float: no beta_bar overflows it
+    floor = 1.5 * params.lambda_bar / c  # compared as a float, so inf is refused too
     if not floor <= _MATSUBARA_CAP - 1:
         raise ValueError(
             f"the transient coefficients need {floor + 1:.3g} Matsubara terms at "
@@ -237,12 +216,7 @@ def _matsubara_terms(params: SystemParams, taus: np.ndarray) -> np.ndarray:
         )
     n = np.ceil(_DECAY_EXPONENT / np.maximum(c * taus, _DECAY_EXPONENT / _MATSUBARA_CAP))
     n = np.maximum(n, math.ceil(floor) + 1).astype(int)
-    top = c * float(n.max())  # a Python float: its square overflows to inf silently
-    if not math.isfinite(top * top):
-        least = 2.0 * math.pi * float(n.max()) / math.sqrt(sys.float_info.max)
-        raise ValueError(f"beta_bar = {params.beta_bar:g} overflows the squared Matsubara "
-                         f"frequency (2pi k/beta_bar)^2 of the transient coefficients; "
-                         f"beta_bar must be at least {least:.2g} here")
+    derived_scales(params, matsubara=int(n.max()))
     return n
 
 
@@ -330,7 +304,8 @@ def _tables(params: SystemParams, n_max: int, taus: np.ndarray):
     err, each row's bound on the truncated Matsubara sum (zero at tau = 0
     and inf). gamma enters as the last factor, so they are exactly linear
     in it; raises QuadratureError when a row's bound is not small against
-    its coefficients.
+    its coefficients, and ValueError outside the numeric domain (see
+    derived_scales) or for a table that is not finite.
 
     The long-time parts are evaluated once. The rows with 0 < tau < inf
     go through _decaying_parts in blocks of rows that share a Matsubara term
@@ -341,31 +316,42 @@ def _tables(params: SystemParams, n_max: int, taus: np.ndarray):
     taus = np.asarray(taus, dtype=float)
     if not np.all(taus >= 0.0):
         raise ValueError(f"tau must be non-negative, got {taus[~(taus >= 0.0)][0]}")
+    g = params.gamma
+    # a bath with gamma = 0 is zero, whatever its other scales
+    scales = derived_scales(params, n_max, matsubara=0 if g > 0.0 else None)
     omegas = omega_levels(params, n_max)
     shape = (taus.size, n_max)
     tables = tuple(np.zeros(shape) for _ in range(4))
     err = np.zeros(taus.size)
-    g = params.gamma
     if g == 0.0:
         return (*tables, err)
-    parts = _asymptotic_parts(params, omegas)
-    at_inf = np.isinf(taus)
-    for table, part in zip(tables, parts):
-        table[at_inf] = part * g
-    rows = np.flatnonzero((taus > 0.0) & ~at_inf)
-    # only finite rows sum Matsubara terms, so rows at 0 and inf take any beta_bar
-    n_terms = _matsubara_terms(params, taus[rows]) if rows.size else rows
-    for n in sorted(set(n_terms.tolist())):  # np.unique would import numpy.ma
-        group = rows[n_terms == n]
-        per = min(_BLOCK_ROWS, max(1, _MATSUBARA_CHUNK // n))
-        for lo in range(0, group.size, per):
-            block = group[lo:lo + per]
-            d_a, d_b, bound = _decaying_parts(params, omegas, taus[block], n)
-            for table, part, d in zip(tables, parts, (d_a.real, d_a.imag, d_b.real, d_b.imag)):
-                table[block] = (part + d) * g
-            err[block] = 2.0 * bound * g
-            scale = np.maximum.reduce([np.abs(table[block]) for table in tables])
-            _check_quadrature(scale, err[block, None], g, omegas, "Matsubara sum")
+    # inside the domain an exponent past the float range decays to 0, as it
+    # should, and what else leaves the range comes out inf or nan with no
+    # numpy warning (the digamma series at beta_bar = 5e307 and lambda_bar =
+    # 1, a phase Omega tau past 1e308): the table is refused below
+    with np.errstate(all="ignore"):
+        parts = _asymptotic_parts(params, omegas, scales)
+        at_inf = np.isinf(taus)
+        for table, part in zip(tables, parts):
+            table[at_inf] = part * g
+        rows = np.flatnonzero((taus > 0.0) & ~at_inf)
+        # only finite rows sum Matsubara terms, so rows at 0 and inf take any beta_bar
+        n_terms = _matsubara_terms(params, taus[rows]) if rows.size else rows
+        for n in sorted(set(n_terms.tolist())):  # np.unique would import numpy.ma
+            group = rows[n_terms == n]
+            per = min(_BLOCK_ROWS, max(1, _MATSUBARA_CHUNK // n))
+            for lo in range(0, group.size, per):
+                block = group[lo:lo + per]
+                d_a, d_b, bound = _decaying_parts(params, omegas, taus[block], n)
+                for table, part, d in zip(tables, parts, (d_a.real, d_a.imag, d_b.real, d_b.imag)):
+                    table[block] = (part + d) * g
+                err[block] = 2.0 * bound * g
+                scale = np.maximum.reduce([np.abs(table[block]) for table in tables])
+                _check_quadrature(scale, err[block, None], g, omegas, "Matsubara sum")
+    if not all(np.isfinite(part).all() for part in (*tables, err)):
+        raise ValueError(f"the bath coefficients are not finite at lambda_bar = "
+                         f"{params.lambda_bar:g}, beta_bar = {params.beta_bar:g} and "
+                         f"gamma = {g:g}; bring them nearer 1")
     return (*tables, err)
 
 

@@ -11,7 +11,10 @@ harmonic period over 2*pi, all frequencies in units of the harmonic frequency.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 HBAR = 1.054571817e-34  # J s, CODATA 2018
 
@@ -102,37 +105,21 @@ def derive_timescales(params: SystemParams) -> Timescales:
 
     mu_bar = 0 gives infinite tau_e and tau_r (a harmonic oscillator never
     spreads or revives); gamma = 0 gives infinite tau_d and tau_gamma.
-    Parameters with validate_params' errors, and a mu_bar for which 1/tau_e
-    overflows, raise ValueError. theta is tau_gamma/tau_e, nan only when both
-    are infinite.
+    Parameters outside the numeric domain raise ValueError (see
+    derived_scales). theta is tau_gamma/tau_e, nan only when both are
+    infinite; a ratio of two finite times that is not finite and positive
+    raises ValueError too.
 
     tau_d drops the Ohmic cutoff factor Lambda^2/(Lambda^2 + Omega^2) that
     the bath coefficient B1(inf) carries.
     """
     _require_valid(params)
-    mu, i0, g = params.mu_bar, params.intensity, params.gamma
-    spread = 2.0 * mu * math.sqrt(i0)  # 1/tau_e; Python floats overflow to inf silently
-    if math.isinf(spread):
-        raise ValueError(f"mu_bar = {mu:g} overflows 1/tau_e = 2 mu_bar sqrt(I0); lower mu_bar")
-
-    tau_cl = 2.0 * math.pi / (1.0 + 2.0 * mu * i0)
-    tau_e = 1.0 / spread if mu > 0 else math.inf
-    tau_r = math.pi / mu if mu > 0 else math.inf
-    tau_gamma = 2.0 / g if g > 0 else math.inf
-
-    if g > 0:
-        omega = params.omega_bar
-        tau_d = math.tanh(0.5 * params.beta_bar * omega) / (i0 * g * omega)
-    else:
-        tau_d = math.inf
-
-    if math.isinf(tau_gamma) and math.isinf(tau_e):
-        theta = math.nan
-    elif math.isinf(tau_e):
-        theta = 0.0
-    else:
-        theta = tau_gamma / tau_e
-    return Timescales(tau_cl, tau_e, tau_r, tau_d, tau_gamma, theta)
+    s = derived_scales(params)
+    theta = s["tau_gamma"] / s["tau_e"]  # inf/inf is nan, and x/inf is 0
+    if params.mu_bar > 0 and params.gamma > 0:  # two finite times
+        theta = _form(theta, "theta = tau_gamma/tau_e", True, mu_bar=params.mu_bar,
+                      gamma=params.gamma)
+    return Timescales(s["tau_cl"], s["tau_e"], s["tau_r"], s["tau_d"], s["tau_gamma"], theta)
 
 
 def theta_regime(theta: float) -> str:
@@ -181,11 +168,12 @@ def theta_bec(
     _check_inputs({"scattering_length": scattering_length},
                   {"atom_mass": atom_mass, "trap_omega": trap_omega, "n_atoms": n_atoms,
                    "tau_gamma": tau_gamma})
-    return (
-        scattering_length
-        * math.sqrt(2.0 * atom_mass * trap_omega * n_atoms / (math.pi * HBAR))
-        * tau_gamma
-    )
+    root = _form(2.0 * atom_mass * trap_omega * n_atoms / (math.pi * HBAR),
+                 "2 m omega N/(pi hbar)", True,
+                 atom_mass=atom_mass, trap_omega=trap_omega, n_atoms=n_atoms)
+    return _form(scattering_length * math.sqrt(root) * tau_gamma,
+                 "theta = a sqrt(2 m omega N/(pi hbar)) tau_gamma", scattering_length != 0.0,
+                 scattering_length=scattering_length, tau_gamma=tau_gamma)
 
 
 def theta_cantilever(mu_cl: float, quality: float, n_levels: float) -> float:
@@ -196,7 +184,14 @@ def theta_cantilever(mu_cl: float, quality: float, n_levels: float) -> float:
     input must be finite and quality and n_levels positive (ValueError).
     """
     _check_inputs({"mu_cl": mu_cl}, {"quality": quality, "n_levels": n_levels})
-    return 4.0 * mu_cl * quality / math.sqrt(n_levels)
+    return _form(4.0 * mu_cl * quality / math.sqrt(n_levels), "theta = 4 mu_cl Q/sqrt(n)",
+                 mu_cl != 0.0, mu_cl=mu_cl, quality=quality, n_levels=n_levels)
+
+
+def _cantilever_threshold(quality: float, n_levels: float) -> float:
+    """The mu_cl at which theta_cantilever is 1, sqrt(n)/(4 Q)."""
+    return _form(math.sqrt(n_levels) / (4.0 * quality), "the threshold sqrt(n)/(4 Q)", True,
+                 quality=quality, n_levels=n_levels)
 
 
 #: the sign each field of SystemParams must have (theta may have either)
@@ -209,10 +204,11 @@ def validate_params(params: SystemParams) -> list[Violation]:
     warning.
 
     One rule makes the errors: every field is a finite number of its sign
-    (_SIGNS), except beta_bar = +inf, which is zero temperature. Warnings
-    flag parameter choices for which results carry caveats (cutoff below
-    the system frequency, truncation size beyond the intended operating
-    range).
+    (_SIGNS), except beta_bar = +inf, which is zero temperature. A set
+    whose fields pass can still have one error: the first of its times that
+    leaves the numeric domain (see derived_scales). Warnings flag parameter
+    choices for which results carry caveats (cutoff below the system
+    frequency, truncation size beyond the intended operating range).
     """
     out: list[Violation] = []
     for name, value in asdict(params).items():
@@ -228,12 +224,16 @@ def validate_params(params: SystemParams) -> list[Violation]:
         out.append(Violation("error", f"{name} must be {need}, got {value}"))
 
     if not out:
-        if params.gamma > 0 and params.lambda_bar <= params.omega_bar:
+        try:
+            omega = derived_scales(params)["omega_bar"]
+        except ValueError as exc:
+            return [Violation("error", str(exc))]
+        if params.gamma > 0 and params.lambda_bar <= omega:
             out.append(
                 Violation(
                     "warning",
                     "cutoff below system frequency: lambda_bar = "
-                    f"{params.lambda_bar:g} <= omega_bar = {params.omega_bar:g}; "
+                    f"{params.lambda_bar:g} <= omega_bar = {omega:g}; "
                     "bath coefficients are suppressed by the cutoff there",
                 )
             )
@@ -246,6 +246,78 @@ def validate_params(params: SystemParams) -> list[Violation]:
                 )
             )
     return out
+
+
+def derived_scales(params: SystemParams, n_max: int = 0, tau_end: float = 0.0,
+                   matsubara: int | None = None) -> dict:
+    """The numeric domain of the program: every derived scale of params,
+    formed once and in a fixed order, by name. The first that is not finite,
+    or that nonzero inputs drove to zero, raises ValueError (see _form).
+    Fields with validate_params' errors are not checked here.
+
+    The times come always; mu_bar = 0 and gamma = 0 keep their infinite
+    ones. n_max adds the basis of a run to tau_end; matsubara the bath of a
+    coefficient table over n_max levels that keeps that many Matsubara
+    terms a row (0: the long-time row alone). The README lists every scale.
+    Each is the expression its reader would otherwise evaluate, bit for bit.
+    """
+    mu, i0, beta, g, lam = (params.mu_bar, params.intensity, params.beta_bar, params.gamma,
+                            params.lambda_bar)
+    spread = _form(2.0 * mu * math.sqrt(i0), "1/tau_e = 2 mu_bar sqrt(I0)", mu > 0, mu_bar=mu)
+    omega = _form(params.omega_bar, "omega_bar = 1 + mu_bar (1 + 2 I0)", mu_bar=mu, intensity=i0)
+    rate = _form(i0 * g * omega, "the decoherence rate I0 gamma omega_bar", g > 0,
+                 intensity=i0, gamma=g)
+    # omega_bar and 1/tau_e bound tau_cl's denominator, so it needs no check
+    s = {"omega_bar": omega, "tau_cl": 2.0 * math.pi / (1.0 + 2.0 * mu * i0),
+         "tau_e": math.inf, "tau_r": math.inf, "tau_gamma": math.inf, "tau_d": math.inf}
+    if mu > 0:
+        s["tau_e"] = _form(1.0 / spread, "tau_e = 1/(2 mu_bar sqrt(I0))", mu_bar=mu)
+        s["tau_r"] = _form(math.pi / mu, "tau_r = pi/mu_bar", mu_bar=mu)
+    if g > 0:
+        s["tau_gamma"] = _form(2.0 / g, "tau_gamma = 2/gamma", gamma=g)
+        s["tau_d"] = _form(math.tanh(0.5 * beta * omega) / rate, "tau_d = tanh(beta_bar "
+                           "omega_bar/2)/(I0 gamma omega_bar)", True, beta_bar=beta, gamma=g)
+    top = n_max - 1
+    if n_max:
+        s["e_top"] = _form(top + mu * top * top, "the top level energy E_top = n + mu_bar n^2 "
+                           f"at n = {top}; lower mu_bar", mu_bar=mu)
+        _form(s["e_top"] * tau_end, "the phase E_top tau_end of the top level", mu_bar=mu,
+              tau_end=tau_end)
+        omega_top = _form(1.0 + mu * (1.0 + 2.0 * top), "the top level frequency "
+                          f"Omega_n = 1 + mu_bar (1 + 2n) at n = {top}", mu_bar=mu)
+    if matsubara is None:
+        return s
+    s["x"] = _form(beta * lam / (2.0 * math.pi), "the digamma argument beta_bar lambda_bar/2pi; "
+                   "lower beta_bar", True, beta_bar=beta)
+    if n_max:
+        _form(beta * omega_top / (2.0 * math.pi), "the digamma argument beta_bar Omega_top/2pi; "
+              "lower beta_bar", beta_bar=beta)
+    c = _form(2.0 * math.pi / beta, "the Matsubara frequency 2pi/beta_bar; beta_bar must be at "
+              f"least {2.0 * math.pi / sys.float_info.max:.2g}", beta_bar=beta)
+    with np.errstate(over="ignore"):  # a numpy float's cube is inf where lam**3 raises
+        s["lambda_cube"] = float(np.float64(lam) ** 3)
+    if not (math.isfinite(s["lambda_cube"]) and math.isfinite(1.0 / s["x"])):
+        raise ValueError(f"the long-time bath coefficients are not finite at lambda_bar = "
+                         f"{lam:g} and beta_bar = {beta:g}; bring both nearer 1")
+    s["settle"] = _form(max(20.0 / lam, 4.0 * beta, 2.0), "the settle time max(20/lambda_bar, "
+                        "4 beta_bar, 2)", lambda_bar=lam, beta_bar=beta)
+    last = c * matsubara  # the last Matsubara frequency kept
+    least = 2.0 * math.pi * matsubara / math.sqrt(sys.float_info.max)
+    _form(last * last, "the squared Matsubara frequency (2pi k/beta_bar)^2 of the transient "
+          f"coefficients; beta_bar must be at least {least:.2g} here", beta_bar=beta)
+    return s
+
+
+def _form(value: float, scale: str, positive: bool = False, **inputs) -> float:
+    """value, the derived scale named by scale, when it is finite and, if
+    positive is true, not zero; otherwise ValueError naming the inputs that
+    formed it: "mu_bar = 1e+308 overflows 1/tau_e = 2 mu_bar sqrt(I0)"."""
+    if math.isfinite(value) and (value != 0.0 or not positive):
+        return value
+    names = [f"{name} = {v:g}" for name, v in inputs.items()]
+    who = " and ".join(filter(None, (", ".join(names[:-1]), names[-1])))
+    verb = ("underflow" if value == 0.0 else "overflow") + ("s" if len(names) == 1 else "")
+    raise ValueError(f"{who} {verb} {scale}")
 
 
 def _require_valid(params: SystemParams) -> list[Violation]:

@@ -253,6 +253,19 @@ BETA_RUN = ["--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3", "--tau-end
      "gamma must be non-negative and finite, got inf"),
     (["sweep", "--draws", "1", "--seed", "1", "--lambda-bar", "inf"],
      "lambda_bar must be positive and finite, got inf"),
+    *[([*command, "--mu-bar", "0.1", "--intensity", "1e-200", "--gamma", "1e-200"],
+       "intensity = 1e-200 and gamma = 1e-200 underflow the decoherence rate I0 gamma omega_bar")
+      for command in (["timescales"], ["simulate", "--mode", "lindblad-rwa", "--tau-end", "1"],
+                      ["compare", "--mode", "lindblad-rwa", "--tau-end", "1"])],
+    (["timescales", "--mu-bar", "1e-320", "--intensity", "5"],
+     "mu_bar = 9.99989e-321 overflows tau_e = 1/(2 mu_bar sqrt(I0))"),
+    (["timescales", "--mu-bar", "0.1", "--intensity", "5", "--gamma", "5e-324"],
+     "gamma = 4.94066e-324 overflows tau_gamma = 2/gamma"),
+    (["timescales", "--mu-bar", "1e200", "--intensity", "1e200"],
+     "mu_bar = 1e+200 and intensity = 1e+200 overflow omega_bar = 1 + mu_bar (1 + 2 I0)"),
+    (["simulate", "--mode", "born-markov-transient", *BETA_RUN, "--beta-bar", "1e10",
+      "--lambda-bar", "1e-310"],
+     "lambda_bar = 1e-310 and beta_bar = 1e+10 overflow the settle time"),
 ], ids=["tau-end-nan", "tau-end-inf", "tau-end-minus-inf", "intensity-inf", "mu-nan",
         "theta-nan", "tolerance-nan", "tolerance-negative", "beta-inf-asymptotic",
         "beta-inf-transient", "beta-1e6-transient", "beta-1e20-transient",
@@ -263,7 +276,9 @@ BETA_RUN = ["--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3", "--tau-end
         "mu-1e306-closed", "mu-1e308-timescales", "lambda-1e103-asymptotic",
         "lambda-1e-310-asymptotic", "gamma-inf-lindblad-rwa", "gamma-inf-transient",
         "theta-inf", "lambda-inf-asymptotic", "mu-inf-asymptotic", "gamma-inf-timescales",
-        "lambda-inf-sweep"])
+        "lambda-inf-sweep", "rate-underflow-timescales", "rate-underflow-lindblad-rwa",
+        "rate-underflow-compare", "mu-1e-320-timescales", "gamma-5e-324-timescales",
+        "omega-bar-inf-timescales", "settle-time-inf-transient"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, message):
     """A nan or an infinite time or intensity, a compare tolerance that is
@@ -289,7 +304,12 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, message):
     = inf warned and exited 3, or in timescales printed tau_d = 0; theta =
     inf exited 2 on "math domain error"; lambda_bar = inf was blamed on
     beta_bar, and a sweep ran its draws, each failing; mu_bar = inf printed
-    a cutoff warning before its error.)"""
+    a cutoff warning before its error. A decoherence rate I0 gamma omega_bar
+    that underflows to 0 divided by zero in timescales and in the default
+    grid; mu_bar = 1e-320 was called classical with tau_e = tau_r = inf,
+    gamma = 5e-324 isolated with tau_gamma = tau_d = inf, and mu_bar = I0 =
+    1e200 printed tau_cl = tau_d = 0 after a cutoff warning. A transient
+    table spread over an infinite settle time warned in np.linspace.)"""
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -298,12 +318,17 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, message):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_infinite_mu_bar_prints_no_warning(tmp_path, capsys):
-    """An infinite mu_bar is refused alone: its omega_bar = inf no longer
-    prints a cutoff warning before the error."""
+    """An infinite mu_bar, or a finite one whose omega_bar overflows, is
+    refused alone: no cutoff warning against omega_bar = inf comes before
+    the error."""
     argv = ["simulate", "--mode", "born-markov-asymptotic", *BETA_RUN, "--mu-bar", "inf"]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "mu_bar must be non-negative and finite, got inf" in err
+    assert "warning" not in err
+    assert main(["timescales", "--mu-bar", "1e308", "--intensity", "5", "--gamma", "1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert "mu_bar = 1e+308 overflows" in err
     assert "warning" not in err
 
 
@@ -900,6 +925,26 @@ def test_regimes_refuses_bad_inputs(capsys, system, flag, value, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert "theta" not in captured.out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cantilever", "--mu-cl", "1e300", "--quality", "1e300", "--n-levels", "1"],
+     "mu_cl = 1e+300, quality = 1e+300 and n_levels = 1 overflow theta = 4 mu_cl Q/sqrt(n)"),
+    (["cantilever", "--mu-cl", "1e-300", "--quality", "1e300", "--n-levels", "1e-300"],
+     "quality = 1e+300 and n_levels = 1e-300 underflow the threshold sqrt(n)/(4 Q)"),
+    (["bec", "--atoms", "1e300", "--scattering-length", "0", "--mass", "1e300",
+      "--trap-omega", "1e300", "--tau-gamma", "1"],
+     "atom_mass = 1e+300, trap_omega = 1e+300 and n_atoms = 1e+300 overflow 2 m omega N/(pi hbar)"),
+], ids=["cantilever-theta-inf", "cantilever-threshold-zero", "bec-root-inf"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_regimes_refuses_overflow(capsys, argv, message):
+    """Finite inputs whose estimate leaves the float range exit 2 before
+    any line is printed. (The cantilever printed theta = inf, or a zero
+    threshold, and the condensate theta = nan before its error.)"""
+    assert main(["regimes", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

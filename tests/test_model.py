@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,13 @@ from kerrbath import (
     Violation,
     classify_regime,
     asymptotic_b1_at,
+    QuadratureError,
+    asymptotic_coefficients,
     derive_timescales,
+    evolve,
     theta_bec,
     theta_cantilever,
+    transient_coefficients,
     validate_params,
 )
 from kerrbath.model import THETA_HI, THETA_LO, theta_regime
@@ -276,8 +281,73 @@ def test_theta_estimates_refuse_bad_inputs(name, value):
         func(**{**args, name: value})
 
 
+@pytest.mark.parametrize("func,args,message", [
+    (theta_cantilever, dict(CANTILEVER_ARGS, mu_cl=1e300, quality=1e300, n_levels=1.0),
+     "mu_cl = 1e+300, quality = 1e+300 and n_levels = 1 overflow theta"),
+    (theta_cantilever, dict(CANTILEVER_ARGS, mu_cl=1e-300, quality=1e-300),
+     "mu_cl = 1e-300, quality = 1e-300 and n_levels = 6e+11 underflow theta"),
+    (theta_bec, dict(BEC_ARGS, n_atoms=1e300, scattering_length=0.0, atom_mass=1e300,
+                     trap_omega=1e300, tau_gamma=1.0),
+     "atom_mass = 1e+300, trap_omega = 1e+300 and n_atoms = 1e+300 overflow 2 m omega N"),
+], ids=["cantilever-inf", "cantilever-zero", "bec-nan"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_theta_estimates_refuse_overflow(func, args, message):
+    """Finite inputs whose estimate is not finite, or is zero from nonzero
+    inputs, are refused by name. (The cantilever gave theta = inf and 0, and
+    the condensate 0 * inf = nan.)"""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        func(**args)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_theta_regime_refuses_nan():
     """nan is no verdict (it was called intermediate)."""
     with pytest.raises(ValueError, match="theta must be a number, got nan"):
         theta_regime(math.nan)
+
+
+# every positive finite float, subnormals included, log-uniformly: e^-745.13
+# rounds to the least subnormal 5e-324 and e^709.78 is 1.8e308
+positive_floats = st.floats(-745.13, 709.78).map(math.exp)
+SIGNED = {"mu_bar": st.one_of(st.just(0.0), positive_floats),
+          "gamma": st.one_of(st.just(0.0), positive_floats),
+          "theta": st.one_of(st.just(0.0), positive_floats, positive_floats.map(lambda v: -v))}
+any_params = st.builds(SystemParams, **{f.name: SIGNED.get(f.name, positive_floats)
+                                        for f in dataclasses.fields(SystemParams)})
+RHO0 = np.outer([0.8, 0.6, 0.0, 0.0], [0.8, 0.6, 0.0, 0.0]).astype(complex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_params, st.one_of(st.just(0.0), positive_floats))
+@example(SystemParams(mu_bar=0.1, intensity=5.0), 1e-322)  # a closed grid of dtau = 0
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::kerrbath.TruncationLeakWarning")
+def test_numeric_domain_is_closed(p, tau):
+    """Every field drawn jointly over the whole float range: the timescales,
+    both coefficient sets and a closed run either come out finite, with
+    infinite times only where mu_bar = 0 or gamma = 0, or are refused with
+    ValueError (or QuadratureError), and no numpy warning comes first."""
+    try:
+        s = derive_timescales(p)
+    except ValueError:
+        pass
+    else:
+        mu_times = (s.tau_e, s.tau_r) if p.mu_bar > 0 else ()
+        gamma_times = (s.tau_d, s.tau_gamma) if p.gamma > 0 else ()
+        ratio = (s.theta,) if p.mu_bar > 0 and p.gamma > 0 else ()
+        for value in (s.tau_cl, *mu_times, *gamma_times, *ratio):
+            assert math.isfinite(value) and value > 0.0
+    for coefficients in (lambda: asymptotic_coefficients(p, 4),
+                         lambda: transient_coefficients(p, 4, tau)):
+        try:
+            c = coefficients()
+        except (ValueError, QuadratureError):
+            continue
+        for part in (c.a1, c.a2, c.b1, c.b2, c.err):
+            assert np.all(np.isfinite(part))
+    try:
+        run = evolve(p, tau, mode="closed", rho0=RHO0)
+    except ValueError:
+        return
+    for values in (run.a_expect, run.n_expect, run.trace, run.herm_defect, run.final_rho):
+        assert np.all(np.isfinite(values))
