@@ -212,14 +212,34 @@ def _write_json(path: Path, payload: dict) -> None:
     _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+#: the run record: the facts of a run, each formed from its Trajectory t,
+#: that every run's JSON and every sweep manifest entry carries
+_RECORD = {
+    "mode": lambda t: t.mode,
+    "frame": lambda t: t.frame,
+    "n_max": lambda t: t.n_max,
+    "dtau": lambda t: t.dtau,
+    "n_samples": lambda t: int(t.taus.size),
+    "step": lambda t: t.step,
+    "steps": lambda t: t.steps,
+    "step_error": lambda t: t.step_error,
+    "max_trace_deviation": lambda t: float(np.abs(t.trace - 1.0).max()),
+    "max_herm_defect": lambda t: float(t.herm_defect.max()),
+    "max_top_population": lambda t: float(t.top_population.max()),
+    "final_min_eig": lambda t: float(np.linalg.eigvalsh(t.final_rho)[0]),
+}
+
+
 def _sidecar(params: SystemParams | None, traj=None, **fields) -> dict:
-    """A JSON sidecar: the fields, the run's params, the trajectory's stepping
-    telemetry when there was a run (the largest RK4 step, the accepted steps
-    and the worst accepted local error estimate), and the schema stamp."""
+    """A JSON sidecar: the fields, the run's params, the run record of traj
+    when there was a run (see _RECORD: the mode, frame, basis size, sample
+    spacing and count, the stepping telemetry and the worst conservation
+    defects, top-of-basis population and final minimum eigenvalue), and
+    the schema stamp."""
     if params is not None:
         fields["params"] = dataclasses.asdict(params)
     if traj is not None:
-        fields.update(step=traj.step, steps=traj.steps, step_error=traj.step_error)
+        fields.update((name, get(traj)) for name, get in _RECORD.items())
     return {
         **fields,
         "schema_version": "1",
@@ -271,17 +291,7 @@ def cmd_simulate(opts: dict) -> int:
         traj.n_expect, traj.trace.real, traj.herm_defect,
     ))
     _write_json(out / "trajectory.json", _sidecar(
-        params, traj,
-        mode=traj.mode,
-        frame=traj.frame,
-        n_max=traj.n_max,
-        dtau=traj.dtau,
-        tau_end=opts["tau_end"],
-        n_samples=int(traj.taus.size),
-        csv="trajectory.csv",
-        max_trace_deviation=float(np.abs(traj.trace - 1.0).max()),
-        max_herm_defect=float(traj.herm_defect.max()),
-    ))
+        params, traj, tau_end=opts["tau_end"], csv="trajectory.csv"))
     print(f"wrote {traj.taus.size} samples to {out / 'trajectory.csv'}")
     return 0
 
@@ -311,7 +321,6 @@ def cmd_compare(opts: dict) -> int:
     if out is not None:
         _write_json(out / "compare.json", _sidecar(
             params, traj,
-            mode=mode,
             tau_end=opts["tau_end"],
             max_deviation=max_dev,
             rms_deviation=rms_dev,
@@ -357,7 +366,6 @@ def cmd_spectrum(opts: dict) -> int:
     _write_csv(out / "spectrum.csv", "omega,amplitude", (omegas, amps))
     _write_json(out / "spectrum.json", _sidecar(
         params, traj,
-        mode=mode,
         duration=duration,
         samples=samples,
         window=window,
@@ -457,7 +465,6 @@ def run_sweep_draw(spec: dict) -> dict:
         params, traj,
         index=spec["index"],
         delta_eff=delta_eff,
-        n_max=n_max,
         window=window,
         fit_method=fit.method,
         rate_fit=fit.rate,
@@ -467,14 +474,7 @@ def run_sweep_draw(spec: dict) -> dict:
         ln_ratio=math.log(tau_d_fit / scales.tau_d),
         fit_uncertainty=fit.uncertainty,
         fit_residual_rms=fit.residual_rms,
-        max_trace_deviation=float(np.abs(traj.trace - 1.0).max()),
-        max_herm_defect=float(traj.herm_defect.max()),
-        final_min_eig=float(np.linalg.eigvalsh(traj.final_rho)[0]),
     )
-
-
-#: the draw results a manifest entry repeats, None until the draw completes
-_ENTRY_RESULTS = ("final_min_eig", "step", "steps", "step_error")
 
 
 def cmd_sweep(opts: dict) -> int:
@@ -507,7 +507,7 @@ def cmd_sweep(opts: dict) -> int:
                 "status": "pending",
                 "result_file": None,
                 "error": None,
-                **dict.fromkeys(_ENTRY_RESULTS),
+                **dict.fromkeys(_RECORD),  # the draw's run record, None until it completes
             }
             for e in plan
         ],
@@ -535,11 +535,11 @@ def cmd_sweep(opts: dict) -> int:
         entry = manifest["entries"][index]
         if isinstance(result_or_error, dict):
             entry.update(status="complete", result_file=f"draw_{index:03d}.json", error=None)
-            entry.update((k, result_or_error[k]) for k in _ENTRY_RESULTS)
+            entry.update((k, result_or_error[k]) for k in _RECORD)
             _write_json(out / entry["result_file"], result_or_error)
         else:
             entry.update(status="failed", error=str(result_or_error))
-            entry.update(dict.fromkeys(_ENTRY_RESULTS))
+            entry.update(dict.fromkeys(_RECORD))
         _write_json(manifest_path, manifest)
 
     if workers > 1 and len(pending) > 1:

@@ -54,8 +54,9 @@ which the ladder diagonals (those of X and P, and of a in the Lindblad gain
 a rho~ a^dag) carry explicit phases e^{-i Omega_n t}, Omega_n = E_{n+1} - E_n;
 the Lindblad decay is diagonal and carries none. Stepping that equation is
 Lawson's integrating-factor Runge-Kutta (J. D. Lawson, SIAM J. Numer. Anal.
-4, 372 (1967)). A run without a generator, closed mode or any mode at
-gamma = 0, takes the closed path: it builds no kernel and keeps rho0.
+4, 372 (1967)). A run without a generator, closed mode, any mode at
+gamma = 0, or a one-level basis, which has no band, takes the closed path:
+it builds no kernel and keeps rho0.
 Recorded observables and final_rho, the state at tau_end and the one state a
 run returns, are lab-frame values: co-moving states are dressed with the
 level phases. evolve checks its inputs before any run (see evolve); sample 0
@@ -80,13 +81,14 @@ ceiling bounds. The run starts at h_lo, and after each step
 h <- clamp(h min(2, max(0.2, 0.9 (tol/err)^(1/4))), h_lo, h_hi)
 with tol = _STEP_TOL; a step above h_lo with err > tol is rejected and
 retried with the new h. So a run never steps shorter than h_lo, and where
-the rate or the table binds, h_lo = h_hi and the step is fixed. The steps
-run under numpy's errstate for overflow and invalid values: a step whose
-estimate is not finite raises IntegrationError, naming the fix for the set
-in force (see _remedy), with no numpy warning before it. A step ending
-within 1e-9 h of a grid point ends on it. Samples inside a step come from
-the cubic Hermite interpolant of the step's end states and their
-derivatives (Hairer, Norsett & Wanner, Solving ODEs I, II.6). The end
+the rate or the table binds, h_lo = h_hi and the step is fixed. The
+kernel's construction and the steps run under numpy's errstate for
+overflow and invalid values: a step whose estimate is not finite, as the
+first one is when the generator overflows, raises IntegrationError, naming
+the fix for the set in force (see _remedy), with no numpy warning before
+it. A step ending within 1e-9 h of a grid point ends on it. Samples inside
+a step come from the cubic Hermite interpolant of the step's end states and
+their derivatives (Hairer, Norsett & Wanner, Solving ODEs I, II.6). The end
 derivative is the next step's first stage, and the interpolation weights
 are real, so trace and hermiticity carry over. The recorded quantities
 other than the hermiticity defect and the minimum eigenvalue are linear in
@@ -185,13 +187,14 @@ class IntegratorConfig:
     default_dtau(params, n_max, frame), times the whole factor
     n_cells // 4000 when that grid has n_cells >= 8000 cells, except in
     closed mode, whose dtau defaults to tau_end/2000. frame picks only that
-    default grid. A run without a generator (closed mode, or any mode at
-    gamma = 0) takes the closed path: its co-moving state never changes, so
-    it takes no step and every sample, on its mode's grid, is exact. Every
-    run with a generator steps the co-moving state by as long a time step
-    as its local error estimate allows between a floor and a ceiling of at
-    least min(dtau, one rotating default cell) (see _step_bounds), so a
-    dtau of at least that cell sets the sample density, not the step.
+    default grid. A run without a generator (closed mode, any mode at
+    gamma = 0, or a one-level basis) takes the closed path: its co-moving
+    state never changes, so it takes no step and every sample, on its
+    mode's grid, is exact. Every run with a generator steps the co-moving
+    state by as long a time step as its local error estimate allows between
+    a floor and a ceiling of at least min(dtau, one rotating default cell)
+    (see _step_bounds), so a dtau of at least that cell sets the sample
+    density, not the step.
     transient_table_points is the number of nodes, at least 2, of a
     born-markov-transient run's coefficient table, linear in time between
     nodes; an asymptotic run has no table. overlap_pair (alpha,
@@ -479,8 +482,10 @@ def _bath_rate(sqrt_n, bands) -> float:
 
 
 def _omega_top(params: SystemParams, n_max: int) -> float:
-    """The top level gap Omega_top = E_top - E_{top-1}."""
-    return 1.0 + params.mu_bar * (2.0 * n_max - 3.0)
+    """The top level gap Omega_top = E_top - E_{top-1} of a basis of at
+    least two levels: a one-level basis has no gap, and its rotating grid
+    is that of two levels."""
+    return 1.0 + params.mu_bar * (2.0 * max(n_max, 2) - 3.0)
 
 
 def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
@@ -756,7 +761,8 @@ def evolve(
     ladder = _Ladder(params, n_max)
     rhs = None  # no generator: the co-moving state never changes
     hint = "a run without a generator keeps rho0, so check its trace"
-    stepping = mode != "closed" and params.gamma > 0
+    # a one-level basis has no band, so its generator is zero
+    stepping = mode != "closed" and params.gamma > 0 and n_max >= 2
     # the run's one scratch block, as large as the kernel's work arrays or
     # the recorder's padded overlap band: the work arrays are idle while the
     # recorder or the step estimate uses the block
@@ -765,7 +771,10 @@ def evolve(
         size = max(size, n_max * (2 * n_max - 1))
     scratch = np.empty(size, dtype=complex)
     if stepping:
-        rhs = _BandedRHS(params, ladder, mode, config.transient_table_points, t_end, scratch)
+        # warnings silenced as in the step loop: a generator that overflows
+        # fails the first step's finite check, with no numpy warning before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = _BandedRHS(params, ladder, mode, config.transient_table_points, t_end, scratch)
         # each coefficient set's step range, and the fix that a failure under it names
         bounds = (_step_bounds(params, rhs, dtau, t) for t in rhs.starts)
         ranges = [(lo, hi, _remedy(rhs, lo, hi, cap, t_end)) for lo, hi, cap in bounds]
@@ -837,10 +846,10 @@ def evolve(
         # estimate and the defects, and min_eig's interpolation work
         mag = scratch.view(float)[:n_max * n_max].reshape(n_max, n_max)
         work = scratch[:n_max * n_max].reshape(n_max, n_max)
-        rhs(0.0, rho, k1)
         # numpy's overflow and invalid-value warnings are silenced: a step
         # that leaves the finite range raises IntegrationError below instead
         with np.errstate(over="ignore", invalid="ignore"):
+            rhs(0.0, rho, k1)
             t0, h = 0.0, 0.0
             while t0 < t_end:
                 # h within the step range of the coefficient set in force at t0

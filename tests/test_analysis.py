@@ -72,6 +72,9 @@ def test_extract_peaks_validation():
         extract_envelope_peaks([0.0, 1.0], [1.0])
     pt, ph = extract_envelope_peaks([0.0, 1.0], [1.0, 2.0])
     assert pt.size == 0 and ph.size == 0
+    # a monotone record has no interior maximum above the floor
+    pt, ph = extract_envelope_peaks(np.arange(5.0), np.arange(5.0))
+    assert pt.size == 0 and ph.size == 0
 
 
 def test_extract_peaks_on_closed_trajectory():
@@ -335,6 +338,10 @@ def test_spectral_width_needs_resolution():
         fit_spectral_width(w, amps)
     with pytest.raises(ValueError, match="non-empty"):
         fit_spectral_width([], [])
+    # every bin is above half maximum, and ln(amplitude) curves upward
+    w = np.linspace(0.0, 10.0, 20)
+    with pytest.raises(ValueError, match="not peak-shaped"):
+        fit_spectral_width(w, np.exp(0.01 * (w - 5.0) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +401,8 @@ def test_modulated_fit_errors():
         overlap_rate_modulated(t, np.full(t.size, 1e-15), 5.0, 0.0)
     with pytest.raises(ValueError, match="does not decay"):
         overlap_rate_modulated(t, np.exp(0.3 * t), 5.0, 0.0)
+    with pytest.raises(ValueError, match="same length"):
+        overlap_rate_modulated(t, np.ones(t.size - 1), 5.0, 0.0)
 
 
 def test_predicted_rate_identities():

@@ -507,6 +507,27 @@ def test_integrator_failure_exit_3(tmp_path, capsys):
         assert "integration failed" in err and fix in err and "reduce dtau" not in err
 
 
+@pytest.mark.parametrize("mode,fix", [
+    ("lindblad-rwa", "lower gamma (the RK4 step runs"),
+    ("born-markov-asymptotic", "lower gamma or raise beta_bar (the RK4 step runs"),
+    ("born-markov-transient", "lower gamma or raise beta_bar (the RK4 step runs"),
+], ids=["lindblad-rwa", "asymptotic", "transient"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_generator_exits_3_with_its_fix_alone(tmp_path, capsys, mode, fix):
+    """At gamma = 1e307 the generator overflows as it is built: the run
+    exits 3 at its first step, naming the fix, with no numpy warning before
+    it. (The Lindblad decay and the bath's P bands overflowed while the
+    kernel was built, and the first right-hand side, outside the step
+    loop's errstate, took inf and nan: 5, 7 and 4 RuntimeWarnings.)"""
+    out = tmp_path / "out"
+    argv = ["simulate", "--mode", mode, "--mu-bar", "0.1", "--intensity", "5",
+            "--gamma", "1e307", "--tau-end", "0.5", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "integration failed" in err and "non-finite RK4 step" in err and fix in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--mu-bar", "1e300", "--intensity", "5"],
      "takes at least 4.7e+301 RK4 steps of at most 2.12766e-302 from tau = 0, "
@@ -751,12 +772,31 @@ def test_sweep_end_to_end_and_resume(tmp_path):
     res = json.loads(result_bytes)
     assert abs(res["ln_ratio"]) < math.log(2.0)
     assert res["params"]["mu_bar"] == manifest["entries"][0]["params"]["mu_bar"]
-    for key in ("final_min_eig", "step", "steps", "step_error"):
+    for key in RECORD_FIELDS:
         assert entry[key] == res[key], key
     assert res["steps"] > 0
     # resuming a finished sweep recomputes nothing: bytes stay identical
     assert main(args) == 0
     assert (tmp_path / entry["result_file"]).read_bytes() == result_bytes
+
+
+def test_sweep_workers_write_what_one_process_writes(tmp_path):
+    """--workers 2 runs the pending draws in a process pool and writes the
+    same draw files and manifest entries as one process does (the creation
+    stamps aside)."""
+    def written(workers):
+        out = tmp_path / str(workers)
+        assert main(["sweep", "--seed", "7", "--draws", "2", "--workers", str(workers),
+                     "--out", str(out)]) == 0
+        files = {p.name: read_json(p) for p in sorted(out.iterdir())}
+        for data in files.values():
+            data.pop("created_utc")
+        return files
+
+    pool, one = written(2), written(1)
+    assert sorted(pool) == ["draw_000.json", "draw_001.json", "manifest.json"]
+    assert [e["status"] for e in pool["manifest.json"]["entries"]] == ["complete"] * 2
+    assert pool == one
 
 
 def test_sweep_records_failures_and_recovers(tmp_path, monkeypatch, capsys):
@@ -814,9 +854,12 @@ def test_sweep_manifest_records_its_lambda_override(tmp_path, capsys):
         assert not bad_out.exists()
 
 
-def test_sweep_requires_seed_and_draws(capsys):
+def test_sweep_requires_seed_and_draws(tmp_path, capsys):
     assert main(["sweep", "--out", "/tmp/x"]) == 2
     assert "--draws and --seed" in capsys.readouterr().err
+    assert main(["sweep", "--seed", "7", "--draws", "-1", "--out", str(tmp_path / "n")]) == 2
+    assert "draws must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "n").exists()
 
 
 def test_sweep_rejects_nonpositive_workers(tmp_path, capsys):
@@ -826,6 +869,11 @@ def test_sweep_rejects_nonpositive_workers(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+#: the run record that every run JSON and manifest entry carries, the four
+#: invariants last
+RECORD_FIELDS = ("mode", "frame", "n_max", "dtau", "n_samples", "step", "steps", "step_error",
+                 "max_trace_deviation", "max_herm_defect", "max_top_population",
+                 "final_min_eig")
 SIDECARS = {
     "trajectory.json": ["simulate", "--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3",
                         "--mode", "lindblad-rwa", "--tau-end", "0.5"],
@@ -837,16 +885,25 @@ SIDECARS = {
 
 @pytest.mark.parametrize("name", SIDECARS)
 def test_run_sidecars_carry_params_stamp_and_steps(tmp_path, name):
-    """Every sidecar of a run carries the run's params, its stepping
-    telemetry and the schema stamp (timescales.json, which has no run, is
-    checked in test_timescales_stdout_and_json)."""
+    """Every sidecar of a run carries the run's params, its run record (the
+    stepping telemetry and the four invariants among it, each measured) and
+    the schema stamp (timescales.json, which has no run, is checked in
+    test_timescales_stdout_and_json). A sweep's manifest entry repeats its
+    draw's record. (compare.json and spectrum.json lacked the invariants,
+    trajectory.json the positivity and top population, and draw files the
+    mode, frame, sample spacing and count and the top population.)"""
     assert main([*SIDECARS[name], "--out", str(tmp_path)]) == 0
     data = read_json(tmp_path / name)
-    for key in ("params", "schema_version", "tool_version", "created_utc",
-                "step", "steps", "step_error"):
+    for key in ("params", "schema_version", "tool_version", "created_utc", *RECORD_FIELDS):
         assert key in data, key
     assert data["schema_version"] == "1"
     assert set(data["params"]) == {f.name for f in dataclasses.fields(SystemParams)}
+    for key in RECORD_FIELDS[-4:]:
+        assert math.isfinite(data[key]), key
+    assert data["n_samples"] > 1
+    if name == "draw_000.json":
+        entry = read_json(tmp_path / "manifest.json")["entries"][0]
+        assert {k: entry[k] for k in RECORD_FIELDS} == {k: data[k] for k in RECORD_FIELDS}
 
 
 # ---------------------------------------------------------------------------

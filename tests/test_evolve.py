@@ -12,6 +12,8 @@ import dataclasses
 import importlib
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -804,6 +806,40 @@ def test_overflowing_run_reports_only_its_integration_error():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(IntegrationError, match="non-finite RK4 step"):
             evolve(p, 50.0, mode="lindblad-rwa", config=IntegratorConfig(dtau=5.0))
+
+
+# a one-level run in a child process, so that a run that never returns fails
+# on the timeout instead of hanging the suite
+ONE_LEVEL_RUN = """
+import sys, warnings
+import numpy as np
+from kerrbath import IntegratorConfig, SystemParams, TruncationLeakWarning, evolve
+warnings.simplefilter("error")
+warnings.simplefilter("ignore", TruncationLeakWarning)  # its one level is the top
+p = SystemParams(mu_bar=float(sys.argv[1]), intensity=5.0, gamma=1e-3)
+for frame in ("lab", "rotating"):
+    tr = evolve(p, 0.5, mode=sys.argv[2], rho0=np.ones((1, 1)),
+                config=IntegratorConfig(frame=frame))
+    print(tr.steps, tr.final_rho[0, 0], tr.taus.size > 1)
+"""
+
+
+@pytest.mark.parametrize("mode", ["lindblad-rwa", "born-markov-asymptotic",
+                                  "born-markov-transient"])
+@pytest.mark.parametrize("mu_bar", [1.0, 2.0])
+def test_one_level_basis_takes_the_closed_path(mu_bar, mode):
+    """A one-level basis has no band, so its generator is zero: every mode
+    takes the closed path, keeps rho0 and takes no step, and its rotating
+    grid is that of two levels, 0.05/(1 + mu_bar). (Its top gap
+    1 + mu_bar (2 n_max - 3) was 1 - mu_bar: at mu_bar = 1 the rotating
+    grid divided by zero, and at mu_bar = 2 the step was negative and the
+    run never ended.)"""
+    p = SystemParams(mu_bar=mu_bar, intensity=5.0, gamma=1e-3)
+    assert default_dtau(p, 1, "rotating") == 0.05 / (1.0 + mu_bar)
+    proc = subprocess.run([sys.executable, "-c", ONE_LEVEL_RUN, repr(mu_bar), mode],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "(1+0j)", "True"] * 2
 
 
 def test_truncation_leak_warns():

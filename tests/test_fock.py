@@ -83,6 +83,11 @@ def test_coherent_is_lowering_eigenvector():
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_coherent_amplitudes_of_the_vacuum():
+    """alpha = 0 is the vacuum |0>, which the log-space form cannot take."""
+    np.testing.assert_array_equal(coherent_amplitudes(0.0, 4), [1.0, 0.0, 0.0, 0.0])
+
+
 def test_truncation_guard():
     with pytest.raises(ValueError, match="cannot hold"):
         coherent_state_density(math.sqrt(60.0), 20)
