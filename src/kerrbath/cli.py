@@ -223,6 +223,7 @@ _RECORD = {
     "step": lambda t: t.step,
     "steps": lambda t: t.steps,
     "step_error": lambda t: t.step_error,
+    "spectral_radius": lambda t: t.spectral_radius,
     "max_trace_deviation": lambda t: float(np.abs(t.trace - 1.0).max()),
     "max_herm_defect": lambda t: float(t.herm_defect.max()),
     "max_top_population": lambda t: float(t.top_population.max()),

@@ -77,7 +77,11 @@ step measures the FSAL error estimate err = (h/6) max|f(t+h, y1) - k4|
 (Hairer, Norsett & Wanner, Solving ODEs I, II.4): f(t+h, y1) is the next
 step's first stage, so the estimate costs a subtraction and a maximum. It
 scales as h^4 but is blind to aliasing of the band phases, which the
-ceiling bounds. The run starts at h_lo, and after each step
+ceiling bounds. The rate budget reads each set's rate: for the asymptotic
+bands, the spectral radius of their generator, measured by power iteration
+as the kernel is built (see _BandedRHS._radius); for a transient table's
+rows and lindblad-rwa, a norm bound. The run starts at h_lo, and after
+each step
 h <- clamp(h min(2, max(0.2, 0.9 (tol/err)^(1/4))), h_lo, h_hi)
 with tol = _STEP_TOL; a step above h_lo with err > tol is rejected and
 retried with the new h. So a run never steps shorter than h_lo, and where
@@ -110,9 +114,13 @@ holds, one at a time, the kernel's work arrays (2 n_max^2 - n_max elements
 in a bath mode, n_max^2 in lindblad-rwa), which are idle between calls,
 and the recorder's zero-padded overlap band, the real magnitudes of the
 step estimate and the defects, and min_eig's interpolation work; final_rho
-is dressed in place. At n_max = 109 (16 n_max^2 B = 190 kB per array) a
-run peaks under tracemalloc at 7.9 such arrays from the coherent start
-(1.5 MB), 9.5 for a cat with an overlap_pair and 9.2 in lindblad-rwa.
+is dressed in place. Building the kernel measures its radius in two
+more state-sized arrays, freed before the run allocates its buffers, and a
+step records its samples in blocks whose interpolated observable vectors
+fit in one state array, as does their work copy, however many samples the
+step spans. At n_max = 109 (16 n_max^2 B = 190 kB per array) a run peaks
+under tracemalloc at 7.9 such arrays from the coherent start (1.5 MB), 9.5
+for a cat with an overlap_pair and 9.2 in lindblad-rwa.
 """
 
 from __future__ import annotations
@@ -237,6 +245,10 @@ class Trajectory:
     largest accepted local error estimate (h/6) max|f(t+h, y1) - k4| (see
     the module docstring). With no step taken (a run without a generator,
     or tau_end = 0) steps is 0 and step and step_error are None.
+    spectral_radius is the rate that the asymptotic bath set's step budget
+    read: its generator's measured spectral radius, or the norm bound where
+    that was not finite and positive; None in lindblad-rwa and on the
+    closed path.
     energy_expect is <n + mu n^2>, conserved exactly by the closed flow.
     overlap, when an overlap_pair was requested, is the real coherence
     envelope of that pair (see IntegratorConfig), 1 at tau=0 for the pure
@@ -261,6 +273,7 @@ class Trajectory:
     step: float | None = None
     steps: int = 0
     step_error: float | None = None
+    spectral_radius: float | None = None
     overlap: np.ndarray | None = None
     min_eig: np.ndarray | None = None
     final_rho: np.ndarray | None = None
@@ -299,15 +312,18 @@ class _BandedRHS:
     e^{-i Omega_n t} and every lower band by the conjugate, and rebuilds the
     gain from them, when the time differs from the last one set up (RK4
     stages 2 and 3 share it). sets holds each coefficient set, in force from
-    its time in starts, as (norm bound, row spacing, rows): rows are its P
+    its time in starts, as (rate, row spacing, rows): rows are its P
     bands (upper, lower), two (rows, n_max - 1) arrays, linear in time
     between rows (see p_bands). born-markov-asymptotic has one set, the
     asymptotic bands as a single row; born-markov-transient has the rows of
     its table (nodes evenly spaced from 0 to the settle time) that a run to
     tau_end reads, two at least and each the whole table's row bit for bit,
     then that single row from the settle time on; lindblad-rwa has one set
-    with no rows. A call writes its output into out and uses out as scratch
-    before that, so out must not share memory with rho. Its work arrays, _a
+    with no rows. The rate of a single-row set is its generator's measured
+    spectral radius (_radius); a table's rows and lindblad-rwa keep a norm
+    bound (_bath_rate, and 2 gamma n_max). A call writes its output into out
+    and uses out as scratch before that, so out must not share memory with
+    rho. Its work arrays, _a
     (n_max^2) and, in a bath mode, _m (the second band product's lower
     rows), are views of scratch, a complex array of at least work(mode,
     n_max) elements (a new one when None). They are idle between calls, so
@@ -361,7 +377,30 @@ class _BandedRHS:
             table = coefficient_tables(params, n_max, taus[:rows])
             sets.insert(0, (dt, _p_bands(ladder.sqrt_n, *table)))
             self.starts = (0.0, t_end)
-        self.sets = tuple((_bath_rate(ladder.sqrt_n, b), spacing, b) for spacing, b in sets)
+        self.sets = tuple((self._radius(b) if len(b[0]) == 1 else _bath_rate(ladder.sqrt_n, b),
+                           spacing, b) for spacing, b in sets)
+
+    def _radius(self, bands) -> float:
+        """The spectral radius of a single-row set's generator, measured by
+        12 power iterations from the Hermitian state with every element
+        1/n_max, at the band phases of tau = 0: the norm of the generator
+        applied to the last normalized iterate. The generator at any tau is
+        unitarily similar to that at 0, so the radius holds for the whole
+        run. The two iterates are freed on return. A radius that is not
+        finite and positive falls back to _bath_rate's norm bound."""
+        sqrt_n = self.ladder.sqrt_n
+        n_max = sqrt_n.size + 1
+        x = np.full((n_max, n_max), 1.0 / n_max, dtype=complex)
+        y = np.empty_like(x)
+        # a norm past the float range is the overflow that the fallback catches
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(12):
+                self._bath(bands[0][0], bands[1][0], sqrt_n, sqrt_n, x, y)
+                radius = float(np.linalg.norm(y))
+                if not 0.0 < radius < math.inf:
+                    return _bath_rate(sqrt_n, bands)
+                np.divide(y, radius, out=x)
+        return radius
 
     @staticmethod
     def work(mode: str, n_max: int) -> int:
@@ -412,13 +451,17 @@ class _BandedRHS:
         """Write the right-hand side at time tau for Hermitian rho into out,
         which is also scratch: it must not share memory with rho."""
         self._set_time(tau)
-        a = self._a
         if self.l_free is not None:
             np.multiply(self.l_free, rho, out=out)
             # a[i, j] = gain[i, j] rho[i+1, j+1] on the block i, j < n_max - 1
             np.multiply(self._gain_flat, rho.reshape(-1)[rho.shape[0] + 1:], out=self._a_flat)
-            return np.add(out, a, out=out, where=self._block)
-        pu, pl, xu, xl = self._mod
+            return np.add(out, self._a, out=out, where=self._block)
+        return self._bath(*self._mod, rho, out)
+
+    def _bath(self, pu, pl, xu, xl, rho, out) -> np.ndarray:
+        """The bath term [X, M] of Hermitian rho, with P bands pu, pl and X
+        bands xu, xl, into out."""
+        a = self._a
         # A = P rho into a (out's rows as scratch) and A^dag into out, then
         # M = A - A^dag in place in out
         _band_product(pu, pl, rho, a, out[1:, :])
@@ -476,7 +519,9 @@ def _p_bands(sqrt_n, a1, a2, b1, b2):
 
 def _bath_rate(sqrt_n, bands) -> float:
     """The bath term's norm bound 16 max sqrt(n) max|P band| over a
-    coefficient set's P bands (see _step_bounds)."""
+    coefficient set's P bands (see _step_bounds): the rate of a table's
+    rows, and of a single-row set whose measured radius is not finite and
+    positive. On the asymptotic bands it is 1.2-4.7x their radius."""
     p_max = max(np.abs(b).max(initial=0.0) for b in bands)
     return float(16.0 * sqrt_n.max(initial=0.0) * p_max)
 
@@ -522,9 +567,14 @@ def _step_bounds(params: SystemParams, rhs: _BandedRHS, dtau: float,
     least min(dtau, one rotating default cell). Phase: the fastest band
     phase turns at 2 Omega_top, by _PHASE_PER_STEP per step at the floor and
     _PHASE_PER_STEP_MAX at the ceiling. Rate: h rate <= _RATE_PER_STEP for
-    the set's norm bound rate: ||X|| <= 2 max sqrt(n) and ||P|| <= 2 max|P
-    band| bound the bath term by 16 max sqrt(n) max|P band| ||rho||, and
-    lindblad-rwa's decay and gain by 2 gamma n_max ||rho||. Table: the
+    the set's rate. For the asymptotic bands it is the generator's measured
+    spectral radius, 0.82-1.25 of ARPACK's on the sweep's draws, so h |lambda|
+    <= 0.31 on every eigenvalue lambda, well inside RK4's stability region
+    (about 2.79 on the negative real axis and 2.83 on the imaginary one;
+    Hairer & Wanner, Solving ODEs II, IV.2). For
+    a table's rows it is a norm bound: ||X|| <= 2 max sqrt(n) and ||P|| <=
+    2 max|P band| bound the bath term by 16 max sqrt(n) max|P band| ||rho||,
+    and lindblad-rwa's decay and gain by 2 gamma n_max ||rho||. Table: the
     spacing of a table's rows. Where the rate or the table binds, floor and
     ceiling coincide.
     """
@@ -650,8 +700,10 @@ class _Recorder:
         amp = self.ladder.sqrt_n * np.exp(taus[:, None] * self.ladder.rates)
         a = self.a[rows] = (amp * lower).sum(axis=1)
         pops = diag.real
-        self.n[rows] = np.dot(pops, self.ladder.levels)
-        self.energy[rows] = np.dot(pops, self.ladder.energies)
+        # summed along each row, so that a row's bits do not depend on how
+        # many samples share the call (a k-row np.dot sums in another order)
+        self.n[rows] = (pops * self.ladder.levels).sum(axis=1)
+        self.energy[rows] = (pops * self.ladder.energies).sum(axis=1)
         tr = self.tr[rows] = diag.sum(axis=1)
         self.herm[rows] = herm
         self.top[rows] = np.abs(pops[:, -3:]).max(axis=1)
@@ -790,6 +842,9 @@ def evolve(
             )
 
     rec = _Recorder(ladder, taus.size, config, hint, scratch)
+    # samples that a step records at once: their interpolated vectors fit in
+    # one state array, and so does their work copy, however long the step
+    block = max(1, n_max * n_max // rec.size)
     rho = rho0  # the run steps in its own copy of rho0
     # sample 0 of rho0, with the input check's defect, and so every sample
     # of a run without a generator, whose co-moving state is rho0 throughout
@@ -802,10 +857,10 @@ def evolve(
 
     def record(j, t0, t1, h, y0, y1, f0, f1) -> None:
         """Record samples done, ..., j - 1, those in (t0, t1] of the step
-        h = t1 - t0 from (y0, f0) to (y1, f1). Samples inside the step
-        interpolate the end vectors and take the larger end defect, and only
-        their minimum eigenvalues form states, in y with the scratch block's
-        work view, idle while a step records."""
+        h = t1 - t0 from (y0, f0) to (y1, f1), block samples at a time.
+        Samples inside the step interpolate the end vectors and take the
+        larger end defect, and only their minimum eigenvalues form states,
+        in y with the scratch block's work view, idle while a step records."""
         nonlocal done, ends
 
         def state_at(c):
@@ -815,23 +870,27 @@ def evolve(
             return y
 
         v1, g1, d1 = rec.vector(y1), None, _herm_defect(y1, y, mag)
-        vecs, herm = v1[None], d1
-        if taus[done] < t1:
+        inside = taus[done] < t1
+        if inside:
             g1 = rec.vector(f1)
             if ends[0] != t0:
                 ends = (t0, rec.vector(y0), None, _herm_defect(y0, y, mag))
             _, v0, g0, d0 = ends
             if g0 is None:
                 g0 = rec.vector(f0)
-            s = (taus[done:j, None] - t0) / h
-            vecs = np.empty((s.size, v1.size), dtype=complex)
-            _hermite(s, h, v0, v1, g0, g1, vecs, np.empty_like(vecs))
-            herm = np.where(s[:, 0] < 1.0, max(d0, d1), d1)
         ends = (t1, v1, g1, d1)
-        min_eig = None
-        if rec.min_eig is not None:
-            min_eig = [rec.lowest_eig(state_at(c)) for c in range(done, j)]
-        rec.store(done, taus[done:j], vecs, herm, min_eig)
+        for k in range(done, j, block):
+            rows = taus[k:min(k + block, j)]
+            vecs, herm = v1[None], d1
+            if inside:
+                s = (rows[:, None] - t0) / h
+                vecs = np.empty((s.size, v1.size), dtype=complex)
+                _hermite(s, h, v0, v1, g0, g1, vecs, np.empty_like(vecs))
+                herm = np.where(s[:, 0] < 1.0, max(d0, d1), d1)
+            min_eig = None
+            if rec.min_eig is not None:
+                min_eig = [rec.lowest_eig(state_at(c)) for c in range(k, k + rows.size)]
+            rec.store(k, rows, vecs, herm, min_eig)
         done = j
 
     steps, largest, step_error = 0, 0.0, 0.0  # accepted steps, the longest, worst estimate
@@ -919,5 +978,6 @@ def evolve(
         step=largest if steps else None,
         steps=steps,
         step_error=step_error if steps else None,
+        spectral_radius=rhs.sets[-1][0] if rhs is not None and rhs.gain is None else None,
         final_rho=rho,
     )

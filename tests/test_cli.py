@@ -872,7 +872,7 @@ def test_sweep_rejects_nonpositive_workers(tmp_path, capsys):
 #: the run record that every run JSON and manifest entry carries, the four
 #: invariants last
 RECORD_FIELDS = ("mode", "frame", "n_max", "dtau", "n_samples", "step", "steps", "step_error",
-                 "max_trace_deviation", "max_herm_defect", "max_top_population",
+                 "spectral_radius", "max_trace_deviation", "max_herm_defect", "max_top_population",
                  "final_min_eig")
 SIDECARS = {
     "trajectory.json": ["simulate", "--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3",

@@ -36,6 +36,7 @@ from kerrbath import (
     evolve,
     fock_cutoff,
 )
+from kerrbath.cli import draw_parameters, sweep_lambda_bar
 from kerrbath.evolve import _BandedRHS, _herm_defect, _Ladder, _step_bounds
 
 # the module: the package re-exports the function evolve under its name
@@ -165,20 +166,37 @@ def test_asymptotic_kernel_is_a_transient_kernel_past_its_table(monkeypatch):
     """An asymptotic run's one coefficient set is the long-time set that a
     transient run holds past its table's end, a single row of P bands: at
     the same time, the two kernels give the same output to the bit, and
-    that set has the same bound and step range in both. Building it
-    evaluates no coefficient table."""
+    that set has the same rate and step range in both. Building it
+    evaluates no coefficient table. The rate is the set's measured spectral
+    radius, below the norm bound, from 12 kernel evaluations in each mode
+    (the table's rows keep the bound and take none), and two builds measure
+    it to the bit."""
     p = SystemParams(mu_bar=0.2, intensity=4.0, beta_bar=0.8, gamma=2e-3)
     n_max = 30
     ladder = _Ladder(p, n_max)
+    calls = []
+    bath = _BandedRHS._bath
+
+    def spy(self, *args):
+        calls.append(1)
+        return bath(self, *args)
+
+    monkeypatch.setattr(_BandedRHS, "_bath", spy)
     trans = _BandedRHS(p, ladder, "born-markov-transient", table_points=64)
+    assert len(calls) == 12
     with monkeypatch.context() as m:
         m.setattr(EV, "coefficient_tables", None)  # a call would raise TypeError
         asym = _BandedRHS(p, ladder, "born-markov-asymptotic")
+    assert len(calls) == 24
+    monkeypatch.undo()
     t_end = trans.starts[1]
     assert (asym.starts, trans.starts) == ((0.0,), (0.0, t_end))
     assert asym.in_force(0.0) == 0 and trans.in_force(t_end) == 1 == trans.in_force(3.0 * t_end)
     (rate, spacing, rows), (rate_t, spacing_t, rows_t) = asym.sets[0], trans.sets[1]
     assert len(asym.sets) == 1 and rate == rate_t and spacing == spacing_t == math.inf
+    assert rate == _BandedRHS(p, ladder, "born-markov-asymptotic").sets[0][0]
+    assert 0.0 < rate < EV._bath_rate(ladder.sqrt_n, rows)
+    assert trans.sets[0][0] == EV._bath_rate(ladder.sqrt_n, trans.sets[0][2])
     for band, band_t in zip(rows, rows_t, strict=True):
         assert band.shape == (1, n_max - 1) and np.array_equal(band, band_t)
     assert _step_bounds(p, asym, 0.01) == _step_bounds(p, trans, 0.01, t_end)
@@ -227,6 +245,119 @@ def test_transient_table_holds_the_rows_its_run_reads(monkeypatch):
     far = dataclasses.replace(p, beta_bar=1e5)
     tr = evolve(far, 0.5, mode="born-markov-transient")
     assert calls == [2] and np.max(np.abs(tr.trace - 1.0)) < 1e-12
+
+
+def arnoldi_radius(rhs, n_max):
+    """The eigenvalue of largest modulus of a kernel's generator at tau = 0, from
+    scipy's ARPACK on the complex-linear map rho = H1 + i H2 -> L(H1) + i L(H2)
+    of Hermitian H1 and H2 (the kernel takes Hermitian states only)."""
+    from scipy.sparse.linalg import LinearOperator, eigs
+
+    def apply(v):
+        rho = v.reshape(n_max, n_max)
+        out = np.empty_like(rho)
+        h1 = 0.5 * (rho + rho.conj().T)
+        h2 = -0.5j * (rho - rho.conj().T)
+        l1 = rhs(0.0, h1, out).copy()
+        return (l1 + 1j * rhs(0.0, h2, out)).reshape(-1)
+
+    op = LinearOperator((n_max * n_max,) * 2, matvec=apply, dtype=complex)
+    return eigs(op, k=1, which="LM", return_eigenvectors=False, tol=1e-4,
+                v0=np.ones(n_max * n_max, dtype=complex))[0]
+
+
+def test_measured_radius_against_arnoldi():
+    """The asymptotic set's rate, 12 power iterations of the kernel, lies
+    within [0.7, 1.3] of ARPACK's spectral radius of the same generator, on
+    both rays that the leading eigenvalues take: sweep draw 12, led by a
+    real eigenvalue (-8.83; measured 0.86 of it, where the norm bound is
+    4.1x), and acceptance 06's bath at gamma = 1e-2 (-42.3 +- 104.5i;
+    measured 0.98, bound 4.7x) and the quantum corner's at 1e-4 (the same
+    generator scaled by 1e-2)."""
+    draw = draw_parameters(seed=1, draws=20)[12]
+    p12 = SystemParams(**{k: draw[k] for k in ("mu_bar", "intensity", "beta_bar", "gamma")})
+    p12 = dataclasses.replace(p12, lambda_bar=sweep_lambda_bar(p12.omega_bar))
+    bath = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-2, lambda_bar=100.0)
+    cases = ((p12, "real"), (bath, "complex"), (dataclasses.replace(bath, gamma=1e-4), "complex"))
+    for p, ray in cases:
+        n_max = fock_cutoff(p.intensity)
+        ladder = _Ladder(p, n_max)
+        rhs = _BandedRHS(p, ladder, "born-markov-asymptotic")
+        rate, _, bands = rhs.sets[0]
+        lam = arnoldi_radius(rhs, n_max)
+        assert (abs(lam.imag) > abs(lam.real)) == (ray == "complex"), (p, lam)
+        assert 0.7 <= rate / abs(lam) <= 1.3, (p, rate, lam)
+        assert EV._bath_rate(ladder.sqrt_n, bands) > 4.0 * abs(lam), p
+
+
+@pytest.mark.parametrize("mode", ["born-markov-asymptotic", "born-markov-transient"])
+def test_overflowing_generator_keeps_its_norm_bound(mode):
+    """At gamma = 1e307 the bands overflow, so the measured radius is not
+    finite: the set keeps its norm bound, with no numpy warning, and the
+    run fails with its refusal. At beta_bar = 1e-300, which the transient
+    mode refuses before any row, the bands are finite but the iterate's
+    norm overflows, and the bound, 1.5e-300 of step, is kept too."""
+    overflows = [{"gamma": 1e307}]
+    if mode == "born-markov-asymptotic":
+        overflows.append({"beta_bar": 1e-300})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for changes in overflows:
+            p = dataclasses.replace(SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3), **changes)
+            ladder = _Ladder(p, fock_cutoff(p.intensity))
+            with np.errstate(over="ignore", invalid="ignore"):  # as evolve builds it
+                rhs = _BandedRHS(p, ladder, mode, tau_end=0.5)
+                rate, _, bands = rhs.sets[-1]
+                assert rate == EV._bath_rate(ladder.sqrt_n, bands), changes
+            if "beta_bar" in changes:
+                assert rate == pytest.approx(0.25 / 1.49875e-300, rel=1e-5)
+            with pytest.raises(IntegrationError, match="lower gamma or raise beta_bar"):
+                evolve(p, 0.5, mode=mode)
+
+
+def test_recorder_rows_do_not_depend_on_their_grouping():
+    """store sums each sample's row on its own, so one call with k rows
+    records the bits of k one-row calls (a k-row np.dot differed in 184 of
+    200 random 2-row blocks)."""
+    p = SystemParams(mu_bar=0.1, intensity=50.0, gamma=1e-3)
+    n_max = 109
+    ladder = _Ladder(p, n_max)
+    rng = np.random.default_rng(11)
+    al = math.sqrt(p.intensity)
+    config = IntegratorConfig(overlap_pair=(al, -al), record_min_eig=True)
+    k = 7
+    recs = [EV._Recorder(ladder, k, config, "", np.empty(n_max * (2 * n_max - 1), complex))
+            for _ in range(2)]
+    size = recs[0].size
+    vecs = rng.normal(size=(k, size)) + 1j * rng.normal(size=(k, size))
+    vecs[:, n_max - 1:2 * n_max - 1] /= vecs[:, n_max - 1:2 * n_max - 1].sum(axis=1)[:, None]
+    taus, herm, eig = rng.uniform(0.0, 5.0, k), rng.uniform(0.0, 1e-16, k), rng.normal(size=k)
+    recs[0].store(0, taus, vecs, herm, eig)
+    for i in range(k):
+        recs[1].store(i, taus[i:i + 1], vecs[i:i + 1], herm[i], eig[i])
+    for name in ("a", "n", "energy", "tr", "herm", "top", "overlap", "min_eig"):
+        np.testing.assert_array_equal(getattr(recs[0], name), getattr(recs[1], name), name)
+
+
+def test_rate_bound_run_keeps_its_accuracy(monkeypatch):
+    """Acceptance 06's bath at gamma = 1e-3 on the rotating grid to tau = 5:
+    the measured radius (11.1) puts the rate budget at 2.03 phase floors,
+    so the run steps its floor, 0.0111, where the norm bound held it to
+    0.0047. <a> and <n> stay within 1e-7 of their largest magnitude (7.07
+    and 50) of a run stepping one grid cell, 0.00222, throughout, whose own
+    error is about 1e-9 (measured: 5.0e-7 in <a> and 2.1e-6 in <n>; the
+    norm-bound rule gave 1.7e-8 and 7.3e-8). A rate that lets the step
+    grow past the floor's accuracy fails here."""
+    p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-3, lambda_bar=100.0)
+    config = IntegratorConfig(frame="rotating")
+    run = evolve(p, 5.0, mode="born-markov-asymptotic", config=config)
+    assert run.steps == 450 and run.spectral_radius == pytest.approx(11.08, rel=1e-3)
+    monkeypatch.setattr(EV, "_step_bounds", lambda *args: (run.dtau,) * 3)
+    ref = evolve(p, 5.0, mode="born-markov-asymptotic", config=config)
+    assert ref.steps == 2250
+    for name in ("a_expect", "n_expect"):
+        got, want = getattr(run, name), getattr(ref, name)
+        assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want)), name
 
 
 def test_table_size_is_checked_on_construction():
@@ -320,7 +451,11 @@ def test_run_holds_five_state_buffers():
     decay and gain add one and a half); with the
     kernel's, the recorder's and the estimate's scratch apart they read 8.4,
     12.0 and 9.7, with eight state buffers 16.4, 19.4 and 17.9, and with a
-    Hermitian part formed per min_eig sample 10.6."""
+    Hermitian part formed per min_eig sample 10.6. On a fine grid, dtau =
+    2e-4 with about 70 samples per step, a step records its samples in
+    blocks whose interpolated vectors fit in one state array, as does their
+    work copy: 11.0 with the recorder's 1001-sample arrays (0.46), where
+    interpolating every sample of a step at once read 12.5."""
     p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
     n_max = fock_cutoff(p.intensity)
     assert n_max == 109
@@ -332,7 +467,8 @@ def test_run_holds_five_state_buffers():
               IntegratorConfig(frame="rotating", record_min_eig=True), 8.1),
              ("born-markov-asymptotic", cat,
               IntegratorConfig(frame="rotating", overlap_pair=(al, -al)), 9.6),
-             ("lindblad-rwa", None, IntegratorConfig(frame="rotating"), 9.4))
+             ("lindblad-rwa", None, IntegratorConfig(frame="rotating"), 9.4),
+             ("born-markov-asymptotic", None, IntegratorConfig(frame="rotating", dtau=2e-4), 11.1))
     evolve(p, 0.05, mode="born-markov-asymptotic")  # one-off allocations are not the run's
     for mode, rho0, config, bound in cases:
         tracemalloc.start()
@@ -874,14 +1010,14 @@ def test_rotating_step_follows_its_phase_budgets():
     """A default rotating run at the quantum-corner parameters steps by
     lengths of time, not whole grid cells, between its floor of 0.5 rad of
     the fastest band phase per step and its ceiling of 2 rad, which its rate
-    budget may lower. The bath run at gamma = 3e-4, whose ceiling the rate
-    budget holds to 1.41 floors, takes 1.12 floors at most; the Lindblad
+    budget may lower. The bath run at gamma = 1e-3, whose ceiling the rate
+    budget holds to 2.03 floors, keeps to its floor; the Lindblad
     run, whose estimate stays near 5e-13, reaches the 2-rad ceiling. A
     lab-grid run has the same bounds, which span several cells of its finer
     grid; a transient run, bound by its table's spacing, is floored at one
     cell of its grid and steps that, and closed mode takes no step."""
     p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4, lambda_bar=100.0)
-    for mode, gamma in (("born-markov-asymptotic", 3e-4), ("lindblad-rwa", 1e-4)):
+    for mode, gamma in (("born-markov-asymptotic", 1e-3), ("lindblad-rwa", 1e-4)):
         pg = dataclasses.replace(p, gamma=gamma)
         tr = evolve(pg, 2.5, mode=mode, config=IntegratorConfig(frame="rotating"))
         h_lo, h_hi, _ = _step_bounds(pg, _BandedRHS(pg, _Ladder(pg, tr.n_max), mode), tr.dtau)
