@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import SystemParams
+from .model import SystemParams, _check_inputs
 
 
 @dataclass(frozen=True)
@@ -253,6 +253,34 @@ def fit_spectral_width(omegas, amps) -> SpectrumFit:
 # superposition decoherence
 
 
+def _decay_fit(taus, overlap, keep, least: int, columns, scale: float,
+               method: str) -> DecoherenceFit:
+    """The least-squares decay fit of ln|overlap| = c - (rate/scale) u(t) +
+    b v(t) on the samples where keep(t, |overlap|) holds, at least least of
+    them, with columns(t) giving (u, v): the rate and its 1-sigma
+    uncertainty, read off the coefficient of u."""
+    t = np.asarray(taus, dtype=float)
+    env = np.abs(np.asarray(overlap, dtype=complex))
+    if t.size != env.size:
+        raise ValueError("taus and overlap must have the same length")
+    mask = keep(t, env)
+    t, env = t[mask], env[mask]
+    if t.size < least:
+        raise ValueError(f"need at least {least} usable samples, got {t.size}")
+    coef, rms, cov = _lstsq(np.stack([np.ones_like(t), *columns(t)], axis=1), np.log(env))
+    rate = -scale * coef[1]
+    if rate <= 0:
+        raise ValueError("overlap magnitude does not decay over the window")
+    return DecoherenceFit(
+        tau_d=1.0 / rate,
+        rate=rate,
+        method=method,
+        uncertainty=math.nan if cov is None else scale * math.sqrt(cov[1, 1]) / rate**2,
+        n_points=int(t.size),
+        residual_rms=rms,
+    )
+
+
 def cat_offdiagonal_rate(taus, overlap, t_min: float | None = None) -> DecoherenceFit:
     """Decay rate of the co-moving off-diagonal coherence of a superposition.
 
@@ -264,28 +292,11 @@ def cat_offdiagonal_rate(taus, overlap, t_min: float | None = None) -> Decoheren
     decoherence time of a size-sqrt(I0) superposition, scale it by
     (dx)^2/I0 (see scale_tau_d_to_intensity).
     """
-    t = np.asarray(taus, dtype=float)
-    f = np.abs(np.asarray(overlap, dtype=complex))
-    if t.size != f.size:
-        raise ValueError("taus and overlap must have the same length")
-    lo = t_min if t_min is not None else t[0] + 0.05 * (t[-1] - t[0])
-    keep = (t >= lo) & (f > 0)
-    t, f = t[keep], f[keep]
-    if t.size < 4:
-        raise ValueError(f"need at least 4 usable samples, got {t.size}")
-    y = np.log(f)
-    coef, rms, cov = _lstsq(np.stack([np.ones_like(t), t, t * t], axis=1), y)
-    rate = -coef[1]
-    if rate <= 0:
-        raise ValueError("overlap magnitude does not decay over the window")
-    return DecoherenceFit(
-        tau_d=1.0 / rate,
-        rate=rate,
-        method="cat-overlap",
-        uncertainty=math.nan if cov is None else math.sqrt(cov[1, 1]) / rate**2,
-        n_points=int(t.size),
-        residual_rms=rms,
-    )
+    def keep(t, env):
+        lo = t_min if t_min is not None else t[0] + 0.05 * (t[-1] - t[0])
+        return (t >= lo) & (env > 0)
+
+    return _decay_fit(taus, overlap, keep, 4, lambda t: (t, t * t), 1.0, "cat-overlap")
 
 
 def overlap_rate_modulated(taus, overlap, omega: float, theta0: float) -> DecoherenceFit:
@@ -305,31 +316,16 @@ def overlap_rate_modulated(taus, overlap, omega: float, theta0: float) -> Decohe
     modulation without requiring the window to cover whole periods, so
     one fit serves coherence that dies deep inside a period and coherence
     that outlives many. Every sample is used whose envelope is above 1e-12,
-    where its logarithm is still resolved.
+    where its logarithm is still resolved; at least 8 of them.
     """
-    t = np.asarray(taus, dtype=float)
-    env = np.abs(np.asarray(overlap, dtype=complex))
-    if t.size != env.size:
-        raise ValueError("taus and overlap must have the same length")
-    keep = env > 1e-12
-    t, env = t[keep], env[keep]
-    if t.size < 8:
-        raise ValueError(f"need at least 8 usable samples, got {t.size}")
     two = 2.0 * theta0
-    f = 0.5 * t + (math.sin(two) - np.sin(two - 2.0 * omega * t)) / (4.0 * omega)
-    g = (np.cos(two - 2.0 * omega * t) - math.cos(two)) / (4.0 * omega)
-    coef, rms, cov = _lstsq(np.stack([np.ones_like(t), f, g], axis=1), np.log(env))
-    rate = -0.5 * coef[1]
-    if rate <= 0:
-        raise ValueError("overlap magnitude does not decay over the window")
-    return DecoherenceFit(
-        tau_d=1.0 / rate,
-        rate=rate,
-        method="modulated",
-        uncertainty=math.nan if cov is None else 0.5 * math.sqrt(cov[1, 1]) / rate**2,
-        n_points=int(t.size),
-        residual_rms=rms,
-    )
+
+    def columns(t):
+        f = 0.5 * t + (math.sin(two) - np.sin(two - 2.0 * omega * t)) / (4.0 * omega)
+        g = (np.cos(two - 2.0 * omega * t) - math.cos(two)) / (4.0 * omega)
+        return f, g
+
+    return _decay_fit(taus, overlap, lambda t, env: env > 1e-12, 8, columns, 0.5, "modulated")
 
 
 def predicted_overlap_rate(params: SystemParams, delta_x: float) -> float:
@@ -350,8 +346,8 @@ def scale_tau_d_to_intensity(tau_d: float, delta_x: float, intensity: float) -> 
     """Rescale a separation-dx decoherence time to a size-sqrt(I0) one.
 
     Rates grow with the squared separation, so
-    tau_d(I0) = tau_d(dx) * dx^2 / I0.
+    tau_d(I0) = tau_d(dx) * dx^2 / I0. Every input must be finite and the
+    intensity positive (ValueError).
     """
-    if intensity <= 0:
-        raise ValueError(f"intensity must be positive, got {intensity}")
+    _check_inputs({"tau_d": tau_d, "delta_x": delta_x}, {"intensity": intensity})
     return tau_d * delta_x * delta_x / intensity

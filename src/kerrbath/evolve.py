@@ -114,13 +114,16 @@ holds, one at a time, the kernel's work arrays (2 n_max^2 - n_max elements
 in a bath mode, n_max^2 in lindblad-rwa), which are idle between calls,
 and the recorder's zero-padded overlap band, the real magnitudes of the
 step estimate and the defects, and min_eig's interpolation work; final_rho
-is dressed in place. Building the kernel measures its radius in two
-more state-sized arrays, freed before the run allocates its buffers, and a
-step records its samples in blocks whose interpolated observable vectors
-fit in one state array, as does their work copy, however many samples the
-step spans. At n_max = 109 (16 n_max^2 B = 190 kB per array) a run peaks
-under tracemalloc at 7.9 such arrays from the coherent start (1.5 MB), 9.5
-for a cat with an overlap_pair and 9.2 in lindblad-rwa.
+is dressed in place. Building the kernel measures the asymptotic set's
+radius, when the run reaches that set, in two more state-sized arrays,
+freed before the run allocates its buffers. A step records its samples,
+and the closed path those of rho0, in blocks whose interpolated
+observable vectors fit in one state array (below n_max = 91, in numpy's
+buffer of 8192 elements), as does their work copy or their dressing
+phases, however many samples the step or the closed path spans. At n_max = 109 (16 n_max^2 B = 190 kB per array) a stepping run
+peaks under tracemalloc at 7.9 such arrays from the coherent start
+(1.5 MB), 9.5 for a cat with an overlap_pair and 9.2 in lindblad-rwa, and
+a closed run of 4097 samples at 4.1.
 """
 
 from __future__ import annotations
@@ -150,9 +153,6 @@ _CLOSED_STEPS = 2000
 
 # largest max|rho0 - rho0^dag| accepted, the conservation audit's bound
 _HERM_TOL = 1e-9
-
-# samples of rho0 recorded at once, which bounds the dressing phases' memory
-_CLOSED_BLOCK = 512
 
 # samples past tau = 0: at most _MAX_SAMPLES in one run (each 72-88 B of
 # recorder arrays, checked before the run allocates them), and a default
@@ -205,7 +205,9 @@ class IntegratorConfig:
     density, not the step.
     transient_table_points is the number of nodes, at least 2, of a
     born-markov-transient run's coefficient table, linear in time between
-    nodes; an asymptotic run has no table. overlap_pair (alpha,
+    nodes, of which the run evaluates those it reads; an asymptotic run has
+    no table, and a transient run that ends before the table's end, the
+    settle time, has no asymptotic set. overlap_pair (alpha,
     beta) records a coherence envelope for that superposition: with rho~
     the co-moving state e^{iHt} rho e^{-iHt} and W_nm = conj(alpha_n)
     beta_m, the envelope is sum_j |sum over the j-th diagonal of W*rho~|.
@@ -247,8 +249,9 @@ class Trajectory:
     or tau_end = 0) steps is 0 and step and step_error are None.
     spectral_radius is the rate that the asymptotic bath set's step budget
     read: its generator's measured spectral radius, or the norm bound where
-    that was not finite and positive; None in lindblad-rwa and on the
-    closed path.
+    that was not finite and positive; None where the run measured none: in
+    lindblad-rwa, on the closed path, and in a born-markov-transient run
+    that ends before its settle time, which never holds that set.
     energy_expect is <n + mu n^2>, conserved exactly by the closed flow.
     overlap, when an overlap_pair was requested, is the real coherence
     envelope of that pair (see IntegratorConfig), 1 at tau=0 for the pure
@@ -311,23 +314,27 @@ class _BandedRHS:
     shifted block. Each evaluation multiplies every upper band by
     e^{-i Omega_n t} and every lower band by the conjugate, and rebuilds the
     gain from them, when the time differs from the last one set up (RK4
-    stages 2 and 3 share it). sets holds each coefficient set, in force from
-    its time in starts, as (rate, row spacing, rows): rows are its P
-    bands (upper, lower), two (rows, n_max - 1) arrays, linear in time
-    between rows (see p_bands). born-markov-asymptotic has one set, the
-    asymptotic bands as a single row; born-markov-transient has the rows of
-    its table (nodes evenly spaced from 0 to the settle time) that a run to
-    tau_end reads, two at least and each the whole table's row bit for bit,
-    then that single row from the settle time on; lindblad-rwa has one set
-    with no rows. The rate of a single-row set is its generator's measured
-    spectral radius (_radius); a table's rows and lindblad-rwa keep a norm
-    bound (_bath_rate, and 2 gamma n_max). A call writes its output into out
-    and uses out as scratch before that, so out must not share memory with
-    rho. Its work arrays, _a
-    (n_max^2) and, in a bath mode, _m (the second band product's lower
-    rows), are views of scratch, a complex array of at least work(mode,
-    n_max) elements (a new one when None). They are idle between calls, so
-    evolve's recorder shares the block.
+    stages 2 and 3 share it). sets holds each coefficient set that comes
+    into force by tau_end, from its time in starts, as (rate, row spacing,
+    rows): rows are its P bands (upper, lower), two (rows, n_max - 1)
+    arrays, linear in time between rows (see p_bands). The bands read the
+    n_max - 1 transitions n -> n + 1, so the coefficients are asked for
+    levels 0 .. n_max - 2 alone, each bit for bit the full basis's.
+    born-markov-asymptotic has one set, the asymptotic bands as a single
+    row; born-markov-transient has the rows of its table (nodes evenly
+    spaced from 0 to the settle time) that a run to tau_end reads, two at
+    least and each the whole table's row bit for bit, then, when tau_end
+    reaches the settle time, that single row from there on; lindblad-rwa
+    has one set with no rows. The rate of the single-row set is its
+    generator's measured spectral radius (_radius), which radius holds
+    (None when the run builds no such set); a table's rows and
+    lindblad-rwa keep a norm bound (_bath_rate, and 2 gamma n_max). A call
+    writes its output into out and uses out as scratch before that, so out
+    must not share memory with rho. Its work arrays, _a (n_max^2) and, in a
+    bath mode, _m (the second band product's lower rows), are views of
+    scratch, a complex array of at least work(mode, n_max) elements (a new
+    one when None). They are idle between calls, so evolve's recorder
+    shares the block.
     """
 
     def __init__(self, params: SystemParams, ladder: _Ladder, mode: str,
@@ -346,6 +353,7 @@ class _BandedRHS:
         self._mod = tuple(np.zeros(n_max - 1, dtype=complex) for _ in range(4))
         self.gamma = params.gamma
         self.starts = (0.0,)
+        self.radius = None  # the asymptotic set's rate, when the run builds that set
         if mode == "lindblad-rwa":
             n = ladder.levels
             self.l_free = -0.5 * params.gamma * (n[:, None] + n[None, :])
@@ -364,21 +372,26 @@ class _BandedRHS:
             return
         self._m = scratch[n_max * n_max:(2 * n_max - 1) * n_max].reshape(n_max - 1, n_max)
         self._at = tuple(np.empty(n_max - 1, dtype=complex) for _ in range(2))
-        # first, so that a beta_bar the coefficients refuse never reaches a table
-        inf = asymptotic_coefficients(params, n_max)
-        row = _p_bands(ladder.sqrt_n, *(c[None] for c in (inf.a1, inf.a2, inf.b1, inf.b2)))
-        sets = [(math.inf, row)]  # (row spacing, P bands) of each set
-        if mode == "born-markov-transient":
-            t_end = coefficient_settle_time(params)
-            taus = np.linspace(0.0, t_end, table_points)
+        # the P bands read the n_max - 1 transitions n -> n + 1, so the
+        # coefficients are evaluated on levels 0 .. n_max - 2 alone
+        settle = coefficient_settle_time(params) if mode == "born-markov-transient" else 0.0
+        # a set is built only when it comes into force by tau_end; the
+        # asymptotic one first, so that a beta_bar it refuses never reaches a table
+        inf = asymptotic_coefficients(params, n_max - 1) if settle <= tau_end else None
+        sets = []
+        if settle > 0.0:
+            taus = np.linspace(0.0, settle, table_points)
             dt = taus[1] - taus[0]
             # p_bands(tau_end) interpolates rows int(tau_end / dt) and the next
-            rows = min(table_points, int(tau_end / dt) + 2) if tau_end < t_end else table_points
-            table = coefficient_tables(params, n_max, taus[:rows])
-            sets.insert(0, (dt, _p_bands(ladder.sqrt_n, *table)))
-            self.starts = (0.0, t_end)
-        self.sets = tuple((self._radius(b) if len(b[0]) == 1 else _bath_rate(ladder.sqrt_n, b),
-                           spacing, b) for spacing, b in sets)
+            rows = min(table_points, int(tau_end / dt) + 2) if tau_end < settle else table_points
+            bands = _p_bands(ladder.sqrt_n, *coefficient_tables(params, n_max - 1, taus[:rows]))
+            sets.append((_bath_rate(ladder.sqrt_n, bands), dt, bands))
+        if inf is not None:
+            row = _p_bands(ladder.sqrt_n, *(c[None] for c in (inf.a1, inf.a2, inf.b1, inf.b2)))
+            self.radius = self._radius(row)
+            sets.append((self.radius, math.inf, row))
+        self.sets = tuple(sets)
+        self.starts = (0.0, settle)[:len(sets)]
 
     def _radius(self, bands) -> float:
         """The spectral radius of a single-row set's generator, measured by
@@ -504,11 +517,12 @@ def coefficient_settle_time(params: SystemParams) -> float:
 
 def _p_bands(sqrt_n, a1, a2, b1, b2):
     """The P bands (upper, lower) of level-resolved coefficients, with the
-    ladder amplitudes s = sqrt_n; the arrays run over levels on their last
-    axis. Upper: (i s (a1 + i a2) - s (b1 + i b2))/2, lower: the same with
-    both products conjugated. Formed from real parts, which round as the
-    complex form does, so that a whole table's temporaries stay real."""
-    sa1, sa2, sb1, sb2 = (sqrt_n * c[..., :-1] for c in (a1, a2, b1, b2))
+    ladder amplitudes s = sqrt_n; the arrays run over the levels 0 .. n_max
+    - 2 of the transitions n -> n + 1 on their last axis, as s does. Upper:
+    (i s (a1 + i a2) - s (b1 + i b2))/2, lower: the same with both products
+    conjugated. Formed from real parts, which round as the complex form
+    does, so that a whole table's temporaries stay real."""
+    sa1, sa2, sb1, sb2 = (sqrt_n * c for c in (a1, a2, b1, b2))
     upper, lower = (np.empty(sa1.shape, dtype=complex) for _ in range(2))
     np.multiply(0.5, -sa2 - sb1, out=upper.real)
     np.multiply(0.5, sa1 - sb2, out=upper.imag)
@@ -842,17 +856,20 @@ def evolve(
             )
 
     rec = _Recorder(ladder, taus.size, config, hint, scratch)
-    # samples that a step records at once: their interpolated vectors fit in
-    # one state array, and so does their work copy, however long the step
-    block = max(1, n_max * n_max // rec.size)
+    # samples recorded at once: their interpolated vectors fit in one state
+    # array, and so does their work copy or their dressing phases, however
+    # many samples a step or the closed path spans; below n_max = 91 in
+    # numpy's buffer of 8192 elements, so that a small basis's samples do
+    # not go one call each
+    block = max(1, max(n_max * n_max, np.getbufsize()) // rec.size)
     rho = rho0  # the run steps in its own copy of rho0
     # sample 0 of rho0, with the input check's defect, and so every sample
     # of a run without a generator, whose co-moving state is rho0 throughout
     v0 = rec.vector(rho)
     eig0 = rec.lowest_eig(rho) if rec.min_eig is not None else None
     done = taus.size if rhs is None else 1  # samples recorded
-    for k in range(0, done, _CLOSED_BLOCK):
-        rec.store(k, taus[k:min(k + _CLOSED_BLOCK, done)], v0[None], herm0, eig0)
+    for k in range(0, done, block):
+        rec.store(k, taus[k:min(k + block, done)], v0[None], herm0, eig0)
     ends = (0.0, v0, None, herm0)  # time, vector, derivative vector, defect last measured
 
     def record(j, t0, t1, h, y0, y1, f0, f1) -> None:
@@ -978,6 +995,6 @@ def evolve(
         step=largest if steps else None,
         steps=steps,
         step_error=step_error if steps else None,
-        spectral_radius=rhs.sets[-1][0] if rhs is not None and rhs.gain is None else None,
+        spectral_radius=None if rhs is None else rhs.radius,
         final_rho=rho,
     )

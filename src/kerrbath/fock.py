@@ -16,9 +16,10 @@ import numpy as np
 
 
 def fock_cutoff(intensity: float) -> int:
-    """Truncation size for states concentrated around occupation `intensity`."""
-    if intensity < 0:
-        raise ValueError(f"intensity must be non-negative, got {intensity}")
+    """Truncation size for states concentrated around occupation `intensity`,
+    which must be non-negative and finite (ValueError)."""
+    if not 0 <= intensity < math.inf:
+        raise ValueError(f"intensity must be non-negative and finite, got {intensity}")
     return int(math.ceil(intensity + 8.0 * math.sqrt(intensity))) + 2
 
 
@@ -59,7 +60,11 @@ def cat_state_density(alpha: complex, beta: complex, n_max: int) -> np.ndarray:
     """Density matrix of the normalized superposition (|alpha> + |beta>)/norm.
 
     The normalization uses <alpha|beta> = exp(-|a|^2/2 - |b|^2/2 + a* b).
+    Both amplitudes must be finite (ValueError).
     """
+    for name, a in (("alpha", alpha), ("beta", beta)):
+        if not np.isfinite(a):
+            raise ValueError(f"{name} must be finite, got {a}")
     _check_truncation([alpha, beta], n_max)
     va = coherent_amplitudes(alpha, n_max)
     vb = coherent_amplitudes(beta, n_max)

@@ -61,7 +61,8 @@ rows together, in blocks of rows that share a Matsubara term count (see
 _tables); transient_coefficients is a one-row table, and
 asymptotic_coefficients its tau = inf row. A row's arithmetic does not
 depend on the rows beside it, so each table row is bit for bit the
-coefficients at its tau alone.
+coefficients at its tau alone, and a level's not on the levels above it, so
+the coefficients of L levels are the first L columns of any larger basis's.
 """
 
 from __future__ import annotations
@@ -337,14 +338,18 @@ def _tables(params: SystemParams, n_max: int, taus: np.ndarray):
         rows = np.flatnonzero((taus > 0.0) & ~at_inf)
         # only finite rows sum Matsubara terms, so rows at 0 and inf take any beta_bar
         n_terms = _matsubara_terms(params, taus[rows]) if rows.size else rows
+        # numpy may sum a one-level block's k-sum pairwise, a wider one's in
+        # order: a one-level table sums two levels and keeps the first, so
+        # that every level's bits are those of any wider table
+        wide = omega_levels(params, max(n_max, 2))
         for n in sorted(set(n_terms.tolist())):  # np.unique would import numpy.ma
             group = rows[n_terms == n]
             per = min(_BLOCK_ROWS, max(1, _MATSUBARA_CHUNK // n))
             for lo in range(0, group.size, per):
                 block = group[lo:lo + per]
-                d_a, d_b, bound = _decaying_parts(params, omegas, taus[block], n)
+                d_a, d_b, bound = _decaying_parts(params, wide, taus[block], n)
                 for table, part, d in zip(tables, parts, (d_a.real, d_a.imag, d_b.real, d_b.imag)):
-                    table[block] = (part + d) * g
+                    table[block] = (part + d[:, :n_max]) * g
                 err[block] = 2.0 * bound * g
                 scale = np.maximum.reduce([np.abs(table[block]) for table in tables])
                 _check_quadrature(scale, err[block, None], g, omegas, "Matsubara sum")

@@ -421,6 +421,12 @@ def test_scale_tau_d():
     assert scale_tau_d_to_intensity(10.0, 2.0, 8.0) == pytest.approx(5.0)
     with pytest.raises(ValueError, match="positive"):
         scale_tau_d_to_intensity(10.0, 2.0, 0.0)
+    # a non-finite input is refused by name, where a NaN intensity gave NaN
+    for args, message in (((1.0, 1.0, math.nan), "intensity must be positive and finite, got nan"),
+                          ((1.0, math.inf, 1.0), "delta_x must be finite, got inf"),
+                          ((math.nan, 1.0, 1.0), "tau_d must be finite, got nan")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scale_tau_d_to_intensity(*args)
 
 
 def test_recurrence_and_cat_routes_agree():

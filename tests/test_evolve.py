@@ -207,33 +207,52 @@ def test_asymptotic_kernel_is_a_transient_kernel_past_its_table(monkeypatch):
 
 
 def test_transient_table_holds_the_rows_its_run_reads(monkeypatch):
-    """A transient table keeps the whole table's nodes and settle time, but
+    """A transient table keeps the whole table's node spacing, but
     evaluates only the rows that its run reads: up to the node after int(tau_end/dt),
     two at least, and all of them for a run that reaches the table's end.
     Each row is the whole table's, bit for bit, so the interpolated bands
-    are too. The rows' norm bound covers those rows, and the asymptotic
-    bands keep a bound of their own. A run builds its table this way:
+    are too. The rows' norm bound covers those rows. The asymptotic set is
+    built only for a run that reaches the settle time, equal to the bit to
+    an unbounded kernel's, with its radius measured by 12 kernel calls; a
+    run that ends before builds one set, calls no kernel while it is built,
+    and records spectral_radius None. A run builds its table this way:
     at beta_bar = 1e5 a run to tau = 0.5 evaluates two rows, not 512."""
     p = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=1.0, gamma=1e-3)
     ladder = _Ladder(p, 25)
     full = _BandedRHS(p, ladder, "born-markov-transient")
     t_table, dt = full.starts[1], full.sets[0][1]
     assert (t_table, len(full.sets[0][2][0])) == (4.0, 512)
+    calls = []
+    bath = _BandedRHS._bath
+
+    def spy(self, *args):
+        calls.append(1)
+        return bath(self, *args)
+
     for tau_end, rows in ((0.0, 2), (0.5 * dt, 2), (dt, 3), (3.0, 385),
                           (t_table - 1e-9, 512), (t_table, 512), (5.0, 512)):
-        rhs = _BandedRHS(p, ladder, "born-markov-transient", tau_end=tau_end)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(_BandedRHS, "_bath", spy)
+            rhs = _BandedRHS(p, ladder, "born-markov-transient", tau_end=tau_end)
         rate, spacing, bands = rhs.sets[0]
-        assert (len(bands[0]), rhs.starts[1], spacing) == (rows, t_table, dt), tau_end
+        assert (len(bands[0]), spacing) == (rows, dt), tau_end
         for band, whole in zip(bands, full.sets[0][2], strict=True):
             np.testing.assert_array_equal(band, whole[:rows])
         for t in np.linspace(0.0, tau_end, 7):
             for got, want in zip(tuple(rhs.p_bands(t)), full.p_bands(t), strict=True):
                 np.testing.assert_array_equal(got, want)
         assert rate == EV._bath_rate(ladder.sqrt_n, bands) <= full.sets[0][0], tau_end
-        assert rhs.sets[1][:2] == full.sets[1][:2], tau_end
-        for band, whole in zip(rhs.sets[1][2], full.sets[1][2], strict=True):
-            np.testing.assert_array_equal(band, whole)
+        reached = tau_end >= t_table
+        assert rhs.starts == full.starts[:1 + reached] and len(rhs.sets) == 1 + reached
+        assert rhs.radius == (full.radius if reached else None) and len(calls) == 12 * reached
+        if reached:
+            assert rhs.sets[1][:2] == full.sets[1][:2], tau_end
+            for band, whole in zip(rhs.sets[1][2], full.sets[1][2], strict=True):
+                np.testing.assert_array_equal(band, whole)
     assert rhs.sets[0][:2] == full.sets[0][:2]
+    assert evolve(p, 0.5, mode="born-markov-transient").spectral_radius is None
+    assert evolve(p, t_table, mode="born-markov-transient").spectral_radius == full.radius > 0.0
     calls = []
     tables = EV.coefficient_tables
 
@@ -245,6 +264,35 @@ def test_transient_table_holds_the_rows_its_run_reads(monkeypatch):
     far = dataclasses.replace(p, beta_bar=1e5)
     tr = evolve(far, 0.5, mode="born-markov-transient")
     assert calls == [2] and np.max(np.abs(tr.trace - 1.0)) < 1e-12
+
+
+def test_kernel_evaluates_the_levels_its_bands_read(monkeypatch):
+    """The P bands read the n_max - 1 transitions n -> n + 1, so the kernel
+    asks asymptotic_coefficients and coefficient_tables for levels 0 ..
+    n_max - 2 alone, and its bands are those of the n_max-level coefficients
+    without their top level, bit for bit."""
+    p = SystemParams(mu_bar=0.2, intensity=4.0, beta_bar=0.8, gamma=2e-3)
+    n_max = 30
+    ladder = _Ladder(p, n_max)
+    asked = []
+    for name in ("asymptotic_coefficients", "coefficient_tables"):
+        def spy(params, levels, *args, _name=name, _f=getattr(EV, name)):
+            asked.append((_name, levels))
+            return _f(params, levels, *args)
+        monkeypatch.setattr(EV, name, spy)
+    trans = _BandedRHS(p, ladder, "born-markov-transient", table_points=64)
+    asym = _BandedRHS(p, ladder, "born-markov-asymptotic")
+    assert asked == [("asymptotic_coefficients", n_max - 1), ("coefficient_tables", n_max - 1),
+                     ("asymptotic_coefficients", n_max - 1)]
+    monkeypatch.undo()
+    inf = asymptotic_coefficients(p, n_max)
+    table = coefficient_tables(p, n_max, np.linspace(0.0, trans.starts[1], 64))
+    wants = ([c[:, :-1] for c in table], [c[None, :-1] for c in (inf.a1, inf.a2, inf.b1, inf.b2)])
+    for (_, _, bands), want in zip(trans.sets, wants, strict=True):
+        for band, whole in zip(bands, EV._p_bands(ladder.sqrt_n, *want), strict=True):
+            np.testing.assert_array_equal(band, whole, strict=True)
+    for band, whole in zip(asym.sets[0][2], trans.sets[1][2], strict=True):
+        np.testing.assert_array_equal(band, whole, strict=True)
 
 
 def arnoldi_radius(rhs, n_max):
@@ -751,6 +799,71 @@ def test_closed_run_is_the_generator_free_rotating_run():
     # the sample grid still follows the mode: a default grid, not closed mode's
     run = evolve(p, 3.0, mode="lindblad-rwa", rho0=rho0)
     assert run.steps == 0 and run.dtau == 3.0 / math.ceil(3.0 / default_dtau(p, run.n_max))
+
+
+def test_closed_path_records_in_state_sized_blocks(monkeypatch):
+    """The closed path records rho0's samples in the blocks that a step's
+    dense output uses, whose observable vectors fit in one state array, or
+    in numpy's buffer of 8192 elements where that is larger, so that a
+    small basis's samples do not go one call each. Every array, final_rho
+    included, is that of 512-sample blocks to the bit, for the closed
+    `spectrum` run (n_max = 109, 4097 samples) and for a cat with an
+    overlap pair and min_eig (n_max = 33). The spectrum run peaks under
+    tracemalloc at 4.1 state arrays (measured; 12.6 with 512-sample
+    blocks). A closed run of 10001 samples at n_max = 4 records them in
+    blocks of 1170 samples (measured: 1.5-2.1 ms, and 101 ms in blocks of
+    n_max^2 // 7 = 2)."""
+    p = SystemParams(mu_bar=0.1, intensity=50.0)
+    n_max = fock_cutoff(p.intensity)
+    duration = 2.0 * math.pi / p.mu_bar
+    spectrum = IntegratorConfig(dtau=duration / 4096)
+    evolve(p, 0.5, mode="closed")  # one-off allocations are not the run's
+    tracemalloc.start()
+    try:
+        run = evolve(p, duration, mode="closed", config=spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.taus.size == 4097 and peak <= 5.0 * 16 * n_max * n_max, peak / (16 * n_max**2)
+    al = math.sqrt(8.0)
+    cat = cat_state_density(al, 1j * al, fock_cutoff(8.0))
+    cat_config = IntegratorConfig(dtau=0.01, overlap_pair=(al, 1j * al), record_min_eig=True)
+    cases = ((p, duration, coherent_state_density(p.alpha, n_max), spectrum),
+             (dataclasses.replace(p, intensity=8.0), 12.0, cat, cat_config))
+    store = EV._Recorder.store
+    calls = []  # (samples, vector size) of each store call
+
+    def spy(self, k, taus, *args):
+        calls.append((taus.size, self.size))
+        return store(self, k, taus, *args)
+
+    for params, tau_end, rho0, config in cases:
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(EV._Recorder, "store", spy)
+            run = evolve(params, tau_end, mode="closed", rho0=rho0, config=config)
+        n = rho0.shape[0]
+        assert sum(k for k, _ in calls) == run.taus.size and max(calls)[0] < 512, n
+        assert max(k * size for k, size in calls) <= max(n * n, 8192), n
+        ladder = _Ladder(params, n)
+        rec = EV._Recorder(ladder, run.taus.size, config, "", np.empty(n * (2 * n - 1), complex))
+        v0 = rec.vector(rho0)
+        eig = rec.lowest_eig(rho0) if config.record_min_eig else None
+        for k in range(0, run.taus.size, 512):
+            rec.store(k, run.taus[k:k + 512], v0[None], run.herm_defect[0], eig)
+        want = rec.finish(run.taus, mode="closed", n_max=n, dtau=run.dtau)
+        for name in ("taus", "a_expect", "n_expect", "energy_expect", "trace", "herm_defect",
+                     "top_population", "overlap", "min_eig"):
+            np.testing.assert_array_equal(getattr(run, name), getattr(want, name), name)
+        dress = np.exp(-1j * ladder.energies * run.taus[-1])
+        final = dress[:, None] * rho0
+        np.testing.assert_array_equal(run.final_rho, final * dress.conj()[None, :], strict=True)
+    calls.clear()
+    with monkeypatch.context() as m:
+        m.setattr(EV._Recorder, "store", spy)
+        evolve(p, 10.0, mode="closed", rho0=np.diag([1.0, 0.0, 0.0, 0.0]),
+               config=IntegratorConfig(dtau=1e-3))
+    assert calls == [(1170, 7)] * 8 + [(10001 - 8 * 1170, 7)]
 
 
 def test_closed_run_matches_per_sample_computation():

@@ -34,6 +34,19 @@ def test_fock_cutoff_rule():
         fock_cutoff(-1.0)
 
 
+def test_non_finite_amplitudes_are_refused_by_name():
+    """An infinite or NaN intensity or amplitude raises ValueError naming
+    it, where it raised OverflowError or numpy's float-conversion error."""
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^intensity must be non-negative and finite, "
+                                             f"got {value}$"):
+            fock_cutoff(value)
+    with pytest.raises(ValueError, match=r"^alpha must be finite, got \(inf\+0j\)$"):
+        coherent_state_density(complex(math.inf), 5)
+    with pytest.raises(ValueError, match="^beta must be finite, got"):
+        cat_state_density(1.0, complex(0.0, math.nan), 5)
+
+
 def test_operators_match_ladder_rule():
     """Rebuild a by hand from <n-1|a|n> = sqrt(n) and compare."""
     n_max = 12

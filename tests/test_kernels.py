@@ -377,6 +377,34 @@ def test_coefficient_tables_shape_and_rows():
         coefficient_tables(p_setup, 38, np.array([0.5, -0.1]))
 
 
+def test_fewer_levels_give_a_prefix_of_the_coefficients():
+    """The coefficients of levels 0 .. L-1 are the first L columns of those
+    of n levels, bit for bit, for every L < n: a kernel that evaluates only
+    the levels it reads, or a basis that shrinks mid-run, keeps the bits of
+    the full basis. Checked on the transient-setup bath (n = 38), the
+    quantum corner's (n = 109) and a beta_bar = 100 bath (n = 25), on rows
+    at tau = 0, 1e-4, the 512 table nodes and inf. A one-level table sums
+    its Matsubara terms over two levels: summed over one, B2 at tau = 1e-4
+    differed by up to 9.1e-10 relative."""
+    baths = (SystemParams(mu_bar=1e-2, intensity=10.0, beta_bar=1.0, gamma=1e-2,
+                          lambda_bar=10.0),
+             SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4,
+                          lambda_bar=100.0),
+             SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=100.0, gamma=1e-3,
+                          lambda_bar=10.0))
+    for p, n in zip(baths, (38, 109, 25), strict=True):
+        taus = np.concatenate(([0.0, 1e-4], np.linspace(0.0, coefficient_settle_time(p), 512),
+                               [math.inf]))
+        full, full_inf = coefficient_tables(p, n, taus), asymptotic_coefficients(p, n)
+        for levels in range(1, n):
+            for table, whole in zip(coefficient_tables(p, levels, taus), full, strict=True):
+                np.testing.assert_array_equal(table, whole[:, :levels], strict=True)
+            inf = asymptotic_coefficients(p, levels)
+            for name in ("omegas", "a1", "a2", "b1", "b2", "err"):
+                np.testing.assert_array_equal(getattr(inf, name),
+                                              getattr(full_inf, name)[:levels], strict=True)
+
+
 def test_coefficient_table_peak_allocation():
     """The benchmark's table (512 nodes to the settle time, n_max = 38)
     allocates at its peak no more than the per-tau loop it replaced. Under
