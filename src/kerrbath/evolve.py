@@ -137,7 +137,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .kernels import asymptotic_coefficients, coefficient_tables
+from .kernels import asymptotic_coefficients, coefficient_tables, omega_levels
 from .model import SystemParams, _require_valid, derived_scales
 
 MODES = (
@@ -540,13 +540,6 @@ def _bath_rate(sqrt_n, bands) -> float:
     return float(16.0 * sqrt_n.max(initial=0.0) * p_max)
 
 
-def _omega_top(params: SystemParams, n_max: int) -> float:
-    """The top level gap Omega_top = E_top - E_{top-1} of a basis of at
-    least two levels: a one-level basis has no gap, and its rotating grid
-    is that of two levels."""
-    return 1.0 + params.mu_bar * (2.0 * max(n_max, 2) - 3.0)
-
-
 def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
     """The default sample grid of a frame, before a long run coarsens it
     (see IntegratorConfig). It fixes the sample density only: every run
@@ -560,13 +553,14 @@ def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
 
     Rotating frame: 0.05/Omega_top, with Omega_top = E_top - E_{top-1}
     (0.1 rad of the fastest coefficient phase, at twice Omega_top, per
-    sample).
+    sample): the gap Omega_n of level n_max - 2, and a one-level basis,
+    which has no gap, takes that of two levels.
     """
     if frame not in FRAMES:
         raise ValueError(f"unknown frame {frame!r}")
-    if frame == "rotating":
-        return 0.05 / _omega_top(params, n_max)
     scales = derived_scales(params, n_max)
+    if frame == "rotating":
+        return 0.05 / float(omega_levels(params, max(n_max, 2) - 1)[-1])
     dt = 1.0 / max(scales["e_top"], 1.0)
     return min(dt, scales["tau_e"] / 200.0) if math.isfinite(scales["tau_e"]) else dt
 
@@ -595,7 +589,7 @@ def _step_bounds(params: SystemParams, rhs: _BandedRHS, dtau: float,
     n_max = rhs.ladder.energies.size
     rate, spacing, _ = rhs.sets[rhs.in_force(tau)]
     budget = min(_RATE_PER_STEP / rate if rate > 0.0 else math.inf, spacing)
-    turn = 2.0 * _omega_top(params, n_max)
+    turn = 2.0 * float(omega_levels(params, max(n_max, 2) - 1)[-1])
     least = min(dtau, default_dtau(params, n_max, "rotating"))
     cap = min(_PHASE_PER_STEP / turn, budget)
     return max(cap, least), max(min(_PHASE_PER_STEP_MAX / turn, budget), least), cap

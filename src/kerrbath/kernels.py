@@ -61,8 +61,10 @@ rows together, in blocks of rows that share a Matsubara term count (see
 _tables); transient_coefficients is a one-row table, and
 asymptotic_coefficients its tau = inf row. A row's arithmetic does not
 depend on the rows beside it, so each table row is bit for bit the
-coefficients at its tau alone, and a level's not on the levels above it, so
-the coefficients of L levels are the first L columns of any larger basis's.
+coefficients at its tau alone, and a level's on no other level, so a
+level's coefficients depend only on its Omega_n: those of L levels are the
+first L columns of any larger basis's, and those of any window of levels
+the window's columns.
 """
 
 from __future__ import annotations
@@ -228,8 +230,9 @@ def _decaying_parts(params: SystemParams, omegas: np.ndarray, taus: np.ndarray,
     taus are the rows, and n_terms is the Matsubara term count they share.
     Returns (dA, dB, bound): dA and dB are complex, one row per tau and one
     column per level, and bound bounds |dB| lost to truncating the Matsubara
-    sum at each tau. Each row's arithmetic does not depend on the other rows:
-    the k-sum runs in order over k, in chunks of _MATSUBARA_CHUNK terms.
+    sum at each tau. The arithmetic of each (row, level) depends on no
+    other row or level: its k-sum is one numpy reduction along a contiguous
+    k axis per chunk of _MATSUBARA_CHUNK terms, and the chunks add in order.
     With x = beta Lambda/2pi and k0 = round(x) >= 1, the cutoff term and
     the k0-th Matsubara term are evaluated as one: with
     g(a) = e^{-(a - i O) tau}/(a - i O), delta = x - k0 and
@@ -263,10 +266,10 @@ def _decaying_parts(params: SystemParams, omegas: np.ndarray, taus: np.ndarray,
         nu = c * k
         den = c * c * (x - k) * (x + k)
         den[k == k0] = np.inf
-        w = nu[:, None] * np.exp(-nu[:, None] * taus) / den[:, None]
-        inv = 1.0 / (nu[:, None] ** 2 + o2)
-        re_sum += np.sum((w * nu[:, None])[:, :, None] * inv[:, None, :], axis=0)
-        im_sum += np.sum(w[:, :, None] * inv[:, None, :], axis=0)
+        w = nu * np.exp(-nu * t) / den
+        inv = 1.0 / (nu ** 2 + o2[:, None])
+        re_sum += np.sum((w * nu)[:, None, :] * inv, axis=-1)
+        im_sum += np.sum(w[:, None, :] * inv, axis=-1)
     d_b = (2.0 * lam2 / beta) * phase * (re_sum + 1j * omegas * im_sum)
 
     if k0 >= 1:
@@ -313,6 +316,8 @@ def _tables(params: SystemParams, n_max: int, taus: np.ndarray):
     count, at most _BLOCK_ROWS of them and at most _MATSUBARA_CHUNK terms
     over all of them (a row with more has a block of its own, summed chunk
     by chunk), so no temporary outgrows one _MATSUBARA_CHUNK x n_max block.
+    Each level sums its own Matsubara terms along k (see _decaying_parts), so
+    its bits are the same in a table of any number of levels.
     """
     taus = np.asarray(taus, dtype=float)
     if not np.all(taus >= 0.0):
@@ -338,18 +343,14 @@ def _tables(params: SystemParams, n_max: int, taus: np.ndarray):
         rows = np.flatnonzero((taus > 0.0) & ~at_inf)
         # only finite rows sum Matsubara terms, so rows at 0 and inf take any beta_bar
         n_terms = _matsubara_terms(params, taus[rows]) if rows.size else rows
-        # numpy may sum a one-level block's k-sum pairwise, a wider one's in
-        # order: a one-level table sums two levels and keeps the first, so
-        # that every level's bits are those of any wider table
-        wide = omega_levels(params, max(n_max, 2))
         for n in sorted(set(n_terms.tolist())):  # np.unique would import numpy.ma
             group = rows[n_terms == n]
             per = min(_BLOCK_ROWS, max(1, _MATSUBARA_CHUNK // n))
             for lo in range(0, group.size, per):
                 block = group[lo:lo + per]
-                d_a, d_b, bound = _decaying_parts(params, wide, taus[block], n)
+                d_a, d_b, bound = _decaying_parts(params, omegas, taus[block], n)
                 for table, part, d in zip(tables, parts, (d_a.real, d_a.imag, d_b.real, d_b.imag)):
-                    table[block] = (part + d[:, :n_max]) * g
+                    table[block] = (part + d) * g
                 err[block] = 2.0 * bound * g
                 scale = np.maximum.reduce([np.abs(table[block]) for table in tables])
                 _check_quadrature(scale, err[block, None], g, omegas, "Matsubara sum")

