@@ -14,7 +14,6 @@ from .model import (
     RegimeReport,
     SystemParams,
     Timescales,
-    Violation,
     classify_regime,
     derive_timescales,
     theta_bec,
@@ -68,7 +67,6 @@ __all__ = [
     "RegimeReport",
     "SystemParams",
     "Timescales",
-    "Violation",
     "classify_regime",
     "derive_timescales",
     "theta_bec",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import SystemParams, _check_inputs
+from .model import SystemParams, _check_inputs, _form
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,10 @@ def fit_position_spectrum(taus, x, theta: float, window: str | None = None):
     Lambda = 100, 4096 samples and gamma = 1e-5, 1e-4, 1e-3, 1e-2, |X| gives
     widths 1.414, 1.848, 2.458, 2.386 against 1.409, 1.432, 1.419, 1.363.
     The fit takes the comb peaks (route "comb") while the recurrences resolve
-    the comb, and every bin (route "bins") once they do not.
+    the comb, and every bin (route "bins") once they do not. theta must be
+    finite (ValueError).
     """
+    _check_inputs({"theta": theta}, {})
     omegas, spec, n = _transform(taus, x, window)
     amps = np.abs(spec) / n
     quad = (spec * np.exp(-1j * theta)).real / n
@@ -316,8 +318,10 @@ def overlap_rate_modulated(taus, overlap, omega: float, theta0: float) -> Decohe
     modulation without requiring the window to cover whole periods, so
     one fit serves coherence that dies deep inside a period and coherence
     that outlives many. Every sample is used whose envelope is above 1e-12,
-    where its logarithm is still resolved; at least 8 of them.
+    where its logarithm is still resolved; at least 8 of them. omega must be
+    finite and positive and theta0 finite (ValueError).
     """
+    _check_inputs({"theta0": theta0}, {"omega": omega})
     two = 2.0 * theta0
 
     def columns(t):
@@ -335,11 +339,13 @@ def predicted_overlap_rate(params: SystemParams, delta_x: float) -> float:
     orbital rotation of the separation direction is averaged over, at
     2 B1 (dx)^2 under the position-coupled generator; at dx = sqrt(I0) this
     reproduces the analytic decoherence rate I0 gamma Omega_bar
-    coth(beta Omega_bar / 2).
+    coth(beta Omega_bar / 2). ValueError where the rate is not finite.
     """
     from .kernels import asymptotic_b1_at
 
-    return 2.0 * asymptotic_b1_at(params, params.omega_bar) * delta_x * delta_x
+    b1 = asymptotic_b1_at(params, params.omega_bar)
+    return _form(2.0 * b1 * delta_x * delta_x, "the overlap rate 2 B1 dx^2", B1=b1,
+                 delta_x=delta_x)
 
 
 def scale_tau_d_to_intensity(tau_d: float, delta_x: float, intensity: float) -> float:

@@ -46,12 +46,12 @@ from .kernels import QuadratureError
 from .model import (
     SystemParams,
     _cantilever_threshold,
-    _require_valid,
     classify_regime,
     derive_timescales,
     theta_bec,
     theta_cantilever,
     theta_regime,
+    validate_params,
 )
 
 CSV_HEADER = "tau,x,re_a,im_a,n,trace,herm_defect"
@@ -176,8 +176,8 @@ def _build_params(opts: dict) -> SystemParams:
     """SystemParams from the options, mu_bar 0 and intensity 1 by default."""
     given = {f.name: opts[f.name] for f in dataclasses.fields(SystemParams) if f.name in opts}
     params = SystemParams(**{"mu_bar": 0.0, "intensity": 1.0, **given})
-    for v in _require_valid(params):
-        print(f"warning: {v.message}", file=sys.stderr)
+    for message in validate_params(params):
+        print(f"warning: {message}", file=sys.stderr)
     return params
 
 

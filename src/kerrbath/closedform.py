@@ -34,16 +34,20 @@ def alpha_closed(params: SystemParams, taus) -> np.ndarray:
 
 
 def alpha_lindblad_rwa(params: SystemParams, taus) -> np.ndarray:
-    """<a>(tau) under rotating-wave damping, closed form."""
+    """<a>(tau) under rotating-wave damping, closed form; ValueError where
+    it is not finite (a phase past the float range)."""
     t = np.asarray(taus, dtype=float)
     mu, g, i0 = params.mu_bar, params.gamma, params.intensity
-    base = params.alpha * np.exp(-1j * (1.0 + mu) * t - 0.5 * g * t)
-    if mu == 0.0:
-        return base
-    k = 0.5 * g / mu
-    spread = np.exp(
-        -(i0 / (1.0 + k * k))
-        * (1.0 + 1j * k)
-        * (1.0 - np.exp(-g * t) * np.exp(-2j * mu * t))
-    )
-    return base * spread
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        out = params.alpha * np.exp(-1j * (1.0 + mu) * t - 0.5 * g * t)
+        if mu != 0.0:
+            k = 0.5 * g / mu
+            out = out * np.exp(
+                -(i0 / (1.0 + k * k))
+                * (1.0 + 1j * k)
+                * (1.0 - np.exp(-g * t) * np.exp(-2j * mu * t))
+            )
+    if not np.isfinite(out).all():
+        raise ValueError(f"<a>(tau) is not finite to tau = {np.max(t):g} at mu_bar = {mu:g} "
+                         f"and gamma = {g:g}; shorten the record")
+    return out

@@ -138,7 +138,7 @@ import numpy as np
 
 from . import fock
 from .kernels import asymptotic_coefficients, coefficient_tables, omega_levels
-from .model import SystemParams, _require_valid, derived_scales
+from .model import SystemParams, derived_scales
 
 MODES = (
     "closed",
@@ -558,6 +558,8 @@ def default_dtau(params: SystemParams, n_max: int, frame: str = "lab") -> float:
     """
     if frame not in FRAMES:
         raise ValueError(f"unknown frame {frame!r}")
+    if not (isinstance(n_max, numbers.Integral) and n_max >= 1):
+        raise ValueError(f"n_max must be a positive integer, got {n_max}")
     scales = derived_scales(params, n_max)
     if frame == "rotating":
         return 0.05 / float(omega_levels(params, max(n_max, 2) - 1)[-1])
@@ -754,9 +756,10 @@ def evolve(
     rho0 defaults to the coherent state of the model parameters in a basis
     sized by fock_cutoff; a given rho0 must be a finite square matrix with
     max|rho0 - rho0^dag| <= 1e-9, or ValueError is raised, as it is for a
-    tau_end that is not finite and non-negative, for parameters outside the
-    numeric domain of the run (see derived_scales), and for beta_bar = inf
-    in a born-markov mode. The trajectory samples every point of the dtau grid,
+    tau_end that is not finite and non-negative, for a basis and tau_end
+    that leave the numeric domain of the run (see derived_scales), and for
+    beta_bar = inf in a born-markov mode; params are valid by construction
+    (see SystemParams). The trajectory samples every point of the dtau grid,
     which ends on tau_end, and final_rho is the lab-frame state there. A
     grid of more than 1e6 cells or of no finite cell count, and a run that
     would take more than 1e12 RK4 steps even at its coefficient sets' step
@@ -769,7 +772,6 @@ def evolve(
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if not (math.isfinite(tau_end) and tau_end >= 0):
         raise ValueError(f"tau_end must be finite and non-negative, got {tau_end}")
-    _require_valid(params)
     if mode.startswith("born-markov") and math.isinf(params.beta_bar):
         # the psi terms, the Matsubara sum and the 4 beta settle time need a finite beta
         raise ValueError("beta_bar must be finite in born-markov-asymptotic and "

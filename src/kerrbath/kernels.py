@@ -70,11 +70,12 @@ the window's columns.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, derived_scales
+from .model import SystemParams, _form, derived_scales
 
 # the k-sum stops at nu_k tau >= _DECAY_EXPONENT (e^-40 ~ 4e-18), is
 # evaluated in chunks of _MATSUBARA_CHUNK terms and never runs past
@@ -100,12 +101,19 @@ class QuadratureError(RuntimeError):
 
 
 def spectral_density(params: SystemParams, omega):
-    """Ohmic spectral density with a Lorentz-Drude cutoff, J(w) = g w L^2/(L^2+w^2)."""
+    """Ohmic spectral density with a Lorentz-Drude cutoff, J(w) = g w L^2/(L^2+w^2),
+    at frequencies w >= 0; ValueError where a term leaves the float range."""
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0.0):
         raise ValueError("spectral density is defined for non-negative frequencies")
-    lam2 = params.lambda_bar**2
-    out = params.gamma * w * lam2 / (lam2 + w * w)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        lam2 = np.float64(params.lambda_bar) ** 2
+        den = lam2 + w * w
+        out = params.gamma * w * lam2 / den
+    if not (np.isfinite(den).all() and np.isfinite(out).all()):
+        raise ValueError(f"the spectral density is not finite at lambda_bar = "
+                         f"{params.lambda_bar:g}, gamma = {params.gamma:g} and omega up to "
+                         f"{w.max():g}; bring them nearer 1")
     return out if out.ndim else float(out)
 
 
@@ -136,9 +144,12 @@ class BathCoefficients:
 
 
 def asymptotic_b1_at(params: SystemParams, omega: float) -> float:
-    """B1(inf) at a single frequency: (J(omega)/2) coth(beta omega/2)."""
+    """B1(inf) at a single frequency: (J(omega)/2) coth(beta omega/2);
+    ValueError where it is not finite."""
     j = spectral_density(params, omega)
-    return 0.5 * j / math.tanh(0.5 * params.beta_bar * omega)
+    tanh = math.tanh(0.5 * params.beta_bar * omega)
+    return _form(0.5 * j / tanh if tanh else math.inf, "B1 = (J(omega)/2) coth(beta_bar "
+                 "omega/2)", beta_bar=params.beta_bar, omega=omega)
 
 
 def _check_quadrature(vals, errs, gamma: float, omegas, label: str) -> None:
@@ -319,6 +330,8 @@ def _tables(params: SystemParams, n_max: int, taus: np.ndarray):
     Each level sums its own Matsubara terms along k (see _decaying_parts), so
     its bits are the same in a table of any number of levels.
     """
+    if not (isinstance(n_max, numbers.Integral) and n_max >= 1):
+        raise ValueError(f"n_max must be a positive integer, got {n_max}")
     taus = np.asarray(taus, dtype=float)
     if not np.all(taus >= 0.0):
         raise ValueError(f"tau must be non-negative, got {taus[~(taus >= 0.0)][0]}")

@@ -24,6 +24,10 @@ THETA_HI = 10.0
 #: removes the energy; the motion stays classical.
 THETA_LO = 1.0 / 3.0
 
+#: the sign each field of SystemParams must have (theta may have either)
+_SIGNS = {"mu_bar": "non-negative", "intensity": "positive", "beta_bar": "positive",
+          "gamma": "non-negative", "lambda_bar": "positive"}
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -35,6 +39,13 @@ class SystemParams:
     gamma      bath damping rate; gamma = 0 means an isolated oscillator
     lambda_bar Ohmic cutoff frequency
     theta      phase of the initial amplitude, alpha = sqrt(I0) e^{-i theta}
+
+    A set is valid by construction. One rule makes the errors: every field
+    is a finite number of its sign (_SIGNS), except beta_bar = +inf, which
+    is zero temperature; construction raises one ValueError naming every
+    field that breaks it, joined by "; ". A set whose fields pass is still
+    refused when one of its times leaves the numeric domain (see
+    derived_scales), with that message.
     """
 
     mu_bar: float
@@ -43,6 +54,23 @@ class SystemParams:
     gamma: float = 0.0
     lambda_bar: float = 10.0
     theta: float = 0.0
+
+    def __post_init__(self) -> None:
+        errors = []
+        for name, value in asdict(self).items():
+            sign = _SIGNS.get(name)
+            if math.isnan(value):
+                need = "a number"
+            elif sign and not (value > 0 or value == 0 and sign == "non-negative"):
+                need = sign
+            elif math.isinf(value) and name != "beta_bar":
+                need = f"{sign} and finite" if sign else "finite"
+            else:
+                continue
+            errors.append(f"{name} must be {need}, got {value}")
+        if errors:
+            raise ValueError("; ".join(errors))
+        derived_scales(self)
 
     @property
     def alpha(self) -> complex:
@@ -94,26 +122,19 @@ class RegimeReport:
     ordering: tuple[tuple[str, float], ...]  # timescales sorted ascending
 
 
-@dataclass(frozen=True)
-class Violation:
-    level: str  # "error" or "warning"
-    message: str
-
-
 def derive_timescales(params: SystemParams) -> Timescales:
     """Compute the five timescales of the model.
 
     mu_bar = 0 gives infinite tau_e and tau_r (a harmonic oscillator never
     spreads or revives); gamma = 0 gives infinite tau_d and tau_gamma.
-    Parameters outside the numeric domain raise ValueError (see
-    derived_scales). theta is tau_gamma/tau_e, nan only when both are
-    infinite; a ratio of two finite times that is not finite and positive
-    raises ValueError too.
+    Every other time is finite and positive: construction refuses a set
+    whose times leave the numeric domain (see SystemParams). theta is
+    tau_gamma/tau_e, nan only when both are infinite; a ratio of two finite
+    times that is not finite and positive raises ValueError.
 
     tau_d drops the Ohmic cutoff factor Lambda^2/(Lambda^2 + Omega^2) that
     the bath coefficient B1(inf) carries.
     """
-    _require_valid(params)
     s = derived_scales(params)
     theta = s["tau_gamma"] / s["tau_e"]  # inf/inf is nan, and x/inf is 0
     if params.mu_bar > 0 and params.gamma > 0:  # two finite times
@@ -194,57 +215,19 @@ def _cantilever_threshold(quality: float, n_levels: float) -> float:
                  quality=quality, n_levels=n_levels)
 
 
-#: the sign each field of SystemParams must have (theta may have either)
-_SIGNS = {"mu_bar": "non-negative", "intensity": "positive", "beta_bar": "positive",
-          "gamma": "non-negative", "lambda_bar": "positive"}
-
-
-def validate_params(params: SystemParams) -> list[Violation]:
-    """Return every error of a parameter set, or, when it has none, every
-    warning.
-
-    One rule makes the errors: every field is a finite number of its sign
-    (_SIGNS), except beta_bar = +inf, which is zero temperature. A set
-    whose fields pass can still have one error: the first of its times that
-    leaves the numeric domain (see derived_scales). Warnings flag parameter
-    choices for which results carry caveats (cutoff below the system
-    frequency, truncation size beyond the intended operating range).
-    """
-    out: list[Violation] = []
-    for name, value in asdict(params).items():
-        sign = _SIGNS.get(name)
-        if math.isnan(value):
-            need = "a number"
-        elif sign and not (value > 0 or value == 0 and sign == "non-negative"):
-            need = sign
-        elif math.isinf(value) and name != "beta_bar":
-            need = f"{sign} and finite" if sign else "finite"
-        else:
-            continue
-        out.append(Violation("error", f"{name} must be {need}, got {value}"))
-
-    if not out:
-        try:
-            omega = derived_scales(params)["omega_bar"]
-        except ValueError as exc:
-            return [Violation("error", str(exc))]
-        if params.gamma > 0 and params.lambda_bar <= omega:
-            out.append(
-                Violation(
-                    "warning",
-                    "cutoff below system frequency: lambda_bar = "
-                    f"{params.lambda_bar:g} <= omega_bar = {omega:g}; "
-                    "bath coefficients are suppressed by the cutoff there",
-                )
-            )
-        if params.intensity > 200:
-            out.append(
-                Violation(
-                    "warning",
-                    f"intensity {params.intensity:g} needs a Fock cutoff beyond the "
-                    "intended operating range; expect long runtimes",
-                )
-            )
+def validate_params(params: SystemParams) -> list[str]:
+    """The warnings of a parameter set, which construction has already
+    checked (see SystemParams): choices for which results carry caveats, a
+    cutoff below the system frequency and an intensity beyond the intended
+    operating range."""
+    out = []
+    if params.gamma > 0 and params.lambda_bar <= params.omega_bar:
+        out.append("cutoff below system frequency: lambda_bar = "
+                   f"{params.lambda_bar:g} <= omega_bar = {params.omega_bar:g}; "
+                   "bath coefficients are suppressed by the cutoff there")
+    if params.intensity > 200:
+        out.append(f"intensity {params.intensity:g} needs a Fock cutoff beyond the "
+                   "intended operating range; expect long runtimes")
     return out
 
 
@@ -253,7 +236,8 @@ def derived_scales(params: SystemParams, n_max: int = 0, tau_end: float = 0.0,
     """The numeric domain of the program: every derived scale of params,
     formed once and in a fixed order, by name. The first that is not finite,
     or that nonzero inputs drove to zero, raises ValueError (see _form).
-    Fields with validate_params' errors are not checked here.
+    SystemParams' construction forms the times here, so every set lies in
+    the domain; n_max and matsubara add the scales of a run and a bath.
 
     The times come always; mu_bar = 0 and gamma = 0 keep their infinite
     ones. n_max adds the basis of a run to tau_end; matsubara the bath of a
@@ -318,14 +302,6 @@ def _form(value: float, scale: str, positive: bool = False, **inputs) -> float:
     who = " and ".join(filter(None, (", ".join(names[:-1]), names[-1])))
     verb = ("underflow" if value == 0.0 else "overflow") + ("s" if len(names) == 1 else "")
     raise ValueError(f"{who} {verb} {scale}")
-
-
-def _require_valid(params: SystemParams) -> list[Violation]:
-    """The warnings of params; ValueError naming every error, if it has any."""
-    out = validate_params(params)
-    if out and out[0].level == "error":
-        raise ValueError("; ".join(v.message for v in out))
-    return out
 
 
 def _check_inputs(finite: dict, positive: dict) -> None:

@@ -88,7 +88,7 @@ def decay_factor(params: SystemParams, taus) -> np.ndarray:
 
 def line_weights(params: SystemParams, n_lines: int) -> np.ndarray:
     """Poisson weights e^{-I0} I0^n / n! of the level-frequency comb (I0 > 0,
-    as validate_params requires)."""
+    as SystemParams requires)."""
     n = np.arange(n_lines, dtype=float)
     i0 = params.intensity
     return np.exp(-i0 + n * math.log(i0) - gammaln(n + 1.0))

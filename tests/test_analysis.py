@@ -6,6 +6,7 @@ where only physical tolerances apply.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -403,6 +404,33 @@ def test_modulated_fit_errors():
         overlap_rate_modulated(t, np.exp(0.3 * t), 5.0, 0.0)
     with pytest.raises(ValueError, match="same length"):
         overlap_rate_modulated(t, np.ones(t.size - 1), 5.0, 0.0)
+
+
+T_FIT = np.linspace(0.0, 2.0, 100)
+
+
+@pytest.mark.parametrize("fit,args,message", [
+    *[(overlap_rate_modulated, dict(omega=omega), f"omega must be positive and finite, got {omega}")
+      for omega in (0.0, -5.0, math.inf, math.nan)],
+    *[(overlap_rate_modulated, dict(theta0=theta0), f"theta0 must be finite, got {theta0}")
+      for theta0 in (math.inf, math.nan)],
+    *[(fit_position_spectrum, dict(theta=theta), f"theta must be finite, got {theta}")
+      for theta in (math.inf, math.nan)],
+], ids=["omega-zero", "omega-negative", "omega-inf", "omega-nan", "theta0-inf", "theta0-nan",
+        "theta-inf", "theta-nan"])
+def test_fitters_refuse_bad_scalar_inputs(fit, args, message):
+    """The fitters name a frequency or phase that is not finite, or a
+    modulation frequency that is not positive. (omega = 0 raised numpy's
+    divide RuntimeWarning, and omega = nan made LAPACK print "DLASCL
+    parameter number 4 had an illegal value" twice before a LinAlgError;
+    theta = inf raised a RuntimeWarning, and theta = nan reported that only
+    1 point resolved the dominant lobe.)"""
+    if fit is overlap_rate_modulated:
+        base = dict(taus=T_FIT, overlap=np.exp(-T_FIT), omega=5.0, theta0=0.0)
+    else:
+        base = dict(taus=T_FIT, x=np.cos(5.0 * T_FIT), theta=0.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit(**{**base, **args})
 
 
 def test_predicted_rate_identities():

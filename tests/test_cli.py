@@ -299,7 +299,7 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, message):
     zero in the default grid or, in closed mode, warned and exited 3, and
     one that overflows 1/tau_e divided by zero in timescales. lambda_bar =
     1e103 overflowed in lambda_bar^3, and 1e-310 warned and exited 3.
-    validate_params refuses every infinite field but beta_bar = +inf: gamma
+    SystemParams refuses every infinite field but beta_bar = +inf: gamma
     = inf warned and exited 3, or in timescales printed tau_d = 0; theta =
     inf exited 2 on "math domain error"; lambda_bar = inf was blamed on
     beta_bar, and a sweep ran its draws, each failing; mu_bar = inf printed

@@ -938,12 +938,17 @@ def test_validation_errors():
      "beta_bar must be finite in born-markov-asymptotic and born-markov-transient, got inf"),
 ], ids=["gamma-nan", "gamma-negative", "beta-inf-asymptotic", "beta-inf-transient"])
 def test_evolve_refuses_invalid_parameters(changes, mode, frame, message):
-    """evolve runs validate_params' errors before anything else, and the
-    born-markov modes refuse zero temperature, since their closed-form
-    coefficients need a finite beta_bar. (A nan or negative gamma ran an
-    isolated run; beta_bar = inf failed deep in the coefficients, after a
-    numpy RuntimeWarning in asymptotic mode.)"""
-    p = dataclasses.replace(SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3), **changes)
+    """A set that breaks the field rule never reaches evolve: construction
+    refuses it. The born-markov modes refuse zero temperature, since their
+    closed-form coefficients need a finite beta_bar. (A nan or negative gamma
+    ran an isolated run; beta_bar = inf failed deep in the coefficients,
+    after a numpy RuntimeWarning in asymptotic mode.)"""
+    base = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
+    if "gamma" in changes:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(base, **changes)
+        return
+    p = dataclasses.replace(base, **changes)
     with pytest.raises(ValueError, match=re.escape(message)):
         evolve(p, 1.0, mode=mode, config=IntegratorConfig(frame=frame))
 

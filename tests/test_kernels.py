@@ -27,6 +27,7 @@ from kerrbath import (
     asymptotic_b1_at,
     asymptotic_coefficients,
     coefficient_tables,
+    default_dtau,
     omega_levels,
     spectral_density,
     transient_coefficients,
@@ -390,9 +391,9 @@ def test_fewer_levels_give_a_prefix_of_the_coefficients():
     the levels it reads, or a basis that shrinks mid-run, keeps the bits of
     the full basis. Checked on the transient-setup bath (n = 38), the
     quantum corner's (n = 109) and a beta_bar = 100 bath (n = 25), on rows
-    at tau = 0, 1e-4, the 512 table nodes and inf. A one-level table sums
-    its Matsubara terms over two levels: summed over one, B2 at tau = 1e-4
-    differed by up to 9.1e-10 relative."""
+    at tau = 0, 1e-4, the 512 table nodes and inf. A one-level table is no
+    exception: each level sums its own Matsubara terms (see
+    test_any_window_of_levels_gives_the_full_columns)."""
     baths = (SystemParams(mu_bar=1e-2, intensity=10.0, beta_bar=1.0, gamma=1e-2,
                           lambda_bar=10.0),
              SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4,
@@ -410,6 +411,24 @@ def test_fewer_levels_give_a_prefix_of_the_coefficients():
             for name in ("omegas", "a1", "a2", "b1", "b2", "err"):
                 np.testing.assert_array_equal(getattr(inf, name),
                                               getattr(full_inf, name)[:levels], strict=True)
+
+
+def test_fewer_than_one_level_is_refused():
+    """A basis of fewer than one level is refused by name, and one level is
+    a basis. (n_max = 0 raised KeyError: 'e_top' from default_dtau, whose
+    rotating grid returned 0.045 at n_max = -4, and the coefficients
+    raised numpy's "negative dimensions are not allowed" at n_max = -2.)"""
+    p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
+    for n_max in (0, -2, -4, 2.0):
+        refusals = (lambda: default_dtau(p, n_max), lambda: default_dtau(p, n_max, "rotating"),
+                    lambda: asymptotic_coefficients(p, n_max),
+                    lambda: transient_coefficients(p, n_max, 0.5),
+                    lambda: coefficient_tables(p, n_max, np.array([0.5, math.inf])))
+        for refusal in refusals:
+            with pytest.raises(ValueError, match=f"^n_max must be a positive integer, got {n_max}$"):
+                refusal()
+    assert default_dtau(p, 1, "rotating") == default_dtau(p, 2, "rotating")
+    assert asymptotic_coefficients(p, 1).b1.shape == (1,)
 
 
 def test_any_window_of_levels_gives_the_full_columns():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import operator
 import re
 
 import numpy as np
@@ -10,21 +11,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kerrbath import (
+    BathCoefficients,
     RegimeReport,
     SystemParams,
-    Violation,
+    alpha_closed,
+    alpha_lindblad_rwa,
     classify_regime,
     asymptotic_b1_at,
     QuadratureError,
     asymptotic_coefficients,
+    coefficient_tables,
     derive_timescales,
     evolve,
+    predicted_overlap_rate,
+    spectral_density,
     theta_bec,
     theta_cantilever,
     transient_coefficients,
     validate_params,
 )
 from kerrbath.model import THETA_HI, THETA_LO, theta_regime
+
+BASE = dict(mu_bar=0.1, intensity=5.0, beta_bar=1.0, gamma=1e-3, lambda_bar=10.0, theta=0.0)
 
 param_draws = st.builds(
     SystemParams,
@@ -197,47 +205,47 @@ def test_theta_cantilever_values():
 
 
 def test_validate_params_errors():
-    bad = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=-1.0)
-    out = validate_params(bad)
-    assert any(v.level == "error" and "beta_bar" in v.message for v in out)
-    assert out == sorted(out, key=lambda v: v.level)  # errors first
+    """A set with an error is refused on construction, naming every field
+    that breaks the rule, joined by "; ", and no warning."""
+    with pytest.raises(ValueError, match=r"^beta_bar must be positive, got -1\.0$"):
+        SystemParams(mu_bar=0.1, intensity=300.0, beta_bar=-1.0, gamma=1e-4, lambda_bar=1.0)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "mu_bar must be non-negative, got -0.1; intensity must be a number, got nan; "
+            "lambda_bar must be positive and finite, got inf") + "$"):
+        SystemParams(mu_bar=-0.1, intensity=math.nan, lambda_bar=math.inf)
 
 
 def test_validate_params_cutoff_warning():
     p = SystemParams(mu_bar=0.1, intensity=50.0, gamma=1e-4, lambda_bar=1.0)
-    out = validate_params(p)
-    warn = [v for v in out if v.level == "warning"]
-    assert any("cutoff below system frequency" in v.message for v in warn)
-    assert warn == out  # a warning is not an error
+    assert validate_params(p) == [
+        "cutoff below system frequency: lambda_bar = 1 <= omega_bar = 11.1; "
+        "bath coefficients are suppressed by the cutoff there"]
 
 
 def test_validate_params_truncation_warning():
     p = SystemParams(mu_bar=0.1, intensity=300.0, gamma=1e-4)
     out = validate_params(p)
-    assert any(v.level == "warning" and "Fock cutoff" in v.message for v in out)
+    assert any("Fock cutoff" in message for message in out)
 
 
 def test_validate_params_clean():
     # lambda_bar must exceed omega_bar = 11.1 for a warning-free set
     p = SystemParams(mu_bar=0.1, intensity=50.0, gamma=1e-4, lambda_bar=100.0)
     assert validate_params(p) == []
-    assert isinstance(Violation("warning", "x"), Violation)
 
 
 def test_validate_params_one_rule():
     """Every field must be a finite number of its sign, except beta_bar = +inf
-    (zero temperature); an error set carries no warnings. (gamma, theta,
+    (zero temperature), or construction refuses the set. (gamma, theta,
     lambda_bar and mu_bar = inf passed, and mu_bar = inf warned that the
     cutoff lies below omega_bar = inf.)"""
     base = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
     for name in ("mu_bar", "intensity", "gamma", "lambda_bar", "theta"):
-        out = validate_params(dataclasses.replace(base, **{name: math.inf}))
-        assert [v.level for v in out] == ["error"]
-        assert out[0].message.startswith(f"{name} must be ")
-        assert out[0].message.endswith("finite, got inf")
+        with pytest.raises(ValueError, match=f"^{name} must be [a-z -]*finite, got inf$"):
+            dataclasses.replace(base, **{name: math.inf})
     assert validate_params(dataclasses.replace(base, beta_bar=math.inf)) == []
-    out = validate_params(dataclasses.replace(base, beta_bar=-math.inf))
-    assert [v.message for v in out] == ["beta_bar must be positive, got -inf"]
+    with pytest.raises(ValueError, match="^beta_bar must be positive, got -inf$"):
+        dataclasses.replace(base, beta_bar=-math.inf)
 
 
 @pytest.mark.parametrize("changes,message", [
@@ -245,14 +253,25 @@ def test_validate_params_one_rule():
     (dict(lambda_bar=math.inf), "lambda_bar must be positive and finite, got inf"),
     (dict(theta=math.nan), "theta must be a number, got nan"),
     (dict(beta_bar=0.0), "beta_bar must be positive, got 0.0"),
-], ids=["gamma-inf", "lambda-inf", "theta-nan", "beta-zero"])
+    (dict(gamma=-1e-3), "gamma must be non-negative, got -0.001"),
+    (dict(beta_bar=-1.0), "beta_bar must be positive, got -1.0"),
+    (dict(mu_bar=-0.1), "mu_bar must be non-negative, got -0.1"),
+    (dict(intensity=-5.0), "intensity must be positive, got -5.0"),
+    (dict(lambda_bar=-10.0), "lambda_bar must be positive, got -10.0"),
+    (dict(gamma=math.nan), "gamma must be a number, got nan"),
+], ids=["gamma-inf", "lambda-inf", "theta-nan", "beta-zero", "gamma-negative", "beta-negative",
+        "mu-negative", "intensity-negative", "lambda-negative", "gamma-nan"])
 def test_derive_timescales_refuses_validate_params_errors(changes, message):
-    """derive_timescales refuses what validate_params calls an error.
-    (gamma = inf gave tau_d = 0 and the classical verdict; the others
-    returned timescales of an unusable set.)"""
-    p = dataclasses.replace(SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3), **changes)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        derive_timescales(p)
+    """No set that breaks the field rule reaches derive_timescales, or any
+    other function: construction refuses it, by name. (gamma = inf gave
+    tau_d = 0 and the classical verdict; the others returned timescales of
+    an unusable set. Outside derive_timescales, gamma = -1e-3 gave a
+    negative overlap rate and a KeyError from the coefficients, beta_bar =
+    -1 a negative B1, mu_bar = -0.1 a ZeroDivisionError, intensity = -5 a
+    "math domain error", lambda_bar = -10 tables of values, and gamma = nan
+    a nan closed form.)"""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(SystemParams(**BASE), **changes)
 
 
 BEC_ARGS = dict(scattering_length=5e-9, atom_mass=1.5e-25, trap_omega=628.3, n_atoms=1e4,
@@ -304,23 +323,52 @@ def test_theta_regime_refuses_nan():
 # every positive finite float, subnormals included, log-uniformly: e^-745.13
 # rounds to the least subnormal 5e-324 and e^709.78 is 1.8e308
 positive_floats = st.floats(-745.13, 709.78).map(math.exp)
-SIGNED = {"mu_bar": st.one_of(st.just(0.0), positive_floats),
-          "gamma": st.one_of(st.just(0.0), positive_floats),
-          "theta": st.one_of(st.just(0.0), positive_floats, positive_floats.map(lambda v: -v))}
-any_params = st.builds(SystemParams, **{f.name: SIGNED.get(f.name, positive_floats)
-                                        for f in dataclasses.fields(SystemParams)})
+# every float of either sign, with 0, +-inf and nan
+any_float = st.one_of(st.sampled_from([0.0, math.inf, -math.inf, math.nan]), positive_floats,
+                      positive_floats.map(operator.neg))
+# the values the field rule allows each field; a field draws from them as
+# often as from any_float, so that about one set in seven constructs
+ALLOWED = {"mu_bar": st.one_of(st.just(0.0), positive_floats),
+           "beta_bar": st.one_of(st.just(math.inf), positive_floats),
+           "gamma": st.one_of(st.just(0.0), positive_floats),
+           "theta": any_float.filter(math.isfinite)}
+any_fields = st.fixed_dictionaries({
+    f.name: st.one_of(ALLOWED.get(f.name, positive_floats), any_float)
+    for f in dataclasses.fields(SystemParams)})
 RHO0 = np.outer([0.8, 0.6, 0.0, 0.0], [0.8, 0.6, 0.0, 0.0]).astype(complex)
 
 
-@settings(max_examples=300, deadline=None)
-@given(any_params, st.one_of(st.just(0.0), positive_floats))
-@example(SystemParams(mu_bar=0.1, intensity=5.0), 1e-322)  # a closed grid of dtau = 0
+@settings(max_examples=1500, deadline=None)
+@given(any_fields, st.one_of(st.just(0.0), positive_floats))
+@example(dict(BASE, gamma=0.0), 1e-322)  # a closed grid of dtau = 0
+# the six sets that library functions once took unchecked
+@example(dict(BASE, gamma=-1e-3), 1.0)
+@example(dict(BASE, beta_bar=-1.0), 1.0)
+@example(dict(BASE, mu_bar=-0.1), 1.0)
+@example(dict(BASE, intensity=-5.0), 1.0)
+@example(dict(BASE, lambda_bar=-10.0), 1.0)
+@example(dict(BASE, gamma=math.nan), 1.0)
+# sets that construct, where J raised OverflowError (lambda_bar^2) or a numpy
+# overflow warning (omega_bar^2), the closed form the warning for gamma tau,
+# and the overlap rate 2 B1 was inf
+@example(dict(BASE, lambda_bar=1e155), 0.0)
+@example(dict(BASE, mu_bar=1e154, gamma=0.0), 0.0)
+@example(dict(BASE, mu_bar=0.0, gamma=1e154), 1e155)
+@example(dict(BASE, mu_bar=math.e, intensity=1.0, beta_bar=math.exp(-713.0), gamma=math.e,
+              lambda_bar=1.0), 0.0)
 @pytest.mark.filterwarnings("ignore::kerrbath.TruncationLeakWarning")
-def test_numeric_domain_is_closed(p, tau):
-    """Every field drawn jointly over the whole float range: the timescales,
-    both coefficient sets and a closed run either come out finite, with
-    infinite times only where mu_bar = 0 or gamma = 0, or are refused with
-    ValueError (or QuadratureError), and no numpy warning comes first."""
+def test_numeric_domain_is_closed(fields, tau):
+    """Every field drawn jointly over the whole float range of either sign,
+    with 0, +-inf and nan: construction refuses the set with ValueError, or
+    the timescales, the coefficient sets and tables, the closed forms, the
+    spectral density, B1 and the predicted overlap rate at omega_bar, and a
+    closed run either come out finite, with infinite times only where
+    mu_bar = 0 or gamma = 0, or are refused with ValueError (or
+    QuadratureError), and no numpy warning comes first."""
+    try:
+        p = SystemParams(**fields)
+    except ValueError:
+        return
     try:
         s = derive_timescales(p)
     except ValueError:
@@ -331,14 +379,22 @@ def test_numeric_domain_is_closed(p, tau):
         ratio = (s.theta,) if p.mu_bar > 0 and p.gamma > 0 else ()
         for value in (s.tau_cl, *mu_times, *gamma_times, *ratio):
             assert math.isfinite(value) and value > 0.0
-    for coefficients in (lambda: asymptotic_coefficients(p, 4),
-                         lambda: transient_coefficients(p, 4, tau)):
+    taus = np.array([0.0, tau])
+    for evaluate in (lambda: asymptotic_coefficients(p, 4),
+                     lambda: transient_coefficients(p, 4, tau),
+                     lambda: coefficient_tables(p, 4, np.array([0.0, tau, math.inf])),
+                     lambda: alpha_closed(p, taus),
+                     lambda: alpha_lindblad_rwa(p, taus),
+                     lambda: spectral_density(p, np.array([0.0, p.omega_bar])),
+                     lambda: asymptotic_b1_at(p, p.omega_bar),
+                     lambda: predicted_overlap_rate(p, 1.0)):
         try:
-            c = coefficients()
+            out = evaluate()
         except (ValueError, QuadratureError):
             continue
-        for part in (c.a1, c.a2, c.b1, c.b2, c.err):
-            assert np.all(np.isfinite(part))
+        if isinstance(out, BathCoefficients):
+            out = (out.a1, out.a2, out.b1, out.b2, out.err)
+        assert all(np.all(np.isfinite(part)) for part in np.atleast_1d(out))
     try:
         run = evolve(p, tau, mode="closed", rho0=RHO0)
     except ValueError:

@@ -7,7 +7,7 @@ PUBLIC = [
     "BathCoefficients", "BumpFit", "DecoherenceFit", "HBAR", "IntegrationError",
     "IntegratorConfig", "MODES", "QuadratureError",
     "RegimeReport", "SpectrumFit", "SystemParams", "THETA_HI", "THETA_LO",
-    "Timescales", "Trajectory", "TruncationLeakWarning", "Violation",
+    "Timescales", "Trajectory", "TruncationLeakWarning",
     "__version__", "alpha_closed", "alpha_lindblad_rwa", "asymptotic_b1_at",
     "asymptotic_coefficients", "cat_offdiagonal_rate", "cat_state_density",
     "classify_regime", "coefficient_tables", "coherent_amplitudes",
@@ -20,6 +20,6 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC) == 44
+    assert len(PUBLIC) == 43
     assert sorted(kerrbath.__all__) == PUBLIC
     assert [name for name in PUBLIC if not hasattr(kerrbath, name)] == []
