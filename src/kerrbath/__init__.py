@@ -56,7 +56,6 @@ from .analysis import (
     fit_ehrenfest_bump,
     fit_position_spectrum,
     predicted_overlap_rate,
-    scale_tau_d_to_intensity,
 )
 
 __all__ = [
@@ -102,5 +101,4 @@ __all__ = [
     "fit_ehrenfest_bump",
     "fit_position_spectrum",
     "predicted_overlap_rate",
-    "scale_tau_d_to_intensity",
 ]

@@ -290,9 +290,9 @@ def cat_offdiagonal_rate(taus, overlap, t_min: float | None = None) -> Decoheren
     5% into the record) to the end; the quadratic drift term absorbs slow
     separation shrinkage and coefficient settling.
     tau_d = 1/rate is the e-folding lifetime of the coherence at the
-    separation the overlap was recorded with; to compare against the
-    decoherence time of a size-sqrt(I0) superposition, scale it by
-    (dx)^2/I0 (see scale_tau_d_to_intensity).
+    separation dx the overlap was recorded with. Rates grow as dx^2, so the
+    decoherence time of a pair whose squared separation is I0 is
+    tau_d dx^2/I0 (see predicted_overlap_rate).
     """
     def keep(t, env):
         lo = t_min if t_min is not None else t[0] + 0.05 * (t[-1] - t[0])
@@ -332,28 +332,19 @@ def overlap_rate_modulated(taus, overlap, omega: float, theta0: float) -> Decohe
     return _decay_fit(taus, overlap, lambda t, env: env > 1e-12, 8, columns, 0.5, "modulated")
 
 
-def predicted_overlap_rate(params: SystemParams, delta_x: float) -> float:
-    """Orbit-averaged decay rate 2 B1(Omega_bar) (dx)^2 of the coherence.
+def predicted_overlap_rate(params: SystemParams) -> float:
+    """Orbit-averaged decay rate 2 B1(Omega_bar) I0 of the quarter-orbit pair.
 
     A superposition of coherent states separated by dx decoheres, once the
     orbital rotation of the separation direction is averaged over, at
-    2 B1 (dx)^2 under the position-coupled generator; at dx = sqrt(I0) this
-    reproduces the analytic decoherence rate I0 gamma Omega_bar
-    coth(beta Omega_bar / 2). ValueError where the rate is not finite.
+    2 B1 dx^2 under the position-coupled generator. The sweep's pair, two
+    lobes of intensity I0 a quarter orbit apart, has dx^2 = I0 (see
+    cli.run_sweep_draw), so its rate is 2 B1 I0: the analytic decoherence
+    rate I0 gamma Omega_bar coth(beta Omega_bar / 2) times the cutoff factor
+    Lambda^2/(Lambda^2 + Omega_bar^2). ValueError where it is not finite.
     """
     from .kernels import asymptotic_b1_at
 
     b1 = asymptotic_b1_at(params, params.omega_bar)
-    return _form(2.0 * b1 * delta_x * delta_x, "the overlap rate 2 B1 dx^2", B1=b1,
-                 delta_x=delta_x)
-
-
-def scale_tau_d_to_intensity(tau_d: float, delta_x: float, intensity: float) -> float:
-    """Rescale a separation-dx decoherence time to a size-sqrt(I0) one.
-
-    Rates grow with the squared separation, so
-    tau_d(I0) = tau_d(dx) * dx^2 / I0. Every input must be finite and the
-    intensity positive (ValueError).
-    """
-    _check_inputs({"tau_d": tau_d, "delta_x": delta_x}, {"intensity": intensity})
-    return tau_d * delta_x * delta_x / intensity
+    return _form(2.0 * b1 * params.intensity, "the overlap rate 2 B1 I0", B1=b1,
+                 intensity=params.intensity)

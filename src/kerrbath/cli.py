@@ -427,8 +427,10 @@ def run_sweep_draw(spec: dict) -> dict:
     inside a fraction of an orbit there is no averaging at all, only the
     instantaneous projection, which the 45 degree chord orientation pins to
     the same I0. All three give 2 B1 I0, the inverse analytic decoherence
-    time. The decay rate of the pair is modulated at period pi/Omega_bar as
-    the chord's x-projection rotates; overlap_rate_modulated fits that
+    time, which is the rate analysis.predicted_overlap_rate predicts; so
+    the fitted rate needs no rescaling, and tau_d_fit is its inverse. The
+    decay rate of the pair is modulated at period pi/Omega_bar as the
+    chord's x-projection rotates; overlap_rate_modulated fits that
     modulation explicitly, so every draw uses one window, a predicted
     envelope log drop of 0.23, sampled at least 400 times (the RK4 step
     may span several samples). The result is the draw file's sidecar.
@@ -442,9 +444,7 @@ def run_sweep_draw(spec: dict) -> dict:
     be = al * 1j
     n_max = fock.fock_cutoff(params.intensity)
     rho0 = fock.cat_state_density(al, be, n_max)
-    # orbit-effective separation of the quarter pair: |chord|^2 cos^2(45deg)
-    delta_eff = math.sqrt(params.intensity)
-    rate_pred = analysis.predicted_overlap_rate(params, delta_eff)
+    rate_pred = analysis.predicted_overlap_rate(params)
     window = 0.23 / rate_pred
     dtau = min(default_dtau(params, n_max, "rotating"), window / 400.0)
     traj = evolve(
@@ -459,20 +459,16 @@ def run_sweep_draw(spec: dict) -> dict:
     fit = analysis.overlap_rate_modulated(
         traj.taus, traj.overlap, params.omega_bar, -0.25 * math.pi
     )
-    tau_d_fit = analysis.scale_tau_d_to_intensity(
-        fit.tau_d, delta_eff, params.intensity
-    )
     return _sidecar(
         params, traj,
         index=spec["index"],
-        delta_eff=delta_eff,
         window=window,
         fit_method=fit.method,
         rate_fit=fit.rate,
         rate_predicted=rate_pred,
-        tau_d_fit=tau_d_fit,
+        tau_d_fit=fit.tau_d,
         tau_d_theory=scales.tau_d,
-        ln_ratio=math.log(tau_d_fit / scales.tau_d),
+        ln_ratio=math.log(fit.tau_d / scales.tau_d),
         fit_uncertainty=fit.uncertainty,
         fit_residual_rms=fit.residual_rms,
     )

@@ -144,8 +144,12 @@ class BathCoefficients:
 
 
 def asymptotic_b1_at(params: SystemParams, omega: float) -> float:
-    """B1(inf) at a single frequency: (J(omega)/2) coth(beta omega/2);
-    ValueError where it is not finite."""
+    """B1(inf) at a single frequency: (J(omega)/2) coth(beta omega/2), and
+    at omega = 0 its limit gamma/beta_bar (0 at beta_bar = inf); ValueError
+    where it is not finite."""
+    if omega == 0.0:
+        return _form(params.gamma / params.beta_bar, "B1(0) = gamma/beta_bar",
+                     gamma=params.gamma, beta_bar=params.beta_bar)
     j = spectral_density(params, omega)
     tanh = math.tanh(0.5 * params.beta_bar * omega)
     return _form(0.5 * j / tanh if tanh else math.inf, "B1 = (J(omega)/2) coth(beta_bar "

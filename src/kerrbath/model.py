@@ -11,6 +11,7 @@ harmonic period over 2*pi, all frequencies in units of the harmonic frequency.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass
 
@@ -41,11 +42,12 @@ class SystemParams:
     theta      phase of the initial amplitude, alpha = sqrt(I0) e^{-i theta}
 
     A set is valid by construction. One rule makes the errors: every field
-    is a finite number of its sign (_SIGNS), except beta_bar = +inf, which
-    is zero temperature; construction raises one ValueError naming every
-    field that breaks it, joined by "; ". A set whose fields pass is still
-    refused when one of its times leaves the numeric domain (see
-    derived_scales), with that message.
+    is a finite real number of its sign (_SIGNS), except beta_bar = +inf,
+    which is zero temperature; construction raises one ValueError naming
+    every field that breaks it, joined by "; ". A value that is not a real
+    number (a string, None) is shown by its repr: "mu_bar must be a number,
+    got '0.1'". A set whose fields pass is still refused when one of its
+    times leaves the numeric domain (see derived_scales), with that message.
     """
 
     mu_bar: float
@@ -59,7 +61,9 @@ class SystemParams:
         errors = []
         for name, value in asdict(self).items():
             sign = _SIGNS.get(name)
-            if math.isnan(value):
+            if not isinstance(value, numbers.Real):
+                need, value = "a number", repr(value)
+            elif math.isnan(value):
                 need = "a number"
             elif sign and not (value > 0 or value == 0 and sign == "non-negative"):
                 need = sign

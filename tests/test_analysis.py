@@ -25,7 +25,6 @@ from kerrbath import (
     fock_cutoff,
     overlap_rate_modulated,
     predicted_overlap_rate,
-    scale_tau_d_to_intensity,
 )
 
 from kerrbath.analysis import fit_spectral_width
@@ -436,25 +435,13 @@ def test_fitters_refuse_bad_scalar_inputs(fit, args, message):
 def test_predicted_rate_identities():
     p = SystemParams(mu_bar=0.1, intensity=50.0, beta_bar=1.0, gamma=1e-4)
     b1 = asymptotic_b1_at(p, p.omega_bar)
-    dx = 3.0
-    assert predicted_overlap_rate(p, dx) == pytest.approx(2.0 * b1 * dx * dx, rel=1e-14)
-    # at dx = sqrt(I0) the rate is the inverse tau_d with the cutoff factor
+    # the quarter-orbit pair's squared separation is I0: the rate is 2 B1 I0,
+    # the inverse tau_d with the cutoff factor
+    rate = predicted_overlap_rate(p)
+    assert rate == pytest.approx(2.0 * b1 * p.intensity, rel=1e-14)
     lam2, om2 = p.lambda_bar**2, p.omega_bar**2
-    rate = predicted_overlap_rate(p, math.sqrt(p.intensity))
     tau_d = derive_timescales(p).tau_d
     assert rate == pytest.approx(lam2 / (om2 + lam2) / tau_d, rel=1e-12)
-
-
-def test_scale_tau_d():
-    assert scale_tau_d_to_intensity(10.0, 2.0, 8.0) == pytest.approx(5.0)
-    with pytest.raises(ValueError, match="positive"):
-        scale_tau_d_to_intensity(10.0, 2.0, 0.0)
-    # a non-finite input is refused by name, where a NaN intensity gave NaN
-    for args, message in (((1.0, 1.0, math.nan), "intensity must be positive and finite, got nan"),
-                          ((1.0, math.inf, 1.0), "delta_x must be finite, got inf"),
-                          ((math.nan, 1.0, 1.0), "tau_d must be finite, got nan")):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            scale_tau_d_to_intensity(*args)
 
 
 def test_recurrence_and_cat_routes_agree():

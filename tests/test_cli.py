@@ -723,7 +723,7 @@ def test_run_sweep_draw_result_contract(index):
     # draw 1 only 0.055; one estimator and one window rule serve both
     spec = dict(draw_parameters(1, 20)[index], lambda_bar=None)
     res = run_sweep_draw(spec)
-    for key in ("index", "params", "delta_eff", "n_max", "window", "fit_method",
+    for key in ("index", "params", "n_max", "window", "fit_method",
                 "rate_fit", "rate_predicted", "tau_d_fit", "tau_d_theory",
                 "ln_ratio", "fit_uncertainty", "fit_residual_rms",
                 "max_trace_deviation", "max_herm_defect", "final_min_eig",
@@ -732,14 +732,17 @@ def test_run_sweep_draw_result_contract(index):
     omega = 1.0 + spec["mu_bar"] * (1.0 + 2.0 * spec["intensity"])
     assert res["params"]["lambda_bar"] == sweep_lambda_bar(omega)
     assert res["fit_method"] == "modulated"
+    assert "delta_eff" not in res
+    assert res["tau_d_fit"] == 1.0 / res["rate_fit"]
     assert res["window"] == pytest.approx(0.23 / res["rate_predicted"], rel=1e-15)
     assert abs(res["ln_ratio"]) < math.log(2.0)
     assert res["max_trace_deviation"] < 1e-10
 
 
 def test_sweep_fit_keeps_last_sample(monkeypatch):
-    """Draw 3 of acceptance 07's plan ends one ulp past its window (400
-    steps of window/400); the fit still uses every recorded sample."""
+    """Draw 22 of seed 1's plan (acceptance 07's 20 draws, extended) ends
+    one ulp past its window (675 samples of dtau); the fit still uses every
+    recorded sample."""
     fits = []
     fit_overlap = analysis.overlap_rate_modulated
 
@@ -748,7 +751,7 @@ def test_sweep_fit_keeps_last_sample(monkeypatch):
         return fits[-1][1]
 
     monkeypatch.setattr(analysis, "overlap_rate_modulated", spy)
-    res = run_sweep_draw(dict(draw_parameters(1, 20)[3], lambda_bar=None))
+    res = run_sweep_draw(dict(draw_parameters(1, 23)[22], lambda_bar=None))
     (taus, fit), = fits
     assert taus[-1] > res["window"]
     assert fit.n_points == taus.size

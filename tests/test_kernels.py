@@ -170,6 +170,23 @@ def test_b1_closed_form_value():
     assert asymptotic_b1_at(p, p.omega_bar) == pytest.approx(2.486e-4, abs=5e-7)
 
 
+def test_b1_at_zero_frequency_is_its_limit():
+    """(J(omega)/2) coth(beta_bar omega/2) tends to gamma/beta_bar as omega
+    goes to 0, and to 0 at beta_bar = inf; B1(0) is that limit, and a limit
+    past the float range is refused by name. (omega = 0 was refused as an
+    overflow of B1, at beta_bar = inf too.)"""
+    for beta_bar in (1.0, 0.3, 20.0):
+        p = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=beta_bar, gamma=1e-3)
+        assert asymptotic_b1_at(p, 0.0) == p.gamma / p.beta_bar
+        assert asymptotic_b1_at(p, 0.0) == pytest.approx(asymptotic_b1_at(p, 1e-7), rel=1e-12)
+    cold = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=math.inf, gamma=1e-3)
+    assert asymptotic_b1_at(cold, 0.0) == 0.0
+    assert asymptotic_b1_at(cold, 1e-7) == pytest.approx(0.0, abs=1e-9)
+    hot = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=1e-300, gamma=1e19)
+    with pytest.raises(ValueError, match=r"^gamma = 1e\+19 and beta_bar = 1e-300 overflow "):
+        asymptotic_b1_at(hot, 0.0)
+
+
 def test_fluctuation_dissipation_relation():
     p = ORACLE_P
     c = asymptotic_coefficients(p, 6)

@@ -259,8 +259,14 @@ def test_validate_params_one_rule():
     (dict(intensity=-5.0), "intensity must be positive, got -5.0"),
     (dict(lambda_bar=-10.0), "lambda_bar must be positive, got -10.0"),
     (dict(gamma=math.nan), "gamma must be a number, got nan"),
+    (dict(mu_bar="0.1"), "mu_bar must be a number, got '0.1'"),
+    (dict(mu_bar=None), "mu_bar must be a number, got None"),
+    (dict(intensity="5", gamma=-1.0, theta=1j),
+     "intensity must be a number, got '5'; gamma must be non-negative, got -1.0; "
+     "theta must be a number, got 1j"),
 ], ids=["gamma-inf", "lambda-inf", "theta-nan", "beta-zero", "gamma-negative", "beta-negative",
-        "mu-negative", "intensity-negative", "lambda-negative", "gamma-nan"])
+        "mu-negative", "intensity-negative", "lambda-negative", "gamma-nan", "mu-str", "mu-none",
+        "not-numbers"])
 def test_derive_timescales_refuses_validate_params_errors(changes, message):
     """No set that breaks the field rule reaches derive_timescales, or any
     other function: construction refuses it, by name. (gamma = inf gave
@@ -269,7 +275,9 @@ def test_derive_timescales_refuses_validate_params_errors(changes, message):
     negative overlap rate and a KeyError from the coefficients, beta_bar =
     -1 a negative B1, mu_bar = -0.1 a ZeroDivisionError, intensity = -5 a
     "math domain error", lambda_bar = -10 tables of values, and gamma = nan
-    a nan closed form.)"""
+    a nan closed form. A value that is not a real number, shown by its repr,
+    raised "TypeError: must be real number, not str" from math.isnan,
+    naming no field.)"""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(SystemParams(**BASE), **changes)
 
@@ -387,7 +395,7 @@ def test_numeric_domain_is_closed(fields, tau):
                      lambda: alpha_lindblad_rwa(p, taus),
                      lambda: spectral_density(p, np.array([0.0, p.omega_bar])),
                      lambda: asymptotic_b1_at(p, p.omega_bar),
-                     lambda: predicted_overlap_rate(p, 1.0)):
+                     lambda: predicted_overlap_rate(p)):
         try:
             out = evaluate()
         except (ValueError, QuadratureError):

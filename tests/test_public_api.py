@@ -14,12 +14,12 @@ PUBLIC = [
     "coherent_state_density", "default_dtau", "derive_timescales",
     "evolve", "extract_envelope_peaks", "fit_ehrenfest_bump",
     "fit_position_spectrum", "fock_cutoff", "omega_levels", "overlap_rate_modulated",
-    "predicted_overlap_rate", "scale_tau_d_to_intensity", "spectral_density",
+    "predicted_overlap_rate", "spectral_density",
     "theta_bec", "theta_cantilever", "transient_coefficients", "validate_params",
 ]
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC) == 43
+    assert len(PUBLIC) == 42
     assert sorted(kerrbath.__all__) == PUBLIC
     assert [name for name in PUBLIC if not hasattr(kerrbath, name)] == []
