@@ -61,6 +61,10 @@ Recorded observables and final_rho, the state at tau_end and the one state a
 run returns, are lab-frame values: co-moving states are dressed with the
 level phases. evolve checks its inputs before any run (see evolve); sample 0
 of every run, and every closed-path sample, takes that check's rho0 defect.
+One recorder (_Recorder) decides what is recorded and records it into the
+Trajectory that it creates and fills in place: sample 0, every sample of
+the closed path, and the samples of each accepted step; evolve only adds
+the run's step counts, spectral radius and final_rho.
 
 Time stepping is classical RK4 on the co-moving state. dtau is the sample
 spacing in every mode. When unset, default_dtau(params, n_max, frame) gives
@@ -90,11 +94,15 @@ kernel's construction and the steps run under numpy's errstate for
 overflow and invalid values: a step whose estimate is not finite, as the
 first one is when the generator overflows, raises IntegrationError, naming
 the fix for the set in force (see _remedy), with no numpy warning before
-it. A step ending within 1e-9 h of a grid point ends on it. Samples inside
-a step come from the cubic Hermite interpolant of the step's end states and
-their derivatives (Hairer, Norsett & Wanner, Solving ODEs I, II.6). The end
-derivative is the next step's first stage, and the interpolation weights
-are real, so trace and hermiticity carry over. The recorded quantities
+it. A step ending within 1e-9 h of a grid point ends on it. Each accepted
+step records the grid points in (t0, t1], if any: a step shorter than
+dtau can span none, and the next step that records then reads its start
+state afresh, since the recorder keeps only the vectors of the last step
+end that it recorded. Samples inside a step come from the cubic Hermite
+interpolant of the step's end states and their derivatives (Hairer,
+Norsett & Wanner, Solving ODEs I, II.6). The end derivative is the next
+step's first stage, and the interpolation weights are real, so trace and
+hermiticity carry over. The recorded quantities
 other than the hermiticity defect and the minimum eigenvalue are linear in
 the state, so the recorder interpolates the O(n_max) vectors they are read
 from instead of forming interior states. An interior sample's hermiticity
@@ -120,10 +128,11 @@ freed before the run allocates its buffers. A step records its samples,
 and the closed path those of rho0, in blocks whose interpolated
 observable vectors fit in one state array (below n_max = 91, in numpy's
 buffer of 8192 elements), as does their work copy or their dressing
-phases, however many samples the step or the closed path spans. At n_max = 109 (16 n_max^2 B = 190 kB per array) a stepping run
-peaks under tracemalloc at 7.9 such arrays from the coherent start
-(1.5 MB), 9.5 for a cat with an overlap_pair and 9.2 in lindblad-rwa, and
-a closed run of 4097 samples at 4.1.
+phases, however many samples the step or the closed path spans. At
+n_max = 109 (16 n_max^2 B = 190 kB per array) a stepping run peaks under
+tracemalloc at 7.9 such arrays from the coherent start (1.5 MB), 9.5 for a
+cat with an overlap_pair and 9.2 in lindblad-rwa, and a closed run of 4097
+samples at 4.1.
 """
 
 from __future__ import annotations
@@ -239,6 +248,9 @@ class IntegratorConfig:
 class Trajectory:
     """Sampled observables of one propagation run.
 
+    The run's recorder creates it and fills every sample array in place,
+    one sample at a time or in blocks, each sample once and in order; the
+    run then sets step, steps, step_error, spectral_radius and final_rho.
     All stored quantities are lab-frame values, whatever the frame; frame
     records the config's, which picks only the default grid (every run with
     a generator steps co-moving). dtau is the run's sample spacing,
@@ -611,17 +623,18 @@ def _remedy(rhs: _BandedRHS, h_lo: float, h_hi: float, cap: float, t_end: float)
     return f"{fix} (the RK4 step runs from {h_lo:g} to {h_hi:g})"
 
 
-def _hermite(s, h: float, y0, y1, f0, f1, out, work) -> None:
+def _hermite(s, h: float, y0, y1, f0, f1, out, work) -> np.ndarray:
     """Cubic Hermite interpolant at fraction s of a step h from (y0, f0) to
-    (y1, f1), written into out; work is scratch of the same shape. An array
-    s of shape (k, 1) interpolates rows of vectors, one row per fraction.
-    The two state weights lie in [0, 1] and sum to 1."""
+    (y1, f1), written into out and returned; work is scratch of the same
+    shape. An array s of shape (k, 1) interpolates rows of vectors, one row
+    per fraction. The two state weights lie in [0, 1] and sum to 1."""
     r = 1.0 - s
     np.multiply(y0, (1.0 + 2.0 * s) * r * r, out=out)
     weights = ((s * s * (3.0 - 2.0 * s), y1), (h * s * r * r, f0), (-h * s * s * r, f1))
     for w, y in weights:
         np.multiply(y, w, out=work)
         out += work
+    return out
 
 
 def _herm_defect(state: np.ndarray, diff: np.ndarray, mag: np.ndarray) -> float:
@@ -633,38 +646,47 @@ def _herm_defect(state: np.ndarray, diff: np.ndarray, mag: np.ndarray) -> float:
 
 
 class _Recorder:
-    """Accumulates per-sample observables, reporting lab-frame values.
+    """Records every sample of a run, lab-frame values, into the Trajectory
+    that it creates on the run's taus and fills in place.
 
-    The linear observables of a state are read off one complex vector
+    It owns the sample cursor: start records sample 0 of rho0, and on the
+    closed path every sample; step records the samples of each accepted
+    step. done counts the samples recorded, each once and in order, and
+    hint is the failure message's fix, which evolve sets per coefficient
+    set. The linear observables of a state are read off one complex vector
     (vector): the lower ladder diagonal (for <a>), the diagonal (for <n>,
     energy, trace and top population) and, with an overlap_pair, the
     2 n_max - 1 diagonal sums of W*rho~. store turns rows of such vectors
-    into samples, so a step spanning several grid points interpolates its
-    end vectors; only min_eig forms the interior state. Sample 0, and every
-    closed-path sample, is one vector of rho0 and evolve's input-check defect.
+    into samples, at most block rows per call, so a step spanning several
+    grid points interpolates its end vectors; only min_eig forms the
+    interior state. ends caches the time, vector, derivative vector and
+    defect of the last step end recorded: the next recording step's start,
+    unless steps that recorded nothing came between.
 
     Every state is co-moving: the lower ladder diagonal is dressed with
     e^{-i Omega_n tau} before summing <a>; diagonal quantities and norms are
     frame-invariant, and the coherence envelope reads the co-moving state
     as it is. With an overlap_pair, the zero-padded band is a view of
     scratch, a complex array of at least n_max (2 n_max - 1) elements that
-    others may write between calls, so vector zeroes it before each use.
+    others may write between calls, so vector zeroes it before each use; a
+    stepping run's scratch, at least n_max^2 elements, also holds the step
+    defects' real magnitudes and min_eig's interpolation work.
     """
 
-    def __init__(self, ladder: _Ladder, n_samples: int, config: IntegratorConfig,
-                 hint: str, scratch: np.ndarray):
+    def __init__(self, ladder: _Ladder, taus: np.ndarray, dtau: float, mode: str,
+                 config: IntegratorConfig, hint: str, scratch: np.ndarray):
         self.ladder = ladder
         self.hint = hint
-        self.a = np.empty(n_samples, dtype=complex)
-        self.n = np.empty(n_samples)
-        self.energy = np.empty(n_samples)
-        self.tr = np.empty(n_samples, dtype=complex)
-        self.herm = np.empty(n_samples)
-        self.top = np.empty(n_samples)
-        self.min_eig = np.empty(n_samples) if config.record_min_eig else None
-        n_max = ladder.levels.size
+        self.scratch = scratch
+        n, n_max = taus.size, ladder.levels.size
+        self.traj = Trajectory(
+            taus=taus, a_expect=np.empty(n, dtype=complex), n_expect=np.empty(n),
+            energy_expect=np.empty(n), trace=np.empty(n, dtype=complex),
+            herm_defect=np.empty(n), top_population=np.empty(n), mode=mode, n_max=n_max,
+            dtau=dtau, frame=config.frame,
+            min_eig=np.empty(n) if config.record_min_eig else None,
+        )
         self.size = 2 * n_max - 1
-        self.overlap = None
         if config.overlap_pair is not None:
             al, be = config.overlap_pair
             va = fock.coherent_amplitudes(al, n_max).conj()
@@ -677,7 +699,15 @@ class _Recorder:
             row = max(2 * n_max - 2, 1)
             self._band = scratch[n_max - 1:n_max - 1 + n_max * row].reshape(n_max, row)[:, :n_max]
             self.size += 2 * n_max - 1
-            self.overlap = np.empty(n_samples)
+            self.traj.overlap = np.empty(n)
+        # samples recorded at once: their interpolated vectors fit in one state
+        # array, and so does their work copy or their dressing phases, however
+        # many samples a step or the closed path spans; below n_max = 91 in
+        # numpy's buffer of 8192 elements, so that a small basis's samples do
+        # not go one call each
+        self.block = max(1, max(n_max * n_max, np.getbufsize()) // self.size)
+        self.done = 0  # samples recorded
+        self.ends = None  # time, vector, derivative vector, defect last measured
 
     def vector(self, state: np.ndarray) -> np.ndarray:
         """The linear-observable vector of a co-moving state or of its
@@ -686,7 +716,7 @@ class _Recorder:
         v = np.empty(self.size, dtype=complex)
         v[:n_max - 1] = np.diagonal(state, -1)
         v[n_max - 1:2 * n_max - 1] = np.diagonal(state)
-        if self.overlap is not None:
+        if self.traj.overlap is not None:
             self._pad.fill(0.0)
             np.multiply(self.wmat, state, out=self._band)
             np.sum(self._pad, axis=0, out=v[2 * n_max - 1:])
@@ -698,50 +728,86 @@ class _Recorder:
         round-off: eigvalsh reads its lower triangle and forms no copy."""
         return float(np.linalg.eigvalsh(state)[0])
 
+    def start(self, rho0: np.ndarray, herm0: float, static: bool) -> None:
+        """Record sample 0 of rho0 with the input check's defect herm0, and
+        so every sample of a static run (one without a generator), whose
+        co-moving state is rho0 throughout."""
+        taus = self.traj.taus
+        v0 = self.vector(rho0)
+        eig0 = self.lowest_eig(rho0) if self.traj.min_eig is not None else None
+        self.done = taus.size if static else 1
+        for k in range(0, self.done, self.block):
+            self.store(k, taus[k:min(k + self.block, self.done)], v0[None], herm0, eig0)
+        self.ends = (0.0, v0, None, herm0)
+
+    def step(self, t0: float, t1: float, h: float, y0, y1, f0, f1, y) -> None:
+        """Record the samples in (t0, t1] of the step h = t1 - t0 from
+        (y0, f0) to (y1, f1), if any. Samples inside the step interpolate the
+        end vectors and take the larger end defect, and only their minimum
+        eigenvalues form states, in y with the scratch block's work view,
+        idle while a step records."""
+        taus, done = self.traj.taus, self.done
+        j = bisect.bisect_right(taus, t1, done)
+        if j == done:
+            return
+        mag = self.scratch.view(float)[:y.size].reshape(y.shape)
+        work = self.scratch[:y.size].reshape(y.shape)
+        v1, g1, d1 = self.vector(y1), None, _herm_defect(y1, y, mag)
+        inside = taus[done] < t1
+        if inside:
+            g1 = self.vector(f1)
+            if self.ends[0] != t0:
+                self.ends = (t0, self.vector(y0), None, _herm_defect(y0, y, mag))
+            _, v0, g0, d0 = self.ends
+            if g0 is None:
+                g0 = self.vector(f0)
+        self.ends = (t1, v1, g1, d1)
+        for k in range(done, j, self.block):
+            rows = taus[k:min(k + self.block, j)]
+            vecs, herm = v1[None], d1
+            if inside:
+                s = (rows[:, None] - t0) / h
+                vecs = np.empty((s.size, v1.size), dtype=complex)
+                _hermite(s, h, v0, v1, g0, g1, vecs, np.empty_like(vecs))
+                herm = np.where(s[:, 0] < 1.0, max(d0, d1), d1)
+            min_eig = None if self.traj.min_eig is None else [
+                self.lowest_eig(y1 if tau == t1 else
+                                _hermite((tau - t0) / h, h, y0, y1, f0, f1, y, work))
+                for tau in rows]
+            self.store(k, rows, vecs, herm, min_eig)
+        self.done = j
+
     def store(self, k: int, taus: np.ndarray, vecs: np.ndarray, herm,
               min_eig=None) -> None:
         """Record samples k, k + 1, ... at taus from the rows of vecs, their
         linear-observable vectors (one row serves every tau of a static
         state), with hermiticity defects herm and, when recorded, minimum
         eigenvalues min_eig (each one value or one per sample)."""
+        t = self.traj
         rows = slice(k, k + taus.size)
         n_max = self.ladder.levels.size
         lower, diag = vecs[:, :n_max - 1], vecs[:, n_max - 1:2 * n_max - 1]
         amp = self.ladder.sqrt_n * np.exp(taus[:, None] * self.ladder.rates)
-        a = self.a[rows] = (amp * lower).sum(axis=1)
+        a = t.a_expect[rows] = (amp * lower).sum(axis=1)
         pops = diag.real
         # summed along each row, so that a row's bits do not depend on how
         # many samples share the call (a k-row np.dot sums in another order)
-        self.n[rows] = (pops * self.ladder.levels).sum(axis=1)
-        self.energy[rows] = (pops * self.ladder.energies).sum(axis=1)
-        tr = self.tr[rows] = diag.sum(axis=1)
-        self.herm[rows] = herm
-        self.top[rows] = np.abs(pops[:, -3:]).max(axis=1)
-        if self.overlap is not None:
-            self.overlap[rows] = np.abs(vecs[:, 2 * n_max - 1:]).sum(axis=1)
-        if self.min_eig is not None:
-            self.min_eig[rows] = min_eig
+        t.n_expect[rows] = (pops * self.ladder.levels).sum(axis=1)
+        t.energy_expect[rows] = (pops * self.ladder.energies).sum(axis=1)
+        tr = t.trace[rows] = diag.sum(axis=1)
+        t.herm_defect[rows] = herm
+        t.top_population[rows] = np.abs(pops[:, -3:]).max(axis=1)
+        if t.overlap is not None:
+            t.overlap[rows] = np.abs(vecs[:, 2 * n_max - 1:]).sum(axis=1)
+        if t.min_eig is not None:
+            t.min_eig[rows] = min_eig
         bad = ~np.isfinite(a.real) | (np.abs(tr - 1.0) > 0.5)
         if bad.any():
             i = int(np.argmax(bad))
             raise IntegrationError(
                 f"state became unphysical at tau={taus[i]:g} "
-                f"(trace={self.tr[k + i]:.3g}, <a>={a[i]:.3g}); {self.hint}"
+                f"(trace={t.trace[k + i]:.3g}, <a>={a[i]:.3g}); {self.hint}"
             )
-
-    def finish(self, taus, **kw) -> Trajectory:
-        return Trajectory(
-            taus=np.asarray(taus, dtype=float),
-            a_expect=self.a,
-            n_expect=self.n,
-            energy_expect=self.energy,
-            trace=self.tr,
-            herm_defect=self.herm,
-            top_population=self.top,
-            overlap=self.overlap,
-            min_eig=self.min_eig,
-            **kw,
-        )
 
 
 def evolve(
@@ -851,61 +917,9 @@ def evolve(
                 "lower mu_bar or gamma, or shorten the run"
             )
 
-    rec = _Recorder(ladder, taus.size, config, hint, scratch)
-    # samples recorded at once: their interpolated vectors fit in one state
-    # array, and so does their work copy or their dressing phases, however
-    # many samples a step or the closed path spans; below n_max = 91 in
-    # numpy's buffer of 8192 elements, so that a small basis's samples do
-    # not go one call each
-    block = max(1, max(n_max * n_max, np.getbufsize()) // rec.size)
+    rec = _Recorder(ladder, taus, dtau, mode, config, hint, scratch)
+    rec.start(rho0, herm0, rhs is None)
     rho = rho0  # the run steps in its own copy of rho0
-    # sample 0 of rho0, with the input check's defect, and so every sample
-    # of a run without a generator, whose co-moving state is rho0 throughout
-    v0 = rec.vector(rho)
-    eig0 = rec.lowest_eig(rho) if rec.min_eig is not None else None
-    done = taus.size if rhs is None else 1  # samples recorded
-    for k in range(0, done, block):
-        rec.store(k, taus[k:min(k + block, done)], v0[None], herm0, eig0)
-    ends = (0.0, v0, None, herm0)  # time, vector, derivative vector, defect last measured
-
-    def record(j, t0, t1, h, y0, y1, f0, f1) -> None:
-        """Record samples done, ..., j - 1, those in (t0, t1] of the step
-        h = t1 - t0 from (y0, f0) to (y1, f1), block samples at a time.
-        Samples inside the step interpolate the end vectors and take the
-        larger end defect, and only their minimum eigenvalues form states,
-        in y with the scratch block's work view, idle while a step records."""
-        nonlocal done, ends
-
-        def state_at(c):
-            if taus[c] == t1:
-                return y1
-            _hermite((taus[c] - t0) / h, h, y0, y1, f0, f1, y, work)
-            return y
-
-        v1, g1, d1 = rec.vector(y1), None, _herm_defect(y1, y, mag)
-        inside = taus[done] < t1
-        if inside:
-            g1 = rec.vector(f1)
-            if ends[0] != t0:
-                ends = (t0, rec.vector(y0), None, _herm_defect(y0, y, mag))
-            _, v0, g0, d0 = ends
-            if g0 is None:
-                g0 = rec.vector(f0)
-        ends = (t1, v1, g1, d1)
-        for k in range(done, j, block):
-            rows = taus[k:min(k + block, j)]
-            vecs, herm = v1[None], d1
-            if inside:
-                s = (rows[:, None] - t0) / h
-                vecs = np.empty((s.size, v1.size), dtype=complex)
-                _hermite(s, h, v0, v1, g0, g1, vecs, np.empty_like(vecs))
-                herm = np.where(s[:, 0] < 1.0, max(d0, d1), d1)
-            min_eig = None
-            if rec.min_eig is not None:
-                min_eig = [rec.lowest_eig(state_at(c)) for c in range(k, k + rows.size)]
-            rec.store(k, rows, vecs, herm, min_eig)
-        done = j
-
     steps, largest, step_error = 0, 0.0, 0.0  # accepted steps, the longest, worst estimate
     if rhs is not None:
         # five state buffers: rho and k1, the derivative at rho, stay across
@@ -914,10 +928,8 @@ def evolve(
         # derivative f1; y holds k3, then k4, then f1 - k4. An accepted step
         # rotates y1 into rho and f1 into k1, and the old pair into tmp and x
         k1, tmp, x, y = (np.empty_like(rho) for _ in range(4))
-        # views of the scratch block: the real magnitudes of the step
-        # estimate and the defects, and min_eig's interpolation work
+        # a view of the scratch block: the real magnitudes of the step estimate
         mag = scratch.view(float)[:n_max * n_max].reshape(n_max, n_max)
-        work = scratch[:n_max * n_max].reshape(n_max, n_max)
         # numpy's overflow and invalid-value warnings are silenced: a step
         # that leaves the finite range raises IntegrationError below instead
         with np.errstate(over="ignore", invalid="ignore"):
@@ -969,12 +981,11 @@ def evolve(
                 steps += 1
                 largest = max(largest, dt)
                 step_error = max(step_error, err)
-                j = bisect.bisect_right(taus, t1, done)
-                if j > done:
-                    record(j, t0, t1, dt, tmp, rho, x, k1)
+                rec.step(t0, t1, dt, tmp, rho, x, k1, y)
                 t0 = t1
 
-    top = float(np.max(rec.top))
+    traj = rec.traj
+    top = float(np.max(traj.top_population))
     if top > 1e-6:
         warnings.warn(f"the largest population of the top three levels reached {top:.2e}; "
                       "results may be truncation-limited, enlarge the basis",
@@ -982,15 +993,8 @@ def evolve(
     dress = np.exp(-1j * ladder.energies * t_end)  # to the lab frame: e^{-iHt} rho e^{iHt}
     np.multiply(dress[:, None], rho, out=rho)
     np.multiply(rho, dress.conj()[None, :], out=rho)
-    return rec.finish(
-        taus,
-        mode=mode,
-        n_max=n_max,
-        dtau=dtau,
-        frame=config.frame,
-        step=largest if steps else None,
-        steps=steps,
-        step_error=step_error if steps else None,
-        spectral_radius=None if rhs is None else rhs.radius,
-        final_rho=rho,
-    )
+    if steps:
+        traj.step, traj.steps, traj.step_error = largest, steps, step_error
+    traj.spectral_radius = None if rhs is None else rhs.radius
+    traj.final_rho = rho
+    return traj

@@ -146,12 +146,21 @@ class BathCoefficients:
 def asymptotic_b1_at(params: SystemParams, omega: float) -> float:
     """B1(inf) at a single frequency: (J(omega)/2) coth(beta omega/2), and
     at omega = 0 its limit gamma/beta_bar (0 at beta_bar = inf); ValueError
-    where it is not finite."""
+    where it is not finite. Where J(omega) is not a normal float and x =
+    beta_bar omega/2 < 1, B1 is formed as (gamma/beta_bar) Lambda^2/(Lambda^2
+    + omega^2) x/tanh(x), with x/tanh(x) = 1 at x = 0, which keeps its
+    precision down to the smallest subnormal omega."""
     if omega == 0.0:
         return _form(params.gamma / params.beta_bar, "B1(0) = gamma/beta_bar",
                      gamma=params.gamma, beta_bar=params.beta_bar)
     j = spectral_density(params, omega)
-    tanh = math.tanh(0.5 * params.beta_bar * omega)
+    x = 0.5 * params.beta_bar * omega
+    if j < np.finfo(float).tiny and x < 1.0:
+        lam2 = params.lambda_bar ** 2
+        b1 = params.gamma / params.beta_bar * (lam2 / (lam2 + omega * omega))
+        return _form(b1 * (x / math.tanh(x) if x else 1.0), "B1 = (gamma/beta_bar) x/tanh(x)",
+                     gamma=params.gamma, beta_bar=params.beta_bar, omega=omega)
+    tanh = math.tanh(x)
     return _form(0.5 * j / tanh if tanh else math.inf, "B1 = (J(omega)/2) coth(beta_bar "
                  "omega/2)", beta_bar=params.beta_bar, omega=omega)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrbath import THETA_HI, THETA_LO, SystemParams, analysis
+from kerrbath import THETA_HI, THETA_LO, SystemParams, analysis, cli
 from kerrbath.cli import (
     COMMAND_OPTIONS,
     CSV_HEADER,
@@ -740,18 +740,25 @@ def test_run_sweep_draw_result_contract(index):
 
 
 def test_sweep_fit_keeps_last_sample(monkeypatch):
-    """Draw 22 of seed 1's plan (acceptance 07's 20 draws, extended) ends
-    one ulp past its window (675 samples of dtau); the fit still uses every
-    recorded sample."""
+    """The fit uses every recorded sample, a last one past the window
+    included: the wrapped evolve moves the last sample of a draw one ulp
+    past the window, the run's tau_end, whatever the draw's grid."""
     fits = []
     fit_overlap = analysis.overlap_rate_modulated
+    run = cli.evolve
 
     def spy(taus, *args):
         fits.append((taus, fit_overlap(taus, *args)))
         return fits[-1][1]
 
+    def past(params, tau_end, **kwargs):
+        traj = run(params, tau_end, **kwargs)
+        traj.taus[-1] = np.nextafter(tau_end, math.inf)
+        return traj
+
     monkeypatch.setattr(analysis, "overlap_rate_modulated", spy)
-    res = run_sweep_draw(dict(draw_parameters(1, 23)[22], lambda_bar=None))
+    monkeypatch.setattr(cli, "evolve", past)
+    res = run_sweep_draw(dict(draw_parameters(1, 20)[10], lambda_bar=None))
     (taus, fit), = fits
     assert taus[-1] > res["window"]
     assert fit.n_points == taus.size

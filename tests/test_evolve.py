@@ -371,8 +371,8 @@ def test_recorder_rows_do_not_depend_on_their_grouping():
     al = math.sqrt(p.intensity)
     config = IntegratorConfig(overlap_pair=(al, -al), record_min_eig=True)
     k = 7
-    recs = [EV._Recorder(ladder, k, config, "", np.empty(n_max * (2 * n_max - 1), complex))
-            for _ in range(2)]
+    recs = [EV._Recorder(ladder, np.zeros(k), 1.0, "closed", config, "",
+                         np.empty(n_max * (2 * n_max - 1), complex)) for _ in range(2)]
     size = recs[0].size
     vecs = rng.normal(size=(k, size)) + 1j * rng.normal(size=(k, size))
     vecs[:, n_max - 1:2 * n_max - 1] /= vecs[:, n_max - 1:2 * n_max - 1].sum(axis=1)[:, None]
@@ -380,8 +380,10 @@ def test_recorder_rows_do_not_depend_on_their_grouping():
     recs[0].store(0, taus, vecs, herm, eig)
     for i in range(k):
         recs[1].store(i, taus[i:i + 1], vecs[i:i + 1], herm[i], eig[i])
-    for name in ("a", "n", "energy", "tr", "herm", "top", "overlap", "min_eig"):
-        np.testing.assert_array_equal(getattr(recs[0], name), getattr(recs[1], name), name)
+    for name in ("a_expect", "n_expect", "energy_expect", "trace", "herm_defect",
+                 "top_population", "overlap", "min_eig"):
+        np.testing.assert_array_equal(getattr(recs[0].traj, name), getattr(recs[1].traj, name),
+                                      name)
 
 
 def test_rate_bound_run_keeps_its_accuracy(monkeypatch):
@@ -843,12 +845,13 @@ def test_closed_path_records_in_state_sized_blocks(monkeypatch):
         assert sum(k for k, _ in calls) == run.taus.size and max(calls)[0] < 512, n
         assert max(k * size for k, size in calls) <= max(n * n, 8192), n
         ladder = _Ladder(params, n)
-        rec = EV._Recorder(ladder, run.taus.size, config, "", np.empty(n * (2 * n - 1), complex))
+        rec = EV._Recorder(ladder, run.taus, run.dtau, "closed", config, "",
+                           np.empty(n * (2 * n - 1), complex))
         v0 = rec.vector(rho0)
         eig = rec.lowest_eig(rho0) if config.record_min_eig else None
         for k in range(0, run.taus.size, 512):
             rec.store(k, run.taus[k:k + 512], v0[None], run.herm_defect[0], eig)
-        want = rec.finish(run.taus, mode="closed", n_max=n, dtau=run.dtau)
+        want = rec.traj
         for name in ("taus", "a_expect", "n_expect", "energy_expect", "trace", "herm_defect",
                      "top_population", "overlap", "min_eig"):
             np.testing.assert_array_equal(getattr(run, name), getattr(want, name), name)
@@ -861,6 +864,43 @@ def test_closed_path_records_in_state_sized_blocks(monkeypatch):
         evolve(p, 10.0, mode="closed", rho0=np.diag([1.0, 0.0, 0.0, 0.0]),
                config=IntegratorConfig(dtau=1e-3))
     assert calls == [(1170, 7)] * 8 + [(10001 - 8 * 1170, 7)]
+
+
+def test_every_sample_is_recorded_once_in_order(monkeypatch):
+    """The recorder's store calls tile the samples 0 .. n - 1 in order, with
+    no gap and no overlap, on each recording path: the closed path; a
+    stepping run on the rotating grid, whose dtau is at most its step floor,
+    so that every step records; and a run whose dtau of 0.5 is several
+    times its floor, whose steps that record nothing leave the step-end
+    cache behind the next recording step's start."""
+    store = EV._Recorder.store
+    calls = []  # (first sample, samples) of each store call
+
+    def spy(self, k, taus, *args):
+        calls.append((k, taus.size))
+        return store(self, k, taus, *args)
+
+    monkeypatch.setattr(EV._Recorder, "store", spy)
+    p = SystemParams(mu_bar=0.1, intensity=5.0, gamma=1e-3)
+    al = math.sqrt(p.intensity)
+    rho0 = cat_state_density(al, 1j * al, fock_cutoff(p.intensity))
+    cases = (("closed", IntegratorConfig()),
+             ("born-markov-asymptotic", IntegratorConfig(frame="rotating")),
+             ("born-markov-asymptotic", IntegratorConfig(dtau=0.5, overlap_pair=(al, 1j * al),
+                                                         record_min_eig=True)))
+    runs = []
+    for mode, config in cases:
+        calls.clear()
+        runs.append(evolve(p, 2.0, mode=mode, rho0=rho0, config=config))
+        ends = np.cumsum([0] + [count for _, count in calls])
+        assert [k for k, _ in calls] == list(ends[:-1]) and ends[-1] == runs[-1].taus.size, mode
+        assert min(count for _, count in calls) >= 1, mode
+    closed, fine, coarse = runs
+    h_lo = _step_bounds(p, _BandedRHS(p, _Ladder(p, rho0.shape[0]), mode), 0.5)[0]
+    assert closed.steps == 0 and fine.dtau <= h_lo and 0 < fine.steps < fine.taus.size
+    assert coarse.taus.size == 5 and 0.5 > 4 * h_lo
+    # each recording step records one of the 4 samples after sample 0 at least
+    assert coarse.steps > 4, coarse.steps
 
 
 def test_closed_run_matches_per_sample_computation():

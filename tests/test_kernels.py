@@ -187,6 +187,19 @@ def test_b1_at_zero_frequency_is_its_limit():
         asymptotic_b1_at(hot, 0.0)
 
 
+def test_b1_at_subnormal_frequency_keeps_its_precision():
+    """At a subnormal omega, J(omega) underflows, and (J(omega)/2)
+    coth(beta_bar omega/2) lost B1 (9.98e-4 at omega = 1e-318 and
+    beta_bar = 1, 0 at 1e-322, an overflow refusal at 5e-324). B1 there is
+    (gamma/beta_bar) Lambda^2/(Lambda^2 + omega^2) to full precision."""
+    for beta_bar in (1.0, 0.3, 20.0):
+        p = SystemParams(mu_bar=0.1, intensity=5.0, beta_bar=beta_bar, gamma=1e-3)
+        lam2 = p.lambda_bar ** 2
+        for omega in (1e-318, 1e-322, 5e-324):
+            exact = p.gamma / p.beta_bar * lam2 / (lam2 + omega * omega)
+            assert asymptotic_b1_at(p, omega) == pytest.approx(exact, rel=1e-15), (beta_bar, omega)
+
+
 def test_fluctuation_dissipation_relation():
     p = ORACLE_P
     c = asymptotic_coefficients(p, 6)
